@@ -19,14 +19,7 @@ import time
 
 from .calculus import derivation_to_json_str, synthesize
 from .counterexample import domain_size_bound, verified_counterexample
-from .decision import (
-    ContradictionWitness,
-    CoverWitness,
-    MembershipWitness,
-    SubsetWitness,
-    VacuousDegreeWitness,
-    decide,
-)
+from .decision import decide
 from .errors import EXIT_OK, EXIT_WRONG_DIRECTION, ExclusionError
 from .oracle import default_bounds, oracle_implies
 from .parsing import (
@@ -40,20 +33,6 @@ from .parsing import (
 from .semantics import min_degree, min_removal, satisfies
 
 
-def _witness_kind(witness) -> str:
-    if isinstance(witness, VacuousDegreeWitness):
-        return "vacuous-degree"
-    if isinstance(witness, MembershipWitness):
-        return "membership"
-    if isinstance(witness, ContradictionWitness):
-        return "contradiction"
-    if isinstance(witness, SubsetWitness):
-        return "subset"
-    if isinstance(witness, CoverWitness):
-        return "a6-cover"
-    return "unknown"
-
-
 def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
@@ -64,7 +43,7 @@ def cmd_check(args) -> int:
     started = time.perf_counter()
     verdict = decide(sigma, goal)
     elapsed = time.perf_counter() - started
-    kind = _witness_kind(verdict.witness) if verdict.holds else verdict.plan.kind
+    kind = verdict.witness.kind if verdict.holds else verdict.plan.kind
     certificate_path = None
     if args.certificate:
         certificate_path = args.certificate

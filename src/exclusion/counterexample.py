@@ -131,8 +131,13 @@ class CounterexamplePlan:
         return len(self.extra_vars)
 
 
-def _ordered_vars(sigma: Sequence[Atom], goal: Atom) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Schema order: goal left, new goal right, then assumption-only vars."""
+def schema_order(
+    sigma: Sequence[Atom], goal: Atom
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Schema order: goal left, new goal right, then assumption-only vars.
+
+    Returns the whole schema and its assumption-only tail.
+    """
     schema: list[str] = []
     for v in goal.left + goal.right:
         if v not in schema:
@@ -153,7 +158,7 @@ def plan(sigma: Sequence[Atom], goal: Atom) -> CounterexamplePlan:
     genuine non-implications.
     """
     sigma = tuple(sigma)
-    schema, extra = _ordered_vars(sigma, goal)
+    schema, extra = schema_order(sigma, goal)
     classes, transitive = _merge_classes(goal)
     merges = tuple(
         (i, j)

@@ -15,13 +15,14 @@ the first one that fires wins, so results and witnesses are deterministic:
    or an arity switch covers its pairs through one goal side.
 
 A positive verdict carries a witness from which a derivation can be
-synthesized; a negative one carries a counterexample plan.
+synthesized; a negative one carries a counterexample plan.  Witnesses and
+plans both name themselves through `kind`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from . import counterexample as cx
 from . import pairs
@@ -48,10 +49,14 @@ __all__ = [
 class VacuousDegreeWitness:
     """The goal has degree 1, which every team satisfies."""
 
+    kind: ClassVar[str] = "vacuous-degree"
+
 
 @dataclass(frozen=True)
 class MembershipWitness:
     """An assumption is the goal up to orientation, at degree <= p."""
+
+    kind: ClassVar[str] = "membership"
 
     atom: Atom
     index: int
@@ -62,6 +67,8 @@ class MembershipWitness:
 class ContradictionWitness:
     """An assumption with equal sides and degree < 1 derives anything."""
 
+    kind: ClassVar[str] = "contradiction"
+
     atom: Atom
     index: int
 
@@ -69,6 +76,8 @@ class ContradictionWitness:
 @dataclass(frozen=True)
 class SubsetWitness:
     """An assumption's pair set embeds into the goal's, possibly swapped."""
+
+    kind: ClassVar[str] = "subset"
 
     atom: Atom
     index: int
@@ -78,6 +87,8 @@ class SubsetWitness:
 @dataclass(frozen=True)
 class CoverWitness:
     """An assumption reaches the goal through one arity switch."""
+
+    kind: ClassVar[str] = "a6-cover"
 
     atom: Atom
     index: int

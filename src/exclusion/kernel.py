@@ -1,33 +1,25 @@
-"""Scan primitives with a compiled fast lane and a pure fallback.
+"""Numpy scan primitives for the bounded sweep.
 
-The compiled extension is used when it imported cleanly and the
-EXCLUSION_PURE_PYTHON environment variable is not set to 1; otherwise the
-numpy implementation serves.  IMPLEMENTATION names the active lane.
-Team enumeration and packing are shared; only the hot scans differ.
+Teams are packed into flat numpy arrays: one row of `cells` per team,
+holding max_rows * n_vars uint8 values in row-major order, padded with
+zeros past the team's own rows.  Conflicts between rows i and j (row i's
+left projection equal to row j's right projection) are encoded as bit
+i*4 + j of a 16-bit word, so row counts are capped at 4.
+
+Masks are uint64 words, one bit per team.  The row-count mask may be
+shorter than the others: a bank sorted by row count needs only the prefix
+of teams within the row bound, and the masked scan reads no further than
+that prefix.
 """
 
 from __future__ import annotations
 
-import os
+import numpy as np
 
-from ._kernel_py import MAX_PACK_ROWS, enumerate_packed
+from .oracle import DEFAULT_BUDGET, enumerate_row_sets
 
-if os.environ.get("EXCLUSION_PURE_PYTHON") == "1":
-    _impl = None
-else:
-    try:
-        from . import _kernel as _impl
-    except ImportError:
-        _impl = None
-
-if _impl is not None:
-    conflict_words = _impl.conflict_words
-    any_counterexample = _impl.any_counterexample
-    IMPLEMENTATION = "cython"
-else:
-    from ._kernel_py import any_counterexample, conflict_words
-
-    IMPLEMENTATION = "python"
+IMPLEMENTATION = "python"
+MAX_PACK_ROWS = 4
 
 __all__ = [
     "IMPLEMENTATION",
@@ -36,3 +28,77 @@ __all__ = [
     "conflict_words",
     "enumerate_packed",
 ]
+
+
+def enumerate_packed(
+    n_vars: int, max_rows: int, max_values: int, budget: int = DEFAULT_BUDGET
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All canonical teams as (cells, n_rows, n_values) arrays."""
+    if max_rows > MAX_PACK_ROWS:
+        raise ValueError(f"packed teams hold at most {MAX_PACK_ROWS} rows")
+    if max_values > 255:
+        raise ValueError("packed cells are uint8, keep max_values under 256")
+    teams = list(
+        enumerate_row_sets(n_vars, max_rows, max_values, canonical=True, budget=budget)
+    )
+    count = len(teams)
+    cells = np.zeros((count, max_rows * n_vars), dtype=np.uint8)
+    n_rows = np.zeros(count, dtype=np.uint8)
+    n_values = np.zeros(count, dtype=np.uint8)
+    for t, rows in enumerate(teams):
+        n_rows[t] = len(rows)
+        top = 0
+        base = 0
+        for row in rows:
+            for v, c in enumerate(row):
+                cells[t, base + v] = c
+                if c > top:
+                    top = c
+            base += n_vars
+        n_values[t] = top
+    return cells, n_rows, n_values
+
+
+def conflict_words(
+    cells: np.ndarray,
+    n_rows: np.ndarray,
+    n_vars: int,
+    left_cols,
+    right_cols,
+) -> np.ndarray:
+    """Per-team 16-bit conflict pattern for one pair of column tuples."""
+    count, width = cells.shape
+    max_rows = width // n_vars
+    grid = cells.reshape(count, max_rows, n_vars)
+    left = grid[:, :, list(left_cols)]
+    right = grid[:, :, list(right_cols)]
+    words = np.zeros(count, dtype=np.uint16)
+    for i in range(max_rows):
+        for j in range(max_rows):
+            hit = (left[:, i, :] == right[:, j, :]).all(axis=1)
+            hit &= (n_rows > i) & (n_rows > j)
+            words |= hit.astype(np.uint16) << np.uint16(i * 4 + j)
+    return words
+
+
+def any_counterexample(
+    a: np.ndarray, b: np.ndarray, g: np.ndarray, rc: np.ndarray, nv: np.ndarray
+) -> bool:
+    """Whether any packed team satisfies both constraint masks, evades the
+    goal mask, and lies within the row-count and value-count masks.
+
+    Only the first rc.shape[0] words are scanned: teams past the end of
+    the row-count mask count as outside it.  The other masks must be at
+    least that long.
+    """
+    n = rc.shape[0]
+    step = 4096
+    for s in range(0, n, step):
+        e = min(s + step, n)
+        w = rc[s:e] & a[s:e]
+        w &= b[s:e]
+        w &= nv[s:e]
+        w &= ~g[s:e]
+        if w.any():
+            return True
+    return False

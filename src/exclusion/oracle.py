@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
-from .counterexample import _ordered_vars, domain_size_bound, plan as counterexample_plan
+from .counterexample import domain_size_bound, plan as counterexample_plan, schema_order
 from .errors import CapacityError
 from .model import Atom, Team
 from .semantics import min_removal_indexed
@@ -160,7 +160,7 @@ def oracle_implies(
 ) -> OracleResult:
     """Search the bounded space for a team separating sigma from the goal."""
     sigma = tuple(sigma)
-    schema, _ = _ordered_vars(sigma, goal)
+    schema, _ = schema_order(sigma, goal)
     col = {v: i for i, v in enumerate(schema)}
 
     def indexed(atom: Atom) -> tuple[list[int], list[int]]:

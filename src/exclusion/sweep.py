@@ -16,9 +16,10 @@ Three layers make the volume tractable:
   and plan bounds all commute with renaming, so one representative per
   class settles the class; a modular sample re-runs the decision directly
   on unreduced instances to cross-check the transfer.
-* The per-instance search is a bitwise AND scan with early exit over
-  64-team words, compiled when the extension is available.  Banks are
-  sorted by row count because separating teams tend to be small.
+* The per-instance search is a numpy bitwise AND scan with early exit
+  over 64-team words.  Banks are sorted by row count, so the teams within
+  a plan's row bound form a prefix; the row mask covers only that prefix
+  and the scan stops at its end.
 
 Min-removal over a packed team is a table lookup: conflicts between rows
 i and j form a 16-bit word (bit i*4+j), and the table holds the least
@@ -154,10 +155,16 @@ class TeamBank:
         return mask
 
     def row_mask(self, max_rows: int) -> np.ndarray:
+        """Teams with at most max_rows rows, packed up to the last of them.
+
+        The bank is sorted by row count, so these teams are a prefix and
+        the mask is only as many words as that prefix needs.
+        """
         k = min(max_rows, self.max_rows)
         mask = self._rows_le.get(k)
         if mask is None:
-            mask = self._rows_le[k] = pack_mask(self.n_rows <= k)
+            end = int(np.searchsorted(self.n_rows, k, side="right"))
+            mask = self._rows_le[k] = pack_mask(np.ones(end, dtype=bool))
         return mask
 
     def value_mask(self, max_values: int) -> np.ndarray:
@@ -252,7 +259,6 @@ class KeystoneReport:
     sample_size: int
     sample_mismatches: Tally
     elapsed: float
-    kernel_lane: str
 
 
 def run_keystone(
@@ -381,7 +387,6 @@ def run_keystone(
         sample_size=sample_size,
         sample_mismatches=sample_mismatches,
         elapsed=time.perf_counter() - start,
-        kernel_lane=kernel.IMPLEMENTATION,
     )
 
 

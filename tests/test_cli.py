@@ -96,6 +96,14 @@ class TestCheck:
         assert payload["holds"] is True
         assert payload["witness"] == "membership"
         assert "time" not in payload
+        for sigma, goal, kind in [
+            ("excl(x ; y)", "excl(x u ; y v)", "subset"),
+            ("excl(x ; x)", "excl(u ; v)", "contradiction"),
+        ]:
+            assert main(["check", sigma_file(sigma), goal, "--json"]) == EXIT_OK
+            payload = json.loads(capsys.readouterr().out)
+            assert payload["holds"] is True
+            assert payload["witness"] == kind
 
     def test_unsupported_degree_band(self, sigma_file, capsys):
         code = main(["check", sigma_file(""), "excl[3/4](x1 ; y1)"])

@@ -1,39 +1,26 @@
-"""Scan-kernel lanes: packed enumeration, conflict words, masked scans.
+"""Scan kernel: packed enumeration, conflict words, masked scans.
 
-The compiled lane and the pure numpy lane must be bit-identical; the
-65536-entry removal table must agree with the reference removal engine.
+The kernels must agree with brute force, and the 65536-entry removal
+table must agree with the reference removal engine.
 """
 
-import os
+import math
 import random
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import exclusion
 from exclusion import atom, team_from_rows
 from exclusion import kernel, satisfies
 from exclusion.kernel import IMPLEMENTATION
-from exclusion import _kernel_py
 from exclusion.oracle import enumerate_row_sets
 from exclusion.semantics import min_removal_indexed
 from exclusion.sweep import TeamBank, pack_mask, removal_table
 
-try:
-    from exclusion import _kernel as _compiled
-except ImportError:
-    _compiled = None
-
-needs_compiled = pytest.mark.skipif(
-    _compiled is None, reason="compiled kernel not built"
-)
-
 
 class TestPackedEnumeration:
     def test_matches_generator(self):
-        cells, n_rows, n_values = _kernel_py.enumerate_packed(2, 3, 6)
+        cells, n_rows, n_values = kernel.enumerate_packed(2, 3, 6)
         reference = list(enumerate_row_sets(2, 3, 6, canonical=True))
         assert len(cells) == len(reference)
         for packed, rows, count in zip(cells, reference, n_rows):
@@ -43,14 +30,14 @@ class TestPackedEnumeration:
             assert not packed[len(flat) :].any()
 
     def test_value_counts(self):
-        cells, n_rows, n_values = _kernel_py.enumerate_packed(2, 2, 4)
+        cells, n_rows, n_values = kernel.enumerate_packed(2, 2, 4)
         for packed, count, values in zip(cells, n_rows, n_values):
             flat = packed[: count * 2]
             assert values == len(set(flat.tolist()))
 
     def test_row_cap_enforced(self):
         with pytest.raises(ValueError):
-            _kernel_py.enumerate_packed(2, 5, 4)
+            kernel.enumerate_packed(2, 5, 4)
 
 
 def brute_conflict_word(rows, left_cols, right_cols):
@@ -64,36 +51,20 @@ def brute_conflict_word(rows, left_cols, right_cols):
 
 class TestConflictWords:
     def test_against_brute_force(self):
-        cells, n_rows, _ = _kernel_py.enumerate_packed(2, 3, 6)
+        cells, n_rows, _ = kernel.enumerate_packed(2, 3, 6)
         reference = list(enumerate_row_sets(2, 3, 6, canonical=True))
         for left, right in [((0,), (1,)), ((0, 1), (1, 0)), ((1,), (1,))]:
             left_a = np.asarray(left, dtype=np.int64)
             right_a = np.asarray(right, dtype=np.int64)
-            words = _kernel_py.conflict_words(cells, n_rows, 2, left_a, right_a)
+            words = kernel.conflict_words(cells, n_rows, 2, left_a, right_a)
             for w, rows in zip(words, reference):
                 assert int(w) == brute_conflict_word(rows, left, right)
 
-    @needs_compiled
-    def test_lane_parity(self):
-        rng = random.Random(2)
-        cells, n_rows, _ = _kernel_py.enumerate_packed(3, 4, 8)
-        for _ in range(20):
-            arity = rng.randrange(1, 4)
-            left = np.asarray(
-                [rng.randrange(3) for _ in range(arity)], dtype=np.int64
-            )
-            right = np.asarray(
-                [rng.randrange(3) for _ in range(arity)], dtype=np.int64
-            )
-            pure = _kernel_py.conflict_words(cells, n_rows, 3, left, right)
-            fast = np.asarray(_compiled.conflict_words(cells, n_rows, 3, left, right))
-            assert np.array_equal(pure, fast)
-
     def test_padding_rows_never_conflict(self):
-        cells, n_rows, _ = _kernel_py.enumerate_packed(1, 2, 3)
+        cells, n_rows, _ = kernel.enumerate_packed(1, 2, 3)
         left = np.asarray([0], dtype=np.int64)
         right = np.asarray([0], dtype=np.int64)
-        words = _kernel_py.conflict_words(cells, n_rows, 1, left, right)
+        words = kernel.conflict_words(cells, n_rows, 1, left, right)
         for w, count in zip(words, n_rows):
             # bits touching rows >= count must be clear
             for i in range(4):
@@ -105,7 +76,7 @@ class TestConflictWords:
 class TestRemovalTable:
     def test_exhaustive_against_reference(self):
         table = removal_table()
-        cells, n_rows, _ = _kernel_py.enumerate_packed(2, 4, 8)
+        cells, n_rows, _ = kernel.enumerate_packed(2, 4, 8)
         reference = list(enumerate_row_sets(2, 4, 8, canonical=True))
         rng = random.Random(4)
         sample = rng.sample(range(len(reference)), 400)
@@ -134,19 +105,24 @@ class TestMaskedScan:
                 flags, words = self.masks(n, rng)
                 raw.append(flags)
                 packed.append(words)
-            expected = bool(np.any(raw[0] & raw[1] & ~raw[2] & raw[3] & raw[4]))
-            got = _kernel_py.any_counterexample(*packed)
-            assert bool(got) == expected
+            hits = raw[0] & raw[1] & ~raw[2] & raw[3] & raw[4]
+            got = kernel.any_counterexample(*packed)
+            assert bool(got) == bool(np.any(hits))
 
-    @needs_compiled
-    def test_lane_parity(self):
-        rng = random.Random(12)
-        for _ in range(200):
-            n = rng.randrange(1, 400)
-            packed = [self.masks(n, rng)[1] for _ in range(5)]
-            assert bool(_kernel_py.any_counterexample(*packed)) == bool(
-                _compiled.any_counterexample(*packed)
-            )
+            # A row mask shorter than the others bounds the scan: bits the
+            # other masks set past its end must not count.
+            prefix = n // 2
+            short = pack_mask(raw[3][:prefix])
+            got = kernel.any_counterexample(*packed[:3], short, packed[4])
+            assert bool(got) == bool(np.any(hits[:prefix]))
+        # every team past a two-word row prefix is a hit, none inside it
+        late = np.arange(300) >= 128
+        ones = pack_mask(np.ones(300, dtype=bool))
+        none = pack_mask(np.zeros(300, dtype=bool))
+        short = pack_mask(np.ones(128, dtype=bool))
+        assert short.shape[0] == 2
+        assert kernel.any_counterexample(pack_mask(late), ones, none, ones, ones)
+        assert not kernel.any_counterexample(pack_mask(late), ones, none, short, ones)
 
     def test_pack_mask_round_trip(self):
         rng = random.Random(13)
@@ -208,6 +184,9 @@ class TestTeamBank:
             bank.row_mask(2).view(np.uint8), bitorder="little", count=bank.size
         )
         assert np.array_equal(bits.astype(bool), bank.n_rows <= 2)
+        for k in range(bank.max_rows + 1):
+            prefix = int(np.count_nonzero(bank.n_rows <= k))
+            assert bank.row_mask(k).shape[0] == math.ceil(prefix / 64)
         bits = np.unpackbits(
             bank.value_mask(3).view(np.uint8), bitorder="little", count=bank.size
         )
@@ -222,32 +201,4 @@ class TestTeamBank:
 
 class TestLaneSelection:
     def test_current_lane_reported(self):
-        assert IMPLEMENTATION in ("cython", "python")
-
-    def test_env_override_forces_pure_lane(self):
-        # A minimal env, so that nothing inherited can choose the lane;
-        # PYTHONPATH points the child at the very package under test.
-        env = {
-            "PATH": "/usr/bin:/bin",
-            "PYTHONPATH": os.path.dirname(os.path.dirname(exclusion.__file__)),
-        }
-        code = (
-            "import exclusion; from exclusion.kernel import IMPLEMENTATION; "
-            "print(IMPLEMENTATION); print(exclusion.__file__)"
-        )
-
-        def child_lane(env):
-            out = subprocess.run(
-                [sys.executable, "-c", code], env=env, capture_output=True, text=True
-            )
-            assert out.returncode == 0, (
-                f"child exited {out.returncode}:\n{out.stderr}"
-            )
-            lane, path = out.stdout.splitlines()
-            assert path == exclusion.__file__
-            return lane
-
-        # Control: without the variable the child takes the default lane,
-        # the compiled one exactly when it is built.
-        assert child_lane(env) == ("cython" if _compiled is not None else "python")
-        assert child_lane({**env, "EXCLUSION_PURE_PYTHON": "1"}) == "python"
+        assert IMPLEMENTATION == "python"
