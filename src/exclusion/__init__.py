@@ -3,40 +3,16 @@
 Decide whether a set of assumptions entails a goal atom, produce checkable
 certificates either way (a derivation in an eight-rule calculus, or a
 concrete separating team), and evaluate atoms directly against tables.
+
+The package exports the names of its documented workflow; every other
+helper is imported from its module (exclusion.calculus, .counterexample,
+.decision, .model, .oracle, .parsing, .semantics).
 """
 
-from .calculus import (
-    CheckResult,
-    Derivation,
-    Rule,
-    Step,
-    check_derivation,
-    check_step,
-    derivation_from_json,
-    derivation_to_json,
-    derivation_to_json_str,
-    expand_macros,
-    render_derivation,
-    synthesize,
-)
-from .counterexample import (
-    CounterexamplePlan,
-    build_team,
-    canonical_satisfying_team,
-    domain_size_bound,
-    ratio_parameters,
-    verified_counterexample,
-)
-from .counterexample import plan as counterexample_plan
-from .counterexample import verify as verify_counterexample
-from .decision import Verdict, decide, implies, min_gap_degree
+from .calculus import check_derivation, synthesize
+from .counterexample import verified_counterexample
+from .decision import Verdict, decide, implies
 from .errors import (
-    EXIT_CAPACITY,
-    EXIT_INTERNAL,
-    EXIT_OK,
-    EXIT_PARSE,
-    EXIT_UNSUPPORTED_DEGREE,
-    EXIT_WRONG_DIRECTION,
     CapacityError,
     EmptyTeamError,
     ExclusionError,
@@ -45,121 +21,34 @@ from .errors import (
     UnknownVariableError,
     UnsupportedDegreeError,
 )
-from .model import (
-    Atom,
-    Team,
-    as_degree,
-    atom,
-    team_from_assignments,
-    team_from_rows,
-    tuple_projection,
-)
-from .oracle import (
-    OracleResult,
-    default_bounds,
-    enumerate_teams,
-    full_space_size,
-    oracle_implies,
-)
-from .pairs import (
-    a6_cover,
-    correspondence_sets,
-    end_constant_form,
-    pair_set,
-    subset_derivable,
-)
-from .parsing import (
-    parse_atom,
-    parse_sigma,
-    parse_team_csv,
-    read_sigma_file,
-    read_team_csv,
-    render_atom,
-    render_human,
-    team_csv_text,
-    write_team_csv,
-)
-from .semantics import (
-    ConflictReport,
-    conflict_report,
-    min_degree,
-    min_removal,
-    satisfies,
-    satisfies_all,
-    satisfies_exact,
-)
+from .model import Atom, Team, atom
+from .oracle import oracle_implies
+from .parsing import parse_atom, parse_team_csv
+from .semantics import min_degree, min_removal, satisfies
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Atom",
     "CapacityError",
-    "CheckResult",
-    "ConflictReport",
-    "CounterexamplePlan",
-    "Derivation",
-    "EXIT_CAPACITY",
-    "EXIT_INTERNAL",
-    "EXIT_OK",
-    "EXIT_PARSE",
-    "EXIT_UNSUPPORTED_DEGREE",
-    "EXIT_WRONG_DIRECTION",
     "EmptyTeamError",
     "ExclusionError",
     "InternalVerificationError",
-    "OracleResult",
     "ParseError",
-    "Rule",
-    "Step",
     "Team",
     "UnknownVariableError",
     "UnsupportedDegreeError",
     "Verdict",
-    "a6_cover",
-    "as_degree",
     "atom",
-    "build_team",
-    "canonical_satisfying_team",
     "check_derivation",
-    "check_step",
-    "conflict_report",
-    "correspondence_sets",
-    "counterexample_plan",
     "decide",
-    "default_bounds",
-    "derivation_from_json",
-    "derivation_to_json",
-    "derivation_to_json_str",
-    "domain_size_bound",
-    "end_constant_form",
-    "enumerate_teams",
-    "expand_macros",
-    "full_space_size",
     "implies",
     "min_degree",
-    "min_gap_degree",
     "min_removal",
     "oracle_implies",
-    "pair_set",
     "parse_atom",
-    "parse_sigma",
     "parse_team_csv",
-    "ratio_parameters",
-    "read_sigma_file",
-    "read_team_csv",
-    "render_atom",
-    "render_derivation",
-    "render_human",
     "satisfies",
-    "satisfies_all",
-    "satisfies_exact",
-    "subset_derivable",
     "synthesize",
-    "team_csv_text",
-    "team_from_assignments",
-    "team_from_rows",
-    "tuple_projection",
     "verified_counterexample",
-    "verify_counterexample",
-    "write_team_csv",
 ]

@@ -614,6 +614,22 @@ def render_derivation(derivation: Derivation) -> str:
 # synthesis from decision witnesses
 # ==========================================================================
 
+def end_constant_form(atom: Atom) -> Atom:
+    """Equivalent atom with duplicate pairs removed and diagonal pairs last.
+
+    Diagonal pairs (same variable on both sides at a position) move into a
+    shared trailing suffix; the remaining pairs keep first-occurrence order.
+    The pair set is unchanged, so the result is semantically equivalent.
+    """
+    pairs = dict.fromkeys(zip(atom.left, atom.right))
+    ordered = [p for p in pairs if p[0] != p[1]] + [p for p in pairs if p[0] == p[1]]
+    return Atom(
+        tuple(a for a, _ in ordered),
+        tuple(b for _, b in ordered),
+        atom.degree,
+    )
+
+
 class _Builder:
     def __init__(self, assumptions: Sequence[Atom]):
         self.assumptions = tuple(assumptions)
@@ -678,7 +694,6 @@ def synthesize(assumptions: Sequence[Atom], goal: Atom, witness) -> Derivation:
     internal error, never a user error.
     """
     from . import decision as dec
-    from .pairs import end_constant_form
 
     b = _Builder(assumptions)
 
@@ -746,9 +761,8 @@ def synthesize(assumptions: Sequence[Atom], goal: Atom, witness) -> Derivation:
             ref = b.add(Rule.PERM, (ref,), ec, PermWitness(order))
             current = ec
         # one arity switch moves both sides of every plain pair right
-        cover = witness.cover
-        anchor = cover.anchor_map()
-        side_tuple = goal.left if cover.side == "left" else goal.right
+        anchor = dict(witness.anchor)
+        side_tuple = goal.left if witness.side == "left" else goal.right
         plain = [
             p for p in zip(current.left, current.right) if p[0] != p[1]
         ]
@@ -762,13 +776,13 @@ def synthesize(assumptions: Sequence[Atom], goal: Atom, witness) -> Derivation:
         ref = b.add(
             Rule.A6, (ref,), switched, SwitchWitness(current.arity - h, fresh)
         )
-        if cover.side == "left":
+        if witness.side == "left":
             target_left, target_right = goal.left, goal.right
         else:
             target_left, target_right = goal.right, goal.left
         ref = b.transform(ref, switched, target_left, target_right)
         ref = b.raise_degree(ref, b.atom_at(ref), goal.degree)
-        if cover.side == "right":
+        if witness.side == "right":
             b.swap(ref, b.atom_at(ref))
 
     else:

@@ -119,7 +119,6 @@ class CounterexamplePlan:
     schema: tuple[str, ...]
     extra_vars: tuple[str, ...]
     value_classes: tuple[tuple[int, ...], ...]
-    column_merges: tuple[tuple[int, int], ...]
     transitive: bool
 
     @property
@@ -138,16 +137,11 @@ def schema_order(
 
     Returns the whole schema and its assumption-only tail.
     """
-    schema: list[str] = []
-    for v in goal.left + goal.right:
-        if v not in schema:
-            schema.append(v)
-    extra: list[str] = []
-    for atom in sigma:
-        for v in atom.left + atom.right:
-            if v not in schema and v not in extra:
-                extra.append(v)
-    return tuple(schema + extra), tuple(extra)
+    schema = dict.fromkeys(goal.left + goal.right)
+    goal_width = len(schema)
+    schema.update(dict.fromkeys(v for atom in sigma for v in atom.left + atom.right))
+    order = tuple(schema)
+    return order, order[goal_width:]
 
 
 def plan(sigma: Sequence[Atom], goal: Atom) -> CounterexamplePlan:
@@ -160,24 +154,18 @@ def plan(sigma: Sequence[Atom], goal: Atom) -> CounterexamplePlan:
     sigma = tuple(sigma)
     schema, extra = schema_order(sigma, goal)
     classes, transitive = _merge_classes(goal)
-    merges = tuple(
-        (i, j)
-        for i in range(goal.arity)
-        for j in range(goal.arity)
-        if goal.left[i] == goal.right[j]
-    )
     if goal.left == goal.right:
         if goal.degree >= ONE:
             raise ValueError("a degree-1 goal is never refutable")
         return CounterexamplePlan(
             "unary-canonical", sigma, goal, 1, 1, None,
-            schema, extra, classes, merges, transitive,
+            schema, extra, classes, transitive,
         )
     r = min_gap_degree(sigma, goal.degree)
     l, k = ratio_parameters(goal.degree, r)
     return CounterexamplePlan(
         "shared-block", sigma, goal, l, k, r,
-        schema, extra, classes, merges, transitive,
+        schema, extra, classes, transitive,
     )
 
 
@@ -253,13 +241,7 @@ def canonical_satisfying_team(
     for atom in atoms:
         if atom.is_contradictory():
             raise ValueError(f"no nonempty team satisfies {atom}")
-    schema: list[str] = []
-    for atom in atoms:
-        for v in atom.left + atom.right:
-            if v not in schema:
-                schema.append(v)
-    for v in extra_vars:
-        if v not in schema:
-            schema.append(v)
+    schema = dict.fromkeys(v for atom in atoms for v in atom.left + atom.right)
+    schema.update(dict.fromkeys(extra_vars))
     row = tuple(str(i + 1) for i in range(len(schema)))
     return Team(tuple(schema), frozenset([row]))

@@ -14,21 +14,15 @@ from fractions import Fraction as F
 import pytest
 
 from exclusion import (
-    EXIT_UNSUPPORTED_DEGREE,
     Atom,
     UnsupportedDegreeError,
     atom,
-    canonical_satisfying_team,
     check_derivation,
-    correspondence_sets,
     decide,
     min_removal,
-    pair_set,
     parse_atom,
     satisfies,
-    satisfies_all,
     synthesize,
-    team_from_rows,
 )
 from exclusion.calculus import (
     AppendWitness,
@@ -40,6 +34,11 @@ from exclusion.calculus import (
     SwitchWitness,
 )
 from exclusion.cli import main as cli_main
+from exclusion.counterexample import canonical_satisfying_team
+from exclusion.decision import correspondence_sets, pair_set
+from exclusion.errors import EXIT_UNSUPPORTED_DEGREE
+from exclusion.model import team_from_rows
+from exclusion.semantics import satisfies_all
 from exclusion.sweep import keystone_atoms, oracle_spot_check, run_keystone
 
 KEYSTONE_INSTANCES = 9_878_220

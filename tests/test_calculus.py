@@ -6,30 +6,32 @@ from fractions import Fraction
 import pytest
 
 from exclusion import (
-    Derivation,
     InternalVerificationError,
     ParseError,
-    Rule,
-    Step,
     atom,
     check_derivation,
-    check_step,
     decide,
-    derivation_from_json,
-    derivation_to_json,
-    derivation_to_json_str,
-    expand_macros,
-    render_derivation,
     synthesize,
 )
 from exclusion.calculus import (
     AppendWitness,
     BlockSwapWitness,
     ContractWitness,
+    Derivation,
     PermWitness,
     RaiseWitness,
+    Rule,
+    Step,
     SwitchWitness,
+    check_step,
+    derivation_from_json,
+    derivation_to_json,
+    derivation_to_json_str,
+    end_constant_form,
+    expand_macros,
+    render_derivation,
 )
+from exclusion.decision import pair_set
 
 X_Y = atom("x", "y")
 
@@ -555,6 +557,26 @@ class TestSynthesize:
     def test_unknown_witness_rejected(self):
         with pytest.raises(ValueError):
             synthesize([], atom("x", "y"), object())
+
+
+class TestEndConstantForm:
+    def test_diagonals_move_last(self):
+        a = atom("w x w y", "w u w y")
+        ec = end_constant_form(a)
+        assert ec == atom("x w y", "u w y")
+        assert pair_set(ec) == pair_set(a)
+
+    def test_plain_pairs_keep_first_occurrence_order(self):
+        a = atom("b a b", "c d c")
+        assert end_constant_form(a) == atom("b a", "c d")
+
+    def test_idempotent(self):
+        worked = atom("x2 y3 x2 x4", "y1 y3 y3 y4")
+        for a in (worked, atom("x", "y"), atom("x x y", "x y y")):
+            assert end_constant_form(end_constant_form(a)) == end_constant_form(a)
+
+    def test_degree_preserved(self):
+        assert end_constant_form(atom("x w", "y w", "1/4")).degree.numerator == 1
 
 
 class TestRender:

@@ -4,17 +4,16 @@ import json
 
 import pytest
 
-from exclusion import (
+from exclusion import check_derivation, parse_team_csv
+from exclusion.calculus import derivation_from_json
+from exclusion.cli import main
+from exclusion.errors import (
     EXIT_CAPACITY,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_UNSUPPORTED_DEGREE,
     EXIT_WRONG_DIRECTION,
-    check_derivation,
-    derivation_from_json,
-    parse_team_csv,
 )
-from exclusion.cli import main
 
 TABLE_PAIR = "x,y\n0,0\n1,2\n"
 TABLE_QUAD = "x,u,y,v\n0,1,0,1\n0,2,0,2\n1,2,2,1\n"

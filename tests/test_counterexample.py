@@ -8,19 +8,21 @@ import pytest
 from exclusion import (
     InternalVerificationError,
     atom,
-    build_team,
-    canonical_satisfying_team,
-    counterexample_plan,
-    domain_size_bound,
     min_degree,
     min_removal,
-    ratio_parameters,
     satisfies,
-    satisfies_all,
     verified_counterexample,
-    verify_counterexample,
+)
+from exclusion.counterexample import (
+    build_team,
+    canonical_satisfying_team,
+    domain_size_bound,
+    plan as counterexample_plan,
+    ratio_parameters,
+    verify as verify_counterexample,
 )
 from exclusion.decision import decide
+from exclusion.semantics import satisfies_all
 
 
 class TestRatioParameters:
@@ -182,7 +184,7 @@ class TestVerify:
     def test_rejects_wrong_team(self):
         sigma = []
         goal = atom("x", "y")
-        from exclusion import team_from_rows
+        from exclusion.model import team_from_rows
 
         team = team_from_rows(("x", "y"), [("1", "2")])
         assert not verify_counterexample(team, sigma, goal)

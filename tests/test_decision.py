@@ -11,7 +11,6 @@ from exclusion import (
     check_derivation,
     decide,
     implies,
-    min_gap_degree,
     synthesize,
     verified_counterexample,
 )
@@ -21,7 +20,66 @@ from exclusion.decision import (
     MembershipWitness,
     SubsetWitness,
     VacuousDegreeWitness,
+    a6_cover,
+    correspondence_sets,
+    goal_squares,
+    min_gap_degree,
+    pair_set,
 )
+
+# worked example: x2 y3 x2 x4 | y1 y3 y3 y4
+WORKED = atom("x2 y3 x2 x4", "y1 y3 y3 y4")
+
+
+class TestPairSet:
+    def test_worked_example_set(self):
+        assert pair_set(WORKED) == frozenset(
+            {("x2", "y1"), ("y3", "y3"), ("x2", "y3"), ("x4", "y4")}
+        )
+
+    def test_repeated_pairs_collapse(self):
+        assert pair_set(atom("x x", "y y")) == frozenset({("x", "y")})
+
+    def test_containment_is_reflexive(self):
+        assert pair_set(WORKED) <= pair_set(WORKED)
+
+    def test_appending_grows_the_set(self):
+        assert pair_set(atom("x y", "u v")) <= pair_set(atom("x y w", "u v w"))
+        assert not pair_set(atom("x y w", "u v w")) <= pair_set(atom("x y", "u v"))
+        verdict = decide([atom("x y w", "u v w")], atom("x y", "u v"))
+        assert not verdict.holds
+
+    def test_order_and_repetition_irrelevant(self):
+        verdict = decide([atom("x y", "u v")], atom("y x x", "v u u"))
+        assert verdict.witness == SubsetWitness(atom("x y", "u v"), 0, False)
+        verdict = decide([atom("y x x", "v u u")], atom("x y", "u v"))
+        assert verdict.witness == SubsetWitness(atom("y x x", "v u u"), 0, False)
+
+    def test_swap_is_not_subset(self):
+        assert not pair_set(atom("x", "y")) <= pair_set(atom("y", "x"))
+        # only the swapped pair set embeds, so the witness says swapped
+        verdict = decide([atom("x", "y")], atom("y z", "x z"))
+        assert verdict.witness == SubsetWitness(atom("x", "y"), 0, True)
+
+    def test_degrees_not_consulted(self):
+        assert pair_set(atom("x", "y", "1/3")) == pair_set(atom("x", "y"))
+
+
+class TestCorrespondenceSets:
+    def test_worked_example_sets(self):
+        corr = correspondence_sets(WORKED)
+        # left-side partners: x2 pairs with y1 and y3, y3 with itself
+        assert corr.left["x2"] == frozenset({"y1", "y3"})
+        assert corr.left["y3"] == frozenset({"y3"})
+        # right-side partners of y3: the diagonal pair and x2
+        assert corr.right["y3"] == frozenset({"y3", "x2"})
+        assert corr.right["y1"] == frozenset({"x2"})
+        assert corr.right["y4"] == frozenset({"x4"})
+        assert corr.left["x4"] == frozenset({"y4"})
+
+    def test_repeated_variable_unions_partners(self):
+        corr = correspondence_sets(atom("x x", "u v"))
+        assert corr.left["x"] == frozenset({"u", "v"})
 
 
 class TestShortCircuits:
@@ -113,7 +171,7 @@ class TestStructural:
         verdict = decide([atom("x1 w1 w2", "y1 w1 w2")], atom("z1 z1", "x1 y1"))
         assert verdict.holds
         assert isinstance(verdict.witness, CoverWitness)
-        assert verdict.witness.cover.side == "left"
+        assert verdict.witness.side == "left"
 
     def test_degree_filter_applies_to_structure(self):
         verdict = decide([atom("x w", "y w", "1/3")], atom("z z", "x y", "1/4"))
@@ -123,6 +181,78 @@ class TestStructural:
         sigma = [atom("x y", "u v"), atom("x", "u")]
         verdict = decide(sigma, atom("x y", "u v"))
         assert verdict.witness.index == 0
+
+
+class TestA6Cover:
+    """The one-switch cover: side and anchor are read off the witness."""
+
+    def cover(self, sigma, goal):
+        verdict = decide(sigma, goal)
+        assert verdict.holds
+        assert isinstance(verdict.witness, CoverWitness)
+        return verdict.witness.side, dict(verdict.witness.anchor)
+
+    def test_arity_change_example(self):
+        # x1 w1 w2 | y1 w1 w2 reaches z1 z1 | x1 y1 through one switch
+        src = atom("x1 w1 w2", "y1 w1 w2")
+        goal = atom("z1 z1", "x1 y1")
+        assert self.cover([src], goal) == ("left", {("x1", "y1"): 0})
+
+    def test_right_side_cover(self):
+        # partners of c on the goal's right side are {a, b}, so the pair
+        # (a, b) fits there; the left side has no covering position
+        side, anchor = self.cover([atom("a", "b")], atom("a b", "c c"))
+        assert side == "right"
+        assert anchor == {("a", "b"): 0}
+
+    def test_no_cover(self):
+        # decide answers this one through membership, so ask the helper
+        assert a6_cover(atom("a", "b"), goal_squares(atom("a", "b"))) is None
+        # the pair (b, c) fits no partner square on either goal side
+        assert not decide([atom("a b", "b c")], atom("z z", "a b")).holds
+
+    def test_repeated_fresh_variable_cover(self):
+        # both premise pairs sit inside the partner square of c, so the
+        # switch may reuse c at both fresh positions
+        side, anchor = self.cover([atom("a b", "b a")], atom("c c", "a b"))
+        assert side == "left"
+        assert anchor == {("a", "b"): 0, ("b", "a"): 0}
+
+    def test_fully_diagonal_src_has_no_cover(self):
+        # decide answers a contradictory premise first, so ask the helper
+        squares = goal_squares(atom("z z", "x y"))
+        assert a6_cover(atom("x", "x"), squares) is None
+
+    def test_diagonal_pairs_ride_along(self):
+        # the diagonal (w, w) needs no cover; only (x, y) must fit
+        src = atom("x w", "y w")
+        goal = atom("z z", "x y")
+        assert self.cover([src], goal)[1] == {("x", "y"): 0}
+
+    def test_symmetric_under_premise_swap(self):
+        src = atom("x1 w1 w2", "y1 w1 w2")
+        goal = atom("z1 z1", "x1 y1")
+        self.cover([src.swapped()], goal)
+
+    def test_anchor_picks_smallest_position(self):
+        # both positions of the goal's left side cover (a, b); the witness
+        # must anchor at position 0
+        side, anchor = self.cover([atom("a", "b")], atom("c c", "a b"))
+        assert side == "left"
+        assert anchor == {("a", "b"): 0}
+
+    def test_later_premise_covers_through_right_side(self):
+        # goal pairs (p, q), (a, c), (b, c): only the right-side variable c,
+        # at position 1, partners both a and b.  Premises 0 and 1 fail the
+        # subset, swapped-subset and cover tests, so the analysis of the
+        # goal made before the loop must serve premise 2 unchanged.
+        sigma = [atom("p", "c"), atom("q r", "a a", "1/4"), atom("a", "b")]
+        goal = atom("p a b", "q c c", "1/4")
+        witness = decide(sigma, goal).witness
+        assert witness == CoverWitness(atom("a", "b"), 2, "right", ((("a", "b"), 1),))
+        derivation = synthesize(sigma, goal, witness)
+        assert check_derivation(derivation).ok
+        assert derivation.goal == goal
 
 
 class TestFalseVerdicts:

@@ -10,9 +10,9 @@ import random
 import numpy as np
 import pytest
 
-from exclusion import atom, team_from_rows
-from exclusion import kernel, satisfies
+from exclusion import atom, kernel, satisfies
 from exclusion.kernel import IMPLEMENTATION
+from exclusion.model import team_from_rows
 from exclusion.oracle import enumerate_row_sets
 from exclusion.semantics import min_removal_indexed
 from exclusion.sweep import TeamBank, pack_mask, removal_table

@@ -4,12 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from exclusion import (
-    Atom,
-    Team,
-    UnknownVariableError,
+from exclusion import Atom, Team, UnknownVariableError, atom
+from exclusion.model import (
     as_degree,
-    atom,
     team_from_assignments,
     team_from_rows,
     tuple_projection,

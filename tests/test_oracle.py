@@ -5,20 +5,15 @@ from itertools import permutations
 
 import pytest
 
-from exclusion import (
-    CapacityError,
-    atom,
-    decide,
+from exclusion import CapacityError, atom, decide, oracle_implies, satisfies
+from exclusion.counterexample import domain_size_bound, plan as cx_plan
+from exclusion.oracle import (
     default_bounds,
-    domain_size_bound,
+    enumerate_row_sets,
     enumerate_teams,
     full_space_size,
-    oracle_implies,
-    satisfies,
-    satisfies_all,
 )
-from exclusion.counterexample import plan as cx_plan
-from exclusion.oracle import enumerate_row_sets
+from exclusion.semantics import satisfies_all
 
 
 class TestSpaceCounts:

@@ -6,19 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exclusion import (
-    Atom,
-    ParseError,
-    atom,
-    parse_atom,
+from exclusion import Atom, ParseError, atom, parse_atom, parse_team_csv
+from exclusion.model import team_from_rows
+from exclusion.parsing import (
+    parse_rational,
     parse_sigma,
-    parse_team_csv,
     render_atom,
     render_human,
     team_csv_text,
-    team_from_rows,
 )
-from exclusion.parsing import parse_rational
 
 
 class TestParseRational:

@@ -14,15 +14,17 @@ from exclusion import (
     CapacityError,
     EmptyTeamError,
     atom,
-    conflict_report,
     min_degree,
     min_removal,
     satisfies,
+)
+from exclusion.model import team_from_rows
+from exclusion.semantics import (
+    conflict_report,
+    min_removal_indexed,
     satisfies_all,
     satisfies_exact,
-    team_from_rows,
 )
-from exclusion.semantics import min_removal_indexed
 
 # worked two-column example: the self-conflicting first row is the only
 # conflict, so one removal restores exact exclusion
