@@ -1,0 +1,281 @@
+"""Per-call time of the NO-certificate layers, parent against change.
+
+    python benchmarks/bench_certify.py --parent OTHER/src [--repeats 7]
+
+Times, per call:
+
+* ``parse_sigma`` on 1000-atom premise files at arity 5, 10, 20 and 40
+  (60 variables, degrees 0, 1/4 and 1/3), the shape of ``decide-large``;
+* ``counterexample.verify`` on the separating team of a NO answer over
+  1000 premises at the same arities;
+* ``verify`` on sweep-sized NO instances (at most two keystone premises,
+  three variables, arity at most 2) and on ``certify-small``-sized ones
+  (at most three premises over five variables, arity at most 4).  These
+  small teams guard against a change that pays off on 1000 premises but
+  slows the calls the keystone sweep makes about a million times.
+
+``--parent`` names the ``src/`` directory of a second checkout, usually
+of the parent commit (``git clone`` this repository and check the parent
+out, so that its commit is recorded); ``--change`` defaults to this
+checkout's ``src/``.  Each repeat runs one fresh interpreter per tree,
+alternating which goes first, and each interpreter builds the same seeded
+inputs.  The interpreters also report a digest of what they returned
+(the parsed atoms and every verify result), so the JSON records whether
+both trees answered alike.  The output, ``benchmarks/BENCH_certify.json``
+by default, holds per-case medians, every repeat, the machine, Python,
+numpy, the kernel lane and the repeat count.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import random
+import statistics
+import subprocess
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
+
+SEED = 20261018
+ARITIES = (5, 10, 20, 40)
+PREMISES = 1000
+DEGREES = (Fraction(0), Fraction(1, 4), Fraction(1, 3))
+NAMES = tuple(f"v{i}" for i in range(60))
+SMALL_INSTANCES = 3000
+
+
+# ==========================================================================
+# child: one interpreter, one tree
+# ==========================================================================
+
+def _atom_text(left, right, degree) -> str:
+    mark = "" if degree == 0 else f"[{degree}]"
+    return f"excl{mark}({' '.join(left)} ; {' '.join(right)})"
+
+
+def _random_side(rng, names, arity):
+    return tuple(rng.choice(names) for _ in range(arity))
+
+
+def _premise_files(rng):
+    """arity -> three 1000-atom premise texts."""
+    return {
+        arity: [
+            "\n".join(
+                _atom_text(_random_side(rng, NAMES, arity), _random_side(rng, NAMES, arity),
+                           rng.choice(DEGREES))
+                for _ in range(PREMISES)
+            )
+            for _ in range(3)
+        ]
+        for arity in ARITIES
+    }
+
+
+def _no_instance(ex, sigma, goal):
+    """(team, sigma, goal) when the package answers NO, else None."""
+    verdict = ex.decision.decide(sigma, goal)
+    if verdict.holds:
+        return None
+    return ex.counterexample.build_team(verdict.plan), sigma, goal
+
+
+def _large_instances(ex, rng, files):
+    """arity -> NO instances over 1000 parsed premises."""
+    out = {}
+    for arity, texts in files.items():
+        found = []
+        for text in texts:
+            sigma = ex.parsing.parse_sigma(text)
+            while True:
+                goal = ex.model.Atom(
+                    _random_side(rng, NAMES, arity), _random_side(rng, NAMES, arity),
+                    rng.choice(DEGREES),
+                )
+                inst = _no_instance(ex, sigma, goal)
+                if inst is not None:
+                    found.append(inst)
+                    break
+        out[arity] = found
+    return out
+
+
+def _small_instances(ex, rng, draw, count):
+    found = []
+    while len(found) < count:
+        sigma, goal = draw()
+        inst = _no_instance(ex, sigma, goal)
+        if inst is not None:
+            found.append(inst)
+    return found
+
+
+def _time_per_call(calls, repeat_until=0.2):
+    """Seconds per call over whole passes of ``calls``, at least ``repeat_until`` s."""
+    passes = 0
+    start = time.perf_counter()
+    while True:
+        for call in calls:
+            call()
+        passes += 1
+        elapsed = time.perf_counter() - start
+        if elapsed >= repeat_until:
+            return elapsed / (passes * len(calls))
+
+
+def child(src: str) -> None:
+    sys.path.insert(0, src)
+    import exclusion.counterexample
+    import exclusion.decision
+    import exclusion.kernel
+    import exclusion.model
+    import exclusion.parsing
+    import exclusion.sweep
+
+    ex = exclusion
+    Atom = ex.model.Atom
+    verify = ex.counterexample.verify
+    rng = random.Random(SEED)
+    digest = hashlib.sha256()
+    times = {}
+
+    files = _premise_files(rng)
+    for arity, texts in files.items():
+        for text in texts:
+            digest.update(repr(ex.parsing.parse_sigma(text)).encode())
+        times[f"parse_sigma.1000x{arity}"] = _time_per_call(
+            [lambda t=t: ex.parsing.parse_sigma(t) for t in texts], 1.0
+        )
+
+    for arity, found in _large_instances(ex, rng, files).items():
+        digest.update(repr([verify(*inst) for inst in found]).encode())
+        times[f"verify.1000x{arity}"] = _time_per_call(
+            [lambda i=i: verify(*i) for i in found], 0.5
+        )
+
+    keystone = ex.sweep.keystone_atoms()
+
+    def sweep_shape():
+        return tuple(rng.sample(keystone, rng.randint(0, 2))), rng.choice(keystone)
+
+    small_vars = tuple("abcde")
+
+    def small_atom():
+        arity = rng.randint(1, 4)
+        return Atom(_random_side(rng, small_vars, arity), _random_side(rng, small_vars, arity),
+                    rng.choice(DEGREES))
+
+    def small_shape():
+        return tuple(small_atom() for _ in range(rng.randint(0, 3))), small_atom()
+
+    for name, draw in (("verify.sweep", sweep_shape), ("verify.certify_small", small_shape)):
+        found = _small_instances(ex, rng, draw, SMALL_INSTANCES)
+        digest.update(repr([verify(*inst) for inst in found]).encode())
+        times[name] = _time_per_call([lambda i=i: verify(*i) for i in found], 1.0)
+
+    print(json.dumps({
+        "lane": ex.kernel.IMPLEMENTATION,
+        "digest": digest.hexdigest(),
+        "seconds_per_call": times,
+    }))
+
+
+# ==========================================================================
+# main: alternate the two trees, one fresh interpreter each
+# ==========================================================================
+
+def _run_child(src: Path) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = subprocess.run(
+        [sys.executable, __file__, "--child", str(src)],
+        check=True, capture_output=True, text=True, env=env,
+    )
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def _commit(src: Path) -> str:
+    try:
+        out = subprocess.run(
+            ["git", "-C", str(src), "describe", "--always", "--dirty"],
+            check=True, capture_output=True, text=True,
+        )
+        return out.stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+
+
+def _machine() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    return f"{line.split(':', 1)[1].strip()}, {os.cpu_count()} CPUs"
+    except OSError:
+        pass
+    return f"{platform.machine()}, {os.cpu_count()} CPUs"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, help="src/ of the tree to compare against")
+    parser.add_argument("--change", type=Path, default=ROOT / "src", help="src/ of this tree")
+    parser.add_argument("--repeats", type=int, default=7)
+    parser.add_argument("--out", type=Path, default=HERE / "BENCH_certify.json")
+    parser.add_argument("--child", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        child(args.child)
+        return 0
+    if args.parent is None:
+        parser.error("--parent is required")
+
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    runs = {name: [] for name in trees}
+    for repeat in range(args.repeats):
+        order = list(trees) if repeat % 2 == 0 else list(reversed(trees))
+        for name in order:
+            runs[name].append(_run_child(trees[name]))
+            print(f"repeat {repeat + 1}/{args.repeats} {name} done", file=sys.stderr)
+
+    import numpy
+
+    cases = list(runs["change"][0]["seconds_per_call"])
+    result = {
+        "benchmark": "bench_certify",
+        "machine": _machine(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "kernel_lane": {name: runs[name][0]["lane"] for name in trees},
+        "repeats": args.repeats,
+        "commits": {name: _commit(path) for name, path in trees.items()},
+        "same_results": len({r["digest"] for rs in runs.values() for r in rs}) == 1,
+        "unit": "microseconds per call",
+        "median": {},
+        "runs": {},
+    }
+    for case in cases:
+        per_tree = {
+            name: [r["seconds_per_call"][case] * 1e6 for r in runs[name]] for name in trees
+        }
+        parent, change = (statistics.median(per_tree[n]) for n in ("parent", "change"))
+        result["median"][case] = {
+            "parent": round(parent, 2),
+            "change": round(change, 2),
+            "speedup": round(parent / change, 2),
+        }
+        result["runs"][case] = {n: [round(v, 2) for v in vs] for n, vs in per_tree.items()}
+    args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
+    print(json.dumps(result["median"], indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,11 +16,13 @@ import argparse
 import json
 import sys
 import time
+from fractions import Fraction
 
 from .calculus import derivation_to_json_str, synthesize
 from .counterexample import domain_size_bound, verified_counterexample
 from .decision import decide
 from .errors import EXIT_OK, EXIT_WRONG_DIRECTION, ExclusionError
+from .model import ONE
 from .oracle import default_bounds, oracle_implies
 from .parsing import (
     parse_atom,
@@ -30,7 +32,8 @@ from .parsing import (
     team_csv_text,
     write_team_csv,
 )
-from .semantics import min_degree, min_removal, satisfies
+# satisfies is not called here; perfbench/spans.py wraps this binding
+from .semantics import min_removal, satisfies, within_budget  # noqa: F401
 
 
 def _print_json(payload: dict) -> None:
@@ -78,9 +81,10 @@ def cmd_eval(args) -> int:
     atom = parse_atom(args.atom)
     if duplicates:
         print(f"warning: {duplicates} duplicate rows collapsed", file=sys.stderr)
-    satisfied = satisfies(team, atom)
+    # one removal search: satisfaction and the smallest degree follow from it
     removal = min_removal(team, atom)
-    degree = None if team.is_empty() else min_degree(team, atom)
+    satisfied = atom.degree == ONE or within_budget(removal, atom.degree, team.size)
+    degree = None if team.is_empty() else Fraction(removal, team.size)
     if args.json:
         payload = {
             "format": 1,

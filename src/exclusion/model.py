@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Mapping
 
 VarTuple = tuple[str, ...]
@@ -32,11 +33,15 @@ def as_degree(value: Fraction | int | str) -> Fraction:
         raise TypeError("degrees must be exact rationals, not floats")
     if isinstance(value, bool):
         raise TypeError("degrees must be rationals, not booleans")
-    try:
-        degree = Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational degree: {value!r}") from exc
-    if not ZERO <= degree <= ONE:
+    if type(value) is Fraction:
+        degree = value
+    else:
+        try:
+            degree = Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"not a rational degree: {value!r}") from exc
+    # a Fraction's denominator is positive, so this is 0 <= degree <= 1
+    if not 0 <= degree.numerator <= degree.denominator:
         raise ValueError(f"degree out of range [0, 1]: {degree}")
     return degree
 
@@ -51,6 +56,8 @@ def tuple_projection(vars: VarTuple, i: int) -> str:
 def _check_var_tuple(vars: VarTuple, label: str) -> None:
     if not isinstance(vars, tuple) or len(vars) == 0:
         raise ValueError(f"{label} side must be a nonempty tuple of variables")
+    if all(map(isinstance, vars, repeat(str))) and "" not in vars:
+        return
     for v in vars:
         if not isinstance(v, str) or not v:
             raise ValueError(f"{label} side holds a non-variable entry: {v!r}")

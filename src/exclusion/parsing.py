@@ -30,6 +30,9 @@ from .model import Atom, Team, ZERO
 
 IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
+# a whole side as its names joined by single spaces
+_SIDE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?: [A-Za-z_][A-Za-z0-9_]*)*\Z")
+
 _ATOM = re.compile(
     r"""\s* excl
         \s* (?: \[ (?P<degree> [^\]]*) \] )?
@@ -62,9 +65,9 @@ def _varlist(text: str, side: str) -> tuple[str, ...]:
     names = text.split()
     if not names:
         raise ParseError(f"empty {side} side")
-    for name in names:
-        if IDENT.match(name) is None:
-            raise ParseError(f"bad identifier {name!r} on {side} side")
+    if _SIDE.match(" ".join(names)) is None:
+        bad = next(name for name in names if IDENT.match(name) is None)
+        raise ParseError(f"bad identifier {bad!r} on {side} side")
     return tuple(names)
 
 

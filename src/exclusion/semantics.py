@@ -6,6 +6,13 @@ be the same row).  T satisfies ``x |_p y`` when removing at most p * |T|
 rows leaves a team satisfying the exact atom.  min_removal computes the
 smallest number of rows whose removal achieves this; it is exact, never an
 estimate.
+
+satisfies_all checks a list of atoms against one team in one pass.  Before
+it searches, it tests whether the set of left projections is disjoint from
+the set of right projections.  That test is exact, not a heuristic: with no
+shared projection there is no conflicting value, so min_removal is 0 and
+the atom holds at every degree.  Only atoms whose sides do share a value
+reach the removal search.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import CapacityError, EmptyTeamError
@@ -117,10 +125,10 @@ class ConflictReport:
         return {c.value: (c.left_rows, c.right_rows) for c in self.conflicts}
 
 
-def _columns(team: Team, atom: Atom) -> tuple[tuple[int, ...], tuple[int, ...], list[Row]]:
+def _columns(team: Team, atom: Atom) -> tuple[tuple[int, ...], tuple[int, ...], tuple[Row, ...]]:
     left_idx = tuple(team.column(v) for v in atom.left)
     right_idx = tuple(team.column(v) for v in atom.right)
-    return left_idx, right_idx, sorted(team.rows)
+    return left_idx, right_idx, tuple(team.rows)
 
 
 def conflict_report(team: Team, atom: Atom) -> ConflictReport:
@@ -130,8 +138,8 @@ def conflict_report(team: Team, atom: Atom) -> ConflictReport:
     entries = tuple(
         Conflict(
             value,
-            tuple(rows[i] for i in sorted(a)),
-            tuple(rows[i] for i in sorted(b)),
+            tuple(sorted(rows[i] for i in a)),
+            tuple(sorted(rows[i] for i in b)),
         )
         for value, (a, b) in sorted(conflicts.items())
     )
@@ -150,17 +158,23 @@ def min_removal(team: Team, atom: Atom, choice_cap: int = DEFAULT_CHOICE_CAP) ->
     return min_removal_indexed(rows, left_idx, right_idx, choice_cap)
 
 
+def within_budget(removal: int, degree: Fraction, size: int) -> bool:
+    """Whether removing `removal` of `size` rows fits the budget degree * size.
+
+    Compared exactly by cross multiplication, never in floating point.
+    """
+    return removal * degree.denominator <= degree.numerator * size
+
+
 def satisfies(team: Team, atom: Atom, choice_cap: int = DEFAULT_CHOICE_CAP) -> bool:
     """Whether the team satisfies the atom at its degree.
 
-    Degree 1 holds vacuously.  Otherwise the removal budget is
-    degree * |T|, compared exactly by cross multiplication.
+    Degree 1 holds vacuously; otherwise the removal count must fit the
+    budget degree * |T|.
     """
     if atom.degree == ONE:
         return True
-    rem = min_removal(team, atom, choice_cap)
-    p = atom.degree
-    return rem * p.denominator <= p.numerator * team.size
+    return within_budget(min_removal(team, atom, choice_cap), atom.degree, team.size)
 
 
 def min_degree(team: Team, atom: Atom, choice_cap: int = DEFAULT_CHOICE_CAP) -> Fraction:
@@ -174,5 +188,32 @@ def min_degree(team: Team, atom: Atom, choice_cap: int = DEFAULT_CHOICE_CAP) -> 
 
 
 def satisfies_all(team: Team, atoms: Sequence[Atom], choice_cap: int = DEFAULT_CHOICE_CAP) -> bool:
-    """Whether the team satisfies every atom in the list."""
-    return all(satisfies(team, a, choice_cap) for a in atoms)
+    """Whether the team satisfies every atom in the list, in one pass.
+
+    Equal to ``all(satisfies(team, a, choice_cap) for a in atoms)``: the
+    atoms are checked in order, degree-1 atoms are skipped, and the first
+    failing atom ends the pass.  The column map and the rows are built once
+    per team.  An atom whose set of left projections is disjoint from its
+    right projections has no conflicting value, so its min_removal is 0 and
+    it holds; only the other atoms run the exact removal search.
+    """
+    column = {v: i for i, v in enumerate(team.schema)}
+    rows = tuple(team.rows)
+    size = len(rows)
+    for atom in atoms:
+        degree = atom.degree
+        if degree == ONE:
+            continue
+        try:
+            left_idx = tuple([column[v] for v in atom.left])
+            right_idx = tuple([column[v] for v in atom.right])
+        except KeyError as exc:
+            team.column(exc.args[0])  # raises UnknownVariableError
+            raise
+        left = set(map(itemgetter(*left_idx), rows))
+        if left.isdisjoint(map(itemgetter(*right_idx), rows)):
+            continue
+        removal = min_removal_indexed(rows, left_idx, right_idx, choice_cap)
+        if not within_budget(removal, degree, size):
+            return False
+    return True

@@ -169,6 +169,23 @@ class TestEval:
         code = main(["eval", team_file(TABLE_PAIR), "excl(z ; y)"])
         assert code == EXIT_PARSE
 
+    def test_degree_one_still_reports_removal(self, team_file, capsys):
+        code = main(["eval", team_file(TABLE_QUAD), "excl[1](x u ; y v)", "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert code == EXIT_OK
+        assert payload["satisfied"] is True
+        assert payload["min_removal"] == 2
+        assert payload["min_degree"] == "2/3"
+
+    @pytest.mark.parametrize("degree", ["0", "1"])
+    def test_over_cap_search_is_refused(self, team_file, capsys, degree):
+        # 21 values, each removable from either side: past the 20-choice cap
+        rows = [f"c{i},r{i}\nl{i},c{i}" for i in range(21)]
+        table = "x,y\n" + "\n".join(rows) + "\n"
+        code = main(["eval", team_file(table), f"excl[{degree}](x ; y)"])
+        assert code == EXIT_CAPACITY
+        assert capsys.readouterr().out == ""
+
 
 class TestCounterexample:
     def test_writes_separating_team(self, sigma_file, tmp_path, capsys):

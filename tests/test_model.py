@@ -38,6 +38,23 @@ class TestAsDegree:
         with pytest.raises(ValueError):
             as_degree(-1)
 
+    def test_fraction_range_is_checked(self):
+        with pytest.raises(ValueError):
+            as_degree(Fraction(3, 2))
+        with pytest.raises(ValueError):
+            as_degree(Fraction(-1, 4))
+        assert as_degree(Fraction(1)) == 1
+        assert as_degree(Fraction(0)) == 0
+
+    def test_returns_an_exact_fraction(self):
+        class Degree(Fraction):
+            pass
+
+        assert as_degree(Fraction(1, 4)) == Fraction(1, 4)
+        assert type(as_degree(Fraction(1, 4))) is Fraction
+        assert type(as_degree(Degree(1, 4))) is Fraction
+        assert as_degree(Degree(1, 4)) == Fraction(1, 4)
+
     def test_rejects_malformed_strings(self):
         with pytest.raises(ValueError):
             as_degree("1/0")
@@ -74,6 +91,13 @@ class TestAtom:
     def test_rejects_empty_sides(self):
         with pytest.raises(ValueError):
             Atom((), ())
+
+    def test_rejects_non_variable_entries(self):
+        for bad in (("x", ""), ("x", 1), (None, "y")):
+            with pytest.raises(ValueError, match="non-variable entry"):
+                Atom(bad, ("u", "v"))
+        with pytest.raises(ValueError, match="right side holds a non-variable entry: ''"):
+            Atom(("u", "v"), ("y", ""))
 
     def test_repeated_variables_allowed(self):
         a = Atom(("x", "x"), ("x", "y"))

@@ -74,6 +74,17 @@ class TestParseAtom:
             with pytest.raises(ParseError):
                 parse_atom(text)
 
+    def test_first_bad_identifier_is_reported(self):
+        with pytest.raises(ParseError, match="bad identifier '1b' on left side"):
+            parse_atom("excl(a 1b c ; d e f)")
+        with pytest.raises(ParseError, match="bad identifier 'e-' on right side"):
+            parse_atom("excl(a b c ; d e- 2f)")
+
+    def test_non_ascii_identifier_rejected(self):
+        for text in ("excl(a b\u00e9 ; c d)", "excl(x ; \u0443)", "excl(x ; y\u0660)"):
+            with pytest.raises(ParseError, match="bad identifier"):
+                parse_atom(text)
+
     def test_arity_mismatch_is_a_parse_error(self):
         with pytest.raises(ParseError):
             parse_atom("excl(x1 x2 ; y1)")

@@ -9,10 +9,13 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exclusion import (
     CapacityError,
     EmptyTeamError,
+    UnknownVariableError,
     atom,
     min_degree,
     min_removal,
@@ -24,6 +27,7 @@ from exclusion.semantics import (
     min_removal_indexed,
     satisfies_all,
     satisfies_exact,
+    within_budget,
 )
 
 # worked two-column example: the self-conflicting first row is the only
@@ -221,3 +225,89 @@ class TestIndexedEngine:
         # the same physical column may serve both tuple positions
         rows = [("1", "1"), ("2", "3")]
         assert min_removal_indexed(rows, (0, 0), (1, 1)) == 1
+
+
+class TestWithinBudget:
+    def test_cross_multiplied_comparison(self):
+        # 3 rows at degree 1/3 allow exactly one removal
+        assert within_budget(1, Fraction(1, 3), 3)
+        assert not within_budget(2, Fraction(1, 3), 3)
+        assert within_budget(0, Fraction(0), 5)
+        assert not within_budget(1, Fraction(0), 5)
+        assert within_budget(0, Fraction(1, 4), 0)
+
+
+# teams over up to four columns with values from a three-value pool, so
+# that projections collide and the removal search runs
+COLUMNS = ("a", "b", "c", "d")
+DEGREES = (Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1))
+
+
+@st.composite
+def team_and_atoms(draw):
+    width = draw(st.integers(1, len(COLUMNS)))
+    schema = COLUMNS[:width]
+    rows = draw(
+        st.lists(
+            st.tuples(*[st.sampled_from("012") for _ in schema]), max_size=6
+        )
+    )
+    names = st.sampled_from(schema)
+
+    @st.composite
+    def one_atom(draw):
+        arity = draw(st.integers(1, 3))
+        left = draw(st.lists(names, min_size=arity, max_size=arity))
+        right = draw(st.lists(names, min_size=arity, max_size=arity))
+        return atom(left, right, draw(st.sampled_from(DEGREES)))
+
+    return team_from_rows(schema, rows), draw(st.lists(one_atom(), max_size=5))
+
+
+class TestSatisfiesAllEquivalence:
+    """satisfies_all is the conjunction of satisfies, atom by atom."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(team_and_atoms())
+    def test_matches_per_atom_conjunction(self, case):
+        team, atoms = case
+        assert satisfies_all(team, atoms) == all(satisfies(team, a) for a in atoms)
+
+    def test_empty_team(self):
+        t = team_from_rows(("x", "y"), [])
+        assert satisfies_all(t, [atom("x", "x"), atom("x", "y", "1/4")])
+
+    def test_arity_one_projections_are_scalars(self):
+        t = team_from_rows(("x", "y"), [("1", "2"), ("2", "3")])
+        # the value 2 is an x-value and a y-value: one removal is needed
+        assert not satisfies_all(t, [atom("x", "y")])
+        assert satisfies_all(t, [atom("x", "y", "1/2")])
+        assert satisfies_all(t, [atom("y", "x", "1/2")])
+
+    def test_disjoint_sides_need_no_search(self):
+        t = team_from_rows(("x", "y"), [("1", "2"), ("3", "4")])
+        assert satisfies_all(t, [atom("x", "y"), atom("x y", "y x")])
+
+    def test_unknown_variable_raises(self):
+        t = team_from_rows(("x", "y"), [("1", "2")])
+        with pytest.raises(UnknownVariableError, match="'z' not in schema"):
+            satisfies_all(t, [atom("x", "z")])
+        with pytest.raises(UnknownVariableError, match="'w' not in schema"):
+            satisfies_all(t, [atom("w x", "y z")])
+
+    def test_unknown_variable_ignored_at_degree_one(self):
+        t = team_from_rows(("x", "y"), [("1", "2")])
+        assert satisfies_all(t, [atom("x", "z", 1), atom("x", "y")])
+
+    def test_over_cap_premise_raises(self):
+        # two interdependent choices against a cap of one
+        t = team_from_rows(("x", "y"), [("1", "2"), ("2", "1")])
+        with pytest.raises(CapacityError):
+            satisfies_all(t, [atom("x", "y")], choice_cap=1)
+        with pytest.raises(CapacityError):
+            satisfies_all(t, [atom("x", "x", 1), atom("x", "y")], choice_cap=1)
+
+    def test_earlier_failure_ends_the_pass_before_the_cap(self):
+        t = team_from_rows(("x", "y"), [("1", "2"), ("2", "1")])
+        # x | x fails on any nonempty team, so the over-cap atom is never searched
+        assert not satisfies_all(t, [atom("x", "x"), atom("x", "y")], choice_cap=1)
