@@ -192,10 +192,10 @@ def child(src: str) -> None:
 # main: alternate the two trees, one fresh interpreter each
 # ==========================================================================
 
-def _run_child(src: Path) -> dict:
+def _run_child(script: str, src: Path) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     out = subprocess.run(
-        [sys.executable, __file__, "--child", str(src)],
+        [sys.executable, script, "--child", str(src)],
         check=True, capture_output=True, text=True, env=env,
     )
     return json.loads(out.stdout.strip().splitlines()[-1])
@@ -223,16 +223,23 @@ def _machine() -> str:
     return f"{platform.machine()}, {os.cpu_count()} CPUs"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+def compare(topic: str, script: str, child_main, description: str, argv=None) -> int:
+    """Command line shared by the parent-against-change scripts.
+
+    ``script --child SRC`` runs ``child_main(SRC)``, which times one tree
+    and prints ``{"lane", "digest", "seconds_per_call"}`` as its last line.
+    Without ``--child``, the two trees alternate, one fresh interpreter
+    each, and the result goes to ``BENCH_<topic>.json`` by default.
+    """
+    parser = argparse.ArgumentParser(description=description)
     parser.add_argument("--parent", type=Path, help="src/ of the tree to compare against")
     parser.add_argument("--change", type=Path, default=ROOT / "src", help="src/ of this tree")
     parser.add_argument("--repeats", type=int, default=7)
-    parser.add_argument("--out", type=Path, default=HERE / "BENCH_certify.json")
+    parser.add_argument("--out", type=Path, default=HERE / f"BENCH_{topic}.json")
     parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        child(args.child)
+        child_main(args.child)
         return 0
     if args.parent is None:
         parser.error("--parent is required")
@@ -242,14 +249,14 @@ def main(argv=None) -> int:
     for repeat in range(args.repeats):
         order = list(trees) if repeat % 2 == 0 else list(reversed(trees))
         for name in order:
-            runs[name].append(_run_child(trees[name]))
+            runs[name].append(_run_child(script, trees[name]))
             print(f"repeat {repeat + 1}/{args.repeats} {name} done", file=sys.stderr)
 
     import numpy
 
     cases = list(runs["change"][0]["seconds_per_call"])
     result = {
-        "benchmark": "bench_certify",
+        "benchmark": f"bench_{topic}",
         "machine": _machine(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
@@ -275,6 +282,10 @@ def main(argv=None) -> int:
     args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     print(json.dumps(result["median"], indent=2))
     return 0
+
+
+def main(argv=None) -> int:
+    return compare("certify", __file__, child, __doc__.split("\n\n")[0], argv)
 
 
 if __name__ == "__main__":

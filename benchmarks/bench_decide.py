@@ -1,0 +1,112 @@
+"""Per-call time of parsing, deciding and planning 1000 premises, parent against change.
+
+    python benchmarks/bench_decide.py --parent OTHER/src [--repeats 7]
+
+Times, per call, on 1000-atom premise files at arity 5, 10, 20 and 40
+(60 variables, degrees 0, 1/4 and 1/3), the shape of ``decide-large``:
+
+* ``parse_sigma`` on the file's text;
+* ``decide`` on one goal that holds (a premise's pairs, shuffled, with one
+  pair appended and the premise's degree) and one that does not (a random
+  goal drawn until the answer is NO); a NO includes its ``plan``;
+* ``counterexample.plan`` alone, on the NO goal.
+
+Three files per arity.  ``--parent``, ``--change``, ``--repeats`` and
+``--out`` work as in ``bench_certify.py``: one fresh interpreter per tree
+and repeat, alternating which tree goes first, and a digest of what each
+tree returned (the parsed atoms, both verdicts with their witness, and
+every plan) so the JSON records whether both trees answered alike.  The
+output, ``benchmarks/BENCH_decide.json`` by default, holds per-case
+medians, every repeat, the machine, Python, numpy, the kernel lane and the
+repeat count.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import sys
+
+from bench_certify import (
+    ARITIES,
+    DEGREES,
+    NAMES,
+    SEED,
+    _premise_files,
+    _random_side,
+    _time_per_call,
+    compare,
+)
+
+
+def _plan_fields(plan):
+    return (plan.kind, plan.goal, plan.l, plan.k, plan.r, plan.schema,
+            plan.extra_vars, plan.value_classes, plan.transitive)
+
+
+def _goals(ex, rng, sigma, arity):
+    """(a goal that holds, a goal that does not) over the parsed premises."""
+    premise = rng.choice(sigma)
+    pairs = list(zip(premise.left, premise.right))
+    rng.shuffle(pairs)
+    pairs.insert(rng.randint(0, len(pairs)), (rng.choice(NAMES), rng.choice(NAMES)))
+    yes = ex.model.Atom(tuple(a for a, _ in pairs), tuple(b for _, b in pairs), premise.degree)
+    while True:
+        no = ex.model.Atom(
+            _random_side(rng, NAMES, arity), _random_side(rng, NAMES, arity), rng.choice(DEGREES)
+        )
+        if not ex.decision.decide(sigma, no).holds:
+            return yes, no
+
+
+def child(src: str) -> None:
+    sys.path.insert(0, src)
+    import exclusion.counterexample
+    import exclusion.decision
+    import exclusion.kernel
+    import exclusion.model
+    import exclusion.parsing
+
+    ex = exclusion
+    parse_sigma, decide, plan = ex.parsing.parse_sigma, ex.decision.decide, ex.counterexample.plan
+    rng = random.Random(SEED)
+    digest = hashlib.sha256()
+    times = {}
+
+    for arity, texts in _premise_files(rng).items():
+        sigmas = [parse_sigma(text) for text in texts]
+        goals = [_goals(ex, rng, sigma, arity) for sigma in sigmas]
+        for sigma, (yes, no) in zip(sigmas, goals):
+            verdicts = decide(sigma, yes), decide(sigma, no)
+            assert verdicts[0].holds and not verdicts[1].holds
+            digest.update(repr(sigma).encode())
+            digest.update(repr((verdicts[0].witness, _plan_fields(verdicts[1].plan))).encode())
+            digest.update(repr(_plan_fields(plan(sigma, no))).encode())
+        times[f"parse_sigma.1000x{arity}"] = _time_per_call(
+            [lambda t=t: parse_sigma(t) for t in texts], 1.0
+        )
+        pairs = list(zip(sigmas, goals))
+        times[f"decide_yes.1000x{arity}"] = _time_per_call(
+            [lambda s=s, g=g[0]: decide(s, g) for s, g in pairs], 0.5
+        )
+        times[f"decide_no.1000x{arity}"] = _time_per_call(
+            [lambda s=s, g=g[1]: decide(s, g) for s, g in pairs], 0.5
+        )
+        times[f"plan.1000x{arity}"] = _time_per_call(
+            [lambda s=s, g=g[1]: plan(s, g) for s, g in pairs], 0.5
+        )
+
+    print(json.dumps({
+        "lane": ex.kernel.IMPLEMENTATION,
+        "digest": digest.hexdigest(),
+        "seconds_per_call": times,
+    }))
+
+
+def main(argv=None) -> int:
+    return compare("decide", __file__, child, __doc__.split("\n\n")[0], argv)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

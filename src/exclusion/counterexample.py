@@ -37,9 +37,17 @@ HALF = Fraction(1, 2)
 
 
 def min_gap_degree(sigma: Sequence[Atom], p: Fraction) -> Fraction | None:
-    """Smallest assumption degree strictly above p, if any."""
-    above = [a.degree for a in sigma if a.degree > p]
-    return min(above) if above else None
+    """Smallest assumption degree strictly above p, if any, compared as
+    cross-multiplied integers."""
+    p_num, p_den = p.numerator, p.denominator
+    gap = None
+    for a in sigma:
+        d = a.degree
+        if d.numerator * p_den > p_num * d.denominator and (
+            gap is None or d.numerator * gap.denominator < gap.numerator * d.denominator
+        ):
+            gap = d
+    return gap
 
 
 def ratio_parameters(p: Fraction, r: Fraction | None) -> tuple[int, int]:
@@ -135,11 +143,16 @@ def schema_order(
 ) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Schema order: goal left, new goal right, then assumption-only vars.
 
-    Returns the whole schema and its assumption-only tail.
+    Returns the whole schema and its assumption-only tail.  The variables
+    are counted first, so the scan stops at the premise completing it.
     """
     schema = dict.fromkeys(goal.left + goal.right)
     goal_width = len(schema)
-    schema.update(dict.fromkeys(v for atom in sigma for v in atom.left + atom.right))
+    total = len(set(schema).union(*[a.left for a in sigma], *[a.right for a in sigma]))
+    for atom in sigma:
+        if len(schema) == total:
+            break
+        schema.update(dict.fromkeys(atom.left + atom.right))
     order = tuple(schema)
     return order, order[goal_width:]
 

@@ -11,11 +11,18 @@ the first one that fires wins, so results and witnesses are deterministic:
 4. a contradictory assumption of degree below 1 derives everything.
 5. a goal with equal sides fails; one fresh row refutes it.
 6. otherwise an assumption of degree at most p must reach the goal
-   structurally.  The goal is analysed once: its pair set and the partner
-   sets of each side.  Then the assumptions are tried in input order, each
-   against three tests: its pair set embeds into the goal's, its swapped
-   pair set does, or one arity switch covers its non-diagonal pairs through
-   the goal's left side, else its right side.
+   structurally.  The goal is analysed once: its pair set, and, when a
+   premise first gets as far as the cover test, the bitmask index of each
+   side.  Then the assumptions are tried in input order, each against three
+   tests: its pair set embeds into the goal's, its swapped pair set does,
+   or one arity switch covers its non-diagonal pairs through the goal's
+   left side, else its right side.
+
+Steps 3, 4 and step 6's degree filter share one pass over sigma, which
+returns at the first membership, remembers the first contradictory
+assumption (of any degree) and collects the assumptions of degree at most
+p (cross-multiplied integers); step 6 walks those in input order.  So each
+check keeps the precedence and the tie-breaks of the list above.
 
 A positive verdict carries a witness from which a derivation can be
 synthesized; a negative one carries a counterexample plan.  Witnesses and
@@ -46,8 +53,8 @@ __all__ = [
 ]
 
 Pair = tuple[str, str]
-# per goal side, the partner set of the variable at each goal position
-Squares = tuple[tuple[str, tuple[frozenset[str], ...]], ...]
+# per goal side, each variable's bitmask of the goal positions it partners
+Squares = tuple[tuple[str, dict[str, int]], ...]
 
 
 def pair_set(atom: Atom) -> frozenset[Pair]:
@@ -85,12 +92,20 @@ def correspondence_sets(atom: Atom) -> CorrespondenceSets:
 
 
 def goal_squares(goal: Atom) -> Squares:
-    """Per goal side, the partner set of the variable at each position."""
+    """Per goal side, a bitmask index of the partner-set squares.
+
+    The square at a position of a side is the partner set of the goal
+    variable there.  The index maps each variable v to the bitmask whose
+    bit i is set when v lies in the square at position i.
+    """
     corr = correspondence_sets(goal)
-    return (
-        ("left", tuple(corr.left[v] for v in goal.left)),
-        ("right", tuple(corr.right[v] for v in goal.right)),
-    )
+    left, right = {}, {}
+    for i, (a, b) in enumerate(zip(goal.left, goal.right)):
+        for v in corr.left[a]:
+            left[v] = left.get(v, 0) | 1 << i
+        for v in corr.right[b]:
+            right[v] = right.get(v, 0) | 1 << i
+    return ("left", left), ("right", right)
 
 
 def a6_cover(
@@ -104,27 +119,29 @@ def a6_cover(
     a and b both partner the goal variable at that position.  Diagonal
     pairs ride along in the shared suffix and need no cover.
 
-    squares is goal_squares(goal).  Returns (side, anchor) for the first
-    cover found, trying the left side then the right; anchor maps each
-    non-diagonal pair of src, in first-occurrence order, to its smallest
-    covering goal position (0-based).
+    squares is goal_squares(goal): the squares holding both a and b are the
+    set bits of the AND of their masks.  Returns (side, anchor) for the
+    first cover found, trying the left side then the right, and gives up a
+    side at its first uncovered pair; anchor maps each non-diagonal pair of
+    src, in first-occurrence order, to its smallest covering goal position
+    (0-based), the lowest set bit.
     """
-    plain = [p for p in dict.fromkeys(zip(src.left, src.right)) if p[0] != p[1]]
-    if not plain:
-        # fully diagonal src is contradictory; the switch rule needs at
-        # least one non-diagonal pair, so no single application exists
-        return None
-    for side, partners in squares:
-        anchor: list[tuple[Pair, int]] = []
-        for a, b in plain:
-            pos = next(
-                (i for i, s in enumerate(partners) if a in s and b in s), None
-            )
-            if pos is None:
+    for side, masks in squares:
+        anchor: dict[Pair, int] = {}
+        for pair in zip(src.left, src.right):
+            a, b = pair
+            if a == b or pair in anchor:
+                continue
+            shared = masks.get(a, 0) & masks.get(b, 0)
+            if not shared:
                 break
-            anchor.append(((a, b), pos))
+            anchor[pair] = (shared & -shared).bit_length() - 1
         else:
-            return side, tuple(anchor)
+            if not anchor:
+                # fully diagonal src is contradictory; the switch rule needs
+                # a non-diagonal pair, so no single application exists
+                return None
+            return side, tuple(anchor.items())
     return None
 
 
@@ -218,30 +235,37 @@ def decide(sigma: Sequence[Atom], goal: Atom) -> Verdict:
             f"goal degrees in [1/2, 1) are not supported, got {p}"
         )
 
+    goal_left, goal_right = goal.left, goal.right
+    p_num, p_den = p.numerator, p.denominator
+    usable: list[int] = []
+    contradiction = None
     for index, a in enumerate(sigma):
-        if a.degree > p:
-            continue
-        if (a.left, a.right) == (goal.left, goal.right):
-            return Verdict(True, witness=MembershipWitness(a, index, False))
-        if (a.left, a.right) == (goal.right, goal.left):
-            return Verdict(True, witness=MembershipWitness(a, index, True))
+        left, right, degree = a.left, a.right, a.degree
+        if left == right and contradiction is None and degree.numerator < degree.denominator:
+            contradiction = index
+        if degree.numerator * p_den <= p_num * degree.denominator:
+            if left == goal_left and right == goal_right:
+                return Verdict(True, witness=MembershipWitness(a, index, False))
+            if left == goal_right and right == goal_left:
+                return Verdict(True, witness=MembershipWitness(a, index, True))
+            usable.append(index)
 
-    for index, a in enumerate(sigma):
-        if a.is_contradictory():
-            return Verdict(True, witness=ContradictionWitness(a, index))
+    if contradiction is not None:
+        return Verdict(True, witness=ContradictionWitness(sigma[contradiction], contradiction))
 
-    if goal.left == goal.right:
+    if goal_left == goal_right:
         return Verdict(False, plan=cx.plan(sigma, goal))
 
     goal_pairs = pair_set(goal)
-    squares = goal_squares(goal)
-    for index, a in enumerate(sigma):
-        if a.degree > p:
-            continue
+    squares = None
+    for index in usable:
+        a = sigma[index]
         if goal_pairs.issuperset(zip(a.left, a.right)):
             return Verdict(True, witness=SubsetWitness(a, index, False))
         if goal_pairs.issuperset(zip(a.right, a.left)):
             return Verdict(True, witness=SubsetWitness(a, index, True))
+        if squares is None:
+            squares = goal_squares(goal)
         cover = a6_cover(a, squares)
         if cover is not None:
             return Verdict(True, witness=CoverWitness(a, index, *cover))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import repeat
 from typing import Iterable, Mapping
 
 VarTuple = tuple[str, ...]
@@ -56,8 +55,6 @@ def tuple_projection(vars: VarTuple, i: int) -> str:
 def _check_var_tuple(vars: VarTuple, label: str) -> None:
     if not isinstance(vars, tuple) or len(vars) == 0:
         raise ValueError(f"{label} side must be a nonempty tuple of variables")
-    if all(map(isinstance, vars, repeat(str))) and "" not in vars:
-        return
     for v in vars:
         if not isinstance(v, str) or not v:
             raise ValueError(f"{label} side holds a non-variable entry: {v!r}")
@@ -79,6 +76,16 @@ class Atom:
                 f"side arities differ: {len(self.left)} vs {len(self.right)}"
             )
         object.__setattr__(self, "degree", as_degree(self.degree))
+
+    @classmethod
+    def _unchecked(cls, left: VarTuple, right: VarTuple, degree: Fraction) -> "Atom":
+        """An atom built without `__post_init__`: the caller (only the parser)
+        has checked everything it checks, and degree is an exact Fraction."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "degree", degree)
+        return self
 
     @property
     def arity(self) -> int:

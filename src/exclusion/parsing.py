@@ -23,20 +23,29 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
+from typing import NoReturn
 
 from .errors import ParseError
-from .model import Atom, Team, ZERO
+from .model import Atom, Team, ZERO, as_degree
 
 IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
-# a whole side as its names joined by single spaces
-_SIDE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?: [A-Za-z_][A-Za-z0-9_]*)*\Z")
-
+# the outline of an atom, whose parts `_diagnose` checks one by one
 _ATOM = re.compile(
     r"""\s* excl
         \s* (?: \[ (?P<degree> [^\]]*) \] )?
         \s* \( (?P<body> [^()]*) \) \s* \Z""",
+    re.VERBOSE,
+)
+
+# a whole well-formed atom: both sides ASCII identifier lists, one ';' between them
+_NAMES = r"[A-Za-z_][A-Za-z0-9_]*(?:\s+[A-Za-z_][A-Za-z0-9_]*)*"
+_STRICT_ATOM = re.compile(
+    rf"""\s* excl
+        \s* (?: \[ (?P<degree> [^\]]*) \] )?
+        \s* \( \s* (?P<left> {_NAMES}) \s* ; \s* (?P<right> {_NAMES}) \s* \) \s* \Z""",
     re.VERBOSE,
 )
 
@@ -61,34 +70,58 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(m.group("int")))
 
 
-def _varlist(text: str, side: str) -> tuple[str, ...]:
-    names = text.split()
-    if not names:
-        raise ParseError(f"empty {side} side")
-    if _SIDE.match(" ".join(names)) is None:
-        bad = next(name for name in names if IDENT.match(name) is None)
-        raise ParseError(f"bad identifier {bad!r} on {side} side")
-    return tuple(names)
+@lru_cache(maxsize=256)
+def _degree(text: str | None) -> Fraction:
+    """The range-checked degree a spelling (None: omitted) denotes, one
+    Fraction per spelling; errors (ParseError, ValueError) are not cached."""
+    return ZERO if text is None else as_degree(parse_rational(text))
 
 
-def parse_atom(text: str) -> Atom:
-    """Parse one atom expression."""
+def _diagnose(text: str) -> NoReturn:
+    """Raise the ParseError naming the first fault of a malformed atom, in
+    grammar order: outline, degree spelling, ';', names, arities, range."""
     m = _ATOM.match(text)
     if m is None:
         raise ParseError(f"malformed atom: {text!r}")
-    degree = ZERO
-    if m.group("degree") is not None:
-        degree = parse_rational(m.group("degree"))
+    degree = ZERO if m.group("degree") is None else parse_rational(m.group("degree"))
     body = m.group("body")
     if body.count(";") != 1:
         raise ParseError(f"atom needs exactly one ';' between its sides: {text!r}")
-    left_text, right_text = body.split(";")
-    left = _varlist(left_text, "left")
-    right = _varlist(right_text, "right")
+    sides = []
+    for side, part in zip(("left", "right"), body.split(";")):
+        names = tuple(part.split())
+        if not names:
+            raise ParseError(f"empty {side} side")
+        for name in names:
+            if IDENT.match(name) is None:
+                raise ParseError(f"bad identifier {name!r} on {side} side")
+        sides.append(names)
     try:
-        return Atom(left, right, degree)
+        Atom(*sides, degree)
     except (ValueError, TypeError) as exc:
         raise ParseError(str(exc)) from exc
+    raise AssertionError(f"the strict atom pattern refused a well-formed atom: {text!r}")
+
+
+def parse_atom(text: str) -> Atom:
+    """Parse one atom expression.
+
+    One strict match of the whole text replaces `Atom`'s side checks: each
+    side is a nonempty list of ASCII identifiers.  The per-spelling degree
+    cache replaces its degree check, so only the arities are compared here.
+    Any other text goes to `_diagnose`, which raises and never returns.
+    """
+    m = _STRICT_ATOM.match(text)
+    if m is not None:
+        left, right = m.group("left").split(), m.group("right").split()
+        if len(left) == len(right):
+            try:
+                degree = _degree(m.group("degree"))
+            except (ParseError, ValueError):
+                pass  # _diagnose reports it after any earlier fault
+            else:
+                return Atom._unchecked(tuple(left), tuple(right), degree)
+    _diagnose(text)
 
 
 def render_atom(atom: Atom) -> str:

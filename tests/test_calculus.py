@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from exclusion import (
+    Atom,
     InternalVerificationError,
     ParseError,
     atom,
@@ -23,12 +24,12 @@ from exclusion.calculus import (
     Rule,
     Step,
     SwitchWitness,
+    Witness,
     check_step,
     derivation_from_json,
     derivation_to_json,
     derivation_to_json_str,
     end_constant_form,
-    expand_macros,
     render_derivation,
 )
 from exclusion.decision import pair_set
@@ -349,6 +350,88 @@ class TestCheckDerivation:
         result = check_derivation(d)
         assert not result.ok
         assert result.failing_step == 2
+
+
+# ==========================================================================
+# macro expansion: PERM and CONTRACT are admissible
+# ==========================================================================
+
+def _rotation_steps(
+    left: list[str], right: list[str], target: list[int]
+) -> list[tuple[BlockSwapWitness, tuple[str, ...], tuple[str, ...]]]:
+    """A5 witnesses realizing a reordering, by rotating picks to the end.
+
+    target lists current positions in their desired final order.  Mutates
+    left/right in place and returns one entry per emitted step.
+    """
+    n = len(left)
+    current = list(range(n))
+    out: list[tuple[BlockSwapWitness, tuple[str, ...], tuple[str, ...]]] = []
+    if target == current:
+        return out
+    for want in target:
+        j = current.index(want)
+        if j == n - 1:
+            continue
+        current[:] = current[:j] + current[j + 1 :] + [current[j]]
+        left[:] = left[:j] + left[j + 1 :] + [left[j]]
+        right[:] = right[:j] + right[j + 1 :] + [right[j]]
+        out.append((BlockSwapWitness(j, 1, n - j - 1), tuple(left), tuple(right)))
+    return out
+
+
+def expand_macros(derivation: Derivation) -> Derivation:
+    """Rewrite PERM and CONTRACT steps into primitive A4/A5 chains.
+
+    The input must check; the output checks and proves the same goal using
+    primitive rules only.  This is the proof that both macro rules are
+    admissible, which is why the package can check them on pair sets.
+    """
+    result = check_derivation(derivation)
+    if not result.ok:
+        raise ValueError(f"cannot expand an invalid derivation: {result.reason}")
+    new_steps: list[Step] = []
+    mapped: dict[int, int] = {}
+
+    def emit(rule: Rule, premises: tuple[int, ...], concl: Atom, w: Witness) -> int:
+        index = len(new_steps) + 1
+        new_steps.append(Step(index, rule, premises, concl, w))
+        return index
+
+    def emit_rotation(src_index: int, prem: Atom, target: list[int]) -> int:
+        left, right = list(prem.left), list(prem.right)
+        last = src_index
+        for w, new_left, new_right in _rotation_steps(left, right, target):
+            last = emit(Rule.A5, (last,), Atom(new_left, new_right, prem.degree), w)
+        return last
+
+    for step in derivation.steps:
+        refs = tuple(mapped[r] for r in step.premises)
+        if step.rule == Rule.PERM:
+            prem = derivation.steps[step.premises[0] - 1].conclusion
+            mapped[step.index] = emit_rotation(refs[0], prem, list(step.witness.order))
+        elif step.rule == Rule.CONTRACT:
+            prem = derivation.steps[step.premises[0] - 1].conclusion
+            n = prem.arity
+            j, k = step.witness.removed, step.witness.duplicate
+            others = [i for i in range(n) if i not in (j, k)]
+            last = emit_rotation(refs[0], prem, others + [k, j])
+            shuffled = Atom(
+                tuple(prem.left[i] for i in others + [k, j]),
+                tuple(prem.right[i] for i in others + [k, j]),
+                prem.degree,
+            )
+            dropped = Atom(shuffled.left[:-1], shuffled.right[:-1], prem.degree)
+            last = emit(Rule.A4, (last,), dropped, None)
+            # restore the surviving positions to their original order
+            kept = [i for i in range(n) if i != j]
+            current = others + [k]
+            target = [current.index(i) for i in kept]
+            mapped[step.index] = emit_rotation(last, dropped, target)
+        else:
+            mapped[step.index] = emit(step.rule, refs, step.conclusion, step.witness)
+
+    return Derivation(derivation.assumptions, tuple(new_steps))
 
 
 class TestExpandMacros:

@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exclusion import (
+    Atom,
     UnsupportedDegreeError,
     atom,
     check_derivation,
@@ -14,6 +17,7 @@ from exclusion import (
     synthesize,
     verified_counterexample,
 )
+from exclusion.counterexample import schema_order
 from exclusion.decision import (
     ContradictionWitness,
     CoverWitness,
@@ -156,6 +160,31 @@ class TestContradictoryGoal:
         assert verdict.holds
 
 
+class TestOnePassOrder:
+    """Membership, contradiction and the degree filter share one pass."""
+
+    def test_contradiction_before_membership_loses(self):
+        sigma = [atom("a b", "a b", "1/3"), atom("u", "v"), atom("y", "x", "1/4")]
+        verdict = decide(sigma, atom("x", "y", "1/4"))
+        assert verdict.witness == MembershipWitness(atom("y", "x", "1/4"), 2, True)
+
+    def test_contradiction_above_goal_degree_fires(self):
+        sigma = [atom("x", "y", "1/3"), atom("a", "a", "1/3"), atom("b", "b")]
+        verdict = decide(sigma, atom("x", "y"))
+        # the first contradictory premise wins, whatever its degree
+        assert verdict.witness == ContradictionWitness(atom("a", "a", "1/3"), 1)
+
+    def test_contradiction_beats_an_earlier_subset(self):
+        sigma = [atom("x", "y"), atom("a", "a")]
+        verdict = decide(sigma, atom("x w", "y w"))
+        assert verdict.witness == ContradictionWitness(atom("a", "a"), 1)
+
+    def test_degree_filter_is_exact_at_the_boundary(self):
+        goal = atom("x w", "y w", "1/3")
+        assert decide([atom("x", "y", "1/3")], goal).witness.kind == "subset"
+        assert not decide([atom("x", "y", "34/100")], goal).holds
+
+
 class TestStructural:
     def test_subset(self):
         verdict = decide([atom("x y", "u v")], atom("x y w", "u v w"))
@@ -255,6 +284,45 @@ class TestA6Cover:
         assert derivation.goal == goal
 
 
+def reference_a6_cover(src, goal):
+    """The partner-set position scan that the bitmask index replaced."""
+    corr = correspondence_sets(goal)
+    squares = (
+        ("left", tuple(corr.left[v] for v in goal.left)),
+        ("right", tuple(corr.right[v] for v in goal.right)),
+    )
+    plain = [p for p in dict.fromkeys(zip(src.left, src.right)) if p[0] != p[1]]
+    if not plain:
+        return None
+    for side, partners in squares:
+        anchor = []
+        for a, b in plain:
+            pos = next((i for i, s in enumerate(partners) if a in s and b in s), None)
+            if pos is None:
+                break
+            anchor.append(((a, b), pos))
+        else:
+            return side, tuple(anchor)
+    return None
+
+
+FOUR_VARS = st.sampled_from("abcd")
+
+
+@st.composite
+def small_atoms(draw, max_arity=5):
+    arity = draw(st.integers(1, max_arity))
+    side = st.lists(FOUR_VARS, min_size=arity, max_size=arity).map(tuple)
+    return Atom(draw(side), draw(side))
+
+
+class TestA6CoverIndex:
+    @given(small_atoms(), small_atoms())
+    @settings(max_examples=1000, deadline=None)
+    def test_bitmask_index_matches_the_partner_set_scan(self, src, goal):
+        assert a6_cover(src, goal_squares(goal)) == reference_a6_cover(src, goal)
+
+
 class TestFalseVerdicts:
     def test_empty_sigma(self):
         verdict = decide([], atom("x", "y"))
@@ -286,6 +354,40 @@ class TestMinGapDegree:
         sigma = [atom("a", "b", "1/4")]
         assert min_gap_degree(sigma, Fraction(1, 3)) is None
         assert min_gap_degree([], Fraction(0)) is None
+
+    def test_degree_equal_to_goal_is_not_above(self):
+        sigma = [atom("a", "b", "2/5"), atom("c", "d", "1/4"), atom("e", "f", "1/3")]
+        assert min_gap_degree(sigma, Fraction(1, 4)) == Fraction(1, 3)
+
+
+def reference_schema_order(sigma, goal):
+    """Every variable of every premise, scanned in full."""
+    schema = dict.fromkeys(goal.left + goal.right)
+    goal_width = len(schema)
+    schema.update(dict.fromkeys(v for a in sigma for v in a.left + a.right))
+    order = tuple(schema)
+    return order, order[goal_width:]
+
+
+class TestSchemaOrder:
+    def test_goal_only_and_last_premise_variables(self):
+        sigma = [atom("p q", "q p"), atom("x p", "u q"), atom("q", "z", "1/4")]
+        goal = atom("x y", "u x")
+        order = schema_order(sigma, goal)
+        assert order == reference_schema_order(sigma, goal)
+        # y only in the goal, z first in the last premise
+        assert order == (("x", "y", "u", "p", "q", "z"), ("p", "q", "z"))
+
+    def test_premises_add_nothing(self):
+        sigma = [atom("x", "y"), atom("y x", "x u")]
+        goal = atom("x y", "u x")
+        assert schema_order(sigma, goal) == (("x", "y", "u"), ())
+        assert schema_order([], goal) == (("x", "y", "u"), ())
+
+    @given(st.lists(small_atoms(), max_size=6), small_atoms())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_full_scan(self, sigma, goal):
+        assert schema_order(sigma, goal) == reference_schema_order(sigma, goal)
 
 
 class TestImplies:

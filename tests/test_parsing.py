@@ -1,5 +1,6 @@
 """Atom grammar, assumption files, and team CSV round trips."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exclusion import Atom, ParseError, atom, parse_atom, parse_team_csv
-from exclusion.model import team_from_rows
+from exclusion.model import ZERO, team_from_rows
 from exclusion.parsing import (
     parse_rational,
     parse_sigma,
@@ -88,6 +89,128 @@ class TestParseAtom:
     def test_arity_mismatch_is_a_parse_error(self):
         with pytest.raises(ParseError):
             parse_atom("excl(x1 x2 ; y1)")
+
+
+# The parser as it was before the strict whole-atom match: the reference
+# the property below holds parse_atom to, message for message.
+_REF_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_REF_SIDE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?: [A-Za-z_][A-Za-z0-9_]*)*\Z")
+_REF_ATOM = re.compile(
+    r"""\s* excl
+        \s* (?: \[ (?P<degree> [^\]]*) \] )?
+        \s* \( (?P<body> [^()]*) \) \s* \Z""",
+    re.VERBOSE,
+)
+
+
+def _reference_varlist(text, side):
+    names = text.split()
+    if not names:
+        raise ParseError(f"empty {side} side")
+    if _REF_SIDE.match(" ".join(names)) is None:
+        bad = next(name for name in names if _REF_IDENT.match(name) is None)
+        raise ParseError(f"bad identifier {bad!r} on {side} side")
+    return tuple(names)
+
+
+def reference_parse_atom(text):
+    m = _REF_ATOM.match(text)
+    if m is None:
+        raise ParseError(f"malformed atom: {text!r}")
+    degree = ZERO
+    if m.group("degree") is not None:
+        degree = parse_rational(m.group("degree"))
+    body = m.group("body")
+    if body.count(";") != 1:
+        raise ParseError(f"atom needs exactly one ';' between its sides: {text!r}")
+    left_text, right_text = body.split(";")
+    left = _reference_varlist(left_text, "left")
+    right = _reference_varlist(right_text, "right")
+    try:
+        return Atom(left, right, degree)
+    except (ValueError, TypeError) as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def outcome(parse, text):
+    try:
+        return "atom", parse(text)
+    except ParseError as exc:
+        return "error", str(exc)
+
+
+SPACES = st.sampled_from([" ", "  ", "\t", "\x1c", "\u00a0"])
+PADDING = st.sampled_from(["", " ", "\x1c", "\u00a0"])
+VALID_NAMES = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,3}", fullmatch=True)
+# a leading digit, non-ASCII letters and digits, punctuation
+ODD_NAMES = st.sampled_from(["1a", "9", "b\u00e9", "\u0443", "y\u0660", "e-", "x.y"])
+# well-formed spellings repeated, so that most drawn atoms parse
+DEGREE_TEXTS = st.sampled_from(
+    [None] * 4 + ["1/4", "0.25", " 1 / 4 ", "1/3", "0", "1"] * 2
+    + ["3/2", "1/0", "x", "", "2"]
+)
+ARITIES = st.sampled_from([0] + [1, 2, 3, 4, 5, 6] * 2)
+
+
+@st.composite
+def side_texts(draw, arity):
+    names = [draw(VALID_NAMES) for _ in range(arity)]
+    if names and draw(st.integers(0, 7)) == 0:
+        names[draw(st.integers(0, len(names) - 1))] = draw(ODD_NAMES)
+    out = draw(PADDING)
+    for i, name in enumerate(names):
+        out += (draw(SPACES) if i else "") + name
+    return out + draw(PADDING)
+
+
+@st.composite
+def atom_texts(draw):
+    """Atom texts, mostly well formed, with one fault now and then."""
+    left_arity = draw(ARITIES)
+    right_arity = left_arity if draw(st.integers(0, 4)) else draw(ARITIES)
+    sides = [draw(side_texts(left_arity)), draw(side_texts(right_arity))]
+    semicolons = draw(st.sampled_from([1] * 8 + [0, 2]))
+    if semicolons == 0:
+        body = draw(SPACES).join(sides)
+    elif semicolons == 1:
+        body = ";".join(sides)
+    else:
+        body = ";".join(sides + [draw(side_texts(1))])
+    degree = draw(DEGREE_TEXTS)
+    mark = "" if degree is None else draw(PADDING) + f"[{degree}]"
+    suffix = draw(st.sampled_from([""] * 6 + [" ", "\x1c", " junk", ")"]))
+    return draw(PADDING) + "excl" + mark + draw(PADDING) + f"({body})" + suffix
+
+
+class TestParseAtomEquivalence:
+    @given(atom_texts())
+    @settings(max_examples=1000, deadline=None)
+    def test_same_atom_or_same_error_as_the_reference(self, text):
+        assert outcome(parse_atom, text) == outcome(reference_parse_atom, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "excl(a b ; c d)",
+            "excl[0.25](a ; b)",
+            "excl[ 1 / 4 ](a ; b)",
+            "excl[3/2](a b ; c)",
+            "excl[x](a b ; c)",
+            "excl[1/0](a ; b c)",
+            "excl(1a ; b c)",
+            "excl(a\x1cb ; c\u00a0d)",
+            "excl( ; b)",
+            "excl(a ; b ; c)",
+            "excl(a b)",
+            "\u00a0excl[1/3](a ; b)\x1c",
+        ],
+    )
+    def test_fixed_texts_match_the_reference(self, text):
+        assert outcome(parse_atom, text) == outcome(reference_parse_atom, text)
+
+    @pytest.mark.parametrize("text", ["excl(a ; b)", "excl[1](a ; b)", "excl[0.25](a ; b)"])
+    def test_degree_is_an_exact_fraction(self, text):
+        assert type(parse_atom(text).degree) is Fraction
 
 
 class TestRender:
