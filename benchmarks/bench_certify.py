@@ -227,9 +227,11 @@ def compare(topic: str, script: str, child_main, description: str, argv=None) ->
     """Command line shared by the parent-against-change scripts.
 
     ``script --child SRC`` runs ``child_main(SRC)``, which times one tree
-    and prints ``{"lane", "digest", "seconds_per_call"}`` as its last line.
-    Without ``--child``, the two trees alternate, one fresh interpreter
-    each, and the result goes to ``BENCH_<topic>.json`` by default.
+    and prints ``{"lane", "digest", "seconds_per_call"}`` as its last line,
+    optionally with ``"answers"``: case -> list of results, where the
+    string ``"CapacityError"`` stands for a refusal.  Without ``--child``,
+    the two trees alternate, one fresh interpreter each, and the result
+    goes to ``BENCH_<topic>.json`` by default.
     """
     parser = argparse.ArgumentParser(description=description)
     parser.add_argument("--parent", type=Path, help="src/ of the tree to compare against")
@@ -268,6 +270,15 @@ def compare(topic: str, script: str, child_main, description: str, argv=None) ->
         "median": {},
         "runs": {},
     }
+    if "answers" in runs["change"][0]:
+        answers = {name: runs[name][0]["answers"] for name in trees}
+        result["answers"] = answers
+        result["same_where_both_answer"] = all(
+            p == c
+            for case in answers["change"]
+            for p, c in zip(answers["parent"][case], answers["change"][case])
+            if "CapacityError" not in (p, c)
+        )
     for case in cases:
         per_tree = {
             name: [r["seconds_per_call"][case] * 1e6 for r in runs[name]] for name in trees

@@ -1,0 +1,136 @@
+"""Per-call time of the removal search and of ``excl eval``, parent against change.
+
+    python benchmarks/bench_eval.py --parent OTHER/src [--repeats 7]
+
+Times, per call, on seeded CSV tables of 1k, 10k and 100k rows with 4, 15
+and 24 conflicting values at arity 1 and 2:
+
+* ``semantics.min_removal`` on the parsed team;
+* ``cli.main(["eval", path, atom])``, the whole command: reading the CSV,
+  parsing the atom, the search and printing (to a discarded buffer).
+
+The conflicting values fall into independent components of one to three
+values, each value on both sides of its component's rows, and every other
+row takes values that occur on one side only; one row per table conflicts
+with itself.  At arity 2 the second column comes from a three-value pool,
+so single columns collide across the sides while whole tuples do not.
+The generator is this script's own, seeded, and not the benchmark's.
+
+A refused search counts as an answer: each tree reports, per case, the
+removal counts of its tables, or ``"CapacityError"`` where it refused one.
+The JSON keeps these under ``answers`` and says, as
+``same_where_both_answer``, whether the trees agree on every table both
+answered; ``same_results`` compares whole digests, so it reads false when
+one tree refuses a table the other answers.  ``--parent``, ``--change``, ``--repeats`` and
+``--out`` work as in ``bench_certify.py``.  The output,
+``benchmarks/BENCH_eval.json`` by default, holds per-case medians, every
+repeat, the machine, Python, numpy, the kernel lane and the repeat count.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_certify import _time_per_call, compare
+
+SEED = 20261019
+ROWS = (1000, 10_000, 100_000)
+CONFLICTS = (4, 15, 24)
+ARITIES = (1, 2)
+TABLES = {1000: 3, 10_000: 2, 100_000: 1}  # tables per case
+PAD = ("d0", "d1", "d2")
+
+
+def _table(rng, n_rows, n_conflicts, arity):
+    """(csv_text, atom_text) for one table."""
+
+    def value(tag, i):
+        return (f"{tag}{i}",) + tuple(rng.choice(PAD) for _ in range(arity - 1))
+
+    itself = value("s", 0)
+    rows = [(itself, itself)]  # conflicts with itself: removed outright
+    fresh = made = 0
+    while made < n_conflicts:
+        values = [value("c", made + i) for i in range(min(rng.randint(1, 3), n_conflicts - made))]
+        made += len(values)
+        for v in values:
+            fresh += 1
+            rows += [(v, value("r", fresh)), (value("l", fresh), v)]
+        for _ in range(rng.randint(0, 3)):  # links within the component
+            x = rng.choice(values)
+            y = rng.choice([v for v in values if v != x] or [value("r", fresh)])
+            if (x, y) not in rows:
+                rows.append((x, y))
+    for i in range(fresh + 1, fresh + 1 + max(0, n_rows - len(rows))):
+        rows.append((value("l", i), value("r", i)))
+    left = [f"x{i}" for i in range(arity)]
+    right = [f"y{i}" for i in range(arity)]
+    lines = [",".join(["k"] + left + right)]
+    lines += [",".join((str(k),) + x + y) for k, (x, y) in enumerate(rows)]
+    return "\n".join(lines) + "\n", f"excl({' '.join(left)} ; {' '.join(right)})"
+
+
+def child(src: str) -> None:
+    sys.path.insert(0, src)
+    import exclusion.cli
+    import exclusion.kernel
+    import exclusion.parsing
+    import exclusion.semantics
+
+    ex = exclusion
+    CapacityError = ex.errors.CapacityError
+    rng = random.Random(SEED)
+    times, answers = {}, {}
+
+    def removal(team, atom):
+        try:
+            return ex.semantics.min_removal(team, atom)
+        except CapacityError:
+            return "CapacityError"
+
+    def run_eval(path, atom_text):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return ex.cli.main(["eval", str(path), atom_text])
+
+    with tempfile.TemporaryDirectory() as work:
+        for n_rows in ROWS:
+            for n_conflicts in CONFLICTS:
+                for arity in ARITIES:
+                    case = f"{n_rows}x{n_conflicts}.a{arity}"
+                    tables = []
+                    for k in range(TABLES[n_rows]):
+                        text, atom_text = _table(rng, n_rows, n_conflicts, arity)
+                        path = Path(work) / f"{case}.{k}.csv"
+                        path.write_text(text, encoding="utf-8")
+                        team, _ = ex.parsing.parse_team_csv(text)
+                        tables.append((path, atom_text, team, ex.parsing.parse_atom(atom_text)))
+                    answers[case] = [removal(team, atom) for _, _, team, atom in tables]
+                    times[f"min_removal.{case}"] = _time_per_call(
+                        [lambda t=t, a=a: removal(t, a) for _, _, t, a in tables], 0.3
+                    )
+                    times[f"eval.{case}"] = _time_per_call(
+                        [lambda p=p, a=a: run_eval(p, a) for p, a, _, _ in tables], 0.3
+                    )
+                    del tables
+
+    print(json.dumps({
+        "lane": ex.kernel.IMPLEMENTATION,
+        "digest": hashlib.sha256(json.dumps(answers, sort_keys=True).encode()).hexdigest(),
+        "answers": answers,
+        "seconds_per_call": times,
+    }))
+
+
+def main(argv=None) -> int:
+    return compare("eval", __file__, child, __doc__.split("\n\n")[0], argv)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,6 +7,15 @@ rows leaves a team satisfying the exact atom.  min_removal computes the
 smallest number of rows whose removal achieves this; it is exact, never an
 estimate.
 
+The removal search first takes every row that conflicts with itself.  Each
+conflicting value left is then a choice: remove its left occurrences or
+its right ones.  Choices that share a row depend on each other; the
+classes of that relation are independent conflict components.  No row
+lies in two components, so the rows removed for different components are
+disjoint and their minimum counts add up to the exact minimum.  Each
+component is searched exhaustively, and the choice cap bounds the size of
+one component, not of the whole table.
+
 satisfies_all checks a list of atoms against one team in one pass.  Before
 it searches, it tests whether the set of left projections is disjoint from
 the set of right projections.  That test is exact, not a heuristic: with no
@@ -19,19 +28,48 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from operator import itemgetter
 from typing import Sequence
 
 from .errors import CapacityError, EmptyTeamError
-from .model import Atom, ONE, Row, Team
+from .model import Atom, Row, Team
 
 DEFAULT_CHOICE_CAP = 20
+
+# the row positions taking one value on the left and on the right
+Choice = tuple[set[int], set[int]]
 
 
 # ==========================================================================
 # raw-row engine, shared with the enumeration oracle
 # ==========================================================================
+
+def _positions(
+    lefts: Sequence[object], rights: Sequence[object], shared: set
+) -> dict[object, Choice]:
+    """Maps each shared projection to the row positions taking it on the
+    left and on the right, given every row's left and right projection."""
+    conflicts: dict[object, Choice] = {
+        value: (set(), set()) for value in shared
+    }
+    for pos, value in enumerate(lefts):
+        if value in shared:
+            conflicts[value][0].add(pos)
+    for pos, value in enumerate(rights):
+        if value in shared:
+            conflicts[value][1].add(pos)
+    return conflicts
+
+
+def _projected(
+    rows: Sequence[Row], left_idx: Sequence[int], right_idx: Sequence[int]
+) -> dict[object, Choice]:
+    """conflict_map keyed by bare values at arity 1 (itemgetter's output)."""
+    lefts = list(map(itemgetter(*left_idx), rows))
+    rights = list(map(itemgetter(*right_idx), rows))
+    shared = set(lefts).intersection(rights)
+    return _positions(lefts, rights, shared) if shared else {}
+
 
 def conflict_map(
     rows: Sequence[Row], left_idx: Sequence[int], right_idx: Sequence[int]
@@ -39,17 +77,84 @@ def conflict_map(
     """Conflicting value tuples over distinct rows given projection columns.
 
     Maps each value tuple occurring on both sides to (A, B): the sets of row
-    positions taking it on the left and on the right.
+    positions taking it on the left and on the right.  Each side is
+    projected once; position sets are built only for the shared values.
     """
-    left_at: dict[tuple[str, ...], set[int]] = {}
-    right_at: dict[tuple[str, ...], set[int]] = {}
-    for pos, row in enumerate(rows):
-        left_at.setdefault(tuple(row[i] for i in left_idx), set()).add(pos)
-        right_at.setdefault(tuple(row[i] for i in right_idx), set()).add(pos)
-    return {
-        value: (left_at[value], right_at[value])
-        for value in left_at.keys() & right_at.keys()
-    }
+    conflicts = _projected(rows, left_idx, right_idx)
+    if len(left_idx) == 1:
+        return {(value,): sides for value, sides in conflicts.items()}
+    return conflicts
+
+
+def _unions(sides: list[list[int]]) -> list[int]:
+    """Every union of one side per choice, each side a bitmask of rows."""
+    unions = [0]
+    for a, b in sides:
+        unions = [m | a for m in unions] + [m | b for m in unions]
+    return unions
+
+
+def _component_removal(choices: list[Choice]) -> int:
+    """Fewest rows covering one side of every choice, by trying every pick.
+
+    The picks of the first half of the choices and of the second half are
+    listed apart and every pair is tried, so 2^c picks need only two lists
+    of about 2^(c/2) masks.
+    """
+    if len(choices) == 1:
+        return min(map(len, choices[0]))
+    bit: dict[int, int] = {}
+    sides: list[list[int]] = []
+    for choice in choices:
+        masks = [0, 0]
+        for side, rows in enumerate(choice):
+            for row in rows:
+                masks[side] |= bit.setdefault(row, 1 << len(bit))
+        sides.append(masks)
+    half = len(sides) // 2
+    return min(
+        (m | n).bit_count() for m in _unions(sides[:half]) for n in _unions(sides[half:])
+    )
+
+
+def _components(choices: list[Choice]) -> list[list[Choice]]:
+    """The classes of choices linked by shared rows, by union-find.
+
+    A class's root is its latest choice, so each parent index exceeds its
+    child's and one backward pass resolves every root.
+    """
+    parent = list(range(len(choices)))
+    owner: dict[int, int] = {}
+    for i, (a, b) in enumerate(choices):
+        for row in a | b:
+            j = owner.setdefault(row, i)
+            while parent[j] != j:
+                parent[j] = j = parent[parent[j]]
+            parent[j] = i
+    classes: dict[int, list[Choice]] = {}
+    for i in reversed(range(len(choices))):
+        parent[i] = root = parent[parent[i]]
+        classes.setdefault(root, []).append(choices[i])
+    return list(classes.values())
+
+
+def _search(conflicts: dict[object, Choice], choice_cap: int) -> int:
+    """min_removal from the conflicts of one atom; see min_removal_indexed."""
+    forced: set[int] = set()
+    for a, b in conflicts.values():
+        forced |= a & b
+    choices = [(a - forced, b - forced) for a, b in conflicts.values()]
+    choices = [(a, b) for a, b in choices if a and b]
+    if not choices:
+        return len(forced)
+    components = _components(choices) if len(choices) > 1 else [choices]
+    largest = max(map(len, components))
+    if largest > choice_cap:
+        raise CapacityError(
+            f"a conflict component of {largest} interdependent removal choices"
+            f" exceeds cap {choice_cap}"
+        )
+    return len(forced) + sum(map(_component_removal, components))
 
 
 def min_removal_indexed(
@@ -63,34 +168,15 @@ def min_removal_indexed(
     A removal set works iff it contains every row that takes some value on
     both sides (such a row conflicts with itself) and, for each conflicting
     value, swallows its left occurrences or its right occurrences entirely.
-    Forced rows are removed first; the remaining per-value side choices are
-    enumerated exhaustively, capped at choice_cap binary choices.
+    Forced rows are removed first.  Each remaining value is a binary side
+    choice; two choices are linked when they share a row, and the linked
+    classes are independent components.  Components share no rows, so
+    their removal sets are disjoint and the minimum is the sum of each
+    component's minimum, found by trying every pick within it.
+    choice_cap bounds the choices of any one component.
     """
-    conflicts = conflict_map(rows, left_idx, right_idx)
-    if not conflicts:
-        return 0
-    forced: set[int] = set()
-    for a, b in conflicts.values():
-        forced |= a & b
-    choices: list[tuple[frozenset[int], frozenset[int]]] = []
-    for a, b in conflicts.values():
-        a_rest = frozenset(a - forced)
-        b_rest = frozenset(b - forced)
-        if a_rest and b_rest:
-            choices.append((a_rest, b_rest))
-    if not choices:
-        return len(forced)
-    if len(choices) > choice_cap:
-        raise CapacityError(
-            f"{len(choices)} interdependent removal choices exceed cap {choice_cap}"
-        )
-    best = len(rows)
-    for picks in product(*choices):
-        removed: set[int] = set()
-        for side in picks:
-            removed |= side
-        best = min(best, len(removed))
-    return len(forced) + best
+    conflicts = _projected(rows, left_idx, right_idx)
+    return _search(conflicts, choice_cap) if conflicts else 0
 
 
 # ==========================================================================
@@ -126,8 +212,8 @@ class ConflictReport:
 
 
 def _columns(team: Team, atom: Atom) -> tuple[tuple[int, ...], tuple[int, ...], tuple[Row, ...]]:
-    left_idx = tuple(team.column(v) for v in atom.left)
-    right_idx = tuple(team.column(v) for v in atom.right)
+    left_idx = tuple(map(team.column, atom.left))
+    right_idx = tuple(map(team.column, atom.right))
     return left_idx, right_idx, tuple(team.rows)
 
 
@@ -149,7 +235,7 @@ def conflict_report(team: Team, atom: Atom) -> ConflictReport:
 def satisfies_exact(team: Team, atom: Atom) -> bool:
     """Exact exclusion of the atom's sides; the degree is not consulted."""
     left_idx, right_idx, rows = _columns(team, atom)
-    return not conflict_map(rows, left_idx, right_idx)
+    return not _projected(rows, left_idx, right_idx)
 
 
 def min_removal(team: Team, atom: Atom, choice_cap: int = DEFAULT_CHOICE_CAP) -> int:
@@ -172,7 +258,7 @@ def satisfies(team: Team, atom: Atom, choice_cap: int = DEFAULT_CHOICE_CAP) -> b
     Degree 1 holds vacuously; otherwise the removal count must fit the
     budget degree * |T|.
     """
-    if atom.degree == ONE:
+    if atom.degree.numerator == atom.degree.denominator:
         return True
     return within_budget(min_removal(team, atom, choice_cap), atom.degree, team.size)
 
@@ -195,25 +281,29 @@ def satisfies_all(team: Team, atoms: Sequence[Atom], choice_cap: int = DEFAULT_C
     failing atom ends the pass.  The column map and the rows are built once
     per team.  An atom whose set of left projections is disjoint from its
     right projections has no conflicting value, so its min_removal is 0 and
-    it holds; only the other atoms run the exact removal search.
+    it holds; only the other atoms run the exact removal search, on the
+    projections the disjointness test already built.
     """
     column = {v: i for i, v in enumerate(team.schema)}
     rows = tuple(team.rows)
     size = len(rows)
     for atom in atoms:
         degree = atom.degree
-        if degree == ONE:
+        if degree.numerator == degree.denominator:  # degree 1 holds vacuously
             continue
         try:
-            left_idx = tuple([column[v] for v in atom.left])
-            right_idx = tuple([column[v] for v in atom.right])
+            left_idx = tuple(map(column.__getitem__, atom.left))
+            right_idx = tuple(map(column.__getitem__, atom.right))
         except KeyError as exc:
             team.column(exc.args[0])  # raises UnknownVariableError
             raise
-        left = set(map(itemgetter(*left_idx), rows))
-        if left.isdisjoint(map(itemgetter(*right_idx), rows)):
+        lefts = list(map(itemgetter(*left_idx), rows))
+        left_set = set(lefts)
+        rights = list(map(itemgetter(*right_idx), rows))
+        if left_set.isdisjoint(rights):
             continue
-        removal = min_removal_indexed(rows, left_idx, right_idx, choice_cap)
+        shared = left_set.intersection(rights)
+        removal = _search(_positions(lefts, rights, shared), choice_cap)
         if not within_budget(removal, degree, size):
             return False
     return True

@@ -179,12 +179,30 @@ class TestEval:
 
     @pytest.mark.parametrize("degree", ["0", "1"])
     def test_over_cap_search_is_refused(self, team_file, capsys, degree):
-        # 21 values, each removable from either side: past the 20-choice cap
-        rows = [f"c{i},r{i}\nl{i},c{i}" for i in range(21)]
+        # a chain of rows c{i},c{i+1} with distinct end values c0 and end:
+        # the 21 values c1..c21 each sit on both sides and link through
+        # shared rows, so they form one component of 21 choices, past the
+        # 20-choice cap
+        rows = [f"c{i},c{i + 1}" for i in range(21)] + ["c21,end"]
         table = "x,y\n" + "\n".join(rows) + "\n"
         code = main(["eval", team_file(table), f"excl[{degree}](x ; y)"])
         assert code == EXIT_CAPACITY
         assert capsys.readouterr().out == ""
+
+    def test_independent_values_past_the_cap_are_answered(self, team_file, capsys):
+        # 21 values, each removable from either side, sharing no rows: 21
+        # components of one choice each, so the cap of 20 is not reached
+        rows = [f"c{i},r{i}\nl{i},c{i}" for i in range(21)]
+        path = team_file("x,y\n" + "\n".join(rows) + "\n")
+        assert main(["eval", path, "excl[1/2](x ; y)"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "atom: x |[1/2]| y\nsatisfied: true\nmin_removal: 21\nmin_degree: 1/2\n"
+        )
+        assert main(["eval", path, "excl(x ; y)", "--json"]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["satisfied"] is False
+        assert payload["min_removal"] == 21
+        assert payload["min_degree"] == "1/2"
 
 
 class TestCounterexample:

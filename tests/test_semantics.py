@@ -6,7 +6,7 @@ tries every subset of rows, so the two implementations share no code path.
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +23,7 @@ from exclusion import (
 )
 from exclusion.model import team_from_rows
 from exclusion.semantics import (
+    conflict_map,
     conflict_report,
     min_removal_indexed,
     satisfies_all,
@@ -50,6 +51,44 @@ def brute_min_removal(team, a):
             if satisfies_exact(team.subteam(keep), a):
                 return size
     raise AssertionError("removing every row always satisfies the atom")
+
+
+def reference_conflict_map(rows, left_idx, right_idx):
+    """The conflict map conflict_map replaced: a position set for every
+    value tuple of every row, kept where both sides take the value."""
+    left_at, right_at = {}, {}
+    for pos, row in enumerate(rows):
+        left_at.setdefault(tuple(row[i] for i in left_idx), set()).add(pos)
+        right_at.setdefault(tuple(row[i] for i in right_idx), set()).add(pos)
+    return {v: (left_at[v], right_at[v]) for v in left_at.keys() & right_at.keys()}
+
+
+def reference_min_removal_indexed(rows, left_idx, right_idx, choice_cap=20):
+    """The whole-table search min_removal_indexed replaced: forced rows
+    first, then every side choice of every value tried together."""
+    conflicts = reference_conflict_map(rows, left_idx, right_idx)
+    if not conflicts:
+        return 0
+    forced = set()
+    for a, b in conflicts.values():
+        forced |= a & b
+    choices = []
+    for a, b in conflicts.values():
+        a_rest = frozenset(a - forced)
+        b_rest = frozenset(b - forced)
+        if a_rest and b_rest:
+            choices.append((a_rest, b_rest))
+    if not choices:
+        return len(forced)
+    if len(choices) > choice_cap:
+        raise CapacityError(f"{len(choices)} choices exceed cap {choice_cap}")
+    best = len(rows)
+    for picks in product(*choices):
+        removed = set()
+        for side in picks:
+            removed |= side
+        best = min(best, len(removed))
+    return len(forced) + best
 
 
 class TestWorkedExamples:
@@ -162,6 +201,14 @@ class TestConflictReport:
         pairs = report.witness_pairs()
         assert pairs[("0",)] == ((("0", "0"),), (("0", "0"),))
 
+    def test_arity_one_values_are_sorted_one_tuples(self):
+        t = team_from_rows(
+            ("x", "y"), [("3", "1"), ("1", "3"), ("2", "2"), ("4", "5")]
+        )
+        report = conflict_report(t, atom("x", "y"))
+        assert [c.value for c in report.conflicts] == [("1",), ("2",), ("3",)]
+        assert report.witness_pairs()[("2",)] == ((("2", "2"),), (("2", "2"),))
+
     def test_deterministic_order(self):
         t = team_from_rows(("x", "y"), [("1", "2"), ("2", "1")])
         r1 = conflict_report(t, atom("x", "y"))
@@ -209,6 +256,15 @@ class TestChoiceCap:
             min_removal(t, atom("x", "y"), choice_cap=1)
         assert min_removal(t, atom("x", "y"), choice_cap=2) == 1
 
+    def test_cap_applies_per_component(self):
+        # two components of two choices each: {1, 2} and {3, 4} share no row
+        t = team_from_rows(
+            ("x", "y"), [("1", "2"), ("2", "1"), ("3", "4"), ("4", "3")]
+        )
+        assert min_removal(t, atom("x", "y"), choice_cap=2) == 2
+        with pytest.raises(CapacityError, match="component of 2 "):
+            min_removal(t, atom("x", "y"), choice_cap=1)
+
     def test_forced_rows_do_not_count_against_cap(self):
         t = team_from_rows(("x", "y"), [("1", "1"), ("2", "2")])
         assert min_removal(t, atom("x", "y"), choice_cap=0) == 2
@@ -225,6 +281,41 @@ class TestIndexedEngine:
         # the same physical column may serve both tuple positions
         rows = [("1", "1"), ("2", "3")]
         assert min_removal_indexed(rows, (0, 0), (1, 1)) == 1
+
+
+@st.composite
+def rows_and_sides(draw):
+    """Up to 14 distinct rows over up to four columns with values from a
+    small pool, so that conflicting values chain through shared rows, and
+    two index lists of one arity that may repeat a column."""
+    width = draw(st.integers(1, 4))
+    pool = st.sampled_from("0123"[: draw(st.integers(1, 4))])
+    rows = sorted(set(draw(st.lists(st.tuples(*[pool] * width), max_size=14))))
+    arity = draw(st.integers(1, 3))
+    column = st.integers(0, width - 1)
+    left = draw(st.lists(column, min_size=arity, max_size=arity))
+    right = draw(st.lists(column, min_size=arity, max_size=arity))
+    return rows, tuple(left), tuple(right)
+
+
+class TestComponentEquivalence:
+    """The per-component search equals the whole-table search."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(rows_and_sides())
+    def test_matches_whole_product(self, case):
+        rows, left, right = case
+        assert conflict_map(rows, left, right) == reference_conflict_map(rows, left, right)
+        assert min_removal_indexed(rows, left, right) == reference_min_removal_indexed(
+            rows, left, right
+        )
+
+    def test_chained_values_form_one_component(self):
+        # 1 -> 2 -> 3 -> 1 through shared rows: one component, three choices
+        rows = [("1", "2"), ("2", "3"), ("3", "1")]
+        assert min_removal_indexed(rows, (0,), (1,)) == 2
+        with pytest.raises(CapacityError, match="component of 3 "):
+            min_removal_indexed(rows, (0,), (1,), choice_cap=2)
 
 
 class TestWithinBudget:
