@@ -223,15 +223,25 @@ def _machine() -> str:
     return f"{platform.machine()}, {os.cpu_count()} CPUs"
 
 
-def compare(topic: str, script: str, child_main, description: str, argv=None) -> int:
+def compare(
+    topic: str,
+    script: str,
+    child_main,
+    description: str,
+    argv=None,
+    unit: tuple[str, float] = ("microseconds per call", 1e6),
+) -> int:
     """Command line shared by the parent-against-change scripts.
 
     ``script --child SRC`` runs ``child_main(SRC)``, which times one tree
     and prints ``{"lane", "digest", "seconds_per_call"}`` as its last line,
     optionally with ``"answers"``: case -> list of results, where the
-    string ``"CapacityError"`` stands for a refusal.  Without ``--child``,
-    the two trees alternate, one fresh interpreter each, and the result
-    goes to ``BENCH_<topic>.json`` by default.
+    string ``"CapacityError"`` stands for a refusal, ``"peak_rss_mb"``
+    (recorded as a median per tree) and ``"calls"`` (recorded as the first
+    repeat's, per tree).  Without ``--child``, the two trees alternate, one
+    fresh interpreter each, and the result goes to ``BENCH_<topic>.json``
+    by default.  ``unit`` names the unit of the recorded times and its
+    number per second.
     """
     parser = argparse.ArgumentParser(description=description)
     parser.add_argument("--parent", type=Path, help="src/ of the tree to compare against")
@@ -266,10 +276,16 @@ def compare(topic: str, script: str, child_main, description: str, argv=None) ->
         "repeats": args.repeats,
         "commits": {name: _commit(path) for name, path in trees.items()},
         "same_results": len({r["digest"] for rs in runs.values() for r in rs}) == 1,
-        "unit": "microseconds per call",
+        "unit": unit[0],
         "median": {},
         "runs": {},
     }
+    if "peak_rss_mb" in runs["change"][0]:
+        result["peak_rss_mb"] = {
+            name: statistics.median(r["peak_rss_mb"] for r in runs[name]) for name in trees
+        }
+    if "calls" in runs["change"][0]:
+        result["calls"] = {name: runs[name][0]["calls"] for name in trees}
     if "answers" in runs["change"][0]:
         answers = {name: runs[name][0]["answers"] for name in trees}
         result["answers"] = answers
@@ -281,7 +297,7 @@ def compare(topic: str, script: str, child_main, description: str, argv=None) ->
         )
     for case in cases:
         per_tree = {
-            name: [r["seconds_per_call"][case] * 1e6 for r in runs[name]] for name in trees
+            name: [r["seconds_per_call"][case] * unit[1] for r in runs[name]] for name in trees
         }
         parent, change = (statistics.median(per_tree[n]) for n in ("parent", "change"))
         result["median"][case] = {

@@ -2,9 +2,11 @@
 
 Teams are packed into flat numpy arrays: one row of `cells` per team,
 holding max_rows * n_vars uint8 values in row-major order, padded with
-zeros past the team's own rows.  Conflicts between rows i and j (row i's
-left projection equal to row j's right projection) are encoded as bit
-i*4 + j of a 16-bit word, so row counts are capped at 4.
+zeros past the team's own rows.  The packer streams the canonical
+generator into byte buffers and views them as arrays, so the team list is
+never materialised.  Conflicts between rows i and j (row i's left
+projection equal to row j's right projection) are encoded as bit i*4 + j
+of a 16-bit word, so row counts are capped at 4.
 
 Masks are uint64 words, one bit per team.  The row-count mask may be
 shorter than the others: a bank sorted by row count needs only the prefix
@@ -13,6 +15,8 @@ that prefix.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -33,30 +37,34 @@ __all__ = [
 def enumerate_packed(
     n_vars: int, max_rows: int, max_values: int, budget: int = DEFAULT_BUDGET
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All canonical teams as (cells, n_rows, n_values) arrays."""
+    """All canonical teams as (cells, n_rows, n_values) arrays.
+
+    The generator is consumed as a stream: each team's cells, zero-padded
+    to the full width, go straight into one byte buffer and its row count
+    into another, so no list of teams is held.  Canonical teams introduce
+    values 1, 2, 3, ... in order, so a team's largest cell is its number of
+    distinct values.
+    """
     if max_rows > MAX_PACK_ROWS:
         raise ValueError(f"packed teams hold at most {MAX_PACK_ROWS} rows")
     if max_values > 255:
         raise ValueError("packed cells are uint8, keep max_values under 256")
-    teams = list(
-        enumerate_row_sets(n_vars, max_rows, max_values, canonical=True, budget=budget)
-    )
-    count = len(teams)
-    cells = np.zeros((count, max_rows * n_vars), dtype=np.uint8)
-    n_rows = np.zeros(count, dtype=np.uint8)
-    n_values = np.zeros(count, dtype=np.uint8)
-    for t, rows in enumerate(teams):
-        n_rows[t] = len(rows)
-        top = 0
-        base = 0
-        for row in rows:
-            for v, c in enumerate(row):
-                cells[t, base + v] = c
-                if c > top:
-                    top = c
-            base += n_vars
-        n_values[t] = top
-    return cells, n_rows, n_values
+    width = max_rows * n_vars
+    pads = [bytes(width - k * n_vars) for k in range(max_rows + 1)]
+    flat = bytearray()
+    counts = bytearray()
+    put = flat.extend
+    count = counts.append
+    join = chain.from_iterable
+    for rows in enumerate_row_sets(
+        n_vars, max_rows, max_values, canonical=True, budget=budget
+    ):
+        put(bytes(join(rows)))
+        put(pads[len(rows)])
+        count(len(rows))
+    n_rows = np.frombuffer(counts, dtype=np.uint8)
+    cells = np.frombuffer(flat, dtype=np.uint8).reshape(n_rows.shape[0], width)
+    return cells, n_rows, cells.max(axis=1, initial=0)
 
 
 def conflict_words(

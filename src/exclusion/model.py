@@ -159,6 +159,16 @@ class Team:
                 if not isinstance(cell, str):
                     raise ValueError(f"team values must be strings, got {cell!r}")
 
+    @classmethod
+    def _unchecked(cls, schema: tuple[str, ...], rows: frozenset[Row]) -> "Team":
+        """A team built without `__post_init__`: the caller (only the CSV
+        parser) has checked the schema names and every row's width, and
+        its rows are tuples of str."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "schema", schema)
+        object.__setattr__(self, "rows", rows)
+        return self
+
     @property
     def size(self) -> int:
         return len(self.rows)

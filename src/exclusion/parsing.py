@@ -179,7 +179,7 @@ def parse_team_csv(text: str, source: str = "<team>") -> tuple[Team, int]:
                 f"{source}:{lineno}: expected {len(header)} cells, got {len(cells)}"
             )
         rows.append(tuple(cells))
-    team = Team(tuple(header), frozenset(rows))
+    team = Team._unchecked(tuple(header), frozenset(rows))
     return team, len(rows) - team.size
 
 

@@ -232,12 +232,6 @@ def conflict_report(team: Team, atom: Atom) -> ConflictReport:
     return ConflictReport(atom, entries)
 
 
-def satisfies_exact(team: Team, atom: Atom) -> bool:
-    """Exact exclusion of the atom's sides; the degree is not consulted."""
-    left_idx, right_idx, rows = _columns(team, atom)
-    return not _projected(rows, left_idx, right_idx)
-
-
 def min_removal(team: Team, atom: Atom, choice_cap: int = DEFAULT_CHOICE_CAP) -> int:
     """Fewest rows to delete so the exact atom holds on the remainder."""
     left_idx, right_idx, rows = _columns(team, atom)

@@ -9,9 +9,12 @@ plan, and the certificates are exercised.
 
 Three layers make the volume tractable:
 
-* Teams are enumerated once, canonically up to value renaming, and packed
-  into per-atom satisfaction bitmasks.  Satisfaction only compares values
-  for equality, so renaming representatives carry the whole space.
+* Teams are enumerated once, canonically up to value renaming, streamed
+  into packed arrays, and turned into per-atom satisfaction bitmasks.
+  Satisfaction only compares values for equality, so renaming
+  representatives carry the whole space.  Conflict words are computed and
+  cached per column pair only; a tuple conflict is a conflict at every
+  position, so a multi-column word is the AND of single-column words.
 * Instances are grouped under variable renaming.  Decision, semantics,
   and plan bounds all commute with renaming, so one representative per
   class settles the class; a modular sample re-runs the decision directly
@@ -24,7 +27,9 @@ Three layers make the volume tractable:
 Min-removal over a packed team is a table lookup: conflicts between rows
 i and j form a 16-bit word (bit i*4+j), and the table holds the least
 number of rows covering every conflict, which is exactly the removal
-count the semantics module computes.
+count the semantics module computes.  A team satisfies an atom of degree
+num/den when that count is at most floor(num * rows / den), one uint8
+compare against a per-degree budget array.
 """
 
 from __future__ import annotations
@@ -105,7 +110,8 @@ class TeamBank:
         self.cells = cells
         self.n_rows = n_rows
         self.n_values = n_values
-        self._words: dict[tuple, np.ndarray] = {}
+        self._words: dict[tuple[int, int], np.ndarray] = {}
+        self._budgets: dict[Fraction, np.ndarray] = {}
         self._sat: dict[tuple, np.ndarray] = {}
         self._rows_le: dict[int, np.ndarray] = {}
         self._values_le: dict[int, np.ndarray] = {}
@@ -133,26 +139,51 @@ class TeamBank:
         return self.cells.shape[0]
 
     def conflict_words(self, left_cols, right_cols) -> np.ndarray:
-        key = (tuple(left_cols), tuple(right_cols))
+        """The kernel's conflict word for a pair of column tuples.
+
+        Two rows conflict on tuples exactly when they conflict at every
+        position, and masking bits past the row count commutes with AND,
+        so a multi-column word is the AND of single-column words.  Only
+        those are cached: at most n_vars ** 2 arrays.
+        """
+        left_cols, right_cols = tuple(left_cols), tuple(right_cols)
+        if not left_cols or len(left_cols) != len(right_cols):
+            raise ValueError("column tuples must be nonempty and of equal length")
+        words = self._column_word(left_cols[0], right_cols[0])
+        for left, right in zip(left_cols[1:], right_cols[1:]):
+            words = words & self._column_word(left, right)
+        return words
+
+    def _column_word(self, left: int, right: int) -> np.ndarray:
+        key = (left, right)
         words = self._words.get(key)
         if words is None:
-            words = kernel.conflict_words(
-                self.cells, self.n_rows, self.n_vars, list(key[0]), list(key[1])
+            words = self._words[key] = kernel.conflict_words(
+                self.cells, self.n_rows, self.n_vars, [left], [right]
             )
-            self._words[key] = words
         return words
 
     def satisfaction_mask(self, left_cols, right_cols, degree: Fraction) -> np.ndarray:
         key = (tuple(left_cols), tuple(right_cols), degree)
         mask = self._sat.get(key)
         if mask is None:
-            removed = removal_table()[self.conflict_words(key[0], key[1])]
-            fits = (
-                removed.astype(np.int64) * degree.denominator
-                <= degree.numerator * self.n_rows.astype(np.int64)
-            )
-            mask = self._sat[key] = pack_mask(fits)
+            removed = removal_table().take(self.conflict_words(key[0], key[1]))
+            mask = self._sat[key] = pack_mask(removed <= self._budget(degree))
         return mask
+
+    def _budget(self, degree: Fraction) -> np.ndarray:
+        """Most rows each team may lose at this degree, floor(degree * rows).
+
+        For nonnegative integers, removed * den <= num * rows holds exactly
+        when removed <= (num * rows) // den, so one uint8 compare decides
+        satisfaction.
+        """
+        budget = self._budgets.get(degree)
+        if budget is None:
+            budget = self._budgets[degree] = (
+                self.n_rows.astype(np.int64) * degree.numerator // degree.denominator
+            ).astype(np.uint8)
+        return budget
 
     def row_mask(self, max_rows: int) -> np.ndarray:
         """Teams with at most max_rows rows, packed up to the last of them.

@@ -2,8 +2,8 @@
 
 The report lines bypass pytest's capture, so they appear in the live
 output of any run, interleaved with the progress dots.  Criterion 1 runs
-the exhaustive keystone sweep once (284 s on a 2-core Xeon with Python
-3.11 and numpy 2.4) and shares its report with criteria 2 and 5.
+the exhaustive keystone sweep once (248-257 s on a 2-core Xeon with
+Python 3.11 and numpy 2.4) and shares its report with criteria 2 and 5.
 """
 
 import random

@@ -6,16 +6,51 @@ table must agree with the reference removal engine.
 
 import math
 import random
+from itertools import product
 
 import numpy as np
 import pytest
 
-from exclusion import atom, kernel, satisfies
+from exclusion import CapacityError, atom, kernel, satisfies
 from exclusion.kernel import IMPLEMENTATION
 from exclusion.model import team_from_rows
 from exclusion.oracle import enumerate_row_sets
 from exclusion.semantics import min_removal_indexed
-from exclusion.sweep import TeamBank, pack_mask, removal_table
+from exclusion.sweep import KEYSTONE_DEGREES, TeamBank, pack_mask, removal_table
+
+
+def reference_enumerate_packed(n_vars, max_rows, max_values):
+    """The packer enumerate_packed replaced: the whole team list first,
+    then one numpy scalar write per cell."""
+    teams = list(enumerate_row_sets(n_vars, max_rows, max_values, canonical=True))
+    count = len(teams)
+    cells = np.zeros((count, max_rows * n_vars), dtype=np.uint8)
+    n_rows = np.zeros(count, dtype=np.uint8)
+    n_values = np.zeros(count, dtype=np.uint8)
+    for t, rows in enumerate(teams):
+        n_rows[t] = len(rows)
+        top = 0
+        base = 0
+        for row in rows:
+            for v, c in enumerate(row):
+                cells[t, base + v] = c
+                if c > top:
+                    top = c
+            base += n_vars
+        n_values[t] = top
+    return cells, n_rows, n_values
+
+
+def reference_satisfaction_mask(bank, left_cols, right_cols, degree):
+    """The mask satisfaction_mask replaced: the kernel's own conflict word
+    and the removal budget compared by int64 cross multiplication."""
+    words = kernel.conflict_words(bank.cells, bank.n_rows, bank.n_vars, left_cols, right_cols)
+    removed = removal_table()[words]
+    fits = (
+        removed.astype(np.int64) * degree.denominator
+        <= degree.numerator * bank.n_rows.astype(np.int64)
+    )
+    return pack_mask(fits)
 
 
 class TestPackedEnumeration:
@@ -38,6 +73,21 @@ class TestPackedEnumeration:
     def test_row_cap_enforced(self):
         with pytest.raises(ValueError):
             kernel.enumerate_packed(2, 5, 4)
+
+    @pytest.mark.parametrize(
+        "shape", [(2, 3, 6), (3, 2, 4), (1, 1, 1), (0, 2, 3), (2, 0, 3), (2, 2, 0)]
+    )
+    def test_matches_reference_packer(self, shape):
+        got = kernel.enumerate_packed(*shape)
+        expected = reference_enumerate_packed(*shape)
+        for name, a, b in zip(("cells", "n_rows", "n_values"), got, expected):
+            assert a.dtype == b.dtype, name
+            assert a.shape == b.shape, name
+            assert np.array_equal(a, b), name
+
+    def test_budget_enforced(self):
+        with pytest.raises(CapacityError):
+            kernel.enumerate_packed(2, 3, 6, budget=5)
 
 
 def brute_conflict_word(rows, left_cols, right_cols):
@@ -197,6 +247,56 @@ class TestTeamBank:
             bank.all_mask().view(np.uint8), bitorder="little", count=bank.size
         )
         assert bits.all()
+
+
+@pytest.fixture(scope="module")
+def wide_bank():
+    return TeamBank.build(3, 3, 5)
+
+
+class TestBankConflictWords:
+    def column_tuples(self, n_vars):
+        cols = range(n_vars)
+        return [t for arity in (1, 2) for t in product(cols, repeat=arity)]
+
+    def test_words_match_kernel(self, wide_bank):
+        tuples = self.column_tuples(wide_bank.n_vars)
+        checked = 0
+        for left in tuples:
+            for right in tuples:
+                if len(left) != len(right):
+                    continue
+                expected = kernel.conflict_words(
+                    wide_bank.cells, wide_bank.n_rows, wide_bank.n_vars, left, right
+                )
+                got = wide_bank.conflict_words(left, right)
+                assert got.dtype == expected.dtype
+                assert np.array_equal(got, expected), (left, right)
+                checked += 1
+        assert checked == 3 * 3 + 9 * 9
+
+    def test_masks_match_cross_multiplied_budget(self, wide_bank):
+        for left in self.column_tuples(wide_bank.n_vars):
+            for right in self.column_tuples(wide_bank.n_vars):
+                if len(left) != len(right):
+                    continue
+                for degree in KEYSTONE_DEGREES:
+                    expected = reference_satisfaction_mask(wide_bank, left, right, degree)
+                    got = wide_bank.satisfaction_mask(left, right, degree)
+                    assert np.array_equal(got, expected), (left, right, degree)
+
+    def test_only_single_column_words_are_cached(self, wide_bank):
+        for left in self.column_tuples(wide_bank.n_vars):
+            for right in self.column_tuples(wide_bank.n_vars):
+                if len(left) == len(right):
+                    wide_bank.conflict_words(left, right)
+        assert len(wide_bank._words) <= wide_bank.n_vars ** 2
+
+    def test_mismatched_sides_refused(self, wide_bank):
+        with pytest.raises(ValueError):
+            wide_bank.conflict_words((), ())
+        with pytest.raises(ValueError):
+            wide_bank.conflict_words((0, 1), (1,))
 
 
 class TestLaneSelection:

@@ -340,3 +340,46 @@ class TestCsvRoundTripProperty:
         again, duplicates = parse_team_csv(team_csv_text(team))
         assert again == team
         assert duplicates == 0
+
+
+class TestCsvTeamUnchecked:
+    """parse_team_csv builds its team without Team's own validation; the
+    parser's checks must leave nothing for that validation to catch."""
+
+    @given(
+        st.lists(st.sampled_from(["x", "y", "z_1", "Q"]), min_size=1, max_size=4, unique=True),
+        st.data(),
+        st.sampled_from(["\n", "\r\n"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_validated_team(self, schema, data, newline):
+        cells = st.text(
+            alphabet=st.characters(blacklist_characters=",\r\n", max_codepoint=300),
+            max_size=3,
+        )
+        rows = data.draw(st.lists(st.tuples(*[cells] * len(schema)), max_size=6))
+        lines = [" , ".join(schema)] + [",".join(row) for row in rows]
+        team, duplicates = parse_team_csv(newline.join(lines) + newline)
+        expected = team_from_rows(schema, rows)
+        assert team == expected
+        assert hash(team) == hash(expected)
+        assert type(team.schema) is tuple and type(team.rows) is frozenset
+        assert duplicates == len(rows) - expected.size
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "<team>: empty file, header row required"),
+            ("\n", "<team>: bad variable name '' in header"),
+            ("x,1bad\n", "<team>: bad variable name '1bad' in header"),
+            ("x,\n", "<team>: bad variable name '' in header"),
+            ("x,x\n0,1\n", "<team>: duplicate variable names in header"),
+            ("x,y\n0,1\n1,2,3\n", "<team>:3: expected 2 cells, got 3"),
+            ("x,y\r\n0,1\r\n\r\n", "<team>:3: expected 2 cells, got 1"),
+            ("x , y\n0,1,\n", "<team>:2: expected 2 cells, got 3"),
+        ],
+    )
+    def test_malformed_messages(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_team_csv(text)
+        assert str(info.value) == message

@@ -27,7 +27,6 @@ from exclusion.semantics import (
     conflict_report,
     min_removal_indexed,
     satisfies_all,
-    satisfies_exact,
     within_budget,
 )
 
@@ -41,6 +40,15 @@ QUAD_TEAM = team_from_rows(
     ("x", "u", "y", "v"),
     [("0", "1", "0", "1"), ("0", "2", "0", "2"), ("1", "2", "2", "1")],
 )
+
+
+def satisfies_exact(team, a):
+    """Exact exclusion of the atom's sides; the degree is not consulted.
+    No row's left projection equals any row's right projection."""
+    left = [team.column(v) for v in a.left]
+    right = [team.column(v) for v in a.right]
+    lefts = {tuple(row[i] for i in left) for row in team.rows}
+    return not any(tuple(row[i] for i in right) in lefts for row in team.rows)
 
 
 def brute_min_removal(team, a):
