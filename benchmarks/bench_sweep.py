@@ -14,11 +14,12 @@ satisfaction masks in ``keystone_atoms`` order), and records, in seconds:
 * ``build_and_masks``: the two together, the sweep's set-up.
 
 ``peak_rss_mb`` is the interpreter's peak resident set after the build.
-The answers are digests of the 270 masks, of the unsorted
-``enumerate_packed`` arrays, of the sorted bank arrays (cells, row counts,
-value counts, with dtypes and shapes) and of every row and value mask the
-sweep can ask for; ``same_results`` is true when both trees produced
-bit-identical ones.  ``--parent``, ``--change``, ``--repeats`` and
+The answers are digests of the 270 masks, of the ``enumerate_packed``
+arrays after a stable sort by row count (trees that list teams in
+generator order and trees that list them in bank order digest alike), of
+the bank arrays (cells, row counts, value counts, with dtypes and shapes)
+and of every row and value mask the sweep can ask for; ``same_results``
+is true when both trees produced bit-identical ones.  ``--parent``, ``--change``, ``--repeats`` and
 ``--out`` work as in ``bench_certify.py``.  The output,
 ``benchmarks/BENCH_sweep.json`` by default, holds per-stage medians, every
 repeat, the machine, Python, numpy, the kernel lane and the repeat count.
@@ -32,6 +33,7 @@ import resource
 import sys
 import time
 
+import numpy as np
 from bench_certify import compare
 
 
@@ -60,7 +62,8 @@ def child(src: str) -> None:
             spent[name] += time.perf_counter() - start
             calls[name] += 1
             if name == "enumerate_packed":
-                packed.append(_digest(result))
+                order = np.argsort(result[1], kind="stable")
+                packed.append(_digest(a[order] for a in result))
             return result
 
         return wrapper

@@ -1,29 +1,25 @@
 """Brute-force semantic implication over bounded team spaces.
 
-The oracle enumerates every team within given row and value bounds and
-checks the implication directly against the semantics.  It is the slow,
+The oracle enumerates teams within given row and value bounds and checks
+the implication directly against the semantics.  It is the slow,
 trustworthy reference the fast decision procedure is compared against.
 
-Two enumeration modes:
-
-* full: every team whose cells come from {1..max_values}, including the
-  empty team.  The space is counted up front and refused beyond a budget.
-* canonical: one representative per value-renaming class.  Satisfaction of
-  exclusion atoms only compares values for equality, so it is invariant
-  under renaming and checking representatives suffices.  A representative
-  is a team whose rows, sorted, read off a restricted growth string: cells
-  scanned row-major introduce values 1, 2, 3, ... in order.  Every team
-  can be relabeled into this shape: among all relabelings, the one with
-  the lexicographically least sorted row sequence is in it (if a scan
-  introduced a value out of order, swapping it with the expected label
-  would shrink the sequence).
+It enumerates one representative per value-renaming class, lazily, so a
+search that finds a separating team stops early.  Satisfaction of
+exclusion atoms only compares values for equality, so it is invariant
+under renaming and checking representatives suffices.  A representative
+is a team whose rows, sorted, read off a restricted growth string: cells
+scanned row-major introduce values 1, 2, 3, ... in order.  Every team
+can be relabeled into this shape: among all relabelings, the one with
+the lexicographically least sorted row sequence is in it (if a scan
+introduced a value out of order, swapping it with the expected label
+would shrink the sequence).  The sweep's packed bank
+(`kernel.enumerate_packed`) holds the same teams, sorted by row count.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import combinations, product
 from typing import Iterable, Iterator, Sequence
 
 from .counterexample import domain_size_bound, plan as counterexample_plan, schema_order
@@ -35,25 +31,6 @@ DEFAULT_BUDGET = 10_000_000
 
 IntRow = tuple[int, ...]
 RowSet = tuple[IntRow, ...]
-
-
-def full_space_size(n_vars: int, max_rows: int, max_values: int) -> int:
-    """Number of teams with cells in {1..max_values} and at most max_rows rows."""
-    cells = max_values**n_vars
-    return sum(math.comb(cells, i) for i in range(max_rows + 1))
-
-
-def _full_sets(
-    n_vars: int, max_rows: int, max_values: int, budget: int
-) -> Iterator[RowSet]:
-    total = full_space_size(n_vars, max_rows, max_values)
-    if total > budget:
-        raise CapacityError(
-            f"full enumeration has {total} teams, over the budget of {budget}"
-        )
-    cells = list(product(range(1, max_values + 1), repeat=n_vars))
-    for size in range(max_rows + 1):
-        yield from combinations(cells, size)
 
 
 def _canonical_sets(
@@ -103,33 +80,13 @@ def _canonical_sets(
 
 
 def enumerate_row_sets(
-    n_vars: int,
-    max_rows: int,
-    max_values: int,
-    canonical: bool = False,
-    budget: int = DEFAULT_BUDGET,
+    n_vars: int, max_rows: int, max_values: int, budget: int = DEFAULT_BUDGET
 ) -> Iterator[RowSet]:
-    """Teams as sorted tuples of distinct int rows, smallest spaces first."""
+    """Canonical teams as sorted tuples of distinct int rows, lex order
+    depth first: each team is followed by its extensions."""
     if n_vars < 0 or max_rows < 0 or max_values < 0:
         raise ValueError("bounds must be nonnegative")
-    if canonical:
-        return _canonical_sets(n_vars, max_rows, max_values, budget)
-    return _full_sets(n_vars, max_rows, max_values, budget)
-
-
-def enumerate_teams(
-    schema: Sequence[str],
-    max_rows: int,
-    max_values: int,
-    canonical: bool = False,
-    budget: int = DEFAULT_BUDGET,
-) -> Iterator[Team]:
-    """The bounded team space over the given schema, as Team values."""
-    schema = tuple(schema)
-    for rows in enumerate_row_sets(
-        len(schema), max_rows, max_values, canonical=canonical, budget=budget
-    ):
-        yield Team(schema, frozenset(tuple(str(c) for c in row) for row in rows))
+    return _canonical_sets(n_vars, max_rows, max_values, budget)
 
 
 @dataclass(frozen=True)
@@ -155,7 +112,6 @@ def oracle_implies(
     goal: Atom,
     max_rows: int,
     max_values: int,
-    canonical: bool = True,
     budget: int = DEFAULT_BUDGET,
 ) -> OracleResult:
     """Search the bounded space for a team separating sigma from the goal."""
@@ -171,9 +127,7 @@ def oracle_implies(
     p = goal.degree
 
     checked = 0
-    for rows in enumerate_row_sets(
-        len(schema), max_rows, max_values, canonical=canonical, budget=budget
-    ):
+    for rows in enumerate_row_sets(len(schema), max_rows, max_values, budget):
         checked += 1
         size = len(rows)
         satisfied = True

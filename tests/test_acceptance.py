@@ -72,7 +72,8 @@ class TestCriterion1Equivalence:
             f"{keystone.instances} instances, "
             f"{keystone.disagreements.count} disagreements, "
             f"{compared} literal-oracle replays with "
-            f"{mismatches.count} mismatches, sweep {keystone.elapsed:.1f}s"
+            f"{mismatches.count} mismatches, sweep {keystone.elapsed:.1f}s "
+            f"(set-up {keystone.setup_s:.1f}s)"
         )
         ok = (
             keystone.instances == KEYSTONE_INSTANCES

@@ -19,25 +19,25 @@ from exclusion.semantics import min_removal_indexed
 from exclusion.sweep import KEYSTONE_DEGREES, TeamBank, pack_mask, removal_table
 
 
+def bank_order_teams(n_vars, max_rows, max_values):
+    """The oracle generator's teams, stably sorted by row count: the order
+    enumerate_packed lists them in."""
+    return sorted(enumerate_row_sets(n_vars, max_rows, max_values), key=len)
+
+
 def reference_enumerate_packed(n_vars, max_rows, max_values):
-    """The packer enumerate_packed replaced: the whole team list first,
-    then one numpy scalar write per cell."""
-    teams = list(enumerate_row_sets(n_vars, max_rows, max_values, canonical=True))
+    """The bank-ordered teams packed one team at a time, each zero-padded
+    to the full width, with its largest cell as its value count."""
+    teams = bank_order_teams(n_vars, max_rows, max_values)
     count = len(teams)
     cells = np.zeros((count, max_rows * n_vars), dtype=np.uint8)
     n_rows = np.zeros(count, dtype=np.uint8)
     n_values = np.zeros(count, dtype=np.uint8)
     for t, rows in enumerate(teams):
+        flat = [c for row in rows for c in row]
+        cells[t, : len(flat)] = flat
         n_rows[t] = len(rows)
-        top = 0
-        base = 0
-        for row in rows:
-            for v, c in enumerate(row):
-                cells[t, base + v] = c
-                if c > top:
-                    top = c
-            base += n_vars
-        n_values[t] = top
+        n_values[t] = max(flat, default=0)
     return cells, n_rows, n_values
 
 
@@ -56,7 +56,7 @@ def reference_satisfaction_mask(bank, left_cols, right_cols, degree):
 class TestPackedEnumeration:
     def test_matches_generator(self):
         cells, n_rows, n_values = kernel.enumerate_packed(2, 3, 6)
-        reference = list(enumerate_row_sets(2, 3, 6, canonical=True))
+        reference = bank_order_teams(2, 3, 6)
         assert len(cells) == len(reference)
         for packed, rows, count in zip(cells, reference, n_rows):
             assert count == len(rows)
@@ -75,7 +75,18 @@ class TestPackedEnumeration:
             kernel.enumerate_packed(2, 5, 4)
 
     @pytest.mark.parametrize(
-        "shape", [(2, 3, 6), (3, 2, 4), (1, 1, 1), (0, 2, 3), (2, 0, 3), (2, 2, 0)]
+        "shape",
+        [
+            (2, 3, 6),
+            (3, 2, 4),
+            (1, 1, 1),
+            (0, 2, 3),
+            (2, 0, 3),
+            (2, 2, 0),
+            (3, 4, 12),
+            (3, 3, 5),
+            (2, 4, 8),
+        ],
     )
     def test_matches_reference_packer(self, shape):
         got = kernel.enumerate_packed(*shape)
@@ -88,6 +99,19 @@ class TestPackedEnumeration:
     def test_budget_enforced(self):
         with pytest.raises(CapacityError):
             kernel.enumerate_packed(2, 3, 6, budget=5)
+        # 40-cell rows: refused while the candidate rows are counted,
+        # before any array of the space's size exists
+        with pytest.raises(CapacityError):
+            kernel.enumerate_packed(40, 4, 255)
+
+    @pytest.mark.parametrize("shape", [(3, 3, 5), (2, 4, 8), (1, 1, 1), (2, 0, 3)])
+    def test_budget_boundary(self, shape):
+        # the budget counts teams, the empty one included, like the
+        # oracle's generator
+        count = len(bank_order_teams(*shape))
+        assert kernel.enumerate_packed(*shape, budget=count)[0].shape[0] == count
+        with pytest.raises(CapacityError, match="passed the budget"):
+            kernel.enumerate_packed(*shape, budget=count - 1)
 
 
 def brute_conflict_word(rows, left_cols, right_cols):
@@ -102,7 +126,7 @@ def brute_conflict_word(rows, left_cols, right_cols):
 class TestConflictWords:
     def test_against_brute_force(self):
         cells, n_rows, _ = kernel.enumerate_packed(2, 3, 6)
-        reference = list(enumerate_row_sets(2, 3, 6, canonical=True))
+        reference = bank_order_teams(2, 3, 6)
         for left, right in [((0,), (1,)), ((0, 1), (1, 0)), ((1,), (1,))]:
             left_a = np.asarray(left, dtype=np.int64)
             right_a = np.asarray(right, dtype=np.int64)
@@ -126,8 +150,7 @@ class TestConflictWords:
 class TestRemovalTable:
     def test_exhaustive_against_reference(self):
         table = removal_table()
-        cells, n_rows, _ = kernel.enumerate_packed(2, 4, 8)
-        reference = list(enumerate_row_sets(2, 4, 8, canonical=True))
+        reference = list(enumerate_row_sets(2, 4, 8))
         rng = random.Random(4)
         sample = rng.sample(range(len(reference)), 400)
         for idx in sample:

@@ -1,19 +1,44 @@
-"""Bounded enumeration oracle: spaces, canonical pruning, and verdicts."""
+"""Bounded enumeration oracle: spaces, canonical pruning, and verdicts.
 
+The full space, every team with cells in {1..max_values}, is enumerated
+here as the reference the canonical enumeration is checked against.
+"""
+
+import math
 import random
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
 from exclusion import CapacityError, atom, decide, oracle_implies, satisfies
-from exclusion.counterexample import domain_size_bound, plan as cx_plan
-from exclusion.oracle import (
-    default_bounds,
-    enumerate_row_sets,
-    enumerate_teams,
-    full_space_size,
-)
+from exclusion.counterexample import domain_size_bound, plan as cx_plan, schema_order
+from exclusion.model import team_from_rows
+from exclusion.oracle import default_bounds, enumerate_row_sets
 from exclusion.semantics import satisfies_all
+
+
+def full_space_size(n_vars, max_rows, max_values):
+    """Number of teams with cells in {1..max_values} and at most max_rows rows."""
+    cells = max_values**n_vars
+    return sum(math.comb(cells, i) for i in range(max_rows + 1))
+
+
+def full_row_sets(n_vars, max_rows, max_values):
+    """Every team of the full space as a sorted tuple of rows, smallest first."""
+    cells = list(product(range(1, max_values + 1), repeat=n_vars))
+    for size in range(max_rows + 1):
+        yield from combinations(cells, size)
+
+
+def full_implies(sigma, goal, max_rows, max_values):
+    """Whether every team of the full space that satisfies sigma satisfies
+    the goal, checked through the semantics module."""
+    schema, _ = schema_order(tuple(sigma), goal)
+    for rows in full_row_sets(len(schema), max_rows, max_values):
+        team = team_from_rows(schema, [tuple(str(c) for c in r) for r in rows])
+        if satisfies_all(team, sigma) and not satisfies(team, goal):
+            return False
+    return True
 
 
 class TestSpaceCounts:
@@ -24,21 +49,20 @@ class TestSpaceCounts:
 
     def test_full_enumeration_matches_size(self):
         for n_vars, max_rows, max_values in [(1, 1, 2), (1, 2, 2), (2, 1, 2)]:
-            schema = tuple("xyz"[:n_vars])
-            teams = list(enumerate_teams(schema, max_rows, max_values))
+            teams = list(full_row_sets(n_vars, max_rows, max_values))
             assert len(teams) == full_space_size(n_vars, max_rows, max_values)
             # the empty team is always part of the space
-            assert sum(1 for t in teams if t.is_empty()) == 1
+            assert sum(1 for t in teams if not t) == 1
 
     def test_canonical_counts(self):
         expected = {(1, 4, 4): 5, (2, 4, 8): 1044, (3, 3, 12): 12030}
         for (n_vars, max_rows, max_values), count in expected.items():
-            rows = enumerate_row_sets(n_vars, max_rows, max_values, canonical=True)
+            rows = enumerate_row_sets(n_vars, max_rows, max_values)
             assert sum(1 for _ in rows) == count
 
     def test_canonical_never_exceeds_full(self):
-        full = sum(1 for _ in enumerate_row_sets(2, 2, 3))
-        canonical = sum(1 for _ in enumerate_row_sets(2, 2, 3, canonical=True))
+        full = sum(1 for _ in full_row_sets(2, 2, 3))
+        canonical = sum(1 for _ in enumerate_row_sets(2, 2, 3))
         assert canonical < full == full_space_size(2, 2, 3)
 
 
@@ -55,7 +79,7 @@ def first_occurrence_labels(rows):
 class TestCanonicalCoverage:
     def test_every_renaming_class_has_a_canonical_member(self):
         rng = random.Random(3)
-        canonical = set(enumerate_row_sets(2, 3, 6, canonical=True))
+        canonical = set(enumerate_row_sets(2, 3, 6))
         for _ in range(200):
             n_rows = rng.randrange(0, 4)
             rows = {
@@ -74,18 +98,14 @@ class TestCanonicalCoverage:
             assert found, rows
 
     def test_canonical_forms_are_row_major_numbered(self):
-        for rows in enumerate_row_sets(2, 3, 5, canonical=True):
+        for rows in enumerate_row_sets(2, 3, 5):
             labels = first_occurrence_labels(rows)
             assert all(labels[c] == c for r in rows for c in r)
 
 
 class TestBudget:
-    def test_full_mode_rejects_oversized_space_upfront(self):
-        with pytest.raises(CapacityError):
-            list(enumerate_row_sets(3, 4, 12, budget=1000))
-
     def test_canonical_mode_stops_mid_stream(self):
-        gen = enumerate_row_sets(2, 3, 6, canonical=True, budget=50)
+        gen = enumerate_row_sets(2, 3, 6, budget=50)
         with pytest.raises(CapacityError):
             for _ in gen:
                 pass
@@ -145,9 +165,8 @@ class TestOracleVerdicts:
         for _ in range(25):
             sigma = [random_atom() for _ in range(rng.randrange(0, 2))]
             goal = random_atom()
-            fast = oracle_implies(sigma, goal, 2, 4, canonical=True)
-            slow = oracle_implies(sigma, goal, 2, 4, canonical=False)
-            assert fast.implied == slow.implied
+            fast = oracle_implies(sigma, goal, 2, 4)
+            assert fast.implied == full_implies(sigma, goal, 2, 4)
 
 
 class TestDefaultBounds:
