@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 from .counterexample import domain_size_bound, plan as counterexample_plan, schema_order
 from .errors import CapacityError
 from .model import Atom, Team
-from .semantics import min_removal_indexed
+from .semantics import min_removal_indexed, within_budget
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -132,14 +132,12 @@ def oracle_implies(
         size = len(rows)
         satisfied = True
         for left_idx, right_idx, q in constraints:
-            removed = min_removal_indexed(rows, left_idx, right_idx)
-            if removed * q.denominator > q.numerator * size:
+            if not within_budget(min_removal_indexed(rows, left_idx, right_idx), q, size):
                 satisfied = False
                 break
         if not satisfied:
             continue
-        removed = min_removal_indexed(rows, goal_left, goal_right)
-        if removed * p.denominator > p.numerator * size:
+        if not within_budget(min_removal_indexed(rows, goal_left, goal_right), p, size):
             team = Team(
                 schema, frozenset(tuple(str(c) for c in row) for row in rows)
             )

@@ -7,26 +7,23 @@ rows leaves a team satisfying the exact atom.  min_removal computes the
 smallest number of rows whose removal achieves this; it is exact, never an
 estimate.
 
-The removal search first takes every row that conflicts with itself.  Each
-conflicting value left is then a choice: remove its left occurrences or
-its right ones.  Choices that share a row depend on each other; the
-classes of that relation are independent conflict components.  No row
-lies in two components, so the rows removed for different components are
-disjoint and their minimum counts add up to the exact minimum.  Each
-component is searched exhaustively, and the choice cap bounds the size of
-one component, not of the whole table.
-
-satisfies_all checks a list of atoms against one team in one pass.  Before
-it searches, it tests whether the set of left projections is disjoint from
-the set of right projections.  That test is exact, not a heuristic: with no
-shared projection there is no conflicting value, so min_removal is 0 and
-the atom holds at every degree.  Only atoms whose sides do share a value
-reach the removal search.
+min_removal_indexed is the one removal search; every satisfaction
+question reduces to its count.  It first tests whether the set of left
+projections is disjoint from the set of right projections.  That test is
+exact, not a heuristic: with no shared projection there is no conflicting
+value, so the count is 0 and the atom holds at every degree.  Otherwise
+the search takes every row that conflicts with itself.  Each conflicting
+value left is then a choice: remove its left occurrences or its right
+ones.  Choices that share a row depend on each other; the classes of that
+relation are independent conflict components.  No row lies in two
+components, so the rows removed for different components are disjoint
+and their minimum counts add up to the exact minimum.  Each component is
+searched exhaustively, and CHOICE_CAP bounds the size of one component,
+not of the whole table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import Sequence
@@ -34,7 +31,8 @@ from typing import Sequence
 from .errors import CapacityError, EmptyTeamError
 from .model import Atom, Row, Team
 
-DEFAULT_CHOICE_CAP = 20
+# most interdependent removal choices searched in one conflict component
+CHOICE_CAP = 20
 
 # the row positions taking one value on the left and on the right
 Choice = tuple[set[int], set[int]]
@@ -43,48 +41,6 @@ Choice = tuple[set[int], set[int]]
 # ==========================================================================
 # raw-row engine, shared with the enumeration oracle
 # ==========================================================================
-
-def _positions(
-    lefts: Sequence[object], rights: Sequence[object], shared: set
-) -> dict[object, Choice]:
-    """Maps each shared projection to the row positions taking it on the
-    left and on the right, given every row's left and right projection."""
-    conflicts: dict[object, Choice] = {
-        value: (set(), set()) for value in shared
-    }
-    for pos, value in enumerate(lefts):
-        if value in shared:
-            conflicts[value][0].add(pos)
-    for pos, value in enumerate(rights):
-        if value in shared:
-            conflicts[value][1].add(pos)
-    return conflicts
-
-
-def _projected(
-    rows: Sequence[Row], left_idx: Sequence[int], right_idx: Sequence[int]
-) -> dict[object, Choice]:
-    """conflict_map keyed by bare values at arity 1 (itemgetter's output)."""
-    lefts = list(map(itemgetter(*left_idx), rows))
-    rights = list(map(itemgetter(*right_idx), rows))
-    shared = set(lefts).intersection(rights)
-    return _positions(lefts, rights, shared) if shared else {}
-
-
-def conflict_map(
-    rows: Sequence[Row], left_idx: Sequence[int], right_idx: Sequence[int]
-) -> dict[tuple[str, ...], tuple[set[int], set[int]]]:
-    """Conflicting value tuples over distinct rows given projection columns.
-
-    Maps each value tuple occurring on both sides to (A, B): the sets of row
-    positions taking it on the left and on the right.  Each side is
-    projected once; position sets are built only for the shared values.
-    """
-    conflicts = _projected(rows, left_idx, right_idx)
-    if len(left_idx) == 1:
-        return {(value,): sides for value, sides in conflicts.items()}
-    return conflicts
-
 
 def _unions(sides: list[list[int]]) -> list[int]:
     """Every union of one side per choice, each side a bitmask of rows."""
@@ -138,8 +94,36 @@ def _components(choices: list[Choice]) -> list[list[Choice]]:
     return list(classes.values())
 
 
-def _search(conflicts: dict[object, Choice], choice_cap: int) -> int:
-    """min_removal from the conflicts of one atom; see min_removal_indexed."""
+def min_removal_indexed(
+    rows: Sequence[Row], left_idx: Sequence[int], right_idx: Sequence[int]
+) -> int:
+    """Smallest number of rows to delete so no conflicting value remains.
+
+    A removal set works iff it contains every row that takes some value on
+    both sides (such a row conflicts with itself) and, for each conflicting
+    value, swallows its left occurrences or its right occurrences entirely.
+    Each side is projected once (to bare values at arity 1), and position
+    sets are built only for the values both sides take.  Forced rows are
+    removed first.  Each remaining value is a binary side choice; two
+    choices are linked when they share a row, and the linked classes are
+    independent components.  Components share no rows, so their removal
+    sets are disjoint and the minimum is the sum of each component's
+    minimum, found by trying every pick within it.  CHOICE_CAP bounds the
+    choices of any one component.
+    """
+    lefts = list(map(itemgetter(*left_idx), rows))
+    rights = list(map(itemgetter(*right_idx), rows))
+    left_set = set(lefts)
+    if left_set.isdisjoint(rights):
+        return 0
+    shared = left_set.intersection(rights)
+    conflicts: dict[object, Choice] = {value: (set(), set()) for value in shared}
+    for pos, value in enumerate(lefts):
+        if value in shared:
+            conflicts[value][0].add(pos)
+    for pos, value in enumerate(rights):
+        if value in shared:
+            conflicts[value][1].add(pos)
     forced: set[int] = set()
     for a, b in conflicts.values():
         forced |= a & b
@@ -149,93 +133,23 @@ def _search(conflicts: dict[object, Choice], choice_cap: int) -> int:
         return len(forced)
     components = _components(choices) if len(choices) > 1 else [choices]
     largest = max(map(len, components))
-    if largest > choice_cap:
+    if largest > CHOICE_CAP:
         raise CapacityError(
             f"a conflict component of {largest} interdependent removal choices"
-            f" exceeds cap {choice_cap}"
+            f" exceeds cap {CHOICE_CAP}"
         )
     return len(forced) + sum(map(_component_removal, components))
-
-
-def min_removal_indexed(
-    rows: Sequence[Row],
-    left_idx: Sequence[int],
-    right_idx: Sequence[int],
-    choice_cap: int = DEFAULT_CHOICE_CAP,
-) -> int:
-    """Smallest number of rows to delete so no conflicting value remains.
-
-    A removal set works iff it contains every row that takes some value on
-    both sides (such a row conflicts with itself) and, for each conflicting
-    value, swallows its left occurrences or its right occurrences entirely.
-    Forced rows are removed first.  Each remaining value is a binary side
-    choice; two choices are linked when they share a row, and the linked
-    classes are independent components.  Components share no rows, so
-    their removal sets are disjoint and the minimum is the sum of each
-    component's minimum, found by trying every pick within it.
-    choice_cap bounds the choices of any one component.
-    """
-    conflicts = _projected(rows, left_idx, right_idx)
-    return _search(conflicts, choice_cap) if conflicts else 0
 
 
 # ==========================================================================
 # public API over Team and Atom
 # ==========================================================================
 
-@dataclass(frozen=True)
-class Conflict:
-    """One conflicting value tuple with its witnessing rows."""
-
-    value: tuple[str, ...]
-    left_rows: tuple[Row, ...]
-    right_rows: tuple[Row, ...]
-
-
-@dataclass(frozen=True)
-class ConflictReport:
-    """All conflicts of a team against an atom's sides (degree ignored)."""
-
-    atom: Atom
-    conflicts: tuple[Conflict, ...]
-
-    @property
-    def satisfied(self) -> bool:
-        """True when the exact atom holds, i.e. there are no conflicts."""
-        return not self.conflicts
-
-    def conflicting_values(self) -> frozenset[tuple[str, ...]]:
-        return frozenset(c.value for c in self.conflicts)
-
-    def witness_pairs(self) -> dict[tuple[str, ...], tuple[tuple[Row, ...], tuple[Row, ...]]]:
-        return {c.value: (c.left_rows, c.right_rows) for c in self.conflicts}
-
-
-def _columns(team: Team, atom: Atom) -> tuple[tuple[int, ...], tuple[int, ...], tuple[Row, ...]]:
+def min_removal(team: Team, atom: Atom) -> int:
+    """Fewest rows to delete so the exact atom holds on the remainder."""
     left_idx = tuple(map(team.column, atom.left))
     right_idx = tuple(map(team.column, atom.right))
-    return left_idx, right_idx, tuple(team.rows)
-
-
-def conflict_report(team: Team, atom: Atom) -> ConflictReport:
-    """Every value tuple occurring as both an x-value and a y-value."""
-    left_idx, right_idx, rows = _columns(team, atom)
-    conflicts = conflict_map(rows, left_idx, right_idx)
-    entries = tuple(
-        Conflict(
-            value,
-            tuple(sorted(rows[i] for i in a)),
-            tuple(sorted(rows[i] for i in b)),
-        )
-        for value, (a, b) in sorted(conflicts.items())
-    )
-    return ConflictReport(atom, entries)
-
-
-def min_removal(team: Team, atom: Atom, choice_cap: int = DEFAULT_CHOICE_CAP) -> int:
-    """Fewest rows to delete so the exact atom holds on the remainder."""
-    left_idx, right_idx, rows = _columns(team, atom)
-    return min_removal_indexed(rows, left_idx, right_idx, choice_cap)
+    return min_removal_indexed(tuple(team.rows), left_idx, right_idx)
 
 
 def within_budget(removal: int, degree: Fraction, size: int) -> bool:
@@ -246,7 +160,7 @@ def within_budget(removal: int, degree: Fraction, size: int) -> bool:
     return removal * degree.denominator <= degree.numerator * size
 
 
-def satisfies(team: Team, atom: Atom, choice_cap: int = DEFAULT_CHOICE_CAP) -> bool:
+def satisfies(team: Team, atom: Atom) -> bool:
     """Whether the team satisfies the atom at its degree.
 
     Degree 1 holds vacuously; otherwise the removal count must fit the
@@ -254,29 +168,26 @@ def satisfies(team: Team, atom: Atom, choice_cap: int = DEFAULT_CHOICE_CAP) -> b
     """
     if atom.degree.numerator == atom.degree.denominator:
         return True
-    return within_budget(min_removal(team, atom, choice_cap), atom.degree, team.size)
+    return within_budget(min_removal(team, atom), atom.degree, team.size)
 
 
-def min_degree(team: Team, atom: Atom, choice_cap: int = DEFAULT_CHOICE_CAP) -> Fraction:
+def min_degree(team: Team, atom: Atom) -> Fraction:
     """Smallest degree at which the team satisfies the atom's sides.
 
     Undefined on the empty team (every degree works there).
     """
     if team.is_empty():
         raise EmptyTeamError("min_degree is undefined on the empty team")
-    return Fraction(min_removal(team, atom, choice_cap), team.size)
+    return Fraction(min_removal(team, atom), team.size)
 
 
-def satisfies_all(team: Team, atoms: Sequence[Atom], choice_cap: int = DEFAULT_CHOICE_CAP) -> bool:
+def satisfies_all(team: Team, atoms: Sequence[Atom]) -> bool:
     """Whether the team satisfies every atom in the list, in one pass.
 
-    Equal to ``all(satisfies(team, a, choice_cap) for a in atoms)``: the
-    atoms are checked in order, degree-1 atoms are skipped, and the first
-    failing atom ends the pass.  The column map and the rows are built once
-    per team.  An atom whose set of left projections is disjoint from its
-    right projections has no conflicting value, so its min_removal is 0 and
-    it holds; only the other atoms run the exact removal search, on the
-    projections the disjointness test already built.
+    Equal to ``all(satisfies(team, a) for a in atoms)``: the atoms are
+    checked in order, degree-1 atoms are skipped, and the first failing
+    atom ends the pass.  The column map and the rows are built once per
+    team.
     """
     column = {v: i for i, v in enumerate(team.schema)}
     rows = tuple(team.rows)
@@ -291,13 +202,9 @@ def satisfies_all(team: Team, atoms: Sequence[Atom], choice_cap: int = DEFAULT_C
         except KeyError as exc:
             team.column(exc.args[0])  # raises UnknownVariableError
             raise
-        lefts = list(map(itemgetter(*left_idx), rows))
-        left_set = set(lefts)
-        rights = list(map(itemgetter(*right_idx), rows))
-        if left_set.isdisjoint(rights):
-            continue
-        shared = left_set.intersection(rights)
-        removal = _search(_positions(lefts, rights, shared), choice_cap)
-        if not within_budget(removal, degree, size):
+        removal = min_removal_indexed(rows, left_idx, right_idx)
+        # a removal of 0 fits every degree; skipping the budget test keeps
+        # premises whose sides share no value as cheap as the search's exit
+        if removal and not within_budget(removal, degree, size):
             return False
     return True

@@ -115,7 +115,6 @@ class TeamBank:
         self._words: dict[tuple[int, int], np.ndarray] = {}
         self._removed: tuple[tuple, np.ndarray] | None = None
         self._budgets: dict[Fraction, np.ndarray] = {}
-        self._sat: dict[tuple, np.ndarray] = {}
         self._rows_le: dict[int, np.ndarray] = {}
         self._values_le: dict[int, np.ndarray] = {}
         self._ones: np.ndarray | None = None
@@ -159,13 +158,8 @@ class TeamBank:
         return words
 
     def satisfaction_mask(self, left_cols, right_cols, degree: Fraction) -> np.ndarray:
-        key = (tuple(left_cols), tuple(right_cols), degree)
-        mask = self._sat.get(key)
-        if mask is None:
-            mask = self._sat[key] = pack_mask(
-                self._removal_counts(key[:2]) <= self._budget(degree)
-            )
-        return mask
+        cols = (tuple(left_cols), tuple(right_cols))
+        return pack_mask(self._removal_counts(cols) <= self._budget(degree))
 
     def _removal_counts(self, cols: tuple) -> np.ndarray:
         """Rows each team must lose for a pair of column tuples.

@@ -206,6 +206,22 @@ class TestVerifiedCounterexample:
         with pytest.raises(InternalVerificationError):
             verified_counterexample(verdict.plan)
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=InternalVerificationError,
+        reason="the shared-block plan puts two rows in a block and both violate a | e",
+    )
+    def test_shared_block_plan_separates(self):
+        # the NO is right: one row with a = b = e plus three fresh rows
+        # satisfies both premises and violates the goal
+        sigma = [atom("a", "b", "1/3"), atom("a", "e", "1/4")]
+        goal = atom("b e a b", "a b b e")
+        verdict = decide(sigma, goal)
+        assert not verdict.holds
+        team = verified_counterexample(verdict.plan)
+        assert satisfies_all(team, sigma)
+        assert not satisfies(team, goal)
+
 
 class TestCanonicalSatisfyingTeam:
     def test_single_fresh_row(self):

@@ -169,6 +169,21 @@ class TestOracleVerdicts:
             assert fast.implied == full_implies(sigma, goal, 2, 4)
 
 
+class TestChainedGoalPairs:
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="decide only sees subset and one-switch covers, not a chain of goal pairs",
+    )
+    def test_decide_agrees_with_the_oracle(self):
+        # two rows s, t violating the goal have s.d = t.b = s.c = t.a, so
+        # t.a = s.d violates a | d (s = t included): the goal holds
+        sigma = [atom("a", "d")]
+        goal = atom("d c c", "b b a")
+        assert oracle_implies(sigma, goal, *default_bounds(sigma, goal)).implied
+        assert decide(sigma, goal).holds
+
+
 class TestDefaultBounds:
     def test_planned_bounds(self):
         sigma = [atom("x", "y", "1/3")]

@@ -22,9 +22,8 @@ from exclusion import (
     satisfies,
 )
 from exclusion.model import team_from_rows
+from exclusion import semantics
 from exclusion.semantics import (
-    conflict_map,
-    conflict_report,
     min_removal_indexed,
     satisfies_all,
     within_budget,
@@ -62,8 +61,8 @@ def brute_min_removal(team, a):
 
 
 def reference_conflict_map(rows, left_idx, right_idx):
-    """The conflict map conflict_map replaced: a position set for every
-    value tuple of every row, kept where both sides take the value."""
+    """Each value tuple both sides take, mapped to the row positions taking
+    it on the left and on the right, built from every row's value tuples."""
     left_at, right_at = {}, {}
     for pos, row in enumerate(rows):
         left_at.setdefault(tuple(row[i] for i in left_idx), set()).add(pos)
@@ -195,36 +194,6 @@ class TestMinDegree:
         assert min_degree(PAIR_TEAM, atom("x", "y", "1/4")) == Fraction(1, 2)
 
 
-class TestConflictReport:
-    def test_satisfied_report(self):
-        t = team_from_rows(("x", "y"), [("1", "2")])
-        report = conflict_report(t, atom("x", "y"))
-        assert report.satisfied
-        assert report.conflicts == ()
-
-    def test_conflict_details(self):
-        report = conflict_report(PAIR_TEAM, atom("x", "y"))
-        assert not report.satisfied
-        assert report.conflicting_values() == frozenset({("0",)})
-        pairs = report.witness_pairs()
-        assert pairs[("0",)] == ((("0", "0"),), (("0", "0"),))
-
-    def test_arity_one_values_are_sorted_one_tuples(self):
-        t = team_from_rows(
-            ("x", "y"), [("3", "1"), ("1", "3"), ("2", "2"), ("4", "5")]
-        )
-        report = conflict_report(t, atom("x", "y"))
-        assert [c.value for c in report.conflicts] == [("1",), ("2",), ("3",)]
-        assert report.witness_pairs()[("2",)] == ((("2", "2"),), (("2", "2"),))
-
-    def test_deterministic_order(self):
-        t = team_from_rows(("x", "y"), [("1", "2"), ("2", "1")])
-        r1 = conflict_report(t, atom("x", "y"))
-        r2 = conflict_report(t, atom("x", "y"))
-        assert r1 == r2
-        assert [c.value for c in r1.conflicts] == [("1",), ("2",)]
-
-
 class TestMinRemovalBruteForce:
     def test_randomized_agreement(self):
         rng = random.Random(7)
@@ -257,25 +226,30 @@ class TestMinRemovalBruteForce:
 
 
 class TestChoiceCap:
-    def test_interdependent_choices_exceeding_cap(self):
+    def test_interdependent_choices_exceeding_cap(self, monkeypatch):
         # two values each removable from either side: two binary choices
         t = team_from_rows(("x", "y"), [("1", "2"), ("2", "1")])
+        monkeypatch.setattr(semantics, "CHOICE_CAP", 1)
         with pytest.raises(CapacityError):
-            min_removal(t, atom("x", "y"), choice_cap=1)
-        assert min_removal(t, atom("x", "y"), choice_cap=2) == 1
+            min_removal(t, atom("x", "y"))
+        monkeypatch.setattr(semantics, "CHOICE_CAP", 2)
+        assert min_removal(t, atom("x", "y")) == 1
 
-    def test_cap_applies_per_component(self):
+    def test_cap_applies_per_component(self, monkeypatch):
         # two components of two choices each: {1, 2} and {3, 4} share no row
         t = team_from_rows(
             ("x", "y"), [("1", "2"), ("2", "1"), ("3", "4"), ("4", "3")]
         )
-        assert min_removal(t, atom("x", "y"), choice_cap=2) == 2
+        monkeypatch.setattr(semantics, "CHOICE_CAP", 2)
+        assert min_removal(t, atom("x", "y")) == 2
+        monkeypatch.setattr(semantics, "CHOICE_CAP", 1)
         with pytest.raises(CapacityError, match="component of 2 "):
-            min_removal(t, atom("x", "y"), choice_cap=1)
+            min_removal(t, atom("x", "y"))
 
-    def test_forced_rows_do_not_count_against_cap(self):
+    def test_forced_rows_do_not_count_against_cap(self, monkeypatch):
         t = team_from_rows(("x", "y"), [("1", "1"), ("2", "2")])
-        assert min_removal(t, atom("x", "y"), choice_cap=0) == 2
+        monkeypatch.setattr(semantics, "CHOICE_CAP", 0)
+        assert min_removal(t, atom("x", "y")) == 2
 
 
 class TestIndexedEngine:
@@ -313,17 +287,17 @@ class TestComponentEquivalence:
     @given(rows_and_sides())
     def test_matches_whole_product(self, case):
         rows, left, right = case
-        assert conflict_map(rows, left, right) == reference_conflict_map(rows, left, right)
         assert min_removal_indexed(rows, left, right) == reference_min_removal_indexed(
             rows, left, right
         )
 
-    def test_chained_values_form_one_component(self):
+    def test_chained_values_form_one_component(self, monkeypatch):
         # 1 -> 2 -> 3 -> 1 through shared rows: one component, three choices
         rows = [("1", "2"), ("2", "3"), ("3", "1")]
         assert min_removal_indexed(rows, (0,), (1,)) == 2
+        monkeypatch.setattr(semantics, "CHOICE_CAP", 2)
         with pytest.raises(CapacityError, match="component of 3 "):
-            min_removal_indexed(rows, (0,), (1,), choice_cap=2)
+            min_removal_indexed(rows, (0,), (1,))
 
 
 class TestWithinBudget:
@@ -364,13 +338,20 @@ def team_and_atoms(draw):
 
 
 class TestSatisfiesAllEquivalence:
-    """satisfies_all is the conjunction of satisfies, atom by atom."""
+    """satisfies_all and satisfies agree, atom by atom, with the brute-force
+    removal count, so the shared search is checked against code it does
+    not use."""
 
     @settings(max_examples=500, deadline=None)
     @given(team_and_atoms())
     def test_matches_per_atom_conjunction(self, case):
         team, atoms = case
-        assert satisfies_all(team, atoms) == all(satisfies(team, a) for a in atoms)
+        expected = [
+            a.degree == 1 or within_budget(brute_min_removal(team, a), a.degree, team.size)
+            for a in atoms
+        ]
+        assert [satisfies(team, a) for a in atoms] == expected
+        assert satisfies_all(team, atoms) == all(expected)
 
     def test_empty_team(self):
         t = team_from_rows(("x", "y"), [])
@@ -398,15 +379,17 @@ class TestSatisfiesAllEquivalence:
         t = team_from_rows(("x", "y"), [("1", "2")])
         assert satisfies_all(t, [atom("x", "z", 1), atom("x", "y")])
 
-    def test_over_cap_premise_raises(self):
+    def test_over_cap_premise_raises(self, monkeypatch):
         # two interdependent choices against a cap of one
         t = team_from_rows(("x", "y"), [("1", "2"), ("2", "1")])
+        monkeypatch.setattr(semantics, "CHOICE_CAP", 1)
         with pytest.raises(CapacityError):
-            satisfies_all(t, [atom("x", "y")], choice_cap=1)
+            satisfies_all(t, [atom("x", "y")])
         with pytest.raises(CapacityError):
-            satisfies_all(t, [atom("x", "x", 1), atom("x", "y")], choice_cap=1)
+            satisfies_all(t, [atom("x", "x", 1), atom("x", "y")])
 
-    def test_earlier_failure_ends_the_pass_before_the_cap(self):
+    def test_earlier_failure_ends_the_pass_before_the_cap(self, monkeypatch):
         t = team_from_rows(("x", "y"), [("1", "2"), ("2", "1")])
+        monkeypatch.setattr(semantics, "CHOICE_CAP", 1)
         # x | x fails on any nonempty team, so the over-cap atom is never searched
-        assert not satisfies_all(t, [atom("x", "x"), atom("x", "y")], choice_cap=1)
+        assert not satisfies_all(t, [atom("x", "x"), atom("x", "y")])
