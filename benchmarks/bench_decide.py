@@ -9,12 +9,15 @@ Times, per call, on 1000-atom premise files at arity 5, 10, 20 and 40
 * ``decide`` on one goal that holds (a premise's pairs, shuffled, with one
   pair appended and the premise's degree) and one that does not (a random
   goal drawn until the answer is NO); a NO includes its ``plan``;
+* ``decide`` plus ``synthesize`` on the goal that holds: where the
+  derivation's route is searched differs between trees, so this is the
+  case that compares like with like;
 * ``counterexample.plan`` alone, on the NO goal.
 
 Three files per arity.  ``--parent``, ``--change``, ``--repeats`` and
 ``--out`` work as in ``bench_certify.py``: one fresh interpreter per tree
 and repeat, alternating which tree goes first, and a digest of what each
-tree returned (the parsed atoms, both verdicts with their witness, and
+tree returned (the parsed atoms, the derivation text of each YES, and
 every plan) so the JSON records whether both trees answered alike.  The
 output, ``benchmarks/BENCH_decide.json`` by default, holds per-case
 medians, every repeat, the machine, Python, numpy, the kernel lane and the
@@ -62,6 +65,7 @@ def _goals(ex, rng, sigma, arity):
 
 def child(src: str) -> None:
     sys.path.insert(0, src)
+    import exclusion.calculus
     import exclusion.counterexample
     import exclusion.decision
     import exclusion.kernel
@@ -70,6 +74,7 @@ def child(src: str) -> None:
 
     ex = exclusion
     parse_sigma, decide, plan = ex.parsing.parse_sigma, ex.decision.decide, ex.counterexample.plan
+    synthesize, to_text = ex.calculus.synthesize, ex.calculus.derivation_to_json_str
     rng = random.Random(SEED)
     digest = hashlib.sha256()
     times = {}
@@ -81,7 +86,8 @@ def child(src: str) -> None:
             verdicts = decide(sigma, yes), decide(sigma, no)
             assert verdicts[0].holds and not verdicts[1].holds
             digest.update(repr(sigma).encode())
-            digest.update(repr((verdicts[0].witness, _plan_fields(verdicts[1].plan))).encode())
+            digest.update(to_text(synthesize(sigma, yes, verdicts[0].witness)).encode())
+            digest.update(repr(_plan_fields(verdicts[1].plan)).encode())
             digest.update(repr(_plan_fields(plan(sigma, no))).encode())
         times[f"parse_sigma.1000x{arity}"] = _time_per_call(
             [lambda t=t: parse_sigma(t) for t in texts], 1.0
@@ -89,6 +95,9 @@ def child(src: str) -> None:
         pairs = list(zip(sigmas, goals))
         times[f"decide_yes.1000x{arity}"] = _time_per_call(
             [lambda s=s, g=g[0]: decide(s, g) for s, g in pairs], 0.5
+        )
+        times[f"certify_yes.1000x{arity}"] = _time_per_call(
+            [lambda s=s, g=g[0]: synthesize(s, g, decide(s, g).witness) for s, g in pairs], 0.5
         )
         times[f"decide_no.1000x{arity}"] = _time_per_call(
             [lambda s=s, g=g[1]: decide(s, g) for s, g in pairs], 0.5

@@ -1,8 +1,9 @@
 """Implication solver for approximate exclusion dependencies over teams.
 
 Decide whether a set of assumptions entails a goal atom, produce checkable
-certificates either way (a derivation in an eight-rule calculus, or a
-concrete separating team), and evaluate atoms directly against tables.
+certificates either way (a derivation in an eight-rule calculus, with one
+rule of this package where no route in it is found, or a concrete
+separating team), and evaluate atoms directly against tables.
 
 The package exports the names of its documented workflow; every other
 helper is imported from its module (exclusion.calculus, .counterexample,

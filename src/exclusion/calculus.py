@@ -17,8 +17,20 @@ CONTRACT (drop one position whose pair occurs elsewhere).  Both are
 admissible: each expands into a chain of A5 block swaps, plus one A4 for
 CONTRACT, as the test suite shows by expanding and re-checking them.
 
+One rule is this package's, not the paper's:
+
+  DOM  x |_q y  derives  u |_p v          (q <= p, x | y conflicts on the
+                                           generic pair of u | v)
+
+It is the semantic domination test of the decision procedure, recomputed
+by check_step from the two atoms; it carries no witness.  A derivation
+uses it only when the planner below finds no A1-A8 route: no YES of the
+exhaustive keystone space needs it, and 45, 52 and 53 of about 16,100
+YES answers do on the benchmark's certify-small queries (seeds 101 to
+103, arity up to 4).
+
 A derivation is a numbered list of steps ending in its goal.  check_step
-and check_derivation verify everything; synthesize builds a derivation
+and check_derivation verify everything; synthesize plans a derivation
 from a decision witness and self-checks it before returning.
 """
 
@@ -30,6 +42,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
+from .counterexample import conflicts, generic_pair
 from .errors import InternalVerificationError, ParseError
 from .model import Atom, ONE, VarTuple, ZERO, as_degree
 
@@ -48,6 +61,7 @@ class Rule(str, Enum):
     A8 = "A8"
     PERM = "PERM"
     CONTRACT = "CONTRACT"
+    DOM = "DOM"
 
 
 # ==========================================================================
@@ -164,6 +178,7 @@ _PREMISE_COUNT = {
     Rule.A7: 1,
     Rule.PERM: 1,
     Rule.CONTRACT: 1,
+    Rule.DOM: 1,
 }
 
 
@@ -317,6 +332,15 @@ def check_step(
             prem.degree,
         ):
             return _fail("CONTRACT conclusion must drop the removed position")
+        return _OK
+
+    if step.rule == Rule.DOM:
+        if w is not None:
+            return _fail("DOM takes no witness")
+        if prem.degree > concl.degree:
+            return _fail("DOM cannot lower the degree")
+        if not conflicts(prem, generic_pair(concl)):
+            return _fail("DOM premise must conflict on the conclusion's generic pair")
         return _OK
 
     return _fail(f"unhandled rule {step.rule!r}")
@@ -531,8 +555,72 @@ def render_derivation(derivation: Derivation) -> str:
 
 
 # ==========================================================================
-# synthesis from decision witnesses
+# derivation planning from decision witnesses
 # ==========================================================================
+
+Pair = tuple[str, str]
+# per goal side, each variable's bitmask of the goal positions it partners
+Squares = tuple[tuple[str, dict[str, int]], ...]
+
+
+def goal_squares(goal: Atom) -> Squares:
+    """Per goal side, a bitmask index of the partner-set squares.
+
+    The square at a position of a side is the partner set of the goal
+    variable there: every variable it is paired with, at any position.
+    The index maps each variable v to the bitmask whose bit i is set when
+    v lies in the square at position i.
+    """
+    left_partners: dict[str, set[str]] = {}
+    right_partners: dict[str, set[str]] = {}
+    for a, b in zip(goal.left, goal.right):
+        left_partners.setdefault(a, set()).add(b)
+        right_partners.setdefault(b, set()).add(a)
+    left, right = {}, {}
+    for i, (a, b) in enumerate(zip(goal.left, goal.right)):
+        for v in left_partners[a]:
+            left[v] = left.get(v, 0) | 1 << i
+        for v in right_partners[b]:
+            right[v] = right.get(v, 0) | 1 << i
+    return ("left", left), ("right", right)
+
+
+def a6_cover(
+    src: Atom, squares: Squares
+) -> tuple[str, tuple[tuple[Pair, int], ...]] | None:
+    """Test whether one application of the arity-switching rule suffices.
+
+    src derives the goal through a single switch (plus structural steps and
+    at most one side swap) iff for some goal side d, every non-diagonal pair
+    (a, b) of src fits inside the partner-set square of one position of d:
+    a and b both partner the goal variable at that position.  Diagonal
+    pairs ride along in the shared suffix and need no cover.
+
+    squares is goal_squares(goal): the squares holding both a and b are the
+    set bits of the AND of their masks.  Returns (side, anchor) for the
+    first cover found, trying the left side then the right, and gives up a
+    side at its first uncovered pair; anchor maps each non-diagonal pair of
+    src, in first-occurrence order, to its smallest covering goal position
+    (0-based), the lowest set bit.
+    """
+    for side, masks in squares:
+        anchor: dict[Pair, int] = {}
+        for pair in zip(src.left, src.right):
+            a, b = pair
+            if a == b or pair in anchor:
+                continue
+            shared = masks.get(a, 0) & masks.get(b, 0)
+            if not shared:
+                break
+            anchor[pair] = (shared & -shared).bit_length() - 1
+        else:
+            if not anchor:
+                # fully diagonal src is contradictory; the switch rule needs
+                # a non-diagonal pair, so no single application exists
+                return None
+            return side, tuple(anchor.items())
+    return None
+
 
 def end_constant_form(atom: Atom) -> Atom:
     """Equivalent atom with duplicate pairs removed and diagonal pairs last.
@@ -607,8 +695,114 @@ class _Builder:
         return Derivation(self.assumptions, tuple(self.steps))
 
 
+def _membership(b: _Builder, src: Atom, goal: Atom) -> None:
+    """HYP of an assumption with the goal's sides, either way round."""
+    ref = b.hyp(src)
+    if src.left != goal.left:
+        ref = b.swap(ref, src)
+        src = src.swapped()
+    b.raise_degree(ref, src, goal.degree)
+
+
+def _toward(b: _Builder, ref: int, src: Atom, goal: Atom, swapped: bool) -> None:
+    """Structural chain from src to the goal, then raise the degree.
+
+    When swapped, src's pairs sit inside the swapped goal's, so the chain
+    runs toward the swapped goal and flips at the end.
+    """
+    if swapped:
+        ref = b.transform(ref, src, goal.right, goal.left)
+    else:
+        ref = b.transform(ref, src, goal.left, goal.right)
+    ref = b.raise_degree(ref, b.atom_at(ref), goal.degree)
+    if swapped:
+        b.swap(ref, b.atom_at(ref))
+
+
+def _switch(
+    b: _Builder, src: Atom, goal: Atom, side: str, anchor: tuple[tuple[Pair, int], ...]
+) -> None:
+    """One arity switch covering src's plain pairs through a goal side.
+
+    side and anchor are a6_cover's: each plain pair of src maps to a goal
+    position of that side, whose variable becomes the pair's fresh one.
+    """
+    ref = b.hyp(src)
+    # contract duplicate pairs, keeping first occurrences
+    current = src
+    while True:
+        cpairs = list(zip(current.left, current.right))
+        dup = next(
+            (
+                (i, cpairs.index(cpairs[i]))
+                for i in range(len(cpairs))
+                if cpairs.index(cpairs[i]) < i
+            ),
+            None,
+        )
+        if dup is None:
+            break
+        removed, keep = dup
+        reduced = Atom(
+            current.left[:removed] + current.left[removed + 1 :],
+            current.right[:removed] + current.right[removed + 1 :],
+            current.degree,
+        )
+        ref = b.add(Rule.CONTRACT, (ref,), reduced, ContractWitness(removed, keep))
+        current = reduced
+    # reorder into end-constant form: plain pairs first, diagonals last
+    ec = end_constant_form(current)
+    if (ec.left, ec.right) != (current.left, current.right):
+        cpairs = list(zip(current.left, current.right))
+        order = tuple(cpairs.index(p) for p in zip(ec.left, ec.right))
+        ref = b.add(Rule.PERM, (ref,), ec, PermWitness(order))
+        current = ec
+    # one arity switch moves both sides of every plain pair right
+    anchored = dict(anchor)
+    side_tuple = goal.left if side == "left" else goal.right
+    plain = [p for p in zip(current.left, current.right) if p[0] != p[1]]
+    h = len(plain)
+    fresh = tuple(side_tuple[anchored[p]] for p in plain)
+    switched = Atom(fresh + fresh, current.left[:h] + current.right[:h], current.degree)
+    ref = b.add(Rule.A6, (ref,), switched, SwitchWitness(current.arity - h, fresh))
+    _toward(b, ref, switched, goal, side == "right")
+
+
+def _plan(b: _Builder, goal: Atom, witness) -> None:
+    """Derive a dominated goal along the first A1-A8 route, else by DOM.
+
+    The assumptions of degree at most p are tried in input order: first
+    one with the goal's sides, either way round; then, per assumption, its
+    pair set inside the goal's, its swapped pair set, and one arity switch.
+    The search starts at the witness, the first assumption that dominates
+    the goal: an assumption with a route implies the goal on its own, and
+    one that does so dominates it.
+    """
+    p_num, p_den = goal.degree.numerator, goal.degree.denominator
+    usable = [
+        a for a in b.assumptions[witness.index :]
+        if a.degree.numerator * p_den <= p_num * a.degree.denominator
+    ]
+    for src in usable:
+        if (src.left, src.right) in ((goal.left, goal.right), (goal.right, goal.left)):
+            return _membership(b, src, goal)
+    goal_pairs = frozenset(zip(goal.left, goal.right))
+    squares = None
+    for src in usable:
+        if goal_pairs.issuperset(zip(src.left, src.right)):
+            return _toward(b, b.hyp(src), src, goal, False)
+        if goal_pairs.issuperset(zip(src.right, src.left)):
+            return _toward(b, b.hyp(src), src, goal, True)
+        if squares is None:
+            squares = goal_squares(goal)
+        cover = a6_cover(src, squares)
+        if cover is not None:
+            return _switch(b, src, goal, *cover)
+    b.add(Rule.DOM, (b.hyp(witness.atom),), goal)
+
+
 def synthesize(assumptions: Sequence[Atom], goal: Atom, witness) -> Derivation:
-    """Build a derivation of the goal from a positive decision witness.
+    """Plan a derivation of the goal from a positive decision witness.
 
     The derivation is checked before being returned; a check failure is an
     internal error, never a user error.
@@ -620,90 +814,14 @@ def synthesize(assumptions: Sequence[Atom], goal: Atom, witness) -> Derivation:
     if isinstance(witness, dec.VacuousDegreeWitness):
         b.add(Rule.A8, (), goal)
 
-    elif isinstance(witness, dec.MembershipWitness):
-        src = witness.atom
-        ref = b.hyp(src)
-        if witness.swapped:
-            ref = b.swap(ref, src)
-            src = src.swapped()
-        b.raise_degree(ref, src, goal.degree)
-
     elif isinstance(witness, dec.ContradictionWitness):
         ref = b.hyp(witness.atom)
         zero_goal = goal.with_degree(ZERO)
         ref = b.add(Rule.A1, (ref,), zero_goal)
         b.raise_degree(ref, zero_goal, goal.degree)
 
-    elif isinstance(witness, dec.SubsetWitness):
-        src = witness.atom
-        ref = b.hyp(src)
-        if witness.swapped:
-            # src's swapped pair set sits inside the goal's, so run the
-            # structural chain toward the swapped goal and flip at the end
-            target_left, target_right = goal.right, goal.left
-        else:
-            target_left, target_right = goal.left, goal.right
-        ref = b.transform(ref, src, target_left, target_right)
-        ref = b.raise_degree(ref, b.atom_at(ref), goal.degree)
-        if witness.swapped:
-            b.swap(ref, b.atom_at(ref))
-
-    elif isinstance(witness, dec.CoverWitness):
-        src = witness.atom
-        ref = b.hyp(src)
-        # contract duplicate pairs, keeping first occurrences
-        current = src
-        while True:
-            cpairs = list(zip(current.left, current.right))
-            dup = next(
-                (
-                    (i, cpairs.index(cpairs[i]))
-                    for i in range(len(cpairs))
-                    if cpairs.index(cpairs[i]) < i
-                ),
-                None,
-            )
-            if dup is None:
-                break
-            removed, keep = dup
-            reduced = Atom(
-                current.left[:removed] + current.left[removed + 1 :],
-                current.right[:removed] + current.right[removed + 1 :],
-                current.degree,
-            )
-            ref = b.add(Rule.CONTRACT, (ref,), reduced, ContractWitness(removed, keep))
-            current = reduced
-        # reorder into end-constant form: plain pairs first, diagonals last
-        ec = end_constant_form(current)
-        if (ec.left, ec.right) != (current.left, current.right):
-            cpairs = list(zip(current.left, current.right))
-            order = tuple(cpairs.index(p) for p in zip(ec.left, ec.right))
-            ref = b.add(Rule.PERM, (ref,), ec, PermWitness(order))
-            current = ec
-        # one arity switch moves both sides of every plain pair right
-        anchor = dict(witness.anchor)
-        side_tuple = goal.left if witness.side == "left" else goal.right
-        plain = [
-            p for p in zip(current.left, current.right) if p[0] != p[1]
-        ]
-        h = len(plain)
-        fresh = tuple(side_tuple[anchor[p]] for p in plain)
-        switched = Atom(
-            fresh + fresh,
-            current.left[:h] + current.right[:h],
-            current.degree,
-        )
-        ref = b.add(
-            Rule.A6, (ref,), switched, SwitchWitness(current.arity - h, fresh)
-        )
-        if witness.side == "left":
-            target_left, target_right = goal.left, goal.right
-        else:
-            target_left, target_right = goal.right, goal.left
-        ref = b.transform(ref, switched, target_left, target_right)
-        ref = b.raise_degree(ref, b.atom_at(ref), goal.degree)
-        if witness.side == "right":
-            b.swap(ref, b.atom_at(ref))
+    elif isinstance(witness, dec.DominationWitness):
+        _plan(b, goal, witness)
 
     else:
         raise ValueError(f"cannot synthesize from witness {witness!r}")

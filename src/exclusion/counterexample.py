@@ -14,19 +14,22 @@ cover all cases:
   the goal then needs at least l removals, more than the budget p * k,
   while each assumption stays within its own budget.
 
-Within a block, goal positions sharing a variable on either side must take
-equal values; the induced relation is closed under transitivity to make the
-assignment well defined.  When that closure adds merges the relation did
-not already have (possible from arity 3 up), the construction can fail to
-satisfy an assumption; the verified wrapper re-checks semantically and
-raises rather than emit a wrong certificate.  Plans record whether the
-relation was already transitive.
+Rows t and l + t of a block are the goal's generic violating pair
+(`generic_pair`): goal positions sharing a variable on either side take
+equal values, closed under union-find.  A premise of degree at most p that
+conflicts on that pair (`conflicts`) dominates the goal, and the goal then
+follows; a premise that does not conflict on it loses no row in the team.
+A premise of degree above p may lose both rows of a block, more than its
+budget; the verified wrapper re-checks semantically and raises rather than
+emit a wrong certificate.  Plans record whether the merge relation was
+already transitive before its closure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import InternalVerificationError
@@ -72,46 +75,59 @@ def domain_size_bound(plan: "CounterexamplePlan") -> int:
     return 3 * l * n + 2 * l * m + (k - 2 * l) * (2 * n + m)
 
 
-def _merge_classes(goal: Atom) -> tuple[tuple[tuple[int, ...], ...], bool]:
-    """Partition of goal positions under the closed merge relation.
+# per row s, t of the generic pair: the class of each cell that is merged
+GenericPair = tuple[dict[str, int], dict[str, int]]
 
-    Positions i, j merge when they share a left variable or a right
-    variable; the closure makes this an equivalence.  Also reports whether
-    the raw relation was already transitive.
+
+def generic_pair(goal: Atom) -> GenericPair:
+    """The goal's generic violating pair of rows s and t.
+
+    Cells (s, x_i) and (t, y_i) are merged at every position i, closed
+    under transitivity; every other cell is fresh.  A class is named by
+    its smallest position, so s maps each left variable and t each right
+    variable to the class of a position where it occurs.  The pair maps
+    into every pair of rows that violates the goal, a row paired with
+    itself included.
     """
-    n = goal.arity
-    parent = list(range(n))
+    s: dict[str, int] = {}
+    t: dict[str, int] = {}
+    for i, (x, y) in enumerate(zip(goal.left, goal.right)):
+        a, b = s.get(x, i), t.get(y, i)
+        lo, hi = min(a, b), max(a, b)
+        if lo != hi != i:
+            # position i joins two classes: the later one takes the
+            # earlier one's name
+            for row in (s, t):
+                for v, c in row.items():
+                    if c == hi:
+                        row[v] = lo
+        s[x] = t[y] = lo
+    return s, t
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
 
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[max(ri, rj)] = min(ri, rj)
+def conflicts(atom: Atom, pair: GenericPair) -> bool:
+    """Whether the atom is violated on the generic pair.
 
-    def related(i: int, j: int) -> bool:
-        return goal.left[i] == goal.left[j] or goal.right[i] == goal.right[j]
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if related(i, j):
-                union(i, j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    classes = tuple(tuple(g) for _, g in sorted(groups.items()))
-    transitive = all(
-        related(i, j)
-        for cls in classes
-        for i in cls
-        for j in cls
-        if i < j
-    )
-    return classes, transitive
+    Tries the row pairs (s, t), (t, s), (s, s) and (t, t): the first row's
+    left cells must equal the second row's right cells.  A cell missing
+    from a row's map is fresh; it is named by its variable within its row
+    (get's default) and equals no cell of the other row (None).  The first
+    position rules out most row pairs before whole tuples are built.
+    """
+    s, t = pair
+    left, right = atom.left, atom.right
+    x, y = left[0], right[0]
+    for u, w in ((s, t), (t, s)):
+        if u.get(x, x) == w.get(y) and (
+            tuple(map(u.get, left, left)) == tuple(map(w.get, right))
+        ):
+            return True
+    for u in (s, t):
+        if u.get(x, x) == u.get(y, y) and (
+            tuple(map(u.get, left, left)) == tuple(map(u.get, right, right))
+        ):
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -166,7 +182,17 @@ def plan(sigma: Sequence[Atom], goal: Atom) -> CounterexamplePlan:
     """
     sigma = tuple(sigma)
     schema, extra = schema_order(sigma, goal)
-    classes, transitive = _merge_classes(goal)
+    # a position's class is that of its cells in the generic pair
+    left_class = generic_pair(goal)[0]
+    groups: dict[int, list[int]] = {}
+    for i, x in enumerate(goal.left):
+        groups.setdefault(left_class[x], []).append(i)
+    classes = tuple(map(tuple, groups.values()))
+    transitive = all(
+        goal.left[i] == goal.left[j] or goal.right[i] == goal.right[j]
+        for cls in classes
+        for i, j in combinations(cls, 2)
+    )
     if goal.left == goal.right:
         if goal.degree >= ONE:
             raise ValueError("a degree-1 goal is never refutable")

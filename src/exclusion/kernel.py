@@ -168,23 +168,20 @@ def enumerate_packed(
 
 
 def conflict_words(
-    cells: np.ndarray,
-    n_rows: np.ndarray,
-    n_vars: int,
-    left_cols,
-    right_cols,
+    cells: np.ndarray, n_rows: np.ndarray, n_vars: int, left: int, right: int
 ) -> np.ndarray:
-    """Per-team 16-bit conflict pattern for one pair of column tuples."""
-    count, width = cells.shape
-    max_rows = width // n_vars
-    grid = cells.reshape(count, max_rows, n_vars)
-    left = grid[:, :, list(left_cols)]
-    right = grid[:, :, list(right_cols)]
-    words = np.zeros(count, dtype=np.uint16)
-    for i in range(max_rows):
-        for j in range(max_rows):
-            hit = (left[:, i, :] == right[:, j, :]).all(axis=1)
-            hit &= (n_rows > i) & (n_rows > j)
+    """Per-team 16-bit conflict pattern for one pair of columns: bit
+    i * 4 + j is set when row i's cell in column left equals row j's cell
+    in column right, both rows within the team."""
+    # one contiguous copy of the column per row
+    lefts = cells[:, left::n_vars].T.copy()
+    rights = cells[:, right::n_vars].T.copy()
+    live = [n_rows > i for i in range(lefts.shape[0])]
+    words = np.zeros(cells.shape[0], dtype=np.uint16)
+    for i, lhs in enumerate(lefts):
+        for j, rhs in enumerate(rights):
+            hit = lhs == rhs
+            hit &= live[max(i, j)]
             words |= hit.astype(np.uint16) << np.uint16(i * 4 + j)
     return words
 

@@ -153,7 +153,7 @@ class TeamBank:
         words = self._words.get(key)
         if words is None:
             words = self._words[key] = kernel.conflict_words(
-                self.cells, self.n_rows, self.n_vars, [left], [right]
+                self.cells, self.n_rows, self.n_vars, left, right
             )
         return words
 

@@ -32,10 +32,10 @@ from exclusion.calculus import (
     Rule,
     Step,
     SwitchWitness,
+    goal_squares,
 )
 from exclusion.cli import main as cli_main
-from exclusion.counterexample import canonical_satisfying_team
-from exclusion.decision import correspondence_sets, pair_set
+from exclusion.counterexample import canonical_satisfying_team, conflicts, generic_pair
 from exclusion.errors import EXIT_UNSUPPORTED_DEGREE
 from exclusion.model import team_from_rows
 from exclusion.semantics import satisfies_all
@@ -188,6 +188,14 @@ def gen_a8(rng):
     return None, rand_atom(rng, degrees=(F(1),)), None
 
 
+def gen_dom(rng):
+    while True:
+        prem = rand_atom(rng, max_arity=2)
+        concl = rand_atom(rng, max_arity=4, degrees=RAISE_LADDER)
+        if prem.degree <= concl.degree and conflicts(prem, generic_pair(concl)):
+            return prem, concl, None
+
+
 RULE_GENERATORS = [
     (Rule.A1, gen_a1),
     (Rule.A2, gen_a2),
@@ -197,6 +205,7 @@ RULE_GENERATORS = [
     (Rule.A6, gen_a6),
     (Rule.A7, gen_a7),
     (Rule.A8, gen_a8),
+    (Rule.DOM, gen_dom),
 ]
 
 TRIALS_PER_RULE = 10_000
@@ -234,7 +243,7 @@ class TestCriterion3RuleSoundness:
             exercised[rule.value] = premise_true
         thin = {r: n for r, n in exercised.items() if n < 500}
         detail = (
-            f"8 rules x {TRIALS_PER_RULE} trials, premise-true counts "
+            f"{len(RULE_GENERATORS)} rules x {TRIALS_PER_RULE} trials, premise-true counts "
             f"{min(exercised.values())}..{max(exercised.values())}, "
             f"{len(unsound)} violations"
         )
@@ -260,16 +269,15 @@ class TestCriterion4GoldenVectors:
                 failures.append("arity-change derivation lacks the switch rule")
 
         worked = atom("x2 y3 x2 x4", "y1 y3 y3 y4")
-        if pair_set(worked) != frozenset(
-            {("x2", "y1"), ("y3", "y3"), ("x2", "y3"), ("x4", "y4")}
-        ):
+        # its pairs (x2, y1), (y3, y3), (x2, y3), (x4, y4), reordered
+        reordered = atom("x4 x2 y3 x2", "y4 y3 y3 y1")
+        derivation = synthesize((worked,), reordered, decide((worked,), reordered).witness)
+        if Rule.DOM in {step.rule for step in derivation.steps}:
             failures.append("pair set of the worked example is off")
-        corr = correspondence_sets(worked)
-        if (
-            corr.left["x2"] != frozenset({"y1", "y3"})
-            or corr.left["y3"] != frozenset({"y3"})
-            or corr.right["y3"] != frozenset({"y3", "x2"})
-        ):
+        # partner squares: x2 pairs with y1 and y3 at left positions 0 and 2,
+        # y3 with itself at 1; y3 pairs with y3 and x2 at right positions 1, 2
+        (_, left), (_, right) = goal_squares(worked)
+        if left["y1"] != 0b0101 or left["y3"] != 0b0111 or right["y3"] != 0b0110:
             failures.append("correspondence sets of the worked example are off")
 
         pair_team = team_from_rows(("x", "y"), {("0", "0"), ("1", "2")})

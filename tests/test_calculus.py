@@ -32,7 +32,6 @@ from exclusion.calculus import (
     end_constant_form,
     render_derivation,
 )
-from exclusion.decision import pair_set
 
 X_Y = atom("x", "y")
 
@@ -642,12 +641,52 @@ class TestSynthesize:
             synthesize([], atom("x", "y"), object())
 
 
+class TestDom:
+    """DOM: one step from a dominating premise, recomputed from the atoms."""
+
+    PREMISE = atom("a", "d")
+    GOAL = atom("d c c", "b b a")
+
+    def test_conflict_on_the_generic_pair_accepted(self):
+        ok(Step(2, Rule.DOM, (1,), self.GOAL), prior=(self.PREMISE,))
+        # (s, s): the goal merges s.a and s.b through t.x
+        ok(Step(2, Rule.DOM, (1,), atom("a b", "x x", "1/4")), prior=(atom("b", "a", "1/5"),))
+
+    def test_no_conflict_rejected(self):
+        bad(Step(2, Rule.DOM, (1,), self.GOAL), prior=(atom("a", "e"),))
+        bad(Step(2, Rule.DOM, (1,), atom("x y", "u v")), prior=(atom("x", "v"),))
+
+    def test_degree_above_the_conclusion_rejected(self):
+        bad(Step(2, Rule.DOM, (1,), self.GOAL), prior=(self.PREMISE.with_degree("1/4"),))
+
+    def test_witness_rejected(self):
+        step = Step(2, Rule.DOM, (1,), self.GOAL, RaiseWitness(Fraction(0)))
+        bad(step, prior=(self.PREMISE,))
+
+    def test_round_trip(self):
+        sigma = [self.PREMISE.with_degree("1/4")]
+        goal = self.GOAL.with_degree("1/3")
+        derivation = synthesize(sigma, goal, decide(sigma, goal).witness)
+        assert [s.rule for s in derivation.steps] == [Rule.HYP, Rule.DOM]
+        text = derivation_to_json_str(derivation)
+        again = derivation_from_json(json.loads(text))
+        assert again == derivation
+        assert check_derivation(again).ok
+        assert json.loads(text)["steps"][1] == {
+            "index": 2,
+            "rule": "DOM",
+            "premises": [1],
+            "conclusion": {"left": ["d", "c", "c"], "right": ["b", "b", "a"], "degree": "1/3"},
+            "witness": None,
+        }
+
+
 class TestEndConstantForm:
     def test_diagonals_move_last(self):
         a = atom("w x w y", "w u w y")
         ec = end_constant_form(a)
         assert ec == atom("x w y", "u w y")
-        assert pair_set(ec) == pair_set(a)
+        assert set(zip(ec.left, ec.right)) == set(zip(a.left, a.right))
 
     def test_plain_pairs_keep_first_occurrence_order(self):
         a = atom("b a b", "c d c")

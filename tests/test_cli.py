@@ -47,7 +47,7 @@ class TestCheck:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert "holds: true" in out
-        assert "witness: a6-cover" in out
+        assert "witness: domination" in out
         assert "time:" in out
 
     def test_failing_goal_reports_false(self, sigma_file, capsys):
@@ -93,10 +93,10 @@ class TestCheck:
         payload = json.loads(first)
         assert payload["format"] == 1
         assert payload["holds"] is True
-        assert payload["witness"] == "membership"
+        assert payload["witness"] == "domination"
         assert "time" not in payload
         for sigma, goal, kind in [
-            ("excl(x ; y)", "excl(x u ; y v)", "subset"),
+            ("excl(x ; y)", "excl(x u ; y v)", "domination"),
             ("excl(x ; x)", "excl(u ; v)", "contradiction"),
         ]:
             assert main(["check", sigma_file(sigma), goal, "--json"]) == EXIT_OK

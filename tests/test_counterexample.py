@@ -8,9 +8,11 @@ import pytest
 from exclusion import (
     InternalVerificationError,
     atom,
+    check_derivation,
     min_degree,
     min_removal,
     satisfies,
+    synthesize,
     verified_counterexample,
 )
 from exclusion.counterexample import (
@@ -196,15 +198,17 @@ class TestVerifiedCounterexample:
         team = verified_counterexample(plan)
         assert team.size == 2
 
-    def test_non_transitive_corner_raises_instead_of_lying(self):
-        # the closure team violates this premise, so no certificate is
-        # emitted; an internal error is the honest outcome
+    def test_non_transitive_corner_is_dominated(self):
+        # rows s, t violating the goal have s.g1 = t.h1, s.g1 = t.h2 and
+        # s.g2 = t.h2, so t.h1 = s.g2 violates h1 | g2: the goal holds
         sigma = [atom("h1", "g2")]
         goal = atom("g1 g1 g2", "h1 h2 h2")
+        assert not counterexample_plan(sigma, goal).transitive
         verdict = decide(sigma, goal)
-        assert not verdict.holds
-        with pytest.raises(InternalVerificationError):
-            verified_counterexample(verdict.plan)
+        assert verdict.holds
+        derivation = synthesize(sigma, goal, verdict.witness)
+        assert check_derivation(derivation).ok
+        assert derivation.goal == goal
 
     @pytest.mark.xfail(
         strict=True,
@@ -221,6 +225,37 @@ class TestVerifiedCounterexample:
         team = verified_counterexample(verdict.plan)
         assert satisfies_all(team, sigma)
         assert not satisfies(team, goal)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=InternalVerificationError,
+        reason="no triangle block exists: the pair blocks violate a | e beyond its budget",
+    )
+    def test_triangle_plan_separates(self):
+        # the NO is right: rows r_i = (a = e = v_i, c = v_i+1, d = v_i-1),
+        # i mod 3, plus six fresh rows need 2 > 9/5 goal removals and 3
+        # a | e removals, within 9/3, and satisfy c d | d c exactly
+        sigma = [atom("c d", "d c"), atom("a", "e", "1/3")]
+        goal = atom("a e c c", "d d a e", "1/5")
+        verdict = decide(sigma, goal)
+        assert not verdict.holds
+        team = verified_counterexample(verdict.plan)
+        assert satisfies_all(team, sigma)
+        assert not satisfies(team, goal)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="the YES needs both premises together; domination tests one at a time",
+    )
+    def test_two_premise_implication_holds(self):
+        # a collapsed row (a = b = e) violates a b | e a at degree 0; every
+        # other goal-violating row pair has a = e and violates a | e, and
+        # the goal's conflicts are bipartite, so removal(a | e) is at least
+        # twice removal(goal), more than |T| / 4 when the goal fails at 1/5
+        sigma = [atom("a b", "e a"), atom("a", "e", "1/4")]
+        goal = atom("b e a b", "a b b e", "1/5")
+        assert decide(sigma, goal).holds
 
 
 class TestCanonicalSatisfyingTeam:

@@ -17,73 +17,89 @@ from exclusion import (
     synthesize,
     verified_counterexample,
 )
-from exclusion.counterexample import schema_order
+from exclusion.calculus import Rule, a6_cover, goal_squares
+from exclusion.counterexample import conflicts, generic_pair, schema_order
 from exclusion.decision import (
     ContradictionWitness,
-    CoverWitness,
-    MembershipWitness,
-    SubsetWitness,
+    DominationWitness,
     VacuousDegreeWitness,
-    a6_cover,
-    correspondence_sets,
-    goal_squares,
     min_gap_degree,
-    pair_set,
 )
+from exclusion.model import team_from_rows
+from exclusion.semantics import min_removal
 
 # worked example: x2 y3 x2 x4 | y1 y3 y3 y4
 WORKED = atom("x2 y3 x2 x4", "y1 y3 y3 y4")
 
 
+def route(sigma, goal):
+    """The rules of the derivation synthesized for a YES, after checking it."""
+    verdict = decide(sigma, goal)
+    assert verdict.holds
+    derivation = synthesize(sigma, goal, verdict.witness)
+    assert check_derivation(derivation).ok
+    assert derivation.goal == goal
+    return [s.rule for s in derivation.steps]
+
+
 class TestPairSet:
+    """The planner's structural route: the premise's pairs among the goal's."""
+
     def test_worked_example_set(self):
-        assert pair_set(WORKED) == frozenset(
-            {("x2", "y1"), ("y3", "y3"), ("x2", "y3"), ("x4", "y4")}
-        )
+        # the four pairs (x2, y1), (y3, y3), (x2, y3), (x4, y4), reordered
+        assert route([WORKED], atom("x4 x2 y3 x2", "y4 y3 y3 y1")) == [
+            Rule.HYP, Rule.A3, *[Rule.CONTRACT] * 4
+        ]
+        # without (x4, y4) the goal no longer contains the premise's pairs
+        assert not decide([WORKED], atom("x2 y3 x2", "y1 y3 y3")).holds
 
     def test_repeated_pairs_collapse(self):
-        assert pair_set(atom("x x", "y y")) == frozenset({("x", "y")})
+        assert route([atom("x x", "y y")], atom("x", "y")) == [
+            Rule.HYP, Rule.A3, Rule.CONTRACT, Rule.CONTRACT
+        ]
 
     def test_containment_is_reflexive(self):
-        assert pair_set(WORKED) <= pair_set(WORKED)
+        assert route([WORKED], WORKED) == [Rule.HYP]
 
     def test_appending_grows_the_set(self):
-        assert pair_set(atom("x y", "u v")) <= pair_set(atom("x y w", "u v w"))
-        assert not pair_set(atom("x y w", "u v w")) <= pair_set(atom("x y", "u v"))
+        assert route([atom("x y", "u v")], atom("x y w", "u v w")) == [Rule.HYP, Rule.A3]
         verdict = decide([atom("x y w", "u v w")], atom("x y", "u v"))
         assert not verdict.holds
 
     def test_order_and_repetition_irrelevant(self):
         verdict = decide([atom("x y", "u v")], atom("y x x", "v u u"))
-        assert verdict.witness == SubsetWitness(atom("x y", "u v"), 0, False)
+        assert verdict.witness == DominationWitness(atom("x y", "u v"), 0)
+        assert Rule.DOM not in route([atom("x y", "u v")], atom("y x x", "v u u"))
         verdict = decide([atom("y x x", "v u u")], atom("x y", "u v"))
-        assert verdict.witness == SubsetWitness(atom("y x x", "v u u"), 0, False)
+        assert verdict.witness == DominationWitness(atom("y x x", "v u u"), 0)
+        assert Rule.DOM not in route([atom("y x x", "v u u")], atom("x y", "u v"))
 
     def test_swap_is_not_subset(self):
-        assert not pair_set(atom("x", "y")) <= pair_set(atom("y", "x"))
-        # only the swapped pair set embeds, so the witness says swapped
-        verdict = decide([atom("x", "y")], atom("y z", "x z"))
-        assert verdict.witness == SubsetWitness(atom("x", "y"), 0, True)
+        # only the swapped pairs embed, so the route ends with a swap
+        rules = route([atom("x", "y")], atom("y z", "x z"))
+        assert rules == [Rule.HYP, Rule.A3, Rule.A2]
 
     def test_degrees_not_consulted(self):
-        assert pair_set(atom("x", "y", "1/3")) == pair_set(atom("x", "y"))
+        # the pairs decide the route; the degree is raised at the end
+        rules = route([atom("x", "y", "1/4")], atom("x w", "y w", "1/3"))
+        assert rules == [Rule.HYP, Rule.A3, Rule.A7]
 
 
 class TestCorrespondenceSets:
+    """Partner sets, as the bitmask index of goal_squares holds them."""
+
     def test_worked_example_sets(self):
-        corr = correspondence_sets(WORKED)
-        # left-side partners: x2 pairs with y1 and y3, y3 with itself
-        assert corr.left["x2"] == frozenset({"y1", "y3"})
-        assert corr.left["y3"] == frozenset({"y3"})
-        # right-side partners of y3: the diagonal pair and x2
-        assert corr.right["y3"] == frozenset({"y3", "x2"})
-        assert corr.right["y1"] == frozenset({"x2"})
-        assert corr.right["y4"] == frozenset({"x4"})
-        assert corr.left["x4"] == frozenset({"y4"})
+        (_, left), (_, right) = goal_squares(WORKED)
+        # left squares: partners of x2 {y1, y3} at 0 and 2, of y3 {y3} at
+        # 1, of x4 {y4} at 3
+        assert left == {"y1": 0b0101, "y3": 0b0111, "y4": 0b1000}
+        # right squares: partners of y1 {x2} at 0, of y3 {y3, x2} at 1
+        # and 2, of y4 {x4} at 3
+        assert right == {"x2": 0b0111, "y3": 0b0110, "x4": 0b1000}
 
     def test_repeated_variable_unions_partners(self):
-        corr = correspondence_sets(atom("x x", "u v"))
-        assert corr.left["x"] == frozenset({"u", "v"})
+        (_, left), _ = goal_squares(atom("x x", "u v"))
+        assert left == {"u": 0b11, "v": 0b11}
 
 
 class TestShortCircuits:
@@ -108,28 +124,29 @@ class TestMembership:
     def test_direct(self):
         verdict = decide([atom("u", "v"), atom("x", "y")], atom("x", "y"))
         assert verdict.holds
-        assert verdict.witness == MembershipWitness(atom("x", "y"), 1, False)
+        assert verdict.witness == DominationWitness(atom("x", "y"), 1)
+        assert route([atom("u", "v"), atom("x", "y")], atom("x", "y")) == [Rule.HYP]
 
     def test_swapped(self):
         verdict = decide([atom("y", "x")], atom("x", "y"))
         assert verdict.holds
-        assert verdict.witness == MembershipWitness(atom("y", "x"), 0, True)
+        assert verdict.witness == DominationWitness(atom("y", "x"), 0)
+        assert route([atom("y", "x")], atom("x", "y")) == [Rule.HYP, Rule.A2]
 
     def test_lower_premise_degree_accepted(self):
-        verdict = decide([atom("x", "y", "1/4")], atom("x", "y", "1/3"))
-        assert verdict.holds
-        assert isinstance(verdict.witness, MembershipWitness)
+        assert route([atom("x", "y", "1/4")], atom("x", "y", "1/3")) == [Rule.HYP, Rule.A7]
 
     def test_higher_premise_degree_skipped(self):
         verdict = decide([atom("x", "y", "1/3")], atom("x", "y", "1/4"))
         assert not verdict.holds
 
     def test_first_match_wins(self):
-        sigma = [atom("x", "x"), atom("x", "y")]
-        verdict = decide(sigma, atom("x", "y"))
-        # membership is tested before contradiction, so index 1 wins even
-        # though index 0 is contradictory
-        assert verdict.witness == MembershipWitness(atom("x", "y"), 1, False)
+        # the planner takes the first premise with the goal's sides,
+        # whichever way round
+        sigma = [atom("u x", "v y"), atom("y", "x"), atom("x", "y")]
+        derivation = synthesize(sigma, atom("x", "y"), decide(sigma, atom("x", "y")).witness)
+        assert [s.rule for s in derivation.steps] == [Rule.HYP, Rule.A2]
+        assert derivation.steps[0].conclusion == atom("y", "x")
 
 
 class TestContradiction:
@@ -161,12 +178,12 @@ class TestContradictoryGoal:
 
 
 class TestOnePassOrder:
-    """Membership, contradiction and the degree filter share one pass."""
+    """Contradiction is checked before domination and its degree filter."""
 
-    def test_contradiction_before_membership_loses(self):
+    def test_contradiction_before_membership_wins(self):
         sigma = [atom("a b", "a b", "1/3"), atom("u", "v"), atom("y", "x", "1/4")]
         verdict = decide(sigma, atom("x", "y", "1/4"))
-        assert verdict.witness == MembershipWitness(atom("y", "x", "1/4"), 2, True)
+        assert verdict.witness == ContradictionWitness(atom("a b", "a b", "1/3"), 0)
 
     def test_contradiction_above_goal_degree_fires(self):
         sigma = [atom("x", "y", "1/3"), atom("a", "a", "1/3"), atom("b", "b")]
@@ -181,26 +198,24 @@ class TestOnePassOrder:
 
     def test_degree_filter_is_exact_at_the_boundary(self):
         goal = atom("x w", "y w", "1/3")
-        assert decide([atom("x", "y", "1/3")], goal).witness.kind == "subset"
+        assert decide([atom("x", "y", "1/3")], goal).witness.kind == "domination"
         assert not decide([atom("x", "y", "34/100")], goal).holds
 
 
 class TestStructural:
     def test_subset(self):
         verdict = decide([atom("x y", "u v")], atom("x y w", "u v w"))
-        assert verdict.holds
-        assert verdict.witness == SubsetWitness(atom("x y", "u v"), 0, False)
+        assert verdict.witness == DominationWitness(atom("x y", "u v"), 0)
+        assert route([atom("x y", "u v")], atom("x y w", "u v w")) == [Rule.HYP, Rule.A3]
 
     def test_subset_swapped(self):
         verdict = decide([atom("u v", "x y")], atom("x y w", "u v w"))
-        assert verdict.holds
-        assert verdict.witness == SubsetWitness(atom("u v", "x y"), 0, True)
+        assert verdict.witness == DominationWitness(atom("u v", "x y"), 0)
+        assert route([atom("u v", "x y")], atom("x y w", "u v w"))[-1] == Rule.A2
 
     def test_cover(self):
-        verdict = decide([atom("x1 w1 w2", "y1 w1 w2")], atom("z1 z1", "x1 y1"))
-        assert verdict.holds
-        assert isinstance(verdict.witness, CoverWitness)
-        assert verdict.witness.side == "left"
+        goal = atom("z1 z1", "x1 y1")
+        assert route([atom("x1 w1 w2", "y1 w1 w2")], goal) == [Rule.HYP, Rule.A6]
 
     def test_degree_filter_applies_to_structure(self):
         verdict = decide([atom("x w", "y w", "1/3")], atom("z z", "x y", "1/4"))
@@ -213,13 +228,12 @@ class TestStructural:
 
 
 class TestA6Cover:
-    """The one-switch cover: side and anchor are read off the witness."""
+    """The one-switch cover the planner finds for a dominating premise."""
 
     def cover(self, sigma, goal):
-        verdict = decide(sigma, goal)
-        assert verdict.holds
-        assert isinstance(verdict.witness, CoverWitness)
-        return verdict.witness.side, dict(verdict.witness.anchor)
+        assert Rule.A6 in route(sigma, goal)
+        side, anchor = a6_cover(sigma[0], goal_squares(goal))
+        return side, dict(anchor)
 
     def test_arity_change_example(self):
         # x1 w1 w2 | y1 w1 w2 reaches z1 z1 | x1 y1 through one switch
@@ -235,7 +249,7 @@ class TestA6Cover:
         assert anchor == {("a", "b"): 0}
 
     def test_no_cover(self):
-        # decide answers this one through membership, so ask the helper
+        # the planner answers this one through membership, so ask the helper
         assert a6_cover(atom("a", "b"), goal_squares(atom("a", "b"))) is None
         # the pair (b, c) fits no partner square on either goal side
         assert not decide([atom("a b", "b c")], atom("z z", "a b")).holds
@@ -248,7 +262,7 @@ class TestA6Cover:
         assert anchor == {("a", "b"): 0, ("b", "a"): 0}
 
     def test_fully_diagonal_src_has_no_cover(self):
-        # decide answers a contradictory premise first, so ask the helper
+        # a contradictory premise is answered first, so ask the helper
         squares = goal_squares(atom("z z", "x y"))
         assert a6_cover(atom("x", "x"), squares) is None
 
@@ -272,24 +286,28 @@ class TestA6Cover:
 
     def test_later_premise_covers_through_right_side(self):
         # goal pairs (p, q), (a, c), (b, c): only the right-side variable c,
-        # at position 1, partners both a and b.  Premises 0 and 1 fail the
-        # subset, swapped-subset and cover tests, so the analysis of the
-        # goal made before the loop must serve premise 2 unchanged.
+        # at position 1, partners both a and b.  Premises 0 and 1 neither
+        # dominate the goal nor pass the subset, swapped-subset and cover
+        # tests, so witness and route are premise 2's.
         sigma = [atom("p", "c"), atom("q r", "a a", "1/4"), atom("a", "b")]
         goal = atom("p a b", "q c c", "1/4")
         witness = decide(sigma, goal).witness
-        assert witness == CoverWitness(atom("a", "b"), 2, "right", ((("a", "b"), 1),))
+        assert witness == DominationWitness(atom("a", "b"), 2)
+        assert a6_cover(atom("a", "b"), goal_squares(goal)) == ("right", ((("a", "b"), 1),))
         derivation = synthesize(sigma, goal, witness)
         assert check_derivation(derivation).ok
         assert derivation.goal == goal
+        switch = next(s for s in derivation.steps if s.rule == Rule.A6)
+        assert switch.witness.fresh == ("c",)
+        assert derivation.steps[-1].rule == Rule.A2
 
 
 def reference_a6_cover(src, goal):
     """The partner-set position scan that the bitmask index replaced."""
-    corr = correspondence_sets(goal)
+    pairs = list(zip(goal.left, goal.right))
     squares = (
-        ("left", tuple(corr.left[v] for v in goal.left)),
-        ("right", tuple(corr.right[v] for v in goal.right)),
+        ("left", tuple({b for a, b in pairs if a == v} for v in goal.left)),
+        ("right", tuple({a for a, b in pairs if b == v} for v in goal.right)),
     )
     plain = [p for p in dict.fromkeys(zip(src.left, src.right)) if p[0] != p[1]]
     if not plain:
@@ -321,6 +339,54 @@ class TestA6CoverIndex:
     @settings(max_examples=1000, deadline=None)
     def test_bitmask_index_matches_the_partner_set_scan(self, src, goal):
         assert a6_cover(src, goal_squares(goal)) == reference_a6_cover(src, goal)
+
+
+def generic_team(goal, premise):
+    """The goal's generic pair as a team over both atoms' variables: row s
+    holds the class of each goal-left variable, row t of each goal-right
+    variable, and every other cell a value of its own."""
+    s, t = generic_pair(goal)
+    schema = tuple(dict.fromkeys(goal.left + goal.right + premise.left + premise.right))
+    rows = [
+        tuple(f"c{row[v]}" if v in row else f"{name}.{v}" for v in schema)
+        for name, row in (("s", s), ("t", t))
+    ]
+    return team_from_rows(schema, rows)
+
+
+class TestDomination:
+    def test_generic_pair_closes_the_merges(self):
+        # positions 0-1 share g1, 1-2 share h2: one class named 0
+        s, t = generic_pair(atom("g1 g1 g2", "h1 h2 h2"))
+        assert s == {"g1": 0, "g2": 0}
+        assert t == {"h1": 0, "h2": 0}
+        s, t = generic_pair(atom("x y", "u v"))
+        assert (s, t) == ({"x": 0, "y": 1}, {"u": 0, "v": 1})
+
+    def test_each_row_pair_can_conflict(self):
+        pair = generic_pair(atom("x y", "u v"))
+        assert conflicts(atom("x", "u"), pair)  # (s, t)
+        assert conflicts(atom("v", "y"), pair)  # (t, s)
+        assert not conflicts(atom("x", "y"), pair)
+        pair = generic_pair(atom("a a", "b c"))
+        assert conflicts(atom("b", "c"), pair)  # (t, t)
+        assert conflicts(atom("w a", "w a"), pair)  # (s, s), fresh w
+        assert not conflicts(atom("w", "z"), pair)
+        # a fresh variable differs between the rows
+        assert not conflicts(atom("a w", "b w"), pair)
+
+    @given(small_atoms(max_arity=4), small_atoms(max_arity=4))
+    @settings(max_examples=1000, deadline=None)
+    def test_matches_the_two_row_team(self, premise, goal):
+        team = generic_team(goal, premise)
+        assert min_removal(team, goal) > 0
+        assert conflicts(premise, generic_pair(goal)) == (min_removal(team, premise) > 0)
+
+    def test_chained_goal_pairs_are_dominated(self):
+        # rows s, t violating the goal have s.d = t.b = s.c = t.a
+        verdict = decide([atom("a", "d")], atom("d c c", "b b a"))
+        assert verdict.witness == DominationWitness(atom("a", "d"), 0)
+        assert route([atom("a", "d")], atom("d c c", "b b a")) == [Rule.HYP, Rule.DOM]
 
 
 class TestFalseVerdicts:

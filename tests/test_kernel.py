@@ -41,10 +41,28 @@ def reference_enumerate_packed(n_vars, max_rows, max_values):
     return cells, n_rows, n_values
 
 
+def reference_conflict_words(cells, n_rows, n_vars, left_cols, right_cols):
+    """Conflict words of column tuples compared whole, row pair by row pair."""
+    count, width = cells.shape
+    max_rows = width // n_vars
+    grid = cells.reshape(count, max_rows, n_vars)
+    left = grid[:, :, list(left_cols)]
+    right = grid[:, :, list(right_cols)]
+    words = np.zeros(count, dtype=np.uint16)
+    for i in range(max_rows):
+        for j in range(max_rows):
+            hit = (left[:, i, :] == right[:, j, :]).all(axis=1)
+            hit &= (n_rows > i) & (n_rows > j)
+            words |= hit.astype(np.uint16) << np.uint16(i * 4 + j)
+    return words
+
+
 def reference_satisfaction_mask(bank, left_cols, right_cols, degree):
-    """The mask satisfaction_mask replaced: the kernel's own conflict word
-    and the removal budget compared by int64 cross multiplication."""
-    words = kernel.conflict_words(bank.cells, bank.n_rows, bank.n_vars, left_cols, right_cols)
+    """The mask satisfaction_mask replaced: a conflict word of the column
+    tuples and the removal budget compared by int64 cross multiplication."""
+    words = reference_conflict_words(
+        bank.cells, bank.n_rows, bank.n_vars, left_cols, right_cols
+    )
     removed = removal_table()[words]
     fits = (
         removed.astype(np.int64) * degree.denominator
@@ -127,18 +145,22 @@ class TestConflictWords:
     def test_against_brute_force(self):
         cells, n_rows, _ = kernel.enumerate_packed(2, 3, 6)
         reference = bank_order_teams(2, 3, 6)
-        for left, right in [((0,), (1,)), ((0, 1), (1, 0)), ((1,), (1,))]:
-            left_a = np.asarray(left, dtype=np.int64)
-            right_a = np.asarray(right, dtype=np.int64)
-            words = kernel.conflict_words(cells, n_rows, 2, left_a, right_a)
+        for left, right in [(0, 1), (1, 0), (1, 1)]:
+            words = kernel.conflict_words(cells, n_rows, 2, left, right)
+            for w, rows in zip(words, reference):
+                assert int(w) == brute_conflict_word(rows, (left,), (right,))
+
+    def test_bank_tuples_against_brute_force(self):
+        bank = TeamBank.build(2, 3, 6)
+        reference = bank_order_teams(2, 3, 6)
+        for left, right in [((0, 1), (1, 0)), ((0, 0), (1, 0)), ((1,), (1,))]:
+            words = bank.conflict_words(left, right)
             for w, rows in zip(words, reference):
                 assert int(w) == brute_conflict_word(rows, left, right)
 
     def test_padding_rows_never_conflict(self):
         cells, n_rows, _ = kernel.enumerate_packed(1, 2, 3)
-        left = np.asarray([0], dtype=np.int64)
-        right = np.asarray([0], dtype=np.int64)
-        words = kernel.conflict_words(cells, n_rows, 1, left, right)
+        words = kernel.conflict_words(cells, n_rows, 1, 0, 0)
         for w, count in zip(words, n_rows):
             # bits touching rows >= count must be clear
             for i in range(4):
@@ -289,7 +311,7 @@ class TestBankConflictWords:
             for right in tuples:
                 if len(left) != len(right):
                     continue
-                expected = kernel.conflict_words(
+                expected = reference_conflict_words(
                     wide_bank.cells, wide_bank.n_rows, wide_bank.n_vars, left, right
                 )
                 got = wide_bank.conflict_words(left, right)
