@@ -2,7 +2,8 @@
 
     python benchmarks/bench_certify.py --parent OTHER/src [--repeats 7]
 
-Times, per call:
+Times, per call, as the fastest of repeated passes over each case's
+calls (``_time_per_call``):
 
 * ``parse_sigma`` on 1000-atom premise files at arity 5, 10, 20 and 40
   (60 variables, degrees 0, 1/4 and 1/3), the shape of ``decide-large``;
@@ -119,16 +120,23 @@ def _small_instances(ex, rng, draw, count):
 
 
 def _time_per_call(calls, repeat_until=0.2):
-    """Seconds per call over whole passes of ``calls``, at least ``repeat_until`` s."""
-    passes = 0
+    """Seconds per call in the fastest whole pass over ``calls``.
+
+    Passes repeat until ``repeat_until`` seconds have gone by.  The fastest
+    pass, not the mean, is the one least disturbed by other work on the
+    machine; a machine whose speed drifts over minutes still moves it
+    between repeats, so compare trees over several repeats.
+    """
+    best = float("inf")
     start = time.perf_counter()
     while True:
+        began = time.perf_counter()
         for call in calls:
             call()
-        passes += 1
-        elapsed = time.perf_counter() - start
-        if elapsed >= repeat_until:
-            return elapsed / (passes * len(calls))
+        ended = time.perf_counter()
+        best = min(best, ended - began)
+        if ended - start >= repeat_until:
+            return best / len(calls)
 
 
 def child(src: str) -> None:

@@ -1,9 +1,11 @@
-"""Per-call time of parsing, deciding and planning 1000 premises, parent against change.
+"""Per-call time of parsing, deciding and planning, parent against change.
 
     python benchmarks/bench_decide.py --parent OTHER/src [--repeats 7]
 
-Times, per call, on 1000-atom premise files at arity 5, 10, 20 and 40
-(60 variables, degrees 0, 1/4 and 1/3), the shape of ``decide-large``:
+Times per call are the fastest of repeated passes over each case's calls
+(``bench_certify._time_per_call``).  On 1000-atom premise files at arity
+5, 10, 20 and 40 (60 variables, degrees 0, 1/4 and 1/3), the shape of
+``decide-large``, it times:
 
 * ``parse_sigma`` on the file's text;
 * ``decide`` on one goal that holds (a premise's pairs, shuffled, with one
@@ -14,14 +16,21 @@ Times, per call, on 1000-atom premise files at arity 5, 10, 20 and 40
   case that compares like with like;
 * ``counterexample.plan`` alone, on the NO goal.
 
-Three files per arity.  ``--parent``, ``--change``, ``--repeats`` and
-``--out`` work as in ``bench_certify.py``: one fresh interpreter per tree
-and repeat, alternating which tree goes first, and a digest of what each
-tree returned (the parsed atoms, the derivation text of each YES, and
-every plan) so the JSON records whether both trees answered alike.  The
-output, ``benchmarks/BENCH_decide.json`` by default, holds per-case
-medians, every repeat, the machine, Python, numpy, the kernel lane and the
-repeat count.
+Three files per arity.  On 2000 seeded keystone instances, drawn as
+``keystone-slice`` draws them (a goal and 0, 1 or 2 premises from
+``sweep.keystone_atoms()``, 2 half the time), where a call's fixed cost
+is most of its time, it times ``decide``, ``plan``, and ``decide`` plus
+``plan`` (for a YES) plus ``domain_size_bound``, the package's part of a
+``keystone-slice`` operation.
+
+``--parent``, ``--change``, ``--repeats`` and ``--out`` work as in
+``bench_certify.py``: one fresh interpreter per tree and repeat,
+alternating which tree goes first, and a digest of what each tree
+returned (the parsed atoms, the derivation text of each YES, every plan
+and every keystone verdict) so the JSON records whether both trees
+answered alike.  The output, ``benchmarks/BENCH_decide.json`` by
+default, holds per-case medians, every repeat, the machine, Python,
+numpy, the kernel lane and the repeat count.
 """
 
 from __future__ import annotations
@@ -41,6 +50,8 @@ from bench_certify import (
     _time_per_call,
     compare,
 )
+
+KEYSTONE_INSTANCES = 2000
 
 
 def _plan_fields(plan):
@@ -71,9 +82,11 @@ def child(src: str) -> None:
     import exclusion.kernel
     import exclusion.model
     import exclusion.parsing
+    import exclusion.sweep
 
     ex = exclusion
     parse_sigma, decide, plan = ex.parsing.parse_sigma, ex.decision.decide, ex.counterexample.plan
+    domain_size_bound = ex.counterexample.domain_size_bound
     synthesize, to_text = ex.calculus.synthesize, ex.calculus.derivation_to_json_str
     rng = random.Random(SEED)
     digest = hashlib.sha256()
@@ -104,6 +117,24 @@ def child(src: str) -> None:
         )
         times[f"plan.1000x{arity}"] = _time_per_call(
             [lambda s=s, g=g[1]: plan(s, g) for s, g in pairs], 0.5
+        )
+
+    keystone = ex.sweep.keystone_atoms()
+    instances = [
+        (tuple(rng.sample(keystone, rng.choice((0, 1, 2, 2)))), rng.choice(keystone))
+        for _ in range(KEYSTONE_INSTANCES)
+    ]
+    for sigma, goal in instances:
+        verdict = decide(sigma, goal)
+        digest.update(repr((verdict.holds, verdict.witness)).encode())
+        digest.update(repr(_plan_fields(verdict.plan or plan(sigma, goal))).encode())
+
+    def slice_op(sigma, goal):
+        domain_size_bound(decide(sigma, goal).plan or plan(sigma, goal))
+
+    for name, f in (("decide", decide), ("plan", plan), ("slice_op", slice_op)):
+        times[f"{name}.keystone"] = _time_per_call(
+            [lambda s=s, g=g: f(s, g) for s, g in instances], 0.5
         )
 
     print(json.dumps({

@@ -21,8 +21,9 @@ conflicts on that pair (`conflicts`) dominates the goal, and the goal then
 follows; a premise that does not conflict on it loses no row in the team.
 A premise of degree above p may lose both rows of a block, more than its
 budget; the verified wrapper re-checks semantically and raises rather than
-emit a wrong certificate.  Plans record whether the merge relation was
-already transitive before its closure.
+emit a wrong certificate.  A plan's `transitive` flag, computed when it
+is read, tells whether the merge relation was already transitive before
+its closure.
 """
 
 from __future__ import annotations
@@ -33,10 +34,8 @@ from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import InternalVerificationError
-from .model import Atom, ONE, Team
+from .model import Atom, Team
 from .semantics import satisfies, satisfies_all
-
-HALF = Fraction(1, 2)
 
 
 def min_gap_degree(sigma: Sequence[Atom], p: Fraction) -> Fraction | None:
@@ -57,14 +56,16 @@ def ratio_parameters(p: Fraction, r: Fraction | None) -> tuple[int, int]:
     """Smallest team size k with l = floor(p*k) + 1 removals fitting p < l/k <= r.
 
     Requires p < 1/2 so that k >= 2l is reachable.  Without r the two-row
-    team (l, k) = (1, 2) always works.
+    team (l, k) = (1, 2) always works.  Both tests compare cross-multiplied
+    integers.
     """
-    if not p < HALF:
+    p_num, p_den = p.numerator, p.denominator
+    if 2 * p_num >= p_den:
         raise ValueError(f"ratio search needs a degree below 1/2, got {p}")
     k = 2
     while True:
-        l = (p.numerator * k) // p.denominator + 1
-        if k >= 2 * l and (r is None or Fraction(l, k) <= r):
+        l = (p_num * k) // p_den + 1
+        if k >= 2 * l and (r is None or l * r.denominator <= r.numerator * k):
             return l, k
         k += 1
 
@@ -143,7 +144,17 @@ class CounterexamplePlan:
     schema: tuple[str, ...]
     extra_vars: tuple[str, ...]
     value_classes: tuple[tuple[int, ...], ...]
-    transitive: bool
+
+    @property
+    def transitive(self) -> bool:
+        """Whether positions in one value class already shared a variable
+        pairwise, on the left or on the right, before the closure."""
+        left, right = self.goal.left, self.goal.right
+        return all(
+            left[i] == left[j] or right[i] == right[j]
+            for cls in self.value_classes
+            for i, j in combinations(cls, 2)
+        )
 
     @property
     def n(self) -> int:
@@ -180,31 +191,29 @@ def plan(sigma: Sequence[Atom], goal: Atom) -> CounterexamplePlan:
     well defined otherwise, but the built team only refutes the goal for
     genuine non-implications.
     """
-    sigma = tuple(sigma)
+    return _plan(tuple(sigma), goal, generic_pair(goal))
+
+
+def _plan(sigma: tuple[Atom, ...], goal: Atom, pair: GenericPair) -> CounterexamplePlan:
+    """`plan` on the goal's generic pair, which `decide` has already built."""
     schema, extra = schema_order(sigma, goal)
     # a position's class is that of its cells in the generic pair
-    left_class = generic_pair(goal)[0]
+    left_class = pair[0]
     groups: dict[int, list[int]] = {}
     for i, x in enumerate(goal.left):
         groups.setdefault(left_class[x], []).append(i)
     classes = tuple(map(tuple, groups.values()))
-    transitive = all(
-        goal.left[i] == goal.left[j] or goal.right[i] == goal.right[j]
-        for cls in classes
-        for i, j in combinations(cls, 2)
-    )
+    p = goal.degree
     if goal.left == goal.right:
-        if goal.degree >= ONE:
+        if p.numerator == p.denominator:
             raise ValueError("a degree-1 goal is never refutable")
         return CounterexamplePlan(
-            "unary-canonical", sigma, goal, 1, 1, None,
-            schema, extra, classes, transitive,
+            "unary-canonical", sigma, goal, 1, 1, None, schema, extra, classes
         )
-    r = min_gap_degree(sigma, goal.degree)
-    l, k = ratio_parameters(goal.degree, r)
+    r = min_gap_degree(sigma, p)
+    l, k = ratio_parameters(p, r)
     return CounterexamplePlan(
-        "shared-block", sigma, goal, l, k, r,
-        schema, extra, classes, transitive,
+        "shared-block", sigma, goal, l, k, r, schema, extra, classes
     )
 
 

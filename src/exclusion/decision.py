@@ -20,7 +20,9 @@ single assumption it is complete: if the assumption does not conflict on
 the pair, the pair plus fresh rows separates it from the goal; if its
 degree is above p, collapsed rows at a density between the two degrees
 do.  Anything else is answered NO with a counterexample plan, which the
-verified wrapper re-checks before it emits a team.
+verified wrapper re-checks before it emits a team.  The goal's generic
+pair is built once, before step 4, and serves both the domination test
+and the plan of either NO.
 
 A positive verdict carries a witness from which `calculus.synthesize`
 plans a derivation; a negative one carries a counterexample plan.
@@ -35,7 +37,7 @@ from typing import ClassVar, Sequence
 from . import counterexample as cx
 from .counterexample import conflicts, generic_pair, min_gap_degree
 from .errors import UnsupportedDegreeError
-from .model import Atom, ONE
+from .model import Atom
 
 __all__ = [
     "VacuousDegreeWitness",
@@ -94,30 +96,29 @@ class Verdict:
 def decide(sigma: Sequence[Atom], goal: Atom) -> Verdict:
     """Decide whether sigma implies the goal, with witness or plan."""
     sigma = tuple(sigma)
-    p = goal.degree
+    p_num, p_den = goal.degree.numerator, goal.degree.denominator
 
-    if p == ONE:
+    if p_num == p_den:
         return Verdict(True, witness=VacuousDegreeWitness())
-    if 2 * p >= 1:
+    if 2 * p_num >= p_den:
         raise UnsupportedDegreeError(
-            f"goal degrees in [1/2, 1) are not supported, got {p}"
+            f"goal degrees in [1/2, 1) are not supported, got {goal.degree}"
         )
 
     for index, a in enumerate(sigma):
         if a.left == a.right and a.degree.numerator < a.degree.denominator:
             return Verdict(True, witness=ContradictionWitness(a, index))
 
-    if goal.left == goal.right:
-        return Verdict(False, plan=cx.plan(sigma, goal))
-
     pair = generic_pair(goal)
-    p_num, p_den = p.numerator, p.denominator
+    if goal.left == goal.right:
+        return Verdict(False, plan=cx._plan(sigma, goal, pair))
+
     for index, a in enumerate(sigma):
         degree = a.degree
         if degree.numerator * p_den <= p_num * degree.denominator and conflicts(a, pair):
             return Verdict(True, witness=DominationWitness(a, index))
 
-    return Verdict(False, plan=cx.plan(sigma, goal))
+    return Verdict(False, plan=cx._plan(sigma, goal, pair))
 
 
 def implies(sigma: Sequence[Atom], goal: Atom) -> bool:

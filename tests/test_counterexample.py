@@ -1,7 +1,9 @@
 """Counterexample planning, team construction, and verification."""
 
 import random
+from dataclasses import fields
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -25,6 +27,7 @@ from exclusion.counterexample import (
 )
 from exclusion.decision import decide
 from exclusion.semantics import satisfies_all
+from exclusion.sweep import keystone_atoms
 
 
 class TestRatioParameters:
@@ -61,6 +64,24 @@ class TestRatioParameters:
             ratio_parameters(Fraction(1, 2), None)
         with pytest.raises(ValueError):
             ratio_parameters(Fraction(3, 4), None)
+
+    def test_integer_tests_match_the_fraction_definition(self):
+        def reference(p, r):
+            k = 2
+            while True:
+                l = (p.numerator * k) // p.denominator + 1
+                if k >= 2 * l and (r is None or Fraction(l, k) <= r):
+                    return l, k
+                k += 1
+
+        degrees = sorted({Fraction(a, b) for b in range(1, 13) for a in range(b + 1)})
+        for p in degrees:
+            if p >= Fraction(1, 2):
+                with pytest.raises(ValueError):
+                    ratio_parameters(p, None)
+                continue
+            for r in [None] + [r for r in degrees if r > p]:
+                assert ratio_parameters(p, r) == reference(p, r), (p, r)
 
 
 class TestPlans:
@@ -116,6 +137,47 @@ class TestPlans:
         plan = counterexample_plan([], atom("g1 g1 g2", "h1 h2 h2"))
         assert not plan.transitive
         assert plan.value_classes == ((0, 1, 2),)
+
+
+def eager_transitive(plan):
+    """The flag as plans used to store it when they were built."""
+    goal = plan.goal
+    return all(
+        goal.left[i] == goal.left[j] or goal.right[i] == goal.right[j]
+        for cls in plan.value_classes
+        for i, j in combinations(cls, 2)
+    )
+
+
+class TestDecidePlansOnItsPair:
+    """decide plans a NO on the generic pair it built for domination;
+    plan builds its own.  Both must give the same plan."""
+
+    def check(self, sigma, goal):
+        verdict = decide(sigma, goal)
+        if verdict.holds:
+            return
+        fresh = counterexample_plan(sigma, goal)
+        for f in fields(fresh):
+            assert getattr(verdict.plan, f.name) == getattr(fresh, f.name), (sigma, goal, f.name)
+        assert verdict.plan.transitive == fresh.transitive == eager_transitive(fresh)
+
+    def test_one_premise_keystone_instances(self):
+        atoms = keystone_atoms()
+        for premise in atoms:
+            for goal in atoms:
+                self.check((premise,), goal)
+
+    def test_two_premise_keystone_sample(self):
+        atoms = keystone_atoms()
+        rng = random.Random(12)
+        for _ in range(20_000):
+            self.check(tuple(rng.sample(atoms, 2)), rng.choice(atoms))
+
+    def test_non_transitive_goal(self):
+        goal = atom("g1 g1 g2", "h1 h2 h2")
+        self.check((), goal)
+        assert not decide((), goal).plan.transitive
 
 
 class TestDomainBound:
