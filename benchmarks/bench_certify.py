@@ -20,11 +20,16 @@ of the parent commit (``git clone`` this repository and check the parent
 out, so that its commit is recorded); ``--change`` defaults to this
 checkout's ``src/``.  Each repeat runs one fresh interpreter per tree,
 alternating which goes first, and each interpreter builds the same seeded
-inputs.  The interpreters also report a digest of what they returned
-(the parsed atoms and every verify result), so the JSON records whether
-both trees answered alike.  The output, ``benchmarks/BENCH_certify.json``
-by default, holds per-case medians, every repeat, the machine, Python,
-numpy, the kernel lane and the repeat count.
+inputs.  The machine's speed may drift by tens of percent over minutes,
+which moves the per-tree medians apart; each repeat's two interpreters run
+back to back, so the JSON also records, per case, each repeat's speedup
+(parent time over change time) and their median as ``paired_speedup``,
+the figure to read for changes of a few percent.  The interpreters also
+report a digest of what they returned (the parsed atoms and every verify
+result), so the JSON records whether both trees answered alike.  The
+output, ``benchmarks/BENCH_certify.json`` by default, holds per-case
+medians, every repeat, the machine, Python, numpy, the kernel lane and the
+repeat count.
 """
 
 from __future__ import annotations
@@ -244,7 +249,8 @@ def compare(
     ``script --child SRC`` runs ``child_main(SRC)``, which times one tree
     and prints ``{"lane", "digest", "seconds_per_call"}`` as its last line,
     optionally with ``"answers"``: case -> list of results, where the
-    string ``"CapacityError"`` stands for a refusal, ``"peak_rss_mb"``
+    string ``"CapacityError"`` stands for a refusal (recorded with each
+    case's answered share per tree), ``"peak_rss_mb"``
     (recorded as a median per tree) and ``"calls"`` (recorded as the first
     repeat's, per tree).  Without ``--child``, the two trees alternate, one
     fresh interpreter each, and the result goes to ``BENCH_<topic>.json``
@@ -297,6 +303,13 @@ def compare(
     if "answers" in runs["change"][0]:
         answers = {name: runs[name][0]["answers"] for name in trees}
         result["answers"] = answers
+        result["answered_share"] = {
+            name: {
+                case: round(sum(a != "CapacityError" for a in got) / len(got), 3)
+                for case, got in answers[name].items()
+            }
+            for name in trees
+        }
         result["same_where_both_answer"] = all(
             p == c
             for case in answers["change"]
@@ -308,12 +321,17 @@ def compare(
             name: [r["seconds_per_call"][case] * unit[1] for r in runs[name]] for name in trees
         }
         parent, change = (statistics.median(per_tree[n]) for n in ("parent", "change"))
+        # the change's speed over the parent's within each repeat, whose two
+        # interpreters ran back to back, so slow drift of the machine cancels
+        paired = [p / c for p, c in zip(per_tree["parent"], per_tree["change"])]
         result["median"][case] = {
             "parent": round(parent, 2),
             "change": round(change, 2),
             "speedup": round(parent / change, 2),
+            "paired_speedup": round(statistics.median(paired), 3),
         }
         result["runs"][case] = {n: [round(v, 2) for v in vs] for n, vs in per_tree.items()}
+        result["runs"][case]["paired_speedup"] = [round(v, 3) for v in paired]
     args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     print(json.dumps(result["median"], indent=2))
     return 0

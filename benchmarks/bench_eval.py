@@ -16,13 +16,21 @@ with itself.  At arity 2 the second column comes from a three-value pool,
 so single columns collide across the sides while whole tuples do not.
 The generator is this script's own, seeded, and not the benchmark's.
 
+The dense cases, ``dense.200x50.a1`` and ``.a2``, are five tables each of
+200 rows whose first columns draw from 50 values, every value on both
+sides (at arity 1, a random 2-column table).  Every row's first value is
+shared, so the search's first-position filter skips no row there.  Each
+holds one component of 50 to 100 choices, past ``CHOICE_CAP``, so the
+search refuses it; ``answered_share`` records the share answered per case.
+
 A refused search counts as an answer: each tree reports, per case, the
 removal counts of its tables, or ``"CapacityError"`` where it refused one.
 The JSON keeps these under ``answers`` and says, as
 ``same_where_both_answer``, whether the trees agree on every table both
 answered; ``same_results`` compares whole digests, so it reads false when
-one tree refuses a table the other answers.  ``--parent``, ``--change``, ``--repeats`` and
-``--out`` work as in ``bench_certify.py``.  The output,
+one tree refuses a table the other answers.  ``--parent``, ``--change``,
+``--repeats``, ``--out`` and ``paired_speedup`` work as in
+``bench_certify.py``.  The output,
 ``benchmarks/BENCH_eval.json`` by default, holds per-case medians, every
 repeat, the machine, Python, numpy, the kernel lane and the repeat count.
 """
@@ -46,6 +54,8 @@ CONFLICTS = (4, 15, 24)
 ARITIES = (1, 2)
 TABLES = {1000: 3, 10_000: 2, 100_000: 1}  # tables per case
 PAD = ("d0", "d1", "d2")
+DENSE = (200, 50)  # rows, values of the dense tables
+DENSE_TABLES = 5
 
 
 def _table(rng, n_rows, n_conflicts, arity):
@@ -70,11 +80,45 @@ def _table(rng, n_rows, n_conflicts, arity):
                 rows.append((x, y))
     for i in range(fresh + 1, fresh + 1 + max(0, n_rows - len(rows))):
         rows.append((value("l", i), value("r", i)))
+    return _csv(rows, arity)
+
+
+def _dense_table(rng, n_rows, n_values, arity):
+    """(csv_text, atom_text) for a table whose first columns draw from one
+    pool of ``n_values`` values, each value on both sides, so every row's
+    first value is shared and no row can be skipped before projection."""
+    pool = [f"c{i}" for i in range(n_values)]
+    firsts = [(pool[i % n_values], rng.choice(pool)) for i in range(n_rows)]
+    for i, v in enumerate(rng.sample(pool, n_values)):
+        firsts[i] = (firsts[i][0], v)
+    rows = {
+        ((x,) + tuple(rng.choice(PAD) for _ in range(arity - 1)),
+         (y,) + tuple(rng.choice(PAD) for _ in range(arity - 1)))
+        for x, y in firsts
+    }
+    return _csv(sorted(rows), arity)
+
+
+def _csv(rows, arity):
     left = [f"x{i}" for i in range(arity)]
     right = [f"y{i}" for i in range(arity)]
     lines = [",".join(["k"] + left + right)]
     lines += [",".join((str(k),) + x + y) for k, (x, y) in enumerate(rows)]
     return "\n".join(lines) + "\n", f"excl({' '.join(left)} ; {' '.join(right)})"
+
+
+def _cases():
+    """(case, table maker, its arguments, table count): the sparse grid,
+    then the dense tables."""
+    for n_rows in ROWS:
+        for n_conflicts in CONFLICTS:
+            for arity in ARITIES:
+                yield (f"{n_rows}x{n_conflicts}.a{arity}", _table,
+                       (n_rows, n_conflicts, arity), TABLES[n_rows])
+    n_rows, n_values = DENSE
+    for arity in ARITIES:
+        yield (f"dense.{n_rows}x{n_values}.a{arity}", _dense_table,
+               (n_rows, n_values, arity), DENSE_TABLES)
 
 
 def child(src: str) -> None:
@@ -100,25 +144,22 @@ def child(src: str) -> None:
             return ex.cli.main(["eval", str(path), atom_text])
 
     with tempfile.TemporaryDirectory() as work:
-        for n_rows in ROWS:
-            for n_conflicts in CONFLICTS:
-                for arity in ARITIES:
-                    case = f"{n_rows}x{n_conflicts}.a{arity}"
-                    tables = []
-                    for k in range(TABLES[n_rows]):
-                        text, atom_text = _table(rng, n_rows, n_conflicts, arity)
-                        path = Path(work) / f"{case}.{k}.csv"
-                        path.write_text(text, encoding="utf-8")
-                        team, _ = ex.parsing.parse_team_csv(text)
-                        tables.append((path, atom_text, team, ex.parsing.parse_atom(atom_text)))
-                    answers[case] = [removal(team, atom) for _, _, team, atom in tables]
-                    times[f"min_removal.{case}"] = _time_per_call(
-                        [lambda t=t, a=a: removal(t, a) for _, _, t, a in tables], 0.3
-                    )
-                    times[f"eval.{case}"] = _time_per_call(
-                        [lambda p=p, a=a: run_eval(p, a) for p, a, _, _ in tables], 0.3
-                    )
-                    del tables
+        for case, make, args, count in _cases():
+            tables = []
+            for k in range(count):
+                text, atom_text = make(rng, *args)
+                path = Path(work) / f"{case}.{k}.csv"
+                path.write_text(text, encoding="utf-8")
+                team, _ = ex.parsing.parse_team_csv(text)
+                tables.append((path, atom_text, team, ex.parsing.parse_atom(atom_text)))
+            answers[case] = [removal(team, atom) for _, _, team, atom in tables]
+            times[f"min_removal.{case}"] = _time_per_call(
+                [lambda t=t, a=a: removal(t, a) for _, _, t, a in tables], 0.3
+            )
+            times[f"eval.{case}"] = _time_per_call(
+                [lambda p=p, a=a: run_eval(p, a) for p, a, _, _ in tables], 0.3
+            )
+            del tables
 
     print(json.dumps({
         "lane": ex.kernel.IMPLEMENTATION,

@@ -136,9 +136,16 @@ def render_human(atom: Atom) -> str:
 
 
 def parse_sigma(text: str, source: str = "<sigma>") -> list[Atom]:
-    """Assumption list from text: one atom per line, # comments."""
+    """Assumption list from text: one atom per line, # comments.
+
+    Lines end at ``\r\n``, ``\r`` or ``\n`` only, the universal newlines;
+    a form feed, U+0085 or U+2028 inside a line is whitespace, so it never
+    turns a comment's tail into an atom or shifts a reported line number.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     atoms = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

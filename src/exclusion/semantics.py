@@ -8,23 +8,31 @@ smallest number of rows whose removal achieves this; it is exact, never an
 estimate.
 
 min_removal_indexed is the one removal search; every satisfaction
-question reduces to its count.  It first tests whether the set of left
-projections is disjoint from the set of right projections.  That test is
-exact, not a heuristic: with no shared projection there is no conflicting
-value, so the count is 0 and the atom holds at every degree.  Otherwise
-the search takes every row that conflicts with itself.  Each conflicting
-value left is then a choice: remove its left occurrences or its right
-ones.  Choices that share a row depend on each other; the classes of that
-relation are independent conflict components.  No row lies in two
-components, so the rows removed for different components are disjoint
-and their minimum counts add up to the exact minimum.  Each component is
-searched exhaustively, and CHOICE_CAP bounds the size of one component,
-not of the whole table.
+question reduces to its count.  It first looks at the first position of
+each side alone.  Two rows conflict only if the left row's first value
+equals the right row's first value, so this filter is exact, not a
+heuristic: when no first value is taken on both sides there is no
+conflicting value, the count is 0 and the atom holds at every degree.
+Otherwise only the rows whose first value the other side also takes can
+conflict, and only they are projected whole; every row taking a
+conflicting value is among them, so the conflict map built from them is
+the whole table's.  At arity 1 the first position is the whole
+projection.  Teams of at most UNFILTERED_ROWS rows skip the filter and
+project every row whole, since there its extra passes cost more than the
+rows they skip.  The search then takes every row that conflicts with
+itself.  Each conflicting value left is a choice: remove its left
+occurrences or its right ones.  Choices that share a row depend on each
+other; the classes of that relation are independent conflict components.
+No row lies in two components, so the rows removed for different
+components are disjoint and their minimum counts add up to the exact
+minimum.  Each component is searched exhaustively, and CHOICE_CAP bounds
+the size of one component, not of the whole table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from operator import itemgetter
 from typing import Sequence
 
@@ -33,6 +41,10 @@ from .model import Atom, Row, Team
 
 # most interdependent removal choices searched in one conflict component
 CHOICE_CAP = 20
+
+# teams of at most this many rows are projected whole without the
+# first-position filter, whose passes cost more than they save there
+UNFILTERED_ROWS = 4
 
 # the row positions taking one value on the left and on the right
 Choice = tuple[set[int], set[int]]
@@ -102,36 +114,58 @@ def min_removal_indexed(
     A removal set works iff it contains every row that takes some value on
     both sides (such a row conflicts with itself) and, for each conflicting
     value, swallows its left occurrences or its right occurrences entirely.
-    Each side is projected once (to bare values at arity 1), and position
-    sets are built only for the values both sides take.  Forced rows are
-    removed first.  Each remaining value is a binary side choice; two
-    choices are linked when they share a row, and the linked classes are
-    independent components.  Components share no rows, so their removal
-    sets are disjoint and the minimum is the sum of each component's
-    minimum, found by trying every pick within it.  CHOICE_CAP bounds the
-    choices of any one component.
+    Past UNFILTERED_ROWS rows the first-position filter picks the rows
+    that can conflict.  The right rows whose first value is some left
+    row's first value are found first; if there are none, the count is 0.
+    Then the left rows whose first value one of those right rows takes are
+    found.  Both passes are C-level (`map`, `compress`).  Only these rows
+    are projected whole, and the conflict map built from them equals the
+    whole table's.  Forced rows are removed first.  Each remaining value is
+    a binary side choice; two choices are linked when they share a row,
+    and the linked classes are independent components.  Components share
+    no rows, so their removal sets are disjoint and the minimum is the sum
+    of each component's minimum, found by trying every pick within it.
+    CHOICE_CAP bounds the choices of any one component.
     """
-    lefts = list(map(itemgetter(*left_idx), rows))
-    rights = list(map(itemgetter(*right_idx), rows))
-    left_set = set(lefts)
-    if left_set.isdisjoint(rights):
-        return 0
-    shared = left_set.intersection(rights)
+    if len(rows) <= UNFILTERED_ROWS:
+        lefts = list(map(itemgetter(*left_idx), rows))
+        rights = list(map(itemgetter(*right_idx), rows))
+        shared = set(lefts)
+        if shared.isdisjoint(rights):
+            return 0
+        left_at = right_at = range(len(rows))
+    else:
+        left_firsts = list(map(itemgetter(left_idx[0]), rows))
+        right_firsts = list(map(itemgetter(right_idx[0]), rows))
+        positions = range(len(rows))
+        right_at = list(compress(positions, map(set(left_firsts).__contains__, right_firsts)))
+        if not right_at:
+            return 0
+        shared_firsts = set(map(right_firsts.__getitem__, right_at))
+        left_at = list(compress(positions, map(shared_firsts.__contains__, left_firsts)))
+        lefts = list(map(itemgetter(*left_idx), map(rows.__getitem__, left_at)))
+        rights = list(map(itemgetter(*right_idx), map(rows.__getitem__, right_at)))
+        shared = set(lefts)
+    shared.intersection_update(rights)
     conflicts: dict[object, Choice] = {value: (set(), set()) for value in shared}
-    for pos, value in enumerate(lefts):
+    for pos, value in zip(left_at, lefts):
         if value in shared:
             conflicts[value][0].add(pos)
-    for pos, value in enumerate(rights):
+    for pos, value in zip(right_at, rights):
         if value in shared:
             conflicts[value][1].add(pos)
     forced: set[int] = set()
     for a, b in conflicts.values():
         forced |= a & b
-    choices = [(a - forced, b - forced) for a, b in conflicts.values()]
-    choices = [(a, b) for a, b in choices if a and b]
+    choices = list(conflicts.values())
+    if forced:
+        choices = [(a - forced, b - forced) for a, b in choices]
+        choices = [(a, b) for a, b in choices if a and b]
     if not choices:
         return len(forced)
-    components = _components(choices) if len(choices) > 1 else [choices]
+    if len(choices) == 1:
+        return len(forced) + min(map(len, choices[0]))
+    components = _components(choices)
     largest = max(map(len, components))
     if largest > CHOICE_CAP:
         raise CapacityError(

@@ -263,6 +263,25 @@ excl[1/3](u v ; x y)  # inline note
         assert parse_sigma("") == []
         assert parse_sigma("# only a comment\n") == []
 
+    def test_comment_tail_after_unicode_line_break_stays_a_comment(self):
+        # U+0085 ends a line for str.splitlines but not for a text file
+        with pytest.raises(ParseError, match=r"^<sigma>:2: malformed atom: 'excl\(a ;'$"):
+            parse_sigma("excl(a ; b) # note \x85 more\nexcl(a ;")
+        assert parse_sigma("excl(a ; b) # note \u2028 more\n") == [atom("a", "b")]
+
+    def test_form_feed_in_comment_keeps_line_numbers(self):
+        for brk in "\x0b\x0c\x1c\x1d\x1e\u2029":
+            with pytest.raises(ParseError, match=r"^<sigma>:2: malformed atom: 'excl\(a ;'$"):
+                parse_sigma(f"excl(a ; b) # x{brk}\nexcl(a ;")
+
+    def test_universal_newlines(self):
+        text = "excl(a ; b)\r\nexcl(b ; c)\rexcl(c ; d)\n\r\nexcl(broken\n"
+        with pytest.raises(ParseError, match=r"^<sigma>:5: "):
+            parse_sigma(text)
+        assert parse_sigma(text.replace("excl(broken", "")) == [
+            atom("a", "b"), atom("b", "c"), atom("c", "d")
+        ]
+
 
 class TestTeamCsv:
     def test_parse_basic(self):

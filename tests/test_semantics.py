@@ -300,6 +300,81 @@ class TestComponentEquivalence:
             min_removal_indexed(rows, (0,), (1,))
 
 
+@st.composite
+def first_position_tables(draw):
+    """Up to 10 distinct rows over a left block of columns and a right
+    block of the same arity (1 to 3), so that the first-position filter of
+    min_removal_indexed runs past four rows.  The first positions and the
+    later positions of the two blocks draw from one shared pool or from
+    pools of their own, each independently: first positions collide while
+    whole tuples do not, later positions collide while first ones do not,
+    both, or neither.  Some rows copy their left block to the right, so
+    they conflict with themselves whenever the sides share values."""
+    arity = draw(st.integers(1, 3))
+    first_shared = draw(st.booleans())
+    rest_shared = draw(st.booleans())
+    values = st.sampled_from("012")
+
+    def block(side):
+        cells = []
+        for pos in range(arity):
+            shared = first_shared if pos == 0 else rest_shared
+            cells.append(("" if shared else side) + draw(values))
+        return tuple(cells)
+
+    rows = set()
+    for _ in range(draw(st.integers(0, 10))):
+        left = block("l")
+        right = left if first_shared and rest_shared and draw(st.booleans()) else block("r")
+        rows.add(left + right)
+    order = draw(st.permutations(range(2 * arity)))  # columns in any order
+    rows = [tuple(row[i] for i in order) for row in sorted(rows)]
+    place = {column: i for i, column in enumerate(order)}
+    left_idx = tuple(place[i] for i in range(arity))
+    right_idx = tuple(place[i] for i in range(arity, 2 * arity))
+    return rows, left_idx, right_idx
+
+
+class TestFirstPositionFilter:
+    """The filtered search equals the brute-force removal count."""
+
+    @staticmethod
+    def brute(rows, left_idx, right_idx):
+        schema = tuple(f"c{i}" for i in range(len(left_idx) + len(right_idx)))
+        team = team_from_rows(schema, rows)
+        goal = atom([schema[i] for i in left_idx], [schema[i] for i in right_idx])
+        return brute_min_removal(team, goal)
+
+    @settings(max_examples=400, deadline=None)
+    @given(first_position_tables())
+    def test_matches_brute_force(self, case):
+        rows, left, right = case
+        assert min_removal_indexed(rows, left, right) == self.brute(rows, left, right)
+
+    def test_first_positions_collide_whole_tuples_do_not(self):
+        rows = [("a", "1", "a", "2"), ("b", "1", "a", "3"), ("a", "4", "b", "5")]
+        rows += [(f"x{i}", "1", f"y{i}", "1") for i in range(5)]
+        assert min_removal_indexed(rows, (0, 1), (2, 3)) == 0
+
+    def test_later_positions_collide_first_do_not(self):
+        rows = [(f"x{i}", "1", f"y{i}", "1") for i in range(8)]
+        assert min_removal_indexed(rows, (0, 1), (2, 3)) == 0
+        # the same rows conflict everywhere on the second position alone
+        assert min_removal_indexed(rows, (1,), (3,)) == 8
+
+    def test_self_conflicting_rows_among_many(self):
+        rows = [("s", "t", "s", "t"), ("a", "b", "c", "d")]
+        rows += [(f"x{i}", "1", f"y{i}", "1") for i in range(6)]
+        rows += [("c", "d", "e", "f")]  # takes ("c", "d") on the left
+        assert min_removal_indexed(rows, (0, 1), (2, 3)) == 2
+
+    def test_empty_team(self):
+        for arity in (1, 2, 3):
+            idx = tuple(range(arity))
+            assert min_removal_indexed([], idx, idx) == 0
+            assert min_removal_indexed((), idx, tuple(range(arity, 2 * arity))) == 0
+
+
 class TestWithinBudget:
     def test_cross_multiplied_comparison(self):
         # 3 rows at degree 1/3 allow exactly one removal
@@ -356,6 +431,33 @@ class TestSatisfiesAllEquivalence:
     def test_empty_team(self):
         t = team_from_rows(("x", "y"), [])
         assert satisfies_all(t, [atom("x", "x"), atom("x", "y", "1/4")])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_wide_team_matches_per_atom_satisfies(self, data):
+        # 40 or more columns and more than four rows, so the filter runs on
+        # long sides; constant rows conflict with themselves under every atom
+        width = data.draw(st.integers(40, 48))
+        schema = tuple(f"v{i}" for i in range(width))
+        cell = st.sampled_from("01")
+        rows = data.draw(st.lists(st.tuples(*[cell] * width), min_size=3, max_size=7))
+        rows += [("0",) * width] * data.draw(st.integers(0, 1))
+        team = team_from_rows(schema, rows)
+        names = st.sampled_from(schema)
+
+        @st.composite
+        def one_atom(draw):
+            arity = draw(st.integers(1, width))
+            left = draw(st.lists(names, min_size=arity, max_size=arity))
+            right = draw(st.lists(names, min_size=arity, max_size=arity))
+            return atom(left, right, draw(st.sampled_from(DEGREES)))
+
+        atoms = data.draw(st.lists(one_atom(), max_size=6))
+        per_atom = [satisfies(team, a) for a in atoms]
+        assert satisfies_all(team, atoms) == all(per_atom)
+        for a, holds in zip(atoms, per_atom):
+            if a.degree != 1:
+                assert holds == within_budget(brute_min_removal(team, a), a.degree, team.size)
 
     def test_arity_one_projections_are_scalars(self):
         t = team_from_rows(("x", "y"), [("1", "2"), ("2", "3")])
