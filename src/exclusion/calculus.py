@@ -32,19 +32,24 @@ YES answers do on the benchmark's certify-small queries (seeds 101 to
 A derivation is a numbered list of steps ending in its goal.  check_step
 and check_derivation verify everything; synthesize plans a derivation
 from a decision witness and self-checks it before returning.
+
+Each rule's premise count and witness class are declared once, in RULES;
+each witness names its JSON kind through `kind`.  One field codec writes
+and reads the certificate: atoms, witnesses, steps and the derivation.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from .counterexample import conflicts, generic_pair
 from .errors import InternalVerificationError, ParseError
 from .model import Atom, ONE, VarTuple, ZERO, as_degree
+from .parsing import render_human, write_text
 
 CERTIFICATE_FORMAT = 1
 
@@ -72,12 +77,16 @@ class Rule(str, Enum):
 class PermWitness:
     """order[i] is the premise position shown at conclusion position i."""
 
+    kind: ClassVar[str] = "perm"
+
     order: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class ContractWitness:
     """Premise position dropped, and an equal-pair position justifying it."""
+
+    kind: ClassVar[str] = "contract"
 
     removed: int
     duplicate: int
@@ -86,6 +95,8 @@ class ContractWitness:
 @dataclass(frozen=True)
 class AppendWitness:
     """Tuples appended to the left and right sides by A3."""
+
+    kind: ClassVar[str] = "append"
 
     left: VarTuple
     right: VarTuple
@@ -98,6 +109,8 @@ class BlockSwapWitness:
     The second block runs to the end of the tuple; blocks may be empty.
     """
 
+    kind: ClassVar[str] = "block-swap"
+
     prefix: int
     first: int
     second: int
@@ -107,6 +120,8 @@ class BlockSwapWitness:
 class SwitchWitness:
     """A6 data: length of the shared trailing block and the fresh tuple."""
 
+    kind: ClassVar[str] = "switch"
+
     shared: int
     fresh: VarTuple
 
@@ -114,6 +129,8 @@ class SwitchWitness:
 @dataclass(frozen=True)
 class RaiseWitness:
     """A7 target degree."""
+
+    kind: ClassVar[str] = "raise"
 
     degree: Fraction
 
@@ -127,6 +144,23 @@ Witness = (
     | RaiseWitness
     | None
 )
+
+# per rule: its premise count and its witness class, None for no witness
+RULES: dict[Rule, tuple[int, type | None]] = {
+    Rule.HYP: (0, None),
+    Rule.A1: (1, None),
+    Rule.A2: (1, None),
+    Rule.A3: (1, AppendWitness),
+    Rule.A4: (1, None),
+    Rule.A5: (1, BlockSwapWitness),
+    Rule.A6: (1, SwitchWitness),
+    Rule.A7: (1, RaiseWitness),
+    Rule.A8: (0, None),
+    Rule.PERM: (1, PermWitness),
+    Rule.CONTRACT: (1, ContractWitness),
+    Rule.DOM: (1, None),
+}
+WITNESS_KINDS = {cls.kind: cls for _, cls in RULES.values() if cls is not None}
 
 
 @dataclass(frozen=True)
@@ -166,21 +200,6 @@ def _fail(reason: str) -> StepOutcome:
 
 _OK = StepOutcome(True)
 
-_PREMISE_COUNT = {
-    Rule.HYP: 0,
-    Rule.A8: 0,
-    Rule.A1: 1,
-    Rule.A2: 1,
-    Rule.A3: 1,
-    Rule.A4: 1,
-    Rule.A5: 1,
-    Rule.A6: 1,
-    Rule.A7: 1,
-    Rule.PERM: 1,
-    Rule.CONTRACT: 1,
-    Rule.DOM: 1,
-}
-
 
 def check_step(
     step: Step, assumptions: Sequence[Atom], prior: Sequence[Atom]
@@ -189,9 +208,10 @@ def check_step(
 
     prior[i] must be the conclusion of step i + 1.
     """
-    expected = _PREMISE_COUNT.get(step.rule)
-    if expected is None:
+    signature = RULES.get(step.rule)
+    if signature is None:
         return _fail(f"unknown rule {step.rule!r}")
+    expected, witness_class = signature
     if len(step.premises) != expected:
         return _fail(f"{step.rule.value} takes {expected} premise(s)")
     for ref in step.premises:
@@ -202,17 +222,18 @@ def check_step(
     concl = step.conclusion
     prem = prior[step.premises[0] - 1] if step.premises else None
     w = step.witness
+    if witness_class is None:
+        if w is not None:
+            return _fail(f"{step.rule.value} takes no witness")
+    elif not isinstance(w, witness_class):
+        return _fail(f"{step.rule.value} needs a {witness_class.kind} witness")
 
     if step.rule == Rule.HYP:
-        if w is not None:
-            return _fail("HYP takes no witness")
         if concl not in assumptions:
             return _fail("HYP conclusion is not an assumption")
         return _OK
 
     if step.rule == Rule.A1:
-        if w is not None:
-            return _fail("A1 takes no witness")
         if prem.left != prem.right:
             return _fail("A1 premise sides must be the same tuple")
         if prem.degree >= ONE:
@@ -222,15 +243,11 @@ def check_step(
         return _OK
 
     if step.rule == Rule.A2:
-        if w is not None:
-            return _fail("A2 takes no witness")
         if concl != prem.swapped():
             return _fail("A2 conclusion must swap the premise sides")
         return _OK
 
     if step.rule == Rule.A3:
-        if not isinstance(w, AppendWitness):
-            return _fail("A3 needs an append witness")
         if len(w.left) != len(w.right):
             return _fail("A3 appended tuples must have equal length")
         if concl != Atom(prem.left + w.left, prem.right + w.right, prem.degree):
@@ -238,8 +255,6 @@ def check_step(
         return _OK
 
     if step.rule == Rule.A4:
-        if w is not None:
-            return _fail("A4 takes no witness")
         b = prem.arity - concl.arity
         if b < 0:
             return _fail("A4 conclusion cannot be longer than its premise")
@@ -252,8 +267,6 @@ def check_step(
         return _OK
 
     if step.rule == Rule.A5:
-        if not isinstance(w, BlockSwapWitness):
-            return _fail("A5 needs a block-swap witness")
         a, b1, b2 = w.prefix, w.first, w.second
         if min(a, b1, b2) < 0 or a + b1 + b2 != prem.arity:
             return _fail("A5 split must partition the premise sides")
@@ -265,8 +278,6 @@ def check_step(
         return _OK
 
     if step.rule == Rule.A6:
-        if not isinstance(w, SwitchWitness):
-            return _fail("A6 needs a switch witness")
         h = len(w.fresh)
         if h < 1:
             return _fail("A6 fresh tuple must be nonempty")
@@ -281,8 +292,6 @@ def check_step(
         return _OK
 
     if step.rule == Rule.A7:
-        if not isinstance(w, RaiseWitness):
-            return _fail("A7 needs a raise witness")
         if w.degree != concl.degree:
             return _fail("A7 witness degree must match the conclusion")
         if concl.degree < prem.degree:
@@ -292,15 +301,11 @@ def check_step(
         return _OK
 
     if step.rule == Rule.A8:
-        if w is not None:
-            return _fail("A8 takes no witness")
         if concl.degree != ONE:
             return _fail("A8 conclusion degree must be 1")
         return _OK
 
     if step.rule == Rule.PERM:
-        if not isinstance(w, PermWitness):
-            return _fail("PERM needs a permutation witness")
         n = prem.arity
         if sorted(w.order) != list(range(n)):
             return _fail("PERM witness must be a permutation of the positions")
@@ -313,8 +318,6 @@ def check_step(
         return _OK
 
     if step.rule == Rule.CONTRACT:
-        if not isinstance(w, ContractWitness):
-            return _fail("CONTRACT needs a removed/duplicate witness")
         n = prem.arity
         if not (0 <= w.removed < n and 0 <= w.duplicate < n):
             return _fail("CONTRACT positions out of range")
@@ -335,8 +338,6 @@ def check_step(
         return _OK
 
     if step.rule == Rule.DOM:
-        if w is not None:
-            return _fail("DOM takes no witness")
         if prem.degree > concl.degree:
             return _fail("DOM cannot lower the degree")
         if not conflicts(prem, generic_pair(concl)):
@@ -381,158 +382,93 @@ def check_derivation(derivation: Derivation) -> CheckResult:
 # serialization
 # ==========================================================================
 
-def _atom_to_json(a: Atom) -> dict:
-    return {
-        "left": list(a.left),
-        "right": list(a.right),
-        "degree": str(a.degree),
-    }
+# One field codec serves atoms, witnesses, steps and derivations.  Out, a
+# dataclass is its kind, if it has one, then its fields in declaration
+# order; tuples become lists, degrees and rules strings.  In, each field is
+# read by the strict decoder of its annotation: a bool is not an int, and
+# a side is a list of str.
 
-
-def _atom_from_json(obj) -> Atom:
-    if not isinstance(obj, dict):
-        raise ParseError(f"atom object expected, got {type(obj).__name__}")
-    try:
-        left = tuple(obj["left"])
-        right = tuple(obj["right"])
-        degree = obj["degree"]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"malformed atom object: {obj!r}") from exc
-    if not all(isinstance(v, str) for v in left + right):
-        raise ParseError("atom sides must be lists of variable names")
-    if not isinstance(degree, str):
-        raise ParseError("atom degree must be a rational string")
-    try:
-        return Atom(left, right, as_degree(degree))
-    except (ValueError, TypeError) as exc:
-        raise ParseError(str(exc)) from exc
-
-
-def _witness_to_json(w: Witness) -> dict | None:
-    if w is None:
-        return None
-    if isinstance(w, PermWitness):
-        return {"kind": "perm", "order": list(w.order)}
-    if isinstance(w, ContractWitness):
-        return {"kind": "contract", "removed": w.removed, "duplicate": w.duplicate}
-    if isinstance(w, AppendWitness):
-        return {"kind": "append", "left": list(w.left), "right": list(w.right)}
-    if isinstance(w, BlockSwapWitness):
-        return {
-            "kind": "block-swap",
-            "prefix": w.prefix,
-            "first": w.first,
-            "second": w.second,
-        }
-    if isinstance(w, SwitchWitness):
-        return {"kind": "switch", "shared": w.shared, "fresh": list(w.fresh)}
-    if isinstance(w, RaiseWitness):
-        return {"kind": "raise", "degree": str(w.degree)}
-    raise TypeError(f"unknown witness {w!r}")
-
-
-def _require(obj: dict, key: str, types) -> object:
-    if key not in obj:
-        raise ParseError(f"witness object missing field {key!r}")
-    value = obj[key]
-    if not isinstance(value, types):
-        raise ParseError(f"witness field {key!r} has the wrong type")
+def _to_json(value):
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    if isinstance(value, Rule):
+        return value.value
+    if isinstance(value, Fraction):
+        return str(value)
+    if is_dataclass(value):
+        head = {"kind": value.kind} if hasattr(value, "kind") else {}
+        return head | {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
     return value
 
 
-def _str_tuple(obj: dict, key: str) -> VarTuple:
-    value = _require(obj, key, list)
-    if not all(isinstance(v, str) for v in value):
-        raise ParseError(f"witness field {key!r} must list variable names")
-    return tuple(value)
+def _from_json(cls, obj):
+    """An instance of the dataclass cls read from its JSON object."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{cls.__name__} object expected, got {obj!r}")
+    values = {}
+    try:
+        for f in fields(cls):
+            if f.name in obj:
+                values[f.name] = _DECODERS[f.type](obj[f.name])
+            elif f.default is MISSING:
+                raise ParseError(f"{cls.__name__} object missing field {f.name!r}")
+        return cls(**values)
+    except (ValueError, TypeError) as exc:
+        raise ParseError(f"malformed {cls.__name__} object: {exc}") from exc
 
 
-def _witness_from_json(obj) -> Witness:
-    if obj is None:
+def _strict(kind: type, what: str):
+    """Decoder of values of exactly the JSON type kind: True is no int."""
+
+    def decode(value):
+        if type(value) is not kind:
+            raise ParseError(f"{what} expected, got {value!r}")
+        return value
+
+    return decode
+
+
+def _list_of(item):
+    def decode(value):
+        return tuple(map(item, _list(value)))
+
+    return decode
+
+
+def _witness(value) -> Witness:
+    if value is None:
         return None
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ParseError(f"malformed witness object: {obj!r}")
-    kind = obj["kind"]
-    if kind == "perm":
-        order = _require(obj, "order", list)
-        if not all(isinstance(i, int) for i in order):
-            raise ParseError("perm order must list integers")
-        return PermWitness(tuple(order))
-    if kind == "contract":
-        return ContractWitness(
-            _require(obj, "removed", int), _require(obj, "duplicate", int)
-        )
-    if kind == "append":
-        return AppendWitness(_str_tuple(obj, "left"), _str_tuple(obj, "right"))
-    if kind == "block-swap":
-        return BlockSwapWitness(
-            _require(obj, "prefix", int),
-            _require(obj, "first", int),
-            _require(obj, "second", int),
-        )
-    if kind == "switch":
-        return SwitchWitness(_require(obj, "shared", int), _str_tuple(obj, "fresh"))
-    if kind == "raise":
-        degree = _require(obj, "degree", str)
-        try:
-            return RaiseWitness(as_degree(degree))
-        except (ValueError, TypeError) as exc:
-            raise ParseError(str(exc)) from exc
-    raise ParseError(f"unknown witness kind {kind!r}")
+    kind = value.get("kind") if isinstance(value, dict) else None
+    if not isinstance(kind, str) or kind not in WITNESS_KINDS:
+        raise ParseError(f"malformed witness object: {value!r}")
+    return _from_json(WITNESS_KINDS[kind], value)
+
+
+_int = _strict(int, "integer")
+_list = _strict(list, "list")
+_DECODERS = {
+    "int": _int,
+    "tuple[int, ...]": _list_of(_int),
+    "VarTuple": _list_of(_strict(str, "variable name")),
+    "Fraction": lambda v: as_degree(_strict(str, "rational degree string")(v)),
+    "Rule": lambda v: Rule(_strict(str, "rule name")(v)),
+    "Atom": lambda v: _from_json(Atom, v),
+    "Witness": _witness,
+    "tuple[Atom, ...]": _list_of(lambda v: _from_json(Atom, v)),
+    "tuple[Step, ...]": _list_of(lambda v: _from_json(Step, v)),
+}
 
 
 def derivation_to_json(derivation: Derivation) -> dict:
-    return {
-        "format": CERTIFICATE_FORMAT,
-        "assumptions": [_atom_to_json(a) for a in derivation.assumptions],
-        "steps": [
-            {
-                "index": s.index,
-                "rule": s.rule.value,
-                "premises": list(s.premises),
-                "conclusion": _atom_to_json(s.conclusion),
-                "witness": _witness_to_json(s.witness),
-            }
-            for s in derivation.steps
-        ],
-    }
+    return {"format": CERTIFICATE_FORMAT, **_to_json(derivation)}
 
 
 def derivation_from_json(obj) -> Derivation:
     if not isinstance(obj, dict):
         raise ParseError("certificate must be a JSON object")
-    if obj.get("format") != CERTIFICATE_FORMAT:
+    if type(obj.get("format")) is not int or obj["format"] != CERTIFICATE_FORMAT:
         raise ParseError(f"unsupported certificate format: {obj.get('format')!r}")
-    assumptions = obj.get("assumptions")
-    steps = obj.get("steps")
-    if not isinstance(assumptions, list) or not isinstance(steps, list):
-        raise ParseError("certificate needs assumption and step lists")
-    parsed_steps = []
-    for entry in steps:
-        if not isinstance(entry, dict):
-            raise ParseError(f"malformed step entry: {entry!r}")
-        try:
-            rule = Rule(entry["rule"])
-        except (KeyError, ValueError) as exc:
-            raise ParseError(f"unknown rule in step entry: {entry.get('rule')!r}") from exc
-        index = entry.get("index")
-        premises = entry.get("premises")
-        if not isinstance(index, int) or not isinstance(premises, list):
-            raise ParseError(f"malformed step entry: {entry!r}")
-        if not all(isinstance(r, int) for r in premises):
-            raise ParseError("step premises must list step indices")
-        parsed_steps.append(
-            Step(
-                index,
-                rule,
-                tuple(premises),
-                _atom_from_json(entry.get("conclusion")),
-                _witness_from_json(entry.get("witness")),
-            )
-        )
-    return Derivation(
-        tuple(_atom_from_json(a) for a in assumptions), tuple(parsed_steps)
-    )
+    return _from_json(Derivation, obj)
 
 
 def derivation_to_json_str(derivation: Derivation) -> str:
@@ -540,10 +476,13 @@ def derivation_to_json_str(derivation: Derivation) -> str:
     return json.dumps(derivation_to_json(derivation), indent=2, sort_keys=False)
 
 
+def write_derivation(derivation: Derivation, path) -> None:
+    """Write the certificate's text form; an unwritable path is a ParseError."""
+    write_text(path, derivation_to_json_str(derivation) + "\n")
+
+
 def render_derivation(derivation: Derivation) -> str:
     """Human-readable listing of a derivation."""
-    from .parsing import render_human
-
     lines = []
     for a in derivation.assumptions:
         lines.append(f"assume  {render_human(a)}")
@@ -807,20 +746,19 @@ def synthesize(assumptions: Sequence[Atom], goal: Atom, witness) -> Derivation:
     The derivation is checked before being returned; a check failure is an
     internal error, never a user error.
     """
-    from . import decision as dec
-
     b = _Builder(assumptions)
+    kind = getattr(witness, "kind", None)
 
-    if isinstance(witness, dec.VacuousDegreeWitness):
+    if kind == "vacuous-degree":
         b.add(Rule.A8, (), goal)
 
-    elif isinstance(witness, dec.ContradictionWitness):
+    elif kind == "contradiction":
         ref = b.hyp(witness.atom)
         zero_goal = goal.with_degree(ZERO)
         ref = b.add(Rule.A1, (ref,), zero_goal)
         b.raise_degree(ref, zero_goal, goal.degree)
 
-    elif isinstance(witness, dec.DominationWitness):
+    elif kind == "domination":
         _plan(b, goal, witness)
 
     else:

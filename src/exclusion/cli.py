@@ -5,9 +5,10 @@ against a CSV team), counterexample (emit a separating team), derive
 (emit a checked derivation), oracle-check (compare the decision with the
 bounded brute-force oracle).
 
-Exit codes: 0 decided, 1 internal error, 2 parse error, 3 unsupported
-degree, 4 wrong-direction command, 5 capacity.  JSON outputs carry
-"format": 1 and no timing, so repeated runs print identical bytes.
+Exit codes: 0 decided, 1 internal error, 2 parse error (an unreadable or
+unwritable file and a negative bound included), 3 unsupported degree, 4
+wrong-direction command, 5 capacity.  JSON outputs carry "format": 1 and
+no timing, so repeated runs print identical bytes.
 """
 
 from __future__ import annotations
@@ -18,11 +19,10 @@ import sys
 import time
 from fractions import Fraction
 
-from .calculus import derivation_to_json_str, synthesize
+from .calculus import synthesize, write_derivation
 from .counterexample import domain_size_bound, verified_counterexample
 from .decision import decide
 from .errors import EXIT_OK, EXIT_WRONG_DIRECTION, ExclusionError
-from .model import ONE
 from .oracle import default_bounds, oracle_implies
 from .parsing import (
     parse_atom,
@@ -51,12 +51,9 @@ def cmd_check(args) -> int:
     if args.certificate:
         certificate_path = args.certificate
         if verdict.holds:
-            derivation = synthesize(sigma, goal, verdict.witness)
-            with open(certificate_path, "w", encoding="utf-8") as handle:
-                handle.write(derivation_to_json_str(derivation) + "\n")
+            write_derivation(synthesize(sigma, goal, verdict.witness), certificate_path)
         else:
-            team = verified_counterexample(verdict.plan)
-            write_team_csv(team, certificate_path)
+            write_team_csv(verified_counterexample(verdict.plan), certificate_path)
     if args.json:
         payload = {
             "format": 1,
@@ -83,7 +80,7 @@ def cmd_eval(args) -> int:
         print(f"warning: {duplicates} duplicate rows collapsed", file=sys.stderr)
     # one removal search: satisfaction and the smallest degree follow from it
     removal = min_removal(team, atom)
-    satisfied = atom.degree == ONE or within_budget(removal, atom.degree, team.size)
+    satisfied = within_budget(removal, atom.degree, team.size)
     degree = None if team.is_empty() else Fraction(removal, team.size)
     if args.json:
         payload = {
@@ -130,8 +127,7 @@ def cmd_derive(args) -> int:
         )
         return EXIT_WRONG_DIRECTION
     derivation = synthesize(sigma, goal, verdict.witness)
-    with open(args.out_json, "w", encoding="utf-8") as handle:
-        handle.write(derivation_to_json_str(derivation) + "\n")
+    write_derivation(derivation, args.out_json)
     print(f"wrote {args.out_json} ({len(derivation.steps)} steps)")
     return EXIT_OK
 
@@ -162,6 +158,13 @@ def cmd_oracle_check(args) -> int:
         print("separating team:")
         print(team_csv_text(result.counterexample), end="")
     return 1
+
+
+def non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -208,13 +211,13 @@ def build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("sigma_file")
     oracle.add_argument("goal")
     oracle.add_argument(
-        "--max-rows", type=int, default=None, help="team size bound (default: planned)"
+        "--max-rows", type=non_negative, help="team size bound (default: planned)"
     )
     oracle.add_argument(
-        "--domain", type=int, default=None, help="value count bound (default: planned)"
+        "--domain", type=non_negative, help="value count bound (default: planned)"
     )
     oracle.add_argument(
-        "--budget", type=int, default=10_000_000, help="max teams to enumerate"
+        "--budget", type=non_negative, default=10_000_000, help="max teams to enumerate"
     )
     oracle.set_defaults(func=cmd_oracle_check)
 

@@ -6,7 +6,8 @@ cover all cases:
 
 * unary-canonical: the goal's sides are the same tuple (a contradictory
   goal), so a single row of pairwise-distinct fresh values refutes it while
-  satisfying any set of non-contradictory assumptions.
+  satisfying any set of non-contradictory assumptions.  It is the block
+  below with l = k = 1.
 * shared-block: k rows chosen so that p < l/k <= r, where r is the smallest
   assumption degree above the goal degree p.  Rows 1..l repeat a value
   block on the goal's left columns, rows l+1..2l repeat the same blocks on
@@ -21,16 +22,16 @@ conflicts on that pair (`conflicts`) dominates the goal, and the goal then
 follows; a premise that does not conflict on it loses no row in the team.
 A premise of degree above p may lose both rows of a block, more than its
 budget; the verified wrapper re-checks semantically and raises rather than
-emit a wrong certificate.  A plan's `transitive` flag, computed when it
-is read, tells whether the merge relation was already transitive before
-its closure.
+emit a wrong certificate.  A plan keeps the generic pair its rows are
+built from; its `transitive` flag, computed when it is read, tells whether
+the merge relation was already transitive before its closure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from typing import Iterable, Sequence
 
 from .errors import InternalVerificationError
@@ -143,17 +144,17 @@ class CounterexamplePlan:
     r: Fraction | None
     schema: tuple[str, ...]
     extra_vars: tuple[str, ...]
-    value_classes: tuple[tuple[int, ...], ...]
+    pair: GenericPair
 
     @property
     def transitive(self) -> bool:
-        """Whether positions in one value class already shared a variable
-        pairwise, on the left or on the right, before the closure."""
-        left, right = self.goal.left, self.goal.right
+        """Whether positions in one class of the pair already shared a
+        variable pairwise, on the left or on the right, before the closure."""
+        left, right, s = self.goal.left, self.goal.right, self.pair[0]
         return all(
             left[i] == left[j] or right[i] == right[j]
-            for cls in self.value_classes
-            for i, j in combinations(cls, 2)
+            for i, j in combinations(range(self.n), 2)
+            if s[left[i]] == s[left[j]]
         )
 
     @property
@@ -197,68 +198,43 @@ def plan(sigma: Sequence[Atom], goal: Atom) -> CounterexamplePlan:
 def _plan(sigma: tuple[Atom, ...], goal: Atom, pair: GenericPair) -> CounterexamplePlan:
     """`plan` on the goal's generic pair, which `decide` has already built."""
     schema, extra = schema_order(sigma, goal)
-    # a position's class is that of its cells in the generic pair
-    left_class = pair[0]
-    groups: dict[int, list[int]] = {}
-    for i, x in enumerate(goal.left):
-        groups.setdefault(left_class[x], []).append(i)
-    classes = tuple(map(tuple, groups.values()))
     p = goal.degree
     if goal.left == goal.right:
         if p.numerator == p.denominator:
             raise ValueError("a degree-1 goal is never refutable")
         return CounterexamplePlan(
-            "unary-canonical", sigma, goal, 1, 1, None, schema, extra, classes
+            "unary-canonical", sigma, goal, 1, 1, None, schema, extra, pair
         )
     r = min_gap_degree(sigma, p)
     l, k = ratio_parameters(p, r)
-    return CounterexamplePlan(
-        "shared-block", sigma, goal, l, k, r, schema, extra, classes
-    )
+    return CounterexamplePlan("shared-block", sigma, goal, l, k, r, schema, extra, pair)
 
 
 def build_team(cx: CounterexamplePlan) -> Team:
-    """Materialize the planned team with values "1", "2", ... in creation order."""
-    goal = cx.goal
-    counter = 0
+    """Materialize the planned team with values "1", "2", ... in creation order.
 
-    def fresh() -> str:
-        nonlocal counter
-        counter += 1
-        return str(counter)
-
-    if cx.kind == "unary-canonical":
-        row = tuple(fresh() for _ in cx.schema)
-        return Team(cx.schema, frozenset([row]))
-
-    class_of = {}
-    for cls_id, cls in enumerate(cx.value_classes):
-        for pos in cls:
-            class_of[pos] = cls_id
-    left_class = {goal.left[i]: class_of[i] for i in range(goal.arity)}
-    right_class = {goal.right[i]: class_of[i] for i in range(goal.arity)}
-    left_vars = frozenset(goal.left)
-    right_vars = frozenset(goal.right)
-
+    Row t <= l of block t takes one value per class of the generic pair's
+    row s, on the goal's left variables; row l + t takes the same values
+    per class of the pair's row t, on the right variables.  Every other
+    cell is fresh.
+    """
+    numbers = count(1)
     shared: dict[tuple[int, int], str] = {}
-
-    def shared_value(block: int, cls_id: int) -> str:
-        key = (block, cls_id)
-        if key not in shared:
-            shared[key] = fresh()
-        return shared[key]
-
     rows = []
-    for t in range(1, cx.k + 1):
-        row = []
+    for row in range(cx.k):
+        side, block = divmod(row, cx.l)
+        classes = cx.pair[side] if side < 2 else {}
+        values = []
         for var in cx.schema:
-            if t <= cx.l and var in left_vars:
-                row.append(shared_value(t, left_class[var]))
-            elif cx.l < t <= 2 * cx.l and var in right_vars:
-                row.append(shared_value(t - cx.l, right_class[var]))
-            else:
-                row.append(fresh())
-        rows.append(tuple(row))
+            c = classes.get(var)
+            if c is None:
+                values.append(str(next(numbers)))
+                continue
+            key = (block, c)
+            if key not in shared:
+                shared[key] = str(next(numbers))
+            values.append(shared[key])
+        rows.append(tuple(values))
     return Team(cx.schema, frozenset(rows))
 
 

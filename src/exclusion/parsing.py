@@ -219,5 +219,13 @@ def team_csv_text(team: Team) -> str:
     return "\n".join(lines) + "\n"
 
 
+def write_text(path: str | Path, text: str) -> None:
+    """Write a certificate file; an unwritable path is a ParseError."""
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
+
+
 def write_team_csv(team: Team, path: str | Path) -> None:
-    Path(path).write_text(team_csv_text(team), encoding="utf-8")
+    write_text(path, team_csv_text(team))

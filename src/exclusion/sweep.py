@@ -41,7 +41,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
-from typing import Callable
 
 import numpy as np
 
@@ -57,6 +56,10 @@ KEYSTONE_VARS = ("a", "b", "c")
 KEYSTONE_DEGREES = (Fraction(0), Fraction(1, 4), Fraction(1, 3))
 KEYSTONE_MAX_ROWS = 4
 KEYSTONE_MAX_VALUES = 12
+# every SAMPLE_STRIDE-th unreduced instance is re-decided directly
+SAMPLE_STRIDE = 61
+# oracle_spot_check's comparisons per planned team size k
+SPOT_CHECK_COUNTS = {1: 30, 2: 170, 3: 20, 4: 2}
 
 _removal_table: np.ndarray | None = None
 
@@ -120,11 +123,9 @@ class TeamBank:
         self._ones: np.ndarray | None = None
 
     @classmethod
-    def build(
-        cls, n_vars: int, max_rows: int, max_values: int, budget: int = DEFAULT_BUDGET
-    ) -> "TeamBank":
+    def build(cls, n_vars: int, max_rows: int, max_values: int) -> "TeamBank":
         cells, n_rows, n_values = kernel.enumerate_packed(
-            n_vars, max_rows, max_values, budget
+            n_vars, max_rows, max_values, DEFAULT_BUDGET
         )
         return cls(n_vars, max_rows, max_values, cells, n_rows, n_values)
 
@@ -261,15 +262,14 @@ def _premise_sets(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class Tally:
-    """Failure counter keeping a few concrete examples."""
+    """Failure counter keeping the first ten concrete examples."""
 
     count: int = 0
     examples: list = field(default_factory=list)
-    cap: int = 10
 
     def add(self, example) -> None:
         self.count += 1
-        if len(self.examples) < self.cap:
+        if len(self.examples) < 10:
             self.examples.append(example)
 
     def __bool__(self) -> bool:
@@ -294,9 +294,7 @@ class KeystoneReport:
     setup_s: float  # bank build plus the 270 masks, inside elapsed
 
 
-def run_keystone(
-    progress: Callable[[int, int], None] | None = None, sample_stride: int = 61
-) -> KeystoneReport:
+def run_keystone() -> KeystoneReport:
     """Sweep the whole keystone space; see the module docstring.
 
     Returns tallies only; asserting on them is the caller's business.
@@ -397,8 +395,8 @@ def run_keystone(
 
         # modular sample: re-run the decision on unreduced instances and
         # compare with the verdict recorded for their class
-        start_offset = (-g * n_sets) % sample_stride
-        for s in range(start_offset, n_sets, sample_stride):
+        start_offset = (-g * n_sets) % SAMPLE_STRIDE
+        for s in range(start_offset, n_sets, SAMPLE_STRIDE):
             sample_size += 1
             sigma_idx = [int(i) for i in (first[s], second[s]) if i != sentinel]
             sigma = tuple(atoms[i] for i in sigma_idx)
@@ -406,9 +404,6 @@ def run_keystone(
             stored = verdict_map[min_keys[s]]
             if stored == 0 or (stored == 1) != verdict.holds:
                 sample_mismatches.add((*describe(s, g), int(stored), verdict.holds))
-
-        if progress is not None:
-            progress(g + 1, n_atoms)
 
     return KeystoneReport(
         instances=n_atoms * n_sets,
@@ -426,25 +421,22 @@ def run_keystone(
     )
 
 
-def oracle_spot_check(
-    seed: int = 22, counts: dict[int, int] | None = None, max_draws: int = 200_000
-) -> tuple[int, Tally]:
+def oracle_spot_check() -> tuple[int, Tally]:
     """Replay sampled keystone instances through the literal bounded oracle.
 
-    Draws instances at random, stratified by planned team size k (larger k
-    means an exponentially larger search space, so fewer draws; k = 4 runs
-    are kept to instances over at most two variables).  Returns the number
+    Draws instances from seed 22, stratified by planned team size k as
+    SPOT_CHECK_COUNTS says (larger k means an exponentially larger search
+    space, so fewer draws; k = 4 runs are kept to instances over at most
+    two variables).  Returns the number
     of comparisons made and mismatches between the decision and
     oracle_implies at the plan's bounds.
     """
-    if counts is None:
-        counts = {1: 30, 2: 170, 3: 20, 4: 2}
-    remaining = dict(counts)
+    remaining = dict(SPOT_CHECK_COUNTS)
     atoms = keystone_atoms()
-    rng = random.Random(seed)
+    rng = random.Random(22)
     mismatches = Tally()
     compared = 0
-    for _ in range(max_draws):
+    for _ in range(200_000):
         if not any(remaining.values()):
             break
         size = rng.choice((0, 1, 1, 2, 2, 2))

@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,7 @@ from exclusion.calculus import (
     Rule,
     Step,
     SwitchWitness,
+    WITNESS_KINDS,
     Witness,
     check_step,
     derivation_from_json,
@@ -34,6 +36,7 @@ from exclusion.calculus import (
 )
 
 X_Y = atom("x", "y")
+GOLDEN = Path(__file__).resolve().parent / "golden" / "derivation_all_witness_kinds.json"
 
 
 def ok(step, assumptions=(), prior=()):
@@ -571,6 +574,71 @@ class TestSerialization:
         payload["steps"][0]["witness"] = {"kind": "mystery"}
         with pytest.raises(ParseError):
             derivation_from_json(payload)
+
+    def test_text_of_every_witness_kind_is_pinned(self):
+        # one derivation using all six witness kinds; a change of key order,
+        # kind name or field encoding changes this text
+        dup = atom("x1 w1 w1", "y1 w1 w1", "1/4")
+        d = Derivation(
+            (dup,),
+            (
+                Step(1, Rule.HYP, (), dup),
+                Step(2, Rule.PERM, (1,), atom("w1 x1 w1", "w1 y1 w1", "1/4"), PermWitness((1, 0, 2))),
+                Step(3, Rule.CONTRACT, (1,), atom("x1 w1", "y1 w1", "1/4"), ContractWitness(1, 2)),
+                Step(4, Rule.A5, (3,), atom("w1 x1", "w1 y1", "1/4"), BlockSwapWitness(0, 1, 1)),
+                Step(5, Rule.A7, (3,), atom("x1 w1", "y1 w1", "1/3"), RaiseWitness(Fraction(1, 3))),
+                Step(6, Rule.A6, (5,), atom("z1 z1", "x1 y1", "1/3"), SwitchWitness(1, ("z1",))),
+                Step(7, Rule.A3, (6,), atom("z1 z1 u", "x1 y1 v", "1/3"), AppendWitness(("u",), ("v",))),
+            ),
+        )
+        assert check_derivation(d).ok
+        assert {type(s.witness) for s in d.steps} - {type(None)} == set(WITNESS_KINDS.values())
+        text = derivation_to_json_str(d)
+        assert text + "\n" == GOLDEN.read_text()
+        assert derivation_from_json(json.loads(text)) == d
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            # a side is a list of names, not a string of letters
+            (("assumptions", 0, "left"), "xww"),
+            (("steps", 0, "conclusion", "right"), "yww"),
+            # a bool is not an int
+            (("format",), True),
+            (("steps", 0, "index"), True),
+            (("steps", 1, "premises"), [True]),
+            (("steps", 1, "witness", "removed"), True),
+            (("steps", 2, "witness", "order"), [True, 0]),
+            (("steps", 1, "witness", "duplicate"), 1.0),
+            (("steps", 0, "rule"), 1),
+            (("assumptions", 0, "degree"), 0),
+        ],
+    )
+    def test_malformed_field_rejected(self, path, value):
+        prem = atom("x w w", "y w w")
+        payload = derivation_to_json(
+            Derivation(
+                (prem,),
+                (
+                    Step(1, Rule.HYP, (), prem),
+                    Step(2, Rule.CONTRACT, (1,), atom("x w", "y w"), ContractWitness(1, 2)),
+                    Step(3, Rule.PERM, (2,), atom("w x", "w y"), PermWitness((1, 0))),
+                ),
+            )
+        )
+        assert check_derivation(derivation_from_json(payload)).ok
+        *keys, last = path
+        target = payload
+        for key in keys:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(ParseError):
+            derivation_from_json(payload)
+
+    def test_missing_witness_reads_as_none(self):
+        payload = derivation_to_json(Derivation((X_Y,), (Step(1, Rule.HYP, (), X_Y),)))
+        del payload["steps"][0]["witness"]
+        assert derivation_from_json(payload).steps[0].witness is None
 
     def test_degrees_survive_as_exact_rationals(self):
         a = atom("x", "y", "17/50")

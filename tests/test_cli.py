@@ -342,3 +342,33 @@ class TestArgumentErrors:
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    @pytest.mark.parametrize("flag", ["--max-rows", "--domain", "--budget"])
+    def test_negative_bound_is_a_usage_error(self, flag, sigma_file, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["oracle-check", sigma_file(""), "excl(x ; y)", flag, "-1"])
+        assert info.value.code == 2
+        assert "must not be negative" in capsys.readouterr().err
+
+
+class TestUnwritableOutput:
+    """A certificate that cannot be written is an input error, like a file
+    that cannot be read."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["counterexample", "", "excl(x1 ; y1)", "{out}"],
+            ["derive", "excl(x1 w1 w2 ; y1 w1 w2)", "excl(z1 z1 ; x1 y1)", "{out}"],
+            ["check", "excl(x1 w1 w2 ; y1 w1 w2)", "excl(z1 z1 ; x1 y1)", "--certificate", "{out}"],
+            ["check", "", "excl(x1 ; y1)", "--certificate", "{out}"],
+        ],
+    )
+    def test_exit_code_and_message(self, argv, sigma_file, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "out")
+        command, sigma, *rest = argv
+        code = main([command, sigma_file(sigma), *(a.format(out=out) for a in rest)])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE
+        assert captured.err.startswith(f"error: cannot write {out}")
+        assert captured.out == ""

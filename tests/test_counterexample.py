@@ -129,22 +129,26 @@ class TestPlans:
     def test_merge_classes_transitive_goal(self):
         plan = counterexample_plan([], atom("x x", "u v"))
         assert plan.transitive
-        assert plan.value_classes == ((0, 1),)
+        assert plan.pair == ({"x": 0}, {"u": 0, "v": 0})
 
     def test_merge_classes_non_transitive_goal(self):
         # positions 0-1 share the left variable, 1-2 the right one; the
         # closure chains them while no single variable relates 0 and 2
         plan = counterexample_plan([], atom("g1 g1 g2", "h1 h2 h2"))
         assert not plan.transitive
-        assert plan.value_classes == ((0, 1, 2),)
+        assert plan.pair == ({"g1": 0, "g2": 0}, {"h1": 0, "h2": 0})
 
 
 def eager_transitive(plan):
-    """The flag as plans used to store it when they were built."""
+    """The flag as plans used to store it when they were built: over the
+    position classes, grouped by the class of their left cell."""
     goal = plan.goal
+    classes: dict[int, list[int]] = {}
+    for i, x in enumerate(goal.left):
+        classes.setdefault(plan.pair[0][x], []).append(i)
     return all(
         goal.left[i] == goal.left[j] or goal.right[i] == goal.right[j]
-        for cls in plan.value_classes
+        for cls in classes.values()
         for i, j in combinations(cls, 2)
     )
 

@@ -1,12 +1,16 @@
-"""The README's "Library" section runs as written and names only real API."""
+"""The README's examples run as written, and its Library section names
+only real API."""
 
 import dataclasses
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import exclusion
 from exclusion import decision
+from exclusion.cli import main
+from exclusion.errors import EXIT_OK
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -63,3 +67,36 @@ class TestLibrarySection:
                     or token in decision.__all__
                     or token in fields
                 ), token
+
+
+def command_line_sessions() -> list[tuple[str, str]]:
+    """Each `$ ` line of the Command line section's blocks, with the lines
+    printed after it."""
+    text = README.read_text()
+    start = text.index("\n## Command line\n")
+    section = text[start : text.index("\n## ", start + 1)]
+    sessions = []
+    for block in re.findall(r"```\n(.*?)```", section, re.S):
+        for chunk in re.split(r"^\$ ", block, flags=re.M)[1:]:
+            command, _, output = chunk.partition("\n")
+            sessions.append((command, output))
+    return sessions
+
+
+def masked(output: str) -> str:
+    return re.sub(r"^time: .*$", "time: <masked>", output, flags=re.M)
+
+
+class TestCommandLineSection:
+    def test_examples_print_what_the_readme_shows(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        sessions = command_line_sessions()
+        assert sum(command.startswith("excl ") for command, _ in sessions) >= 5
+        for command, output in sessions:
+            argv = shlex.split(command)
+            if argv[0] == "cat":
+                (tmp_path / argv[1]).write_text(output)
+                continue
+            assert argv[0] == "excl", command
+            assert main(argv[1:]) == EXIT_OK, command
+            assert masked(capsys.readouterr().out) == masked(output), command
