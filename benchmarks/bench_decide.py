@@ -25,11 +25,19 @@ is most of its time, it times ``decide``, ``plan``, and ``decide`` plus
 ``keystone-slice`` operation, and ``check_derivation`` on the YES
 derivations.
 
+On 6000 seeded ``certify-small`` queries, drawn by ``perfbench/gen.py``
+as that workload draws them (5 variables, arity at most 4, at most 3
+premises, a derived goal every other query) and parsed from their text,
+it times ``synthesize`` and ``check_derivation`` on the YES answers and
+``verified_counterexample`` on the NO answers whose team verifies (the
+known refused plans raise and are only counted).
+
 ``--parent``, ``--change``, ``--repeats`` and ``--out`` work as in
 ``bench_certify.py``: one fresh interpreter per tree and repeat,
 alternating which tree goes first, and a digest of what each tree
 returned (the parsed atoms, the derivation text of each YES, every plan's
-parameters and built team CSV, and every keystone verdict) so the JSON
+parameters and built team CSV, every keystone verdict, and each
+certify-small derivation text and team CSV) so the JSON
 records whether both trees answered alike.  The digest reads only what
 every tree has, so trees whose plans store different fields compare.  The output, ``benchmarks/BENCH_decide.json`` by
 default, holds per-case medians, every repeat, the machine, Python,
@@ -42,6 +50,7 @@ import hashlib
 import json
 import random
 import sys
+from pathlib import Path
 
 from bench_certify import (
     ARITIES,
@@ -55,6 +64,8 @@ from bench_certify import (
 )
 
 KEYSTONE_INSTANCES = 2000
+CERTIFY_SMALL_QUERIES = 6000
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _plan_fields(ex, plan):
@@ -78,11 +89,30 @@ def _goals(ex, rng, sigma, arity):
             return yes, no
 
 
+def _certify_small(ex):
+    """The certify-small queries as parsed (sigma, goal) pairs."""
+    sys.path.insert(0, str(PERFBENCH))
+    import gen
+
+    rng = random.Random(SEED)
+    names = tuple("abcde")
+    queries = []
+    while len(queries) < CERTIFY_SMALL_QUERIES:
+        for derived in (True, False):
+            sigma, goal = gen.instance(rng, names, rng.randint(0, 3), (1, 2, 3, 4), derived)
+            queries.append((
+                ex.parsing.parse_sigma("\n".join(gen.atom_text(*a) for a in sigma)),
+                ex.parsing.parse_atom(gen.atom_text(*goal)),
+            ))
+    return queries
+
+
 def child(src: str) -> None:
     sys.path.insert(0, src)
     import exclusion.calculus
     import exclusion.counterexample
     import exclusion.decision
+    import exclusion.errors
     import exclusion.kernel
     import exclusion.model
     import exclusion.parsing
@@ -152,6 +182,32 @@ def child(src: str) -> None:
         )
     times["check_derivation.keystone"] = _time_per_call(
         [lambda d=d: check_derivation(d) for d in keystone_derivations], 0.5
+    )
+
+    yes, derivations, no = [], [], []
+    for sigma, goal in _certify_small(ex):
+        verdict = decide(sigma, goal)
+        if verdict.holds:
+            yes.append((sigma, goal, verdict.witness))
+            derivations.append(synthesize(sigma, goal, verdict.witness))
+            assert check_derivation(derivations[-1]).ok
+            digest.update(to_text(derivations[-1]).encode())
+            continue
+        try:
+            team = ex.counterexample.verified_counterexample(verdict.plan)
+        except ex.errors.InternalVerificationError:
+            digest.update(b"refused")
+            continue
+        no.append(verdict.plan)
+        digest.update(ex.parsing.team_csv_text(team).encode())
+    times["synthesize.certify_small"] = _time_per_call(
+        [lambda s=s, g=g, w=w: synthesize(s, g, w) for s, g, w in yes], 0.5
+    )
+    times["check_derivation.certify_small"] = _time_per_call(
+        [lambda d=d: check_derivation(d) for d in derivations], 0.5
+    )
+    times["verified_counterexample.certify_small"] = _time_per_call(
+        [lambda p=p: ex.counterexample.verified_counterexample(p) for p in no], 0.5
     )
 
     print(json.dumps({

@@ -33,9 +33,14 @@ A derivation is a numbered list of steps ending in its goal.  check_step
 and check_derivation verify everything; synthesize plans a derivation
 from a decision witness and self-checks it before returning.
 
-Each rule's premise count and witness class are declared once, in RULES;
-each witness names its JSON kind through `kind`.  One field codec writes
-and reads the certificate: atoms, witnesses, steps and the derivation.
+Each rule is declared once, in RULES: its premise count, its witness
+class and its check.  check_step runs the checks all rules share, then
+the rule's own, which compares the conclusion's sides and degree with
+the tuples and integers it expects and builds no atom.  The planner
+builds its atoms unchecked (Atom._unchecked): they rearrange the sides
+of checked atoms, and the self-check verifies every step anyway.  Each
+witness names its JSON kind through `kind`.  One field codec writes and
+reads the certificate: atoms, witnesses, steps and the derivation.
 """
 
 from __future__ import annotations
@@ -44,11 +49,11 @@ import json
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import ClassVar, Sequence
+from typing import Callable, ClassVar, Sequence
 
 from .counterexample import conflicts, generic_pair
 from .errors import InternalVerificationError, ParseError
-from .model import Atom, ONE, VarTuple, ZERO, as_degree
+from .model import Atom, VarTuple, ZERO, as_degree
 from .parsing import render_human, write_text
 
 CERTIFICATE_FORMAT = 1
@@ -145,24 +150,6 @@ Witness = (
     | None
 )
 
-# per rule: its premise count and its witness class, None for no witness
-RULES: dict[Rule, tuple[int, type | None]] = {
-    Rule.HYP: (0, None),
-    Rule.A1: (1, None),
-    Rule.A2: (1, None),
-    Rule.A3: (1, AppendWitness),
-    Rule.A4: (1, None),
-    Rule.A5: (1, BlockSwapWitness),
-    Rule.A6: (1, SwitchWitness),
-    Rule.A7: (1, RaiseWitness),
-    Rule.A8: (0, None),
-    Rule.PERM: (1, PermWitness),
-    Rule.CONTRACT: (1, ContractWitness),
-    Rule.DOM: (1, None),
-}
-WITNESS_KINDS = {cls.kind: cls for _, cls in RULES.values() if cls is not None}
-
-
 @dataclass(frozen=True)
 class Step:
     index: int
@@ -201,150 +188,209 @@ def _fail(reason: str) -> StepOutcome:
 _OK = StepOutcome(True)
 
 
+# Each rule's check takes the step's conclusion, its premise's conclusion
+# (None for a rule without premises), its witness and the assumptions, and
+# returns the reason the step fails, or None.  It compares sides as tuples
+# and degrees as integers or by identity first; it builds no atom, so a
+# witness holding something that is no variable fails the comparison
+# instead of raising.
+
+def _differ(a, b) -> bool:
+    return a is not b and a != b
+
+
+def _check_hyp(concl: Atom, prem, w, assumptions) -> str | None:
+    if concl not in assumptions:
+        return "HYP conclusion is not an assumption"
+    return None
+
+
+def _check_a1(concl: Atom, prem: Atom, w, assumptions) -> str | None:
+    if _differ(prem.left, prem.right):
+        return "A1 premise sides must be the same tuple"
+    if prem.degree.numerator >= prem.degree.denominator:
+        return "A1 premise degree must be below 1"
+    if concl.degree.numerator:
+        return "A1 conclusion degree must be 0"
+    return None
+
+
+def _check_a2(concl: Atom, prem: Atom, w, assumptions) -> str | None:
+    if (
+        _differ(concl.left, prem.right)
+        or _differ(concl.right, prem.left)
+        or _differ(concl.degree, prem.degree)
+    ):
+        return "A2 conclusion must swap the premise sides"
+    return None
+
+
+def _check_a3(concl: Atom, prem: Atom, w: AppendWitness, assumptions) -> str | None:
+    if len(w.left) != len(w.right):
+        return "A3 appended tuples must have equal length"
+    if (
+        concl.left != prem.left + w.left
+        or concl.right != prem.right + w.right
+        or _differ(concl.degree, prem.degree)
+    ):
+        return "A3 conclusion must append the witness tuples"
+    return None
+
+
+def _check_a4(concl: Atom, prem: Atom, w, assumptions) -> str | None:
+    left, right = concl.left, concl.right
+    b = len(prem.left) - len(left)
+    if b < 0:
+        return "A4 conclusion cannot be longer than its premise"
+    if _differ(concl.degree, prem.degree):
+        return "A4 preserves the degree"
+    if prem.left != left + left[len(left) - b :]:
+        return "A4 premise left side must repeat the trailing block"
+    if prem.right != right + right[len(right) - b :]:
+        return "A4 premise right side must repeat the trailing block"
+    return None
+
+
+def _check_a5(concl: Atom, prem: Atom, w: BlockSwapWitness, assumptions) -> str | None:
+    a, b1, b2 = w.prefix, w.first, w.second
+    left, right = prem.left, prem.right
+    if min(a, b1, b2) < 0 or a + b1 + b2 != len(left):
+        return "A5 split must partition the premise sides"
+    cut1, cut2 = a + b1, a + b1 + b2
+    if (
+        concl.left != left[:a] + left[cut1:cut2] + left[a:cut1]
+        or concl.right != right[:a] + right[cut1:cut2] + right[a:cut1]
+        or _differ(concl.degree, prem.degree)
+    ):
+        return "A5 conclusion must swap the witnessed blocks"
+    return None
+
+
+def _check_a6(concl: Atom, prem: Atom, w: SwitchWitness, assumptions) -> str | None:
+    h = len(w.fresh)
+    if h < 1:
+        return "A6 fresh tuple must be nonempty"
+    if w.shared < 0 or len(prem.left) != h + w.shared:
+        return "A6 shared length must complete the premise arity"
+    if prem.left[h:] != prem.right[h:]:
+        return "A6 premise must end in a shared block"
+    if (
+        concl.left != w.fresh + w.fresh
+        or concl.right != prem.left[:h] + prem.right[:h]
+        or _differ(concl.degree, prem.degree)
+    ):
+        return "A6 conclusion must be fresh-fresh over the moved sides"
+    return None
+
+
+def _check_a7(concl: Atom, prem: Atom, w: RaiseWitness, assumptions) -> str | None:
+    p, q = prem.degree, concl.degree
+    if _differ(w.degree, q):
+        return "A7 witness degree must match the conclusion"
+    if q.numerator * p.denominator < p.numerator * q.denominator:
+        return "A7 can only raise the degree"
+    if _differ(concl.left, prem.left) or _differ(concl.right, prem.right):
+        return "A7 preserves the sides"
+    return None
+
+
+def _check_a8(concl: Atom, prem, w, assumptions) -> str | None:
+    if concl.degree.numerator != concl.degree.denominator:
+        return "A8 conclusion degree must be 1"
+    return None
+
+
+def _check_perm(concl: Atom, prem: Atom, w: PermWitness, assumptions) -> str | None:
+    left, right = prem.left, prem.right
+    if sorted(w.order) != list(range(len(left))):
+        return "PERM witness must be a permutation of the positions"
+    if (
+        concl.left != tuple(map(left.__getitem__, w.order))
+        or concl.right != tuple(map(right.__getitem__, w.order))
+        or _differ(concl.degree, prem.degree)
+    ):
+        return "PERM conclusion must reorder the premise pairs"
+    return None
+
+
+def _check_contract(
+    concl: Atom, prem: Atom, w: ContractWitness, assumptions
+) -> str | None:
+    left, right = prem.left, prem.right
+    n, i, j = len(left), w.removed, w.duplicate
+    if not (0 <= i < n and 0 <= j < n):
+        return "CONTRACT positions out of range"
+    if i == j:
+        return "CONTRACT positions must differ"
+    if left[i] != left[j] or right[i] != right[j]:
+        return "CONTRACT requires equal pairs at both positions"
+    if (
+        concl.left != left[:i] + left[i + 1 :]
+        or concl.right != right[:i] + right[i + 1 :]
+        or _differ(concl.degree, prem.degree)
+    ):
+        return "CONTRACT conclusion must drop the removed position"
+    return None
+
+
+def _check_dom(concl: Atom, prem: Atom, w, assumptions) -> str | None:
+    q, p = prem.degree, concl.degree
+    if q.numerator * p.denominator > p.numerator * q.denominator:
+        return "DOM cannot lower the degree"
+    if not conflicts(prem, generic_pair(concl)):
+        return "DOM premise must conflict on the conclusion's generic pair"
+    return None
+
+
+# per rule: its premise count, its witness class (None for no witness) and
+# its check
+RULES: dict[Rule, tuple[int, type | None, Callable[..., str | None]]] = {
+    Rule.HYP: (0, None, _check_hyp),
+    Rule.A1: (1, None, _check_a1),
+    Rule.A2: (1, None, _check_a2),
+    Rule.A3: (1, AppendWitness, _check_a3),
+    Rule.A4: (1, None, _check_a4),
+    Rule.A5: (1, BlockSwapWitness, _check_a5),
+    Rule.A6: (1, SwitchWitness, _check_a6),
+    Rule.A7: (1, RaiseWitness, _check_a7),
+    Rule.A8: (0, None, _check_a8),
+    Rule.PERM: (1, PermWitness, _check_perm),
+    Rule.CONTRACT: (1, ContractWitness, _check_contract),
+    Rule.DOM: (1, None, _check_dom),
+}
+WITNESS_KINDS = {cls.kind: cls for _, cls, _ in RULES.values() if cls is not None}
+
+
 def check_step(
     step: Step, assumptions: Sequence[Atom], prior: Sequence[Atom]
 ) -> StepOutcome:
     """Validate one step against the assumptions and earlier conclusions.
 
-    prior[i] must be the conclusion of step i + 1.
+    prior[i] must be the conclusion of step i + 1.  The checks every rule
+    shares come first: premise count, premise references, witness class;
+    then the rule's own check from RULES.
     """
     signature = RULES.get(step.rule)
     if signature is None:
         return _fail(f"unknown rule {step.rule!r}")
-    expected, witness_class = signature
-    if len(step.premises) != expected:
+    expected, witness_class, check = signature
+    premises = step.premises
+    if len(premises) != expected:
         return _fail(f"{step.rule.value} takes {expected} premise(s)")
-    for ref in step.premises:
+    for ref in premises:
         if not 1 <= ref < step.index:
             return _fail(f"premise reference {ref} is not an earlier step")
         if ref > len(prior):
             return _fail(f"premise reference {ref} has no recorded conclusion")
-    concl = step.conclusion
-    prem = prior[step.premises[0] - 1] if step.premises else None
     w = step.witness
     if witness_class is None:
         if w is not None:
             return _fail(f"{step.rule.value} takes no witness")
     elif not isinstance(w, witness_class):
         return _fail(f"{step.rule.value} needs a {witness_class.kind} witness")
-
-    if step.rule == Rule.HYP:
-        if concl not in assumptions:
-            return _fail("HYP conclusion is not an assumption")
-        return _OK
-
-    if step.rule == Rule.A1:
-        if prem.left != prem.right:
-            return _fail("A1 premise sides must be the same tuple")
-        if prem.degree >= ONE:
-            return _fail("A1 premise degree must be below 1")
-        if concl.degree != ZERO:
-            return _fail("A1 conclusion degree must be 0")
-        return _OK
-
-    if step.rule == Rule.A2:
-        if concl != prem.swapped():
-            return _fail("A2 conclusion must swap the premise sides")
-        return _OK
-
-    if step.rule == Rule.A3:
-        if len(w.left) != len(w.right):
-            return _fail("A3 appended tuples must have equal length")
-        if concl != Atom(prem.left + w.left, prem.right + w.right, prem.degree):
-            return _fail("A3 conclusion must append the witness tuples")
-        return _OK
-
-    if step.rule == Rule.A4:
-        b = prem.arity - concl.arity
-        if b < 0:
-            return _fail("A4 conclusion cannot be longer than its premise")
-        if concl.degree != prem.degree:
-            return _fail("A4 preserves the degree")
-        if prem.left != concl.left + concl.left[len(concl.left) - b :]:
-            return _fail("A4 premise left side must repeat the trailing block")
-        if prem.right != concl.right + concl.right[len(concl.right) - b :]:
-            return _fail("A4 premise right side must repeat the trailing block")
-        return _OK
-
-    if step.rule == Rule.A5:
-        a, b1, b2 = w.prefix, w.first, w.second
-        if min(a, b1, b2) < 0 or a + b1 + b2 != prem.arity:
-            return _fail("A5 split must partition the premise sides")
-        cut1, cut2 = a + b1, a + b1 + b2
-        swapped_left = prem.left[:a] + prem.left[cut1:cut2] + prem.left[a:cut1]
-        swapped_right = prem.right[:a] + prem.right[cut1:cut2] + prem.right[a:cut1]
-        if concl != Atom(swapped_left, swapped_right, prem.degree):
-            return _fail("A5 conclusion must swap the witnessed blocks")
-        return _OK
-
-    if step.rule == Rule.A6:
-        h = len(w.fresh)
-        if h < 1:
-            return _fail("A6 fresh tuple must be nonempty")
-        if w.shared < 0 or prem.arity != h + w.shared:
-            return _fail("A6 shared length must complete the premise arity")
-        if prem.left[h:] != prem.right[h:]:
-            return _fail("A6 premise must end in a shared block")
-        if concl != Atom(
-            w.fresh + w.fresh, prem.left[:h] + prem.right[:h], prem.degree
-        ):
-            return _fail("A6 conclusion must be fresh-fresh over the moved sides")
-        return _OK
-
-    if step.rule == Rule.A7:
-        if w.degree != concl.degree:
-            return _fail("A7 witness degree must match the conclusion")
-        if concl.degree < prem.degree:
-            return _fail("A7 can only raise the degree")
-        if (concl.left, concl.right) != (prem.left, prem.right):
-            return _fail("A7 preserves the sides")
-        return _OK
-
-    if step.rule == Rule.A8:
-        if concl.degree != ONE:
-            return _fail("A8 conclusion degree must be 1")
-        return _OK
-
-    if step.rule == Rule.PERM:
-        n = prem.arity
-        if sorted(w.order) != list(range(n)):
-            return _fail("PERM witness must be a permutation of the positions")
-        if concl != Atom(
-            tuple(prem.left[j] for j in w.order),
-            tuple(prem.right[j] for j in w.order),
-            prem.degree,
-        ):
-            return _fail("PERM conclusion must reorder the premise pairs")
-        return _OK
-
-    if step.rule == Rule.CONTRACT:
-        n = prem.arity
-        if not (0 <= w.removed < n and 0 <= w.duplicate < n):
-            return _fail("CONTRACT positions out of range")
-        if w.removed == w.duplicate:
-            return _fail("CONTRACT positions must differ")
-        if (prem.left[w.removed], prem.right[w.removed]) != (
-            prem.left[w.duplicate],
-            prem.right[w.duplicate],
-        ):
-            return _fail("CONTRACT requires equal pairs at both positions")
-        keep = [i for i in range(n) if i != w.removed]
-        if concl != Atom(
-            tuple(prem.left[i] for i in keep),
-            tuple(prem.right[i] for i in keep),
-            prem.degree,
-        ):
-            return _fail("CONTRACT conclusion must drop the removed position")
-        return _OK
-
-    if step.rule == Rule.DOM:
-        if prem.degree > concl.degree:
-            return _fail("DOM cannot lower the degree")
-        if not conflicts(prem, generic_pair(concl)):
-            return _fail("DOM premise must conflict on the conclusion's generic pair")
-        return _OK
-
-    return _fail(f"unhandled rule {step.rule!r}")
+    prem = prior[premises[0] - 1] if premises else None
+    reason = check(step.conclusion, prem, w, assumptions)
+    return _OK if reason is None else _fail(reason)
 
 
 @dataclass(frozen=True)
@@ -374,7 +420,7 @@ def check_derivation(derivation: Derivation) -> CheckResult:
         if not outcome.ok:
             return CheckResult(False, pos, outcome.reason)
         prior.append(step.conclusion)
-    exact = all(s.conclusion.degree == ZERO for s in derivation.steps)
+    exact = not any(s.conclusion.degree.numerator for s in derivation.steps)
     return CheckResult(True, None, None, exact)
 
 
@@ -401,61 +447,91 @@ def _to_json(value):
     return value
 
 
-def _from_json(cls, obj):
-    """An instance of the dataclass cls read from its JSON object."""
+def _located(where: str, message: str) -> ParseError:
+    return ParseError(f"{where}: {message}" if where else message)
+
+
+def _from_json(cls, obj, where: str = ""):
+    """An instance of the dataclass cls read from its JSON object.
+
+    where names the object's place in the certificate, such as "step 2,
+    witness"; each error message starts with the place of the fault.
+    """
     if not isinstance(obj, dict):
-        raise ParseError(f"{cls.__name__} object expected, got {obj!r}")
+        raise _located(where, f"{cls.__name__} object expected, got {obj!r}")
     values = {}
+    for f in fields(cls):
+        here = f"{where}, {f.name}" if where else f.name
+        if f.name in obj:
+            try:
+                values[f.name] = _DECODERS[f.type](obj[f.name], here)
+            except (ValueError, TypeError) as exc:
+                raise _located(here, str(exc)) from exc
+        elif f.default is MISSING:
+            raise _located(where, f"{cls.__name__} object missing field {f.name!r}")
     try:
-        for f in fields(cls):
-            if f.name in obj:
-                values[f.name] = _DECODERS[f.type](obj[f.name])
-            elif f.default is MISSING:
-                raise ParseError(f"{cls.__name__} object missing field {f.name!r}")
         return cls(**values)
     except (ValueError, TypeError) as exc:
-        raise ParseError(f"malformed {cls.__name__} object: {exc}") from exc
+        raise _located(where, f"malformed {cls.__name__} object: {exc}") from exc
 
 
 def _strict(kind: type, what: str):
     """Decoder of values of exactly the JSON type kind: True is no int."""
 
-    def decode(value):
+    def decode(value, where: str):
         if type(value) is not kind:
-            raise ParseError(f"{what} expected, got {value!r}")
+            raise _located(where, f"{what} expected, got {value!r}")
         return value
 
     return decode
 
 
-def _list_of(item):
-    def decode(value):
-        return tuple(map(item, _list(value)))
+def _list_of(item, label: str | None = None):
+    """Decoder of a list of items.  With a label, item i (from 1) is placed
+    as "label i"; without, at the list's own place."""
+
+    def decode(value, where: str):
+        _list(value, where)
+        if label is None:
+            return tuple(item(v, where) for v in value)
+        return tuple(item(v, f"{label} {i}") for i, v in enumerate(value, start=1))
 
     return decode
 
 
-def _witness(value) -> Witness:
+def _name(value, where: str) -> str:
+    if type(value) is not str or not value:
+        raise _located(where, f"variable name expected, got {value!r}")
+    return value
+
+
+def _witness(value, where: str) -> Witness:
     if value is None:
         return None
     kind = value.get("kind") if isinstance(value, dict) else None
     if not isinstance(kind, str) or kind not in WITNESS_KINDS:
-        raise ParseError(f"malformed witness object: {value!r}")
-    return _from_json(WITNESS_KINDS[kind], value)
+        raise _located(where, f"malformed witness object: {value!r}")
+    return _from_json(WITNESS_KINDS[kind], value, where)
+
+
+def _atom(value, where: str) -> Atom:
+    return _from_json(Atom, value, where)
 
 
 _int = _strict(int, "integer")
 _list = _strict(list, "list")
+_degree_text = _strict(str, "rational degree string")
+_rule_name = _strict(str, "rule name")
 _DECODERS = {
     "int": _int,
     "tuple[int, ...]": _list_of(_int),
-    "VarTuple": _list_of(_strict(str, "variable name")),
-    "Fraction": lambda v: as_degree(_strict(str, "rational degree string")(v)),
-    "Rule": lambda v: Rule(_strict(str, "rule name")(v)),
-    "Atom": lambda v: _from_json(Atom, v),
+    "VarTuple": _list_of(_name),
+    "Fraction": lambda v, where: as_degree(_degree_text(v, where)),
+    "Rule": lambda v, where: Rule(_rule_name(v, where)),
+    "Atom": _atom,
     "Witness": _witness,
-    "tuple[Atom, ...]": _list_of(lambda v: _from_json(Atom, v)),
-    "tuple[Step, ...]": _list_of(lambda v: _from_json(Step, v)),
+    "tuple[Atom, ...]": _list_of(_atom, "assumption"),
+    "tuple[Step, ...]": _list_of(lambda v, where: _from_json(Step, v, where), "step"),
 }
 
 
@@ -570,14 +646,19 @@ def end_constant_form(atom: Atom) -> Atom:
     """
     pairs = dict.fromkeys(zip(atom.left, atom.right))
     ordered = [p for p in pairs if p[0] != p[1]] + [p for p in pairs if p[0] == p[1]]
-    return Atom(
-        tuple(a for a, _ in ordered),
-        tuple(b for _, b in ordered),
-        atom.degree,
+    return Atom._unchecked(
+        tuple(a for a, _ in ordered), tuple(b for _, b in ordered), atom.degree
     )
 
 
 class _Builder:
+    """Steps of a derivation under construction.
+
+    Every atom it makes rearranges, slices or concatenates the sides of
+    atoms already checked, or takes a checked atom's degree, so it is made
+    with Atom._unchecked; synthesize checks every step before returning.
+    """
+
     def __init__(self, assumptions: Sequence[Atom]):
         self.assumptions = tuple(assumptions)
         self.steps: list[Step] = []
@@ -594,12 +675,12 @@ class _Builder:
         return self.add(Rule.HYP, (), atom)
 
     def swap(self, ref: int, atom: Atom) -> int:
-        return self.add(Rule.A2, (ref,), atom.swapped())
+        return self.add(Rule.A2, (ref,), Atom._unchecked(atom.right, atom.left, atom.degree))
 
     def raise_degree(self, ref: int, atom: Atom, degree: Fraction) -> int:
-        if atom.degree == degree:
+        if atom.degree is degree or atom.degree == degree:
             return ref
-        raised = atom.with_degree(degree)
+        raised = Atom._unchecked(atom.left, atom.right, degree)
         return self.add(Rule.A7, (ref,), raised, RaiseWitness(degree))
 
     def transform(self, ref: int, src: Atom, left: VarTuple, right: VarTuple) -> int:
@@ -613,17 +694,18 @@ class _Builder:
             return ref
         n = src.arity
         if left[:n] == src.left and right[:n] == src.right:
-            extended = Atom(left, right, src.degree)
+            extended = Atom._unchecked(left, right, src.degree)
             return self.add(
                 Rule.A3, (ref,), extended, AppendWitness(left[n:], right[n:])
             )
-        appended = Atom(src.left + left, src.right + right, src.degree)
+        appended = Atom._unchecked(src.left + left, src.right + right, src.degree)
         ref = self.add(Rule.A3, (ref,), appended, AppendWitness(left, right))
+        pairs = list(zip(appended.left, appended.right))
         current = appended
-        for _ in range(src.arity):
-            cpairs = list(zip(current.left, current.right))
-            dup = next(i for i in range(1, len(cpairs)) if cpairs[i] == cpairs[0])
-            reduced = Atom(current.left[1:], current.right[1:], current.degree)
+        for k in range(n):
+            # the pair at the front is pairs[k]; its next occurrence
+            dup = pairs.index(pairs[k], k + 1) - k
+            reduced = Atom._unchecked(current.left[1:], current.right[1:], current.degree)
             ref = self.add(
                 Rule.CONTRACT, (ref,), reduced, ContractWitness(0, dup)
             )
@@ -639,8 +721,7 @@ def _membership(b: _Builder, src: Atom, goal: Atom) -> None:
     ref = b.hyp(src)
     if src.left != goal.left:
         ref = b.swap(ref, src)
-        src = src.swapped()
-    b.raise_degree(ref, src, goal.degree)
+    b.raise_degree(ref, b.atom_at(ref), goal.degree)
 
 
 def _toward(b: _Builder, ref: int, src: Atom, goal: Atom, swapped: bool) -> None:
@@ -682,7 +763,7 @@ def _switch(
         if dup is None:
             break
         removed, keep = dup
-        reduced = Atom(
+        reduced = Atom._unchecked(
             current.left[:removed] + current.left[removed + 1 :],
             current.right[:removed] + current.right[removed + 1 :],
             current.degree,
@@ -702,7 +783,9 @@ def _switch(
     plain = [p for p in zip(current.left, current.right) if p[0] != p[1]]
     h = len(plain)
     fresh = tuple(side_tuple[anchored[p]] for p in plain)
-    switched = Atom(fresh + fresh, current.left[:h] + current.right[:h], current.degree)
+    switched = Atom._unchecked(
+        fresh + fresh, current.left[:h] + current.right[:h], current.degree
+    )
     ref = b.add(Rule.A6, (ref,), switched, SwitchWitness(current.arity - h, fresh))
     _toward(b, ref, switched, goal, side == "right")
 
@@ -754,7 +837,7 @@ def synthesize(assumptions: Sequence[Atom], goal: Atom, witness) -> Derivation:
 
     elif kind == "contradiction":
         ref = b.hyp(witness.atom)
-        zero_goal = goal.with_degree(ZERO)
+        zero_goal = Atom._unchecked(goal.left, goal.right, ZERO)
         ref = b.add(Rule.A1, (ref,), zero_goal)
         b.raise_degree(ref, zero_goal, goal.degree)
 

@@ -153,6 +153,16 @@ def cmd_oracle_check(args) -> int:
     if result.implied == verdict.holds:
         print("agree")
         return EXIT_OK
+    if result.implied:
+        # decide said NO and the oracle found no team; below the bounds of
+        # the planned team, that proves nothing
+        rows, values = verdict.plan.k, domain_size_bound(verdict.plan)
+        if max_rows < rows or domain < values:
+            print(
+                f"inconclusive: bounds max_rows={max_rows}, domain={domain} are "
+                f"below the plan's max_rows={rows}, domain={values}"
+            )
+            return EXIT_OK
     print("DISAGREEMENT between decision and oracle")
     if result.counterexample is not None:
         print("separating team:")

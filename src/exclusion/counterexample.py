@@ -235,7 +235,7 @@ def build_team(cx: CounterexamplePlan) -> Team:
                 shared[key] = str(next(numbers))
             values.append(shared[key])
         rows.append(tuple(values))
-    return Team(cx.schema, frozenset(rows))
+    return Team._unchecked(cx.schema, frozenset(rows))
 
 
 def verify(team: Team, sigma: Sequence[Atom], goal: Atom) -> bool:

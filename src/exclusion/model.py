@@ -79,8 +79,11 @@ class Atom:
 
     @classmethod
     def _unchecked(cls, left: VarTuple, right: VarTuple, degree: Fraction) -> "Atom":
-        """An atom built without `__post_init__`: the caller (only the parser)
-        has checked everything it checks, and degree is an exact Fraction."""
+        """An atom built without `__post_init__`: the caller has checked
+        everything it checks, and degree is an exact Fraction.  The callers
+        are the parser, which checks the text it reads, and the derivation
+        planner (`calculus._Builder`, `end_constant_form`), whose sides
+        rearrange, slice or join the sides of checked atoms."""
         self = object.__new__(cls)
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
@@ -161,9 +164,11 @@ class Team:
 
     @classmethod
     def _unchecked(cls, schema: tuple[str, ...], rows: frozenset[Row]) -> "Team":
-        """A team built without `__post_init__`: the caller (only the CSV
-        parser) has checked the schema names and every row's width, and
-        its rows are tuples of str."""
+        """A team built without `__post_init__`: the caller has checked the
+        schema names and every row's width, and its rows are tuples of str.
+        The callers are the CSV parser and `counterexample.build_team`,
+        whose schema lists the distinct variables of checked atoms and
+        whose rows it fills with one string value per schema variable."""
         self = object.__new__(cls)
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "rows", rows)

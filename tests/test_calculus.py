@@ -1,10 +1,14 @@
 """Derivation checking, macro expansion, serialization, and synthesis."""
 
+import inspect
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from exclusion import (
     Atom,
@@ -15,6 +19,7 @@ from exclusion import (
     decide,
     synthesize,
 )
+from exclusion import calculus
 from exclusion.calculus import (
     AppendWitness,
     BlockSwapWitness,
@@ -34,6 +39,7 @@ from exclusion.calculus import (
     end_constant_form,
     render_derivation,
 )
+from exclusion.counterexample import conflicts, generic_pair
 
 X_Y = atom("x", "y")
 GOLDEN = Path(__file__).resolve().parent / "golden" / "derivation_all_witness_kinds.json"
@@ -783,3 +789,585 @@ class TestRender:
         assert "HYP" in text
         assert "A2" in text
         assert "x | y" in text
+
+
+# ==========================================================================
+# the rule table against the tuple-and-atom checker it replaced
+# ==========================================================================
+
+# The step checker as it was before each rule got its own function in RULES:
+# one if-chain that builds the expected conclusion as an Atom and compares
+# whole atoms.  It is the reference the rule table must agree with, reason
+# text included.
+_REFERENCE_SIGNATURES = {
+    Rule.HYP: (0, None),
+    Rule.A1: (1, None),
+    Rule.A2: (1, None),
+    Rule.A3: (1, AppendWitness),
+    Rule.A4: (1, None),
+    Rule.A5: (1, BlockSwapWitness),
+    Rule.A6: (1, SwitchWitness),
+    Rule.A7: (1, RaiseWitness),
+    Rule.A8: (0, None),
+    Rule.PERM: (1, PermWitness),
+    Rule.CONTRACT: (1, ContractWitness),
+    Rule.DOM: (1, None),
+}
+
+
+def reference_check_step(step, assumptions, prior):
+    """(ok, reason) of the atom-building checker."""
+    signature = _REFERENCE_SIGNATURES.get(step.rule)
+    if signature is None:
+        return False, f"unknown rule {step.rule!r}"
+    expected, witness_class = signature
+    if len(step.premises) != expected:
+        return False, f"{step.rule.value} takes {expected} premise(s)"
+    for ref in step.premises:
+        if not 1 <= ref < step.index:
+            return False, f"premise reference {ref} is not an earlier step"
+        if ref > len(prior):
+            return False, f"premise reference {ref} has no recorded conclusion"
+    concl = step.conclusion
+    prem = prior[step.premises[0] - 1] if step.premises else None
+    w = step.witness
+    if witness_class is None:
+        if w is not None:
+            return False, f"{step.rule.value} takes no witness"
+    elif not isinstance(w, witness_class):
+        return False, f"{step.rule.value} needs a {witness_class.kind} witness"
+
+    def fail(reason):
+        return False, reason
+
+    if step.rule == Rule.HYP:
+        if concl not in assumptions:
+            return fail("HYP conclusion is not an assumption")
+    elif step.rule == Rule.A1:
+        if prem.left != prem.right:
+            return fail("A1 premise sides must be the same tuple")
+        if prem.degree >= 1:
+            return fail("A1 premise degree must be below 1")
+        if concl.degree != 0:
+            return fail("A1 conclusion degree must be 0")
+    elif step.rule == Rule.A2:
+        if concl != prem.swapped():
+            return fail("A2 conclusion must swap the premise sides")
+    elif step.rule == Rule.A3:
+        if len(w.left) != len(w.right):
+            return fail("A3 appended tuples must have equal length")
+        if concl != Atom(prem.left + w.left, prem.right + w.right, prem.degree):
+            return fail("A3 conclusion must append the witness tuples")
+    elif step.rule == Rule.A4:
+        b = prem.arity - concl.arity
+        if b < 0:
+            return fail("A4 conclusion cannot be longer than its premise")
+        if concl.degree != prem.degree:
+            return fail("A4 preserves the degree")
+        if prem.left != concl.left + concl.left[len(concl.left) - b :]:
+            return fail("A4 premise left side must repeat the trailing block")
+        if prem.right != concl.right + concl.right[len(concl.right) - b :]:
+            return fail("A4 premise right side must repeat the trailing block")
+    elif step.rule == Rule.A5:
+        a, b1, b2 = w.prefix, w.first, w.second
+        if min(a, b1, b2) < 0 or a + b1 + b2 != prem.arity:
+            return fail("A5 split must partition the premise sides")
+        cut1, cut2 = a + b1, a + b1 + b2
+        swapped_left = prem.left[:a] + prem.left[cut1:cut2] + prem.left[a:cut1]
+        swapped_right = prem.right[:a] + prem.right[cut1:cut2] + prem.right[a:cut1]
+        if concl != Atom(swapped_left, swapped_right, prem.degree):
+            return fail("A5 conclusion must swap the witnessed blocks")
+    elif step.rule == Rule.A6:
+        h = len(w.fresh)
+        if h < 1:
+            return fail("A6 fresh tuple must be nonempty")
+        if w.shared < 0 or prem.arity != h + w.shared:
+            return fail("A6 shared length must complete the premise arity")
+        if prem.left[h:] != prem.right[h:]:
+            return fail("A6 premise must end in a shared block")
+        if concl != Atom(w.fresh + w.fresh, prem.left[:h] + prem.right[:h], prem.degree):
+            return fail("A6 conclusion must be fresh-fresh over the moved sides")
+    elif step.rule == Rule.A7:
+        if w.degree != concl.degree:
+            return fail("A7 witness degree must match the conclusion")
+        if concl.degree < prem.degree:
+            return fail("A7 can only raise the degree")
+        if (concl.left, concl.right) != (prem.left, prem.right):
+            return fail("A7 preserves the sides")
+    elif step.rule == Rule.A8:
+        if concl.degree != 1:
+            return fail("A8 conclusion degree must be 1")
+    elif step.rule == Rule.PERM:
+        n = prem.arity
+        if sorted(w.order) != list(range(n)):
+            return fail("PERM witness must be a permutation of the positions")
+        reordered = Atom(
+            tuple(prem.left[j] for j in w.order),
+            tuple(prem.right[j] for j in w.order),
+            prem.degree,
+        )
+        if concl != reordered:
+            return fail("PERM conclusion must reorder the premise pairs")
+    elif step.rule == Rule.CONTRACT:
+        n = prem.arity
+        if not (0 <= w.removed < n and 0 <= w.duplicate < n):
+            return fail("CONTRACT positions out of range")
+        if w.removed == w.duplicate:
+            return fail("CONTRACT positions must differ")
+        if (prem.left[w.removed], prem.right[w.removed]) != (
+            prem.left[w.duplicate],
+            prem.right[w.duplicate],
+        ):
+            return fail("CONTRACT requires equal pairs at both positions")
+        keep = [i for i in range(n) if i != w.removed]
+        dropped = Atom(
+            tuple(prem.left[i] for i in keep), tuple(prem.right[i] for i in keep), prem.degree
+        )
+        if concl != dropped:
+            return fail("CONTRACT conclusion must drop the removed position")
+    elif step.rule == Rule.DOM:
+        if prem.degree > concl.degree:
+            return fail("DOM cannot lower the degree")
+        if not conflicts(prem, generic_pair(concl)):
+            return fail("DOM premise must conflict on the conclusion's generic pair")
+    return True, None
+
+
+def outcome_of(step, assumptions=(), prior=()):
+    outcome = check_step(step, assumptions, prior)
+    return outcome.ok, outcome.reason
+
+
+P2 = atom("x y", "u v", "1/4")
+P3 = atom("x y z", "u v w", "1/4")
+NO_WITNESS = RaiseWitness(Fraction(1, 3))
+
+# (rule, prior, assumptions, conclusion, witness, reason): one valid step
+# per rule, then the same step with one side entry, the degree or the
+# witness changed, each with the reason the checker gave before the rule
+# table
+RULE_CASES = [
+    (Rule.HYP, (), (P2,), P2, None, None),
+    (Rule.HYP, (), (P2,), atom("x y", "u w", "1/4"), None, "HYP conclusion is not an assumption"),
+    (Rule.HYP, (), (P2,), atom("x y", "u v", "1/3"), None, "HYP conclusion is not an assumption"),
+    (Rule.HYP, (), (P2,), P2, NO_WITNESS, "HYP takes no witness"),
+    (Rule.A1, (atom("x y", "x y", "1/4"),), (), atom("a", "b"), None, None),
+    (Rule.A1, (atom("x y", "x z", "1/4"),), (), atom("a", "b"), None,
+     "A1 premise sides must be the same tuple"),
+    (Rule.A1, (atom("x y", "x y", 1),), (), atom("a", "b"), None,
+     "A1 premise degree must be below 1"),
+    (Rule.A1, (atom("x y", "x y", "1/4"),), (), atom("a", "b", "1/4"), None,
+     "A1 conclusion degree must be 0"),
+    (Rule.A1, (atom("x y", "x y", "1/4"),), (), atom("a", "b"), NO_WITNESS, "A1 takes no witness"),
+    (Rule.A2, (P2,), (), atom("u v", "x y", "1/4"), None, None),
+    (Rule.A2, (P2,), (), atom("u v", "x z", "1/4"), None, "A2 conclusion must swap the premise sides"),
+    (Rule.A2, (P2,), (), atom("u v", "x y", "1/3"), None, "A2 conclusion must swap the premise sides"),
+    (Rule.A2, (P2,), (), atom("u v", "x y", "1/4"), NO_WITNESS, "A2 takes no witness"),
+    (Rule.A3, (P2,), (), atom("x y a", "u v b", "1/4"), AppendWitness(("a",), ("b",)), None),
+    (Rule.A3, (P2,), (), atom("x y a", "u v c", "1/4"), AppendWitness(("a",), ("b",)),
+     "A3 conclusion must append the witness tuples"),
+    (Rule.A3, (P2,), (), atom("x y a", "u v b", "1/3"), AppendWitness(("a",), ("b",)),
+     "A3 conclusion must append the witness tuples"),
+    (Rule.A3, (P2,), (), atom("x y a", "u v b", "1/4"), AppendWitness(("a",), ("c",)),
+     "A3 conclusion must append the witness tuples"),
+    (Rule.A3, (P2,), (), atom("x y a", "u v b", "1/4"), AppendWitness(("a",), ()),
+     "A3 appended tuples must have equal length"),
+    (Rule.A3, (P2,), (), atom("x y a", "u v b", "1/4"), NO_WITNESS, "A3 needs a append witness"),
+    (Rule.A4, (atom("x y y", "u v v", "1/4"),), (), P2, None, None),
+    (Rule.A4, (atom("x y y", "u v v", "1/4"),), (), atom("x z", "u v", "1/4"), None,
+     "A4 premise left side must repeat the trailing block"),
+    (Rule.A4, (atom("x y y", "u v v", "1/4"),), (), atom("x y", "u w", "1/4"), None,
+     "A4 premise right side must repeat the trailing block"),
+    (Rule.A4, (atom("x y y", "u v v", "1/4"),), (), atom("x y", "u v", "1/3"), None,
+     "A4 preserves the degree"),
+    (Rule.A4, (P2,), (), P3, None, "A4 conclusion cannot be longer than its premise"),
+    (Rule.A4, (atom("x y y", "u v v", "1/4"),), (), P2, NO_WITNESS, "A4 takes no witness"),
+    (Rule.A5, (P3,), (), atom("y z x", "v w u", "1/4"), BlockSwapWitness(0, 1, 2), None),
+    (Rule.A5, (P3,), (), atom("y z x", "v w v", "1/4"), BlockSwapWitness(0, 1, 2),
+     "A5 conclusion must swap the witnessed blocks"),
+    (Rule.A5, (P3,), (), atom("y z x", "v w u", "1/3"), BlockSwapWitness(0, 1, 2),
+     "A5 conclusion must swap the witnessed blocks"),
+    (Rule.A5, (P3,), (), atom("y z x", "v w u", "1/4"), BlockSwapWitness(1, 1, 1),
+     "A5 conclusion must swap the witnessed blocks"),
+    (Rule.A5, (P3,), (), atom("y z x", "v w u", "1/4"), BlockSwapWitness(0, 1, 1),
+     "A5 split must partition the premise sides"),
+    (Rule.A5, (P3,), (), atom("y z x", "v w u", "1/4"), BlockSwapWitness(-1, 2, 2),
+     "A5 split must partition the premise sides"),
+    (Rule.A6, (atom("x y w", "u v w", "1/4"),), (), atom("a b a b", "x y u v", "1/4"),
+     SwitchWitness(1, ("a", "b")), None),
+    (Rule.A6, (atom("x y w", "u v w", "1/4"),), (), atom("a b a b", "x y u w", "1/4"),
+     SwitchWitness(1, ("a", "b")), "A6 conclusion must be fresh-fresh over the moved sides"),
+    (Rule.A6, (atom("x y w", "u v w", "1/4"),), (), atom("a b a b", "x y u v", "1/3"),
+     SwitchWitness(1, ("a", "b")), "A6 conclusion must be fresh-fresh over the moved sides"),
+    (Rule.A6, (atom("x y w", "u v w", "1/4"),), (), atom("a b a b", "x y u v", "1/4"),
+     SwitchWitness(1, ("a", "c")), "A6 conclusion must be fresh-fresh over the moved sides"),
+    (Rule.A6, (atom("x y w", "u v w", "1/4"),), (), atom("a b a b", "x y u v", "1/4"),
+     SwitchWitness(2, ("a", "b")), "A6 shared length must complete the premise arity"),
+    (Rule.A6, (atom("x y w", "u v w", "1/4"),), (), atom("a b a b", "x y u v", "1/4"),
+     SwitchWitness(3, ()), "A6 fresh tuple must be nonempty"),
+    (Rule.A6, (atom("x y w", "u v w", "1/4"),), (), atom("a a", "x u", "1/4"),
+     SwitchWitness(2, ("a",)), "A6 premise must end in a shared block"),
+    (Rule.A7, (P2,), (), atom("x y", "u v", "1/3"), RaiseWitness(Fraction(1, 3)), None),
+    (Rule.A7, (P2,), (), atom("x y", "u w", "1/3"), RaiseWitness(Fraction(1, 3)),
+     "A7 preserves the sides"),
+    (Rule.A7, (P2,), (), atom("x y", "u v", "1/2"), RaiseWitness(Fraction(1, 3)),
+     "A7 witness degree must match the conclusion"),
+    (Rule.A7, (P2,), (), atom("x y", "u v", "1/3"), RaiseWitness(Fraction(1, 2)),
+     "A7 witness degree must match the conclusion"),
+    (Rule.A7, (P2,), (), atom("x y", "u v", "1/5"), RaiseWitness(Fraction(1, 5)),
+     "A7 can only raise the degree"),
+    (Rule.A7, (P2,), (), atom("x y", "u v", "1/3"), None, "A7 needs a raise witness"),
+    (Rule.A8, (), (), atom("x", "y", 1), None, None),
+    (Rule.A8, (), (), atom("x", "y", "1/4"), None, "A8 conclusion degree must be 1"),
+    (Rule.A8, (), (), atom("x", "y", 1), NO_WITNESS, "A8 takes no witness"),
+    (Rule.PERM, (P3,), (), atom("z x y", "w u v", "1/4"), PermWitness((2, 0, 1)), None),
+    (Rule.PERM, (P3,), (), atom("z x y", "w u u", "1/4"), PermWitness((2, 0, 1)),
+     "PERM conclusion must reorder the premise pairs"),
+    (Rule.PERM, (P3,), (), atom("z x y", "w u v", "1/3"), PermWitness((2, 0, 1)),
+     "PERM conclusion must reorder the premise pairs"),
+    (Rule.PERM, (P3,), (), atom("z x y", "w u v", "1/4"), PermWitness((1, 0, 2)),
+     "PERM conclusion must reorder the premise pairs"),
+    (Rule.PERM, (P3,), (), atom("z x y", "w u v", "1/4"), PermWitness((0, 0, 1)),
+     "PERM witness must be a permutation of the positions"),
+    (Rule.CONTRACT, (atom("x y x", "u v u", "1/4"),), (), P2, ContractWitness(2, 0), None),
+    (Rule.CONTRACT, (atom("x y x", "u v u", "1/4"),), (), atom("x y", "u w", "1/4"),
+     ContractWitness(2, 0), "CONTRACT conclusion must drop the removed position"),
+    (Rule.CONTRACT, (atom("x y x", "u v u", "1/4"),), (), atom("x y", "u v", "1/3"),
+     ContractWitness(2, 0), "CONTRACT conclusion must drop the removed position"),
+    (Rule.CONTRACT, (atom("x y x", "u v u", "1/4"),), (), P2, ContractWitness(0, 2),
+     "CONTRACT conclusion must drop the removed position"),
+    (Rule.CONTRACT, (atom("x y x", "u v u", "1/4"),), (), P2, ContractWitness(1, 0),
+     "CONTRACT requires equal pairs at both positions"),
+    (Rule.CONTRACT, (atom("x y x", "u v u", "1/4"),), (), P2, ContractWitness(2, 2),
+     "CONTRACT positions must differ"),
+    (Rule.CONTRACT, (atom("x y x", "u v u", "1/4"),), (), P2, ContractWitness(3, 0),
+     "CONTRACT positions out of range"),
+    (Rule.DOM, (atom("x", "y", "1/4"),), (), atom("x z", "y w", "1/3"), None, None),
+    (Rule.DOM, (atom("x", "y", "1/4"),), (), atom("x z", "v w", "1/3"), None,
+     "DOM premise must conflict on the conclusion's generic pair"),
+    (Rule.DOM, (atom("x", "y", "1/4"),), (), atom("x z", "y w"), None, "DOM cannot lower the degree"),
+    (Rule.DOM, (atom("x", "y", "1/4"),), (), atom("x z", "y w", "1/3"), NO_WITNESS,
+     "DOM takes no witness"),
+]
+
+
+class TestRuleTable:
+    @pytest.mark.parametrize("rule, prior, assumptions, conclusion, witness, reason", RULE_CASES)
+    def test_one_change_gives_the_reference_reason(
+        self, rule, prior, assumptions, conclusion, witness, reason
+    ):
+        step = Step(len(prior) + 1, rule, (1,) if prior else (), conclusion, witness)
+        assert outcome_of(step, assumptions, prior) == (reason is None, reason)
+        assert reference_check_step(step, assumptions, prior) == (reason is None, reason)
+
+    def test_every_rule_has_a_valid_case(self):
+        assert {case[0] for case in RULE_CASES if case[-1] is None} == set(Rule)
+
+    def test_every_reason_is_covered(self):
+        covered = {case[-1] for case in RULE_CASES}
+        source = inspect.getsource(calculus)
+        stated = set(re.findall(r'return "((?:HYP|A\d|PERM|CONTRACT|DOM) [^"]+)"', source))
+        assert len(stated) == 29
+        assert stated <= covered
+
+    def test_check_step_builds_no_atom(self, monkeypatch):
+        # every valid case again, with atom construction disabled
+        def refuse(*args, **kwargs):
+            raise AssertionError("check_step built an atom")
+
+        cases = [case for case in RULE_CASES if case[-1] is None]
+        monkeypatch.setattr(Atom, "__post_init__", refuse)
+        monkeypatch.setattr(Atom, "_unchecked", refuse)
+        for rule, prior, assumptions, conclusion, witness, _ in cases:
+            step = Step(len(prior) + 1, rule, (1,) if prior else (), conclusion, witness)
+            assert check_step(step, assumptions, prior).ok
+
+
+def set_at(payload, path, value):
+    *keys, last = path
+    for key in keys:
+        payload = payload[key]
+    payload[last] = value
+
+
+class TestEmptyVariableNames:
+    """A witness holding an empty name is a rejected step, and the
+    certificate decoder refuses it outright."""
+
+    HYP_A3 = Derivation(
+        (X_Y,),
+        (
+            Step(1, Rule.HYP, (), X_Y),
+            Step(2, Rule.A3, (1,), atom("x a", "y b"), AppendWitness(("a",), ("b",))),
+        ),
+    )
+
+    @pytest.mark.parametrize(
+        "step",
+        [
+            Step(2, Rule.A3, (1,), atom("x a", "y b"), AppendWitness(("",), ("",))),
+            Step(2, Rule.A3, (1,), atom("x a", "y b"), AppendWitness(("a",), ("",))),
+            Step(2, Rule.A6, (1,), atom("z z", "x y"), SwitchWitness(0, ("",))),
+        ],
+    )
+    def test_check_step_rejects(self, step):
+        outcome = check_step(step, (X_Y,), (X_Y,))
+        assert not outcome.ok
+        assert outcome.reason in {
+            "A3 conclusion must append the witness tuples",
+            "A6 conclusion must be fresh-fresh over the moved sides",
+        }
+
+    def test_check_derivation_rejects(self):
+        d = Derivation(
+            (X_Y,),
+            (
+                Step(1, Rule.HYP, (), X_Y),
+                Step(2, Rule.A3, (1,), atom("x a", "y b"), AppendWitness(("",), ("",))),
+            ),
+        )
+        result = check_derivation(d)
+        assert (result.ok, result.failing_step) == (False, 2)
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("steps", 1, "witness", "left"),
+            ("steps", 1, "conclusion", "right"),
+            ("assumptions", 0, "left"),
+        ],
+    )
+    def test_decoder_rejects(self, path):
+        payload = derivation_to_json(self.HYP_A3)
+        assert check_derivation(derivation_from_json(payload)).ok
+        set_at(payload, path, [""])
+        with pytest.raises(ParseError, match="variable name expected, got ''"):
+            derivation_from_json(payload)
+
+    def test_decoder_rejects_an_empty_fresh_name(self):
+        prem = atom("x w", "y w")
+        payload = derivation_to_json(
+            Derivation(
+                (prem,),
+                (
+                    Step(1, Rule.HYP, (), prem),
+                    Step(2, Rule.A6, (1,), atom("z z", "x y"), SwitchWitness(1, ("z",))),
+                ),
+            )
+        )
+        assert check_derivation(derivation_from_json(payload)).ok
+        payload["steps"][1]["witness"]["fresh"] = [""]
+        with pytest.raises(ParseError, match="^step 2, witness, fresh: variable name"):
+            derivation_from_json(payload)
+
+
+class TestDecoderErrorPlaces:
+    """Each decoder error starts with the step (or assumption) and field
+    it is about."""
+
+    PREM = atom("x w w", "y w w")
+
+    def payload(self):
+        return derivation_to_json(
+            Derivation(
+                (self.PREM,),
+                (
+                    Step(1, Rule.HYP, (), self.PREM),
+                    Step(2, Rule.CONTRACT, (1,), atom("x w", "y w"), ContractWitness(1, 2)),
+                ),
+            )
+        )
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("steps", 1, "premises"), [True], "step 2, premises: integer expected, got True"),
+            (("steps", 1, "witness", "removed"), True,
+             "step 2, witness, removed: integer expected, got True"),
+            (("steps", 0, "rule"), "A9", "step 1, rule: 'A9' is not a valid Rule"),
+            (("steps", 1, "conclusion", "left"), ["x"],
+             "step 2, conclusion: malformed Atom object: side arities differ: 1 vs 2"),
+            (("assumptions", 0, "degree"), "2",
+             "assumption 1, degree: degree out of range [0, 1]: 2"),
+            (("assumptions", 0, "right"), "yww",
+             "assumption 1, right: list expected, got 'yww'"),
+            (("steps", 1), 3, "step 2: Step object expected, got 3"),
+            (("steps",), {}, "steps: list expected, got {}"),
+        ],
+    )
+    def test_message_names_the_place(self, path, value, message):
+        payload = self.payload()
+        set_at(payload, path, value)
+        with pytest.raises(ParseError) as info:
+            derivation_from_json(payload)
+        assert str(info.value) == message
+
+    def test_missing_field_names_its_step(self):
+        payload = self.payload()
+        del payload["steps"][1]["rule"]
+        with pytest.raises(ParseError) as info:
+            derivation_from_json(payload)
+        assert str(info.value) == "step 2: Step object missing field 'rule'"
+
+
+# ---------------------------------------------------------------- property
+
+VARS = st.sampled_from("abc")
+DEGREES = st.sampled_from([Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1)])
+SMALL = st.integers(-1, 4)
+
+
+def sides(arity):
+    return st.tuples(*[VARS] * arity)
+
+
+@st.composite
+def atoms(draw):
+    n = draw(st.integers(1, 4))
+    return Atom(draw(sides(n)), draw(sides(n)), draw(DEGREES))
+
+
+@st.composite
+def premises(draw):
+    """Atoms some rule can fire on: random, ending in a repeated block (A4),
+    with a repeated pair (CONTRACT) or ending in a shared block (A6)."""
+    base = draw(atoms())
+    shape = draw(st.sampled_from(["random", "repeat", "duplicate", "shared"]))
+    if shape == "repeat" and base.arity < 4:
+        b = draw(st.integers(1, min(base.arity, 4 - base.arity)))
+        return Atom(base.left + base.left[-b:], base.right + base.right[-b:], base.degree)
+    if shape == "duplicate" and base.arity < 4:
+        i = draw(st.integers(0, base.arity - 1))
+        return Atom(base.left + base.left[i : i + 1], base.right + base.right[i : i + 1], base.degree)
+    if shape == "shared" and base.arity > 1:
+        h = draw(st.integers(1, base.arity - 1))
+        return Atom(base.left, base.left[:h] + base.right[h:], base.degree)
+    return base
+
+
+def var_tuples(min_size=0):
+    return st.lists(VARS, min_size=min_size, max_size=3).map(tuple)
+
+
+WITNESSES = {
+    AppendWitness: st.builds(AppendWitness, var_tuples(), var_tuples()),
+    BlockSwapWitness: st.builds(BlockSwapWitness, SMALL, SMALL, SMALL),
+    SwitchWitness: st.builds(SwitchWitness, SMALL, var_tuples()),
+    RaiseWitness: st.builds(RaiseWitness, DEGREES),
+    PermWitness: st.one_of(
+        st.integers(1, 4).flatmap(lambda n: st.permutations(range(n))).map(tuple),
+        st.lists(SMALL, max_size=4).map(tuple),
+    ).map(PermWitness),
+    ContractWitness: st.builds(ContractWitness, SMALL, SMALL),
+}
+
+
+def expected_conclusion(rule, prem, w, assumptions, draw):
+    """The conclusion a valid step would have, where one exists."""
+    if rule == Rule.HYP:
+        return draw(st.sampled_from(assumptions)) if assumptions else None
+    if rule in (Rule.A1, Rule.A8):
+        n = draw(st.integers(1, 4))
+        return Atom(draw(sides(n)), draw(sides(n)), Fraction(int(rule == Rule.A8)))
+    if prem is None:
+        return None
+    left, right, d = prem.left, prem.right, prem.degree
+    n = len(left)
+    if rule == Rule.A2:
+        return Atom(right, left, d)
+    if rule == Rule.A3 and isinstance(w, AppendWitness) and len(w.left) == len(w.right):
+        return Atom(left + w.left, right + w.right, d)
+    if rule == Rule.A4:
+        b = draw(st.integers(0, n // 2))
+        return Atom(left[: n - b], right[: n - b], d)
+    if rule == Rule.A5 and isinstance(w, BlockSwapWitness):
+        a, b1, b2 = w.prefix, w.first, w.second
+        if min(a, b1, b2) >= 0 and a + b1 + b2 == n:
+            c1, c2 = a + b1, n
+            return Atom(
+                left[:a] + left[c1:c2] + left[a:c1], right[:a] + right[c1:c2] + right[a:c1], d
+            )
+    if rule == Rule.A6 and isinstance(w, SwitchWitness) and w.fresh:
+        h = len(w.fresh)
+        if h <= n:
+            return Atom(w.fresh + w.fresh, left[:h] + right[:h], d)
+    if rule == Rule.A7 and isinstance(w, RaiseWitness):
+        return Atom(left, right, w.degree)
+    if rule == Rule.PERM and isinstance(w, PermWitness) and sorted(w.order) == list(range(n)):
+        return Atom(tuple(left[j] for j in w.order), tuple(right[j] for j in w.order), d)
+    if rule == Rule.CONTRACT and isinstance(w, ContractWitness) and 0 <= w.removed < n and n > 1:
+        i = w.removed
+        return Atom(left[:i] + left[i + 1 :], right[:i] + right[i + 1 :], d)
+    if rule == Rule.DOM:
+        extra = draw(var_tuples())
+        return Atom(left + extra, right + extra[::-1], draw(DEGREES))
+    return None
+
+
+def changed(draw, concl):
+    """concl with one side entry or its degree changed, or as it is."""
+    how = draw(st.sampled_from(["none", "none", "entry", "degree"]))
+    if how == "entry":
+        on_left = draw(st.booleans())
+        side = list(concl.left if on_left else concl.right)
+        i = draw(st.integers(0, len(side) - 1))
+        side[i] = draw(VARS)
+        side = tuple(side)
+        return Atom(side, concl.right, concl.degree) if on_left else Atom(concl.left, side, concl.degree)
+    if how == "degree":
+        return Atom(concl.left, concl.right, draw(DEGREES))
+    return concl
+
+
+def fitting_witness(draw, rule, prem):
+    """A witness under which some conclusion of prem is valid, if one
+    exists for the rule."""
+    n = prem.arity
+    pairs = list(zip(prem.left, prem.right))
+    if rule == Rule.A5:
+        a = draw(st.integers(0, n))
+        b1 = draw(st.integers(0, n - a))
+        return BlockSwapWitness(a, b1, n - a - b1)
+    if rule == Rule.A6:
+        shared = [h for h in range(1, n + 1) if prem.left[h:] == prem.right[h:]]
+        h = draw(st.sampled_from(shared))
+        return SwitchWitness(n - h, draw(sides(h)))
+    if rule == Rule.PERM:
+        return PermWitness(tuple(draw(st.permutations(range(n)))))
+    if rule == Rule.CONTRACT:
+        equal = [(i, j) for i in range(n) for j in range(n) if i != j and pairs[i] == pairs[j]]
+        if equal:
+            return ContractWitness(*draw(st.sampled_from(equal)))
+    return None
+
+
+@st.composite
+def steps(draw):
+    """(step, assumptions, prior) on arity <= 4, mostly one change away
+    from a valid step."""
+    prior = tuple(draw(st.lists(premises(), min_size=1, max_size=2)))
+    assumptions = tuple(draw(st.lists(atoms(), max_size=2))) + prior[: draw(st.integers(0, 1))]
+    rule = draw(st.sampled_from(list(Rule)))
+    count, witness_class = _REFERENCE_SIGNATURES[rule]
+    index = len(prior) + 1
+    refs = tuple(draw(st.integers(1, len(prior))) for _ in range(count))
+    refs = draw(st.sampled_from([refs] * 8 + [(), (index,), (1, 1)]))
+    prem = prior[refs[0] - 1] if refs and 1 <= refs[0] <= len(prior) else None
+    w = fitting_witness(draw, rule, prem) if prem and draw(st.booleans()) else None
+    if w is None:
+        kind = draw(st.sampled_from([witness_class] * 12 + [None] + list(WITNESSES)))
+        w = None if kind is None else draw(WITNESSES[kind])
+    concl = expected_conclusion(rule, prem, w, assumptions, draw)
+    if concl is None or draw(st.integers(0, 9)) == 0:
+        concl = draw(atoms())
+    return Step(index, rule, refs, changed(draw, concl), w), assumptions, prior
+
+
+class TestAgainstReference:
+    @settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(steps())
+    def test_same_outcome_and_reason(self, case):
+        step, assumptions, prior = case
+        expected = reference_check_step(step, assumptions, prior)
+        event(f"{step.rule.value} {'accepted' if expected[0] else 'rejected'}")
+        assert outcome_of(step, assumptions, prior) == expected

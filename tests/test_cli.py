@@ -316,6 +316,31 @@ class TestOracleCheck:
         assert code == EXIT_OK
         assert "agree" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("rows, domain", [("0", "0"), ("1", "1"), ("0", "9")])
+    def test_bounds_below_the_plan_are_inconclusive(self, sigma_file, capsys, rows, domain):
+        # the plan needs 2 rows and 5 values; a smaller space may hold no
+        # separating team, so finding none is no disagreement
+        code = main(
+            ["oracle-check", sigma_file("excl(x ; y)"), "excl(x ; z)",
+             "--max-rows", rows, "--domain", domain]
+        )
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert out.splitlines()[0] == "decision: holds=false"
+        assert out.splitlines()[2] == (
+            f"inconclusive: bounds max_rows={rows}, domain={domain} are below "
+            "the plan's max_rows=2, domain=5"
+        )
+        assert "DISAGREEMENT" not in out
+
+    def test_bounds_at_the_plan_still_find_the_team(self, sigma_file, capsys):
+        code = main(
+            ["oracle-check", sigma_file("excl(x ; y)"), "excl(x ; z)",
+             "--max-rows", "2", "--domain", "5"]
+        )
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[2] == "agree"
+
     def test_budget_exhaustion(self, sigma_file, capsys):
         code = main(
             [

@@ -26,6 +26,7 @@ from exclusion.counterexample import (
     verify as verify_counterexample,
 )
 from exclusion.decision import decide
+from exclusion.model import Team
 from exclusion.semantics import satisfies_all
 from exclusion.sweep import keystone_atoms
 
@@ -231,6 +232,17 @@ class TestBuildTeam:
         goal = atom("x x", "u v")
         assert satisfies_all(team, [])
         assert not satisfies(team, goal)
+
+    def test_teams_pass_the_team_checks(self):
+        # build_team skips Team's checks; every one-premise keystone NO
+        # team must pass them
+        atoms = keystone_atoms()
+        for premise in atoms:
+            for goal in atoms:
+                verdict = decide((premise,), goal)
+                if not verdict.holds:
+                    team = build_team(verdict.plan)
+                    assert Team(team.schema, team.rows) == team
 
     def test_variable_on_both_sides(self):
         goal = atom("x", "y")

@@ -24,9 +24,9 @@ from exclusion import (
     verified_counterexample,
 )
 from exclusion.calculus import Rule
-from exclusion.counterexample import domain_size_bound, plan as cx_plan, schema_order
+from exclusion.counterexample import build_team, domain_size_bound, plan as cx_plan, schema_order
 from exclusion.decision import DominationWitness
-from exclusion.model import team_from_rows
+from exclusion.model import Team, team_from_rows
 from exclusion.oracle import default_bounds, enumerate_row_sets
 from exclusion.semantics import satisfies_all
 from exclusion.sweep import keystone_atoms
@@ -212,6 +212,15 @@ def band_instances(seed, count):
         yield sigma, draw()
 
 
+def assert_conclusions_validate(derivation):
+    """The planner builds its atoms unchecked: each must pass the checks
+    that building it through Atom would apply."""
+    for step in derivation.steps:
+        c = step.conclusion
+        assert Atom(c.left, c.right, c.degree) == c, step
+        assert type(c.degree) is Fraction and all(type(v) is str for v in c.left + c.right)
+
+
 class TestDifferentialBand:
     """Certificates for 20,000 queries beyond the keystone space's shapes."""
 
@@ -225,6 +234,7 @@ class TestDifferentialBand:
                 derivation = synthesize(sigma, goal, verdict.witness)
                 assert derivation.goal == goal
                 assert check_derivation(derivation).ok
+                assert_conclusions_validate(derivation)
 
     def test_no_route_starts_before_the_witness(self, answers):
         # the planner starts at the first dominating premise; searching
@@ -240,6 +250,14 @@ class TestDifferentialBand:
         yes = [(sigma, goal) for sigma, goal, verdict in answers if verdict.holds]
         for sigma, goal in random.Random(12).sample(yes, 200):
             assert oracle_implies(sigma, goal, 2, 8).implied, (sigma, goal)
+
+    def test_built_teams_are_valid_teams(self, answers):
+        # build_team skips Team's checks; the team must pass them
+        for sigma, goal, verdict in answers:
+            if not verdict.holds:
+                team = build_team(verdict.plan)
+                assert Team(team.schema, team.rows) == team
+                assert type(team.rows) is frozenset
 
     def test_every_no_verifies_or_is_refused(self, answers):
         refused = 0
@@ -264,6 +282,7 @@ class TestKeystoneSinglePremise:
                 if verdict.holds:
                     derivation = synthesize((premise,), goal, verdict.witness)
                     assert Rule.DOM not in {s.rule for s in derivation.steps}
+                    assert_conclusions_validate(derivation)
 
 
 class TestDefaultBounds:
