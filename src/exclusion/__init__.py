@@ -7,7 +7,8 @@ separating team), and evaluate atoms directly against tables.
 
 The package exports the names of its documented workflow; every other
 helper is imported from its module (exclusion.calculus, .counterexample,
-.decision, .model, .oracle, .parsing, .semantics).
+.decision, .errors, .kernel, .model, .oracle, .parsing, .semantics,
+.sweep).
 """
 
 from .calculus import check_derivation, synthesize

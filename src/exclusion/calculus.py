@@ -54,7 +54,7 @@ from typing import Callable, ClassVar, Sequence
 from .counterexample import conflicts, generic_pair
 from .errors import InternalVerificationError, ParseError
 from .model import Atom, VarTuple, ZERO, as_degree
-from .parsing import render_human, write_text
+from .parsing import write_text
 
 CERTIFICATE_FORMAT = 1
 
@@ -555,18 +555,6 @@ def derivation_to_json_str(derivation: Derivation) -> str:
 def write_derivation(derivation: Derivation, path) -> None:
     """Write the certificate's text form; an unwritable path is a ParseError."""
     write_text(path, derivation_to_json_str(derivation) + "\n")
-
-
-def render_derivation(derivation: Derivation) -> str:
-    """Human-readable listing of a derivation."""
-    lines = []
-    for a in derivation.assumptions:
-        lines.append(f"assume  {render_human(a)}")
-    for s in derivation.steps:
-        refs = ",".join(str(r) for r in s.premises)
-        refs = f" [{refs}]" if refs else ""
-        lines.append(f"{s.index:>3}. {s.rule.value:<8}{refs:<6} {render_human(s.conclusion)}")
-    return "\n".join(lines)
 
 
 # ==========================================================================

@@ -23,7 +23,7 @@ from .calculus import synthesize, write_derivation
 from .counterexample import domain_size_bound, verified_counterexample
 from .decision import decide
 from .errors import EXIT_OK, EXIT_WRONG_DIRECTION, ExclusionError
-from .oracle import default_bounds, oracle_implies
+from .oracle import DEFAULT_BUDGET, default_bounds, oracle_implies
 from .parsing import (
     parse_atom,
     read_sigma_file,
@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--domain", type=non_negative, help="value count bound (default: planned)"
     )
     oracle.add_argument(
-        "--budget", type=non_negative, default=10_000_000, help="max teams to enumerate"
+        "--budget", type=non_negative, default=DEFAULT_BUDGET, help="max teams to enumerate"
     )
     oracle.set_defaults(func=cmd_oracle_check)
 

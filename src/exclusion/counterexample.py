@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InternalVerificationError
 from .model import Atom, Team
@@ -185,18 +185,19 @@ def schema_order(
     return order, order[goal_width:]
 
 
-def plan(sigma: Sequence[Atom], goal: Atom) -> CounterexamplePlan:
+def plan(
+    sigma: Sequence[Atom], goal: Atom, pair: GenericPair | None = None
+) -> CounterexamplePlan:
     """Plan the counterexample for a rejected implication.
 
     Assumes the decision procedure answered FALSE; the parameters are still
     well defined otherwise, but the built team only refutes the goal for
-    genuine non-implications.
+    genuine non-implications.  ``pair`` is the goal's generic pair when
+    the caller (`decide`) has already built it.
     """
-    return _plan(tuple(sigma), goal, generic_pair(goal))
-
-
-def _plan(sigma: tuple[Atom, ...], goal: Atom, pair: GenericPair) -> CounterexamplePlan:
-    """`plan` on the goal's generic pair, which `decide` has already built."""
+    sigma = tuple(sigma)
+    if pair is None:
+        pair = generic_pair(goal)
     schema, extra = schema_order(sigma, goal)
     p = goal.degree
     if goal.left == goal.right:
@@ -252,20 +253,3 @@ def verified_counterexample(cx: CounterexamplePlan) -> Team:
         )
     return team
 
-
-def canonical_satisfying_team(
-    atoms: Sequence[Atom], extra_vars: Iterable[str] = ()
-) -> Team:
-    """One row of pairwise-distinct values over the atoms' variables.
-
-    Satisfies every non-contradictory atom: distinct per-variable values
-    make unequal tuples take unequal value tuples.  Contradictory atoms are
-    rejected, since nothing but the empty team satisfies them.
-    """
-    for atom in atoms:
-        if atom.is_contradictory():
-            raise ValueError(f"no nonempty team satisfies {atom}")
-    schema = dict.fromkeys(v for atom in atoms for v in atom.left + atom.right)
-    schema.update(dict.fromkeys(extra_vars))
-    row = tuple(str(i + 1) for i in range(len(schema)))
-    return Team(tuple(schema), frozenset([row]))

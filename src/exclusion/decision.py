@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
 from . import counterexample as cx
-from .counterexample import conflicts, generic_pair, min_gap_degree
+from .counterexample import conflicts, generic_pair
 from .errors import UnsupportedDegreeError
 from .model import Atom
 
@@ -47,7 +47,6 @@ __all__ = [
     "Verdict",
     "decide",
     "implies",
-    "min_gap_degree",
 ]
 
 
@@ -111,14 +110,14 @@ def decide(sigma: Sequence[Atom], goal: Atom) -> Verdict:
 
     pair = generic_pair(goal)
     if goal.left == goal.right:
-        return Verdict(False, plan=cx._plan(sigma, goal, pair))
+        return Verdict(False, plan=cx.plan(sigma, goal, pair))
 
     for index, a in enumerate(sigma):
         degree = a.degree
         if degree.numerator * p_den <= p_num * degree.denominator and conflicts(a, pair):
             return Verdict(True, witness=DominationWitness(a, index))
 
-    return Verdict(False, plan=cx._plan(sigma, goal, pair))
+    return Verdict(False, plan=cx.plan(sigma, goal, pair))
 
 
 def implies(sigma: Sequence[Atom], goal: Atom) -> bool:

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable
 
 VarTuple = tuple[str, ...]
 Row = tuple[str, ...]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def as_degree(value: Fraction | int | str) -> Fraction:
@@ -43,13 +42,6 @@ def as_degree(value: Fraction | int | str) -> Fraction:
     if not 0 <= degree.numerator <= degree.denominator:
         raise ValueError(f"degree out of range [0, 1]: {degree}")
     return degree
-
-
-def tuple_projection(vars: VarTuple, i: int) -> str:
-    """The i-th component of a variable tuple, 1-based."""
-    if not 1 <= i <= len(vars):
-        raise IndexError(f"position {i} out of range for tuple of length {len(vars)}")
-    return vars[i - 1]
 
 
 def _check_var_tuple(vars: VarTuple, label: str) -> None:
@@ -93,21 +85,6 @@ class Atom:
     @property
     def arity(self) -> int:
         return len(self.left)
-
-    def var_set(self) -> frozenset[str]:
-        """All variables mentioned on either side."""
-        return frozenset(self.left) | frozenset(self.right)
-
-    def is_contradictory(self) -> bool:
-        """True when only the empty team can satisfy the atom.
-
-        That is the case exactly when both sides are the same tuple and the
-        degree is below 1: any row then conflicts with itself.
-        """
-        return self.left == self.right and self.degree < ONE
-
-    def with_degree(self, degree: Fraction | int | str) -> "Atom":
-        return Atom(self.left, self.right, as_degree(degree))
 
     def __str__(self) -> str:
         bar = "|" if self.degree == ZERO else f"|[{self.degree}]|"
@@ -194,36 +171,8 @@ class Team:
         """Number of distinct values appearing in any cell."""
         return len({cell for row in self.rows for cell in row})
 
-    def assignments(self) -> tuple[dict[str, str], ...]:
-        """Rows as variable-to-value mappings, in sorted row order."""
-        return tuple(dict(zip(self.schema, row)) for row in sorted(self.rows))
-
-    def subteam(self, keep: Iterable[Row]) -> "Team":
-        """The team restricted to the given rows (all must be present)."""
-        kept = frozenset(keep)
-        if not kept <= self.rows:
-            raise ValueError("subteam rows must come from the team")
-        return Team(self.schema, kept)
-
 
 def team_from_rows(schema: Iterable[str], rows: Iterable[Iterable[str]]) -> Team:
     """Convenience constructor; deduplicates rows silently."""
     return Team(tuple(schema), frozenset(tuple(r) for r in rows))
 
-
-def team_from_assignments(maps: Iterable[Mapping[str, str]], schema: Iterable[str] | None = None) -> Team:
-    """Build a team from mappings.  Schema defaults to sorted key union."""
-    maps = list(maps)
-    if schema is None:
-        names: set[str] = set()
-        for m in maps:
-            names.update(m)
-        schema = tuple(sorted(names))
-    else:
-        schema = tuple(schema)
-    rows = []
-    for m in maps:
-        if set(m) != set(schema):
-            raise ValueError(f"assignment keys {sorted(m)} do not match schema {schema}")
-        rows.append(tuple(m[v] for v in schema))
-    return Team(schema, frozenset(rows))

@@ -200,7 +200,7 @@ def read_team_csv(path: str | Path) -> tuple[Team, int]:
 
 
 def _row_sort_key(row: tuple[str, ...]):
-    return tuple((0, int(cell)) if cell.isdigit() else (1, cell) for cell in row)
+    return tuple((0, int(cell)) if cell.isdecimal() else (1, cell) for cell in row)
 
 
 def team_csv_text(team: Team) -> str:

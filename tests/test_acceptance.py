@@ -35,7 +35,7 @@ from exclusion.calculus import (
     goal_squares,
 )
 from exclusion.cli import main as cli_main
-from exclusion.counterexample import canonical_satisfying_team, conflicts, generic_pair
+from exclusion.counterexample import conflicts, generic_pair, verified_counterexample
 from exclusion.errors import EXIT_UNSUPPORTED_DEGREE
 from exclusion.model import team_from_rows
 from exclusion.semantics import satisfies_all
@@ -301,10 +301,14 @@ class TestCriterion4GoldenVectors:
             sigma = tuple(
                 atoms[rng.randrange(len(atoms))] for _ in range(rng.randint(1, 2))
             )
-            if any(a.is_contradictory() for a in sigma):
+            # a premise with equal sides is contradictory: every keystone
+            # degree is below 1
+            if any(a.left == a.right for a in sigma):
                 continue
             sampled += 1
-            team = canonical_satisfying_team(sigma)
+            # the unary-canonical plan of a goal with equal sides: one row
+            # of fresh values
+            team = verified_counterexample(decide(sigma, atom("a", "a")).plan)
             if team.size != 1 or not satisfies_all(team, sigma):
                 failures.append(f"fresh-value team fails for {sigma}")
                 break

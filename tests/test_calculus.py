@@ -37,7 +37,6 @@ from exclusion.calculus import (
     derivation_to_json,
     derivation_to_json_str,
     end_constant_form,
-    render_derivation,
 )
 from exclusion.counterexample import conflicts, generic_pair
 
@@ -731,15 +730,15 @@ class TestDom:
         bad(Step(2, Rule.DOM, (1,), atom("x y", "u v")), prior=(atom("x", "v"),))
 
     def test_degree_above_the_conclusion_rejected(self):
-        bad(Step(2, Rule.DOM, (1,), self.GOAL), prior=(self.PREMISE.with_degree("1/4"),))
+        bad(Step(2, Rule.DOM, (1,), self.GOAL), prior=(atom("a", "d", "1/4"),))
 
     def test_witness_rejected(self):
         step = Step(2, Rule.DOM, (1,), self.GOAL, RaiseWitness(Fraction(0)))
         bad(step, prior=(self.PREMISE,))
 
     def test_round_trip(self):
-        sigma = [self.PREMISE.with_degree("1/4")]
-        goal = self.GOAL.with_degree("1/3")
+        sigma = [atom("a", "d", "1/4")]
+        goal = atom("d c c", "b b a", "1/3")
         derivation = synthesize(sigma, goal, decide(sigma, goal).witness)
         assert [s.rule for s in derivation.steps] == [Rule.HYP, Rule.DOM]
         text = derivation_to_json_str(derivation)
@@ -773,22 +772,6 @@ class TestEndConstantForm:
 
     def test_degree_preserved(self):
         assert end_constant_form(atom("x w", "y w", "1/4")).degree.numerator == 1
-
-
-class TestRender:
-    def test_lists_assumptions_and_steps(self):
-        d = Derivation(
-            (X_Y,),
-            (
-                Step(1, Rule.HYP, (), X_Y),
-                Step(2, Rule.A2, (1,), atom("y", "x")),
-            ),
-        )
-        text = render_derivation(d)
-        assert "assume" in text
-        assert "HYP" in text
-        assert "A2" in text
-        assert "x | y" in text
 
 
 # ==========================================================================

@@ -6,7 +6,7 @@ import pytest
 
 from exclusion import check_derivation, parse_team_csv
 from exclusion.calculus import derivation_from_json
-from exclusion.cli import main
+from exclusion.cli import build_parser, main
 from exclusion.errors import (
     EXIT_CAPACITY,
     EXIT_OK,
@@ -14,6 +14,7 @@ from exclusion.errors import (
     EXIT_UNSUPPORTED_DEGREE,
     EXIT_WRONG_DIRECTION,
 )
+from exclusion.oracle import DEFAULT_BUDGET
 
 TABLE_PAIR = "x,y\n0,0\n1,2\n"
 TABLE_QUAD = "x,u,y,v\n0,1,0,1\n0,2,0,2\n1,2,2,1\n"
@@ -356,6 +357,10 @@ class TestOracleCheck:
             ]
         )
         assert code == EXIT_CAPACITY
+
+    def test_budget_defaults_to_the_oracle_budget(self):
+        args = build_parser().parse_args(["oracle-check", "sigma.txt", "excl(x ; y)"])
+        assert args.budget == DEFAULT_BUDGET
 
 
 class TestArgumentErrors:

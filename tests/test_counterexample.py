@@ -19,7 +19,6 @@ from exclusion import (
 )
 from exclusion.counterexample import (
     build_team,
-    canonical_satisfying_team,
     domain_size_bound,
     plan as counterexample_plan,
     ratio_parameters,
@@ -336,28 +335,6 @@ class TestVerifiedCounterexample:
         assert decide(sigma, goal).holds
 
 
-class TestCanonicalSatisfyingTeam:
-    def test_single_fresh_row(self):
-        sigma = [atom("x", "y", "1/4"), atom("u v", "x y")]
-        team = canonical_satisfying_team(sigma)
-        assert team.size == 1
-        row = next(iter(team.rows))
-        assert len(set(row)) == len(row)
-        assert satisfies_all(team, sigma)
-
-    def test_rejects_contradictory_atom(self):
-        with pytest.raises(ValueError):
-            canonical_satisfying_team([atom("x", "x")])
-
-    def test_degree_one_self_exclusion_is_fine(self):
-        team = canonical_satisfying_team([atom("x", "x", 1)])
-        assert satisfies_all(team, [atom("x", "x", 1)])
-
-    def test_extra_vars_widen_schema(self):
-        team = canonical_satisfying_team([atom("x", "y")], extra_vars=("z",))
-        assert "z" in team.schema
-
-
 class TestRandomizedFalseInstances:
     def test_plans_build_and_verify_within_bounds(self):
         rng = random.Random(11)
@@ -383,6 +360,7 @@ class TestRandomizedFalseInstances:
             assert team.value_count() <= domain_size_bound(verdict.plan)
             assert satisfies_all(team, sigma)
             assert not satisfies(team, goal)
-            if not goal.is_contradictory() and not team.is_empty():
+            # a goal with equal sides fails on every nonempty team
+            if goal.left != goal.right and not team.is_empty():
                 assert min_degree(team, goal) > goal.degree
         assert checked > 100

@@ -18,13 +18,9 @@ from exclusion import (
     verified_counterexample,
 )
 from exclusion.calculus import Rule, a6_cover, goal_squares
-from exclusion.counterexample import conflicts, generic_pair, schema_order
-from exclusion.decision import (
-    ContradictionWitness,
-    DominationWitness,
-    VacuousDegreeWitness,
-    min_gap_degree,
-)
+from exclusion import counterexample as cx
+from exclusion.counterexample import conflicts, generic_pair, min_gap_degree, schema_order
+from exclusion.decision import ContradictionWitness, DominationWitness, VacuousDegreeWitness
 from exclusion.model import team_from_rows
 from exclusion.semantics import min_removal
 
@@ -409,6 +405,33 @@ class TestFalseVerdicts:
         verdict = decide([atom("x", "y", "1/3")], atom("x", "y"))
         team = verified_counterexample(verdict.plan)
         assert team.size == 3
+
+    def test_every_no_plans_once_through_the_module_binding(self, monkeypatch):
+        # the binding a tracer wraps is the one decide calls
+        calls = []
+        original = cx.plan
+
+        def counted(sigma, goal, pair=None):
+            calls.append(goal)
+            return original(sigma, goal, pair)
+
+        monkeypatch.setattr(cx, "plan", counted)
+        cases = [
+            ([], atom("x", "y"), "shared-block"),
+            ([atom("x", "y", "1/3")], atom("x", "y"), "shared-block"),
+            ([atom("x", "y")], atom("x", "x", "1/4"), "unary-canonical"),
+            ([atom("x", "y")], atom("x", "y"), None),
+            ([atom("u", "u")], atom("x", "y"), None),
+            ([], atom("x", "y", 1), None),
+        ]
+        for sigma, goal, kind in cases:
+            calls.clear()
+            verdict = decide(sigma, goal)
+            if kind is None:
+                assert verdict.holds and calls == []
+            else:
+                assert verdict.plan.kind == kind and calls == [goal]
+                assert verdict.plan.pair == generic_pair(goal)
 
 
 class TestMinGapDegree:

@@ -5,12 +5,7 @@ from fractions import Fraction
 import pytest
 
 from exclusion import Atom, Team, UnknownVariableError, atom
-from exclusion.model import (
-    as_degree,
-    team_from_assignments,
-    team_from_rows,
-    tuple_projection,
-)
+from exclusion.model import as_degree, team_from_rows
 
 
 class TestAsDegree:
@@ -62,24 +57,11 @@ class TestAsDegree:
             as_degree("one third")
 
 
-class TestTupleProjection:
-    def test_one_based(self):
-        assert tuple_projection(("x", "y", "z"), 1) == "x"
-        assert tuple_projection(("x", "y", "z"), 3) == "z"
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            tuple_projection(("x",), 0)
-        with pytest.raises(IndexError):
-            tuple_projection(("x",), 2)
-
-
 class TestAtom:
     def test_basic_construction(self):
         a = Atom(("x", "y"), ("u", "v"), Fraction(1, 4))
         assert a.arity == 2
         assert a.degree == Fraction(1, 4)
-        assert a.var_set() == frozenset({"x", "y", "u", "v"})
 
     def test_default_degree_is_zero(self):
         assert Atom(("x",), ("y",)).degree == Fraction(0)
@@ -103,21 +85,10 @@ class TestAtom:
         a = Atom(("x", "x"), ("x", "y"))
         assert a.arity == 2
 
-    def test_is_contradictory(self):
-        assert Atom(("x",), ("x",)).is_contradictory()
-        assert Atom(("x", "y"), ("x", "y"), Fraction(1, 3)).is_contradictory()
-        assert not Atom(("x",), ("x",), Fraction(1)).is_contradictory()
-        assert not Atom(("x",), ("y",)).is_contradictory()
-
     def test_swapped(self):
         a = atom("x y", "u v", "1/4")
         assert a.swapped() == Atom(("u", "v"), ("x", "y"), Fraction(1, 4))
         assert a.swapped().swapped() == a
-
-    def test_with_degree(self):
-        a = atom("x", "y")
-        assert a.with_degree("1/3").degree == Fraction(1, 3)
-        assert a.with_degree("1/3").left == a.left
 
     def test_hashable_and_equal(self):
         assert atom("x", "y") == Atom(("x",), ("y",))
@@ -170,25 +141,3 @@ class TestTeam:
     def test_value_count(self):
         t = team_from_rows(("x", "y"), [("0", "0"), ("1", "2")])
         assert t.value_count() == 3
-
-    def test_assignments_round_trip(self):
-        t = team_from_rows(("x", "y"), [("0", "1"), ("2", "3")])
-        maps = t.assignments()
-        assert {m["x"] for m in maps} == {"0", "2"}
-        again = team_from_assignments(maps, schema=("x", "y"))
-        assert again == t
-
-    def test_team_from_assignments_infers_schema(self):
-        t = team_from_assignments([{"x": "0", "y": "1"}])
-        assert t.schema == ("x", "y")
-
-    def test_team_from_assignments_rejects_ragged_maps(self):
-        with pytest.raises(ValueError):
-            team_from_assignments([{"x": "0"}, {"y": "1"}])
-
-    def test_subteam(self):
-        rows = [("0", "0"), ("1", "2")]
-        t = team_from_rows(("x", "y"), rows)
-        sub = t.subteam([("1", "2")])
-        assert sub.size == 1
-        assert sub.schema == t.schema

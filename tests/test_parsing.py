@@ -328,6 +328,12 @@ class TestTeamCsv:
         assert again == team
         assert duplicates == 0
 
+    def test_non_decimal_digits_sort_as_text(self):
+        # "²" is a digit to str.isdigit but not a decimal int() can read
+        team, _ = parse_team_csv("x,y\n²,1\n3,4\n")
+        assert team_csv_text(team) == "x,y\n3,4\n²,1\n"
+        assert parse_team_csv(team_csv_text(team))[0] == team
+
     def test_text_is_naturally_sorted(self):
         team = team_from_rows(("x",), [("10",), ("9",), ("2",)])
         assert team_csv_text(team) == "x\n2\n9\n10\n"

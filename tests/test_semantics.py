@@ -21,7 +21,7 @@ from exclusion import (
     min_removal,
     satisfies,
 )
-from exclusion.model import team_from_rows
+from exclusion.model import Team, team_from_rows
 from exclusion import semantics
 from exclusion.semantics import (
     min_removal_indexed,
@@ -55,7 +55,7 @@ def brute_min_removal(team, a):
     rows = sorted(team.rows)
     for size in range(len(rows) + 1):
         for keep in combinations(rows, len(rows) - size):
-            if satisfies_exact(team.subteam(keep), a):
+            if satisfies_exact(Team(team.schema, frozenset(keep)), a):
                 return size
     raise AssertionError("removing every row always satisfies the atom")
 
