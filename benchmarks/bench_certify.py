@@ -18,24 +18,27 @@ calls (``_time_per_call``):
 ``--parent`` names the ``src/`` directory of a second checkout, usually
 of the parent commit (``git clone`` this repository and check the parent
 out, so that its commit is recorded); ``--change`` defaults to this
-checkout's ``src/``.  Each repeat runs one fresh interpreter per tree,
-alternating which goes first, and each interpreter builds the same seeded
-inputs.  The machine's speed may drift by tens of percent over minutes,
-which moves the per-tree medians apart; each repeat's two interpreters run
-back to back, so the JSON also records, per case, each repeat's speedup
-(parent time over change time) and their median as ``paired_speedup``,
-the figure to read for changes of a few percent.  The interpreters also
-report a digest of what they returned (the parsed atoms and every verify
-result), so the JSON records whether both trees answered alike.  The
-output, ``benchmarks/BENCH_certify.json`` by default, holds per-case
-medians, every repeat, the machine, Python, numpy, the kernel lane and the
-repeat count.
+checkout's ``src/``.  Both trees are imported into one interpreter, each
+under a package name of its own, and each builds the same seeded inputs.
+The machine's speed may drift by tens of percent over minutes, so the two
+trees are timed case by case: within a repeat, each case is timed on one
+tree and then at once on the other, alternating which goes first, so the
+two timings of a case lie seconds apart.  The JSON records, per case,
+each repeat's speedup (parent time over change time) and their median as
+``paired_speedup``, the figure to read for changes of a few percent, and
+each tree's digest of what it returned (the parsed atoms and every verify
+result), with ``same_results`` true when they are equal.  The output,
+``benchmarks/BENCH_certify.json`` by default, holds per-case medians,
+every repeat, the machine, Python, numpy, the kernel lane and the repeat
+count.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib
+import importlib.util
 import json
 import os
 import platform
@@ -59,7 +62,7 @@ SMALL_INSTANCES = 3000
 
 
 # ==========================================================================
-# child: one interpreter, one tree
+# inputs and timed cases of one tree
 # ==========================================================================
 
 def _atom_text(left, right, degree) -> str:
@@ -144,35 +147,29 @@ def _time_per_call(calls, repeat_until=0.2):
             return best / len(calls)
 
 
-def child(src: str) -> None:
-    sys.path.insert(0, src)
-    import exclusion.counterexample
-    import exclusion.decision
-    import exclusion.kernel
-    import exclusion.model
-    import exclusion.parsing
-    import exclusion.sweep
+def cases(ex) -> tuple[str, dict]:
+    """The digest of one tree's answers and its timed cases.
 
-    ex = exclusion
+    ``ex`` is the tree's package; each case maps to its calls and the
+    seconds its passes repeat for.
+    """
     Atom = ex.model.Atom
     verify = ex.counterexample.verify
     rng = random.Random(SEED)
     digest = hashlib.sha256()
-    times = {}
+    timed = {}
 
     files = _premise_files(rng)
     for arity, texts in files.items():
         for text in texts:
             digest.update(repr(ex.parsing.parse_sigma(text)).encode())
-        times[f"parse_sigma.1000x{arity}"] = _time_per_call(
+        timed[f"parse_sigma.1000x{arity}"] = (
             [lambda t=t: ex.parsing.parse_sigma(t) for t in texts], 1.0
         )
 
     for arity, found in _large_instances(ex, rng, files).items():
         digest.update(repr([verify(*inst) for inst in found]).encode())
-        times[f"verify.1000x{arity}"] = _time_per_call(
-            [lambda i=i: verify(*i) for i in found], 0.5
-        )
+        timed[f"verify.1000x{arity}"] = ([lambda i=i: verify(*i) for i in found], 0.5)
 
     keystone = ex.sweep.keystone_atoms()
 
@@ -192,17 +189,32 @@ def child(src: str) -> None:
     for name, draw in (("verify.sweep", sweep_shape), ("verify.certify_small", small_shape)):
         found = _small_instances(ex, rng, draw, SMALL_INSTANCES)
         digest.update(repr([verify(*inst) for inst in found]).encode())
-        times[name] = _time_per_call([lambda i=i: verify(*i) for i in found], 1.0)
+        timed[name] = ([lambda i=i: verify(*i) for i in found], 1.0)
 
-    print(json.dumps({
-        "lane": ex.kernel.IMPLEMENTATION,
-        "digest": digest.hexdigest(),
-        "seconds_per_call": times,
-    }))
+    return digest.hexdigest(), timed
+
+
+def _load_tree(src: Path, name: str):
+    """The ``exclusion`` package under ``src`` imported as ``name``.
+
+    The package imports its own modules relatively, so two trees can live
+    in one interpreter under two names.
+    """
+    spec = importlib.util.spec_from_file_location(
+        name, src / "exclusion" / "__init__.py",
+        submodule_search_locations=[str(src / "exclusion")],
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    for module in ("counterexample", "decision", "kernel", "model", "parsing", "sweep"):
+        importlib.import_module(f"{name}.{module}")
+    return package
 
 
 # ==========================================================================
-# main: alternate the two trees, one fresh interpreter each
+# compare: one fresh interpreter per tree and repeat, shared by the
+# other bench_*.py scripts
 # ==========================================================================
 
 def _run_child(script: str, src: Path) -> dict:
@@ -234,6 +246,25 @@ def _machine() -> str:
     except OSError:
         pass
     return f"{platform.machine()}, {os.cpu_count()} CPUs"
+
+
+def _add_case(result: dict, case: str, per_tree: dict) -> None:
+    """Record one case's per-tree times (one per repeat) and their medians.
+
+    Each repeat's speedup is the parent's time over the change's, taken
+    within the repeat, whose two timings ran close together, so slow
+    drift of the machine cancels.
+    """
+    parent, change = (statistics.median(per_tree[n]) for n in ("parent", "change"))
+    paired = [p / c for p, c in zip(per_tree["parent"], per_tree["change"])]
+    result["median"][case] = {
+        "parent": round(parent, 2),
+        "change": round(change, 2),
+        "speedup": round(parent / change, 2),
+        "paired_speedup": round(statistics.median(paired), 3),
+    }
+    result["runs"][case] = {n: [round(v, 2) for v in vs] for n, vs in per_tree.items()}
+    result["runs"][case]["paired_speedup"] = [round(v, 3) for v in paired]
 
 
 def compare(
@@ -317,28 +348,61 @@ def compare(
             if "CapacityError" not in (p, c)
         )
     for case in cases:
-        per_tree = {
+        _add_case(result, case, {
             name: [r["seconds_per_call"][case] * unit[1] for r in runs[name]] for name in trees
-        }
-        parent, change = (statistics.median(per_tree[n]) for n in ("parent", "change"))
-        # the change's speed over the parent's within each repeat, whose two
-        # interpreters ran back to back, so slow drift of the machine cancels
-        paired = [p / c for p, c in zip(per_tree["parent"], per_tree["change"])]
-        result["median"][case] = {
-            "parent": round(parent, 2),
-            "change": round(change, 2),
-            "speedup": round(parent / change, 2),
-            "paired_speedup": round(statistics.median(paired), 3),
-        }
-        result["runs"][case] = {n: [round(v, 2) for v in vs] for n, vs in per_tree.items()}
-        result["runs"][case]["paired_speedup"] = [round(v, 3) for v in paired]
+        })
     args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
     print(json.dumps(result["median"], indent=2))
     return 0
 
 
+# ==========================================================================
+# main: both trees in one interpreter, timed case by case
+# ==========================================================================
+
 def main(argv=None) -> int:
-    return compare("certify", __file__, child, __doc__.split("\n\n")[0], argv)
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True,
+                        help="src/ of the tree to compare against")
+    parser.add_argument("--change", type=Path, default=ROOT / "src", help="src/ of this tree")
+    parser.add_argument("--repeats", type=int, default=7)
+    parser.add_argument("--out", type=Path, default=HERE / "BENCH_certify.json")
+    args = parser.parse_args(argv)
+
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    packages = {name: _load_tree(src, f"exclusion_{name}") for name, src in trees.items()}
+    built = {name: cases(ex) for name, ex in packages.items()}
+    times = {case: {name: [] for name in trees} for case in built["change"][1]}
+    for repeat in range(args.repeats):
+        for i, case in enumerate(times):
+            order = list(trees) if (repeat + i) % 2 == 0 else list(reversed(trees))
+            for name in order:
+                calls, repeat_until = built[name][1][case]
+                times[case][name].append(_time_per_call(calls, repeat_until) * 1e6)
+        print(f"repeat {repeat + 1}/{args.repeats} done", file=sys.stderr)
+
+    import numpy
+
+    digests = {name: built[name][0] for name in trees}
+    result = {
+        "benchmark": "bench_certify",
+        "machine": _machine(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "kernel_lane": {name: ex.kernel.IMPLEMENTATION for name, ex in packages.items()},
+        "repeats": args.repeats,
+        "commits": {name: _commit(path) for name, path in trees.items()},
+        "digests": digests,
+        "same_results": digests["parent"] == digests["change"],
+        "unit": "microseconds per call",
+        "median": {},
+        "runs": {},
+    }
+    for case, per_tree in times.items():
+        _add_case(result, case, per_tree)
+    args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
+    print(json.dumps(result["median"], indent=2))
+    return 0
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ it times ``synthesize`` and ``check_derivation`` on the YES answers and
 known refused plans raise and are only counted).
 
 ``--parent``, ``--change``, ``--repeats`` and ``--out`` work as in
-``bench_certify.py``: one fresh interpreter per tree and repeat,
+``bench_certify.compare``: one fresh interpreter per tree and repeat,
 alternating which tree goes first, and a digest of what each tree
 returned (the parsed atoms, the derivation text of each YES, every plan's
 parameters and built team CSV, every keystone verdict, and each

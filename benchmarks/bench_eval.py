@@ -30,7 +30,7 @@ The JSON keeps these under ``answers`` and says, as
 answered; ``same_results`` compares whole digests, so it reads false when
 one tree refuses a table the other answers.  ``--parent``, ``--change``,
 ``--repeats``, ``--out`` and ``paired_speedup`` work as in
-``bench_certify.py``.  The output,
+``bench_certify.compare``.  The output,
 ``benchmarks/BENCH_eval.json`` by default, holds per-case medians, every
 repeat, the machine, Python, numpy, the kernel lane and the repeat count.
 """

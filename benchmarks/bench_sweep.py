@@ -20,7 +20,7 @@ generator order and trees that list them in bank order digest alike), of
 the bank arrays (cells, row counts, value counts, with dtypes and shapes)
 and of every row and value mask the sweep can ask for; ``same_results``
 is true when both trees produced bit-identical ones.  ``--parent``, ``--change``, ``--repeats`` and
-``--out`` work as in ``bench_certify.py``.  The output,
+``--out`` work as in ``bench_certify.compare``.  The output,
 ``benchmarks/BENCH_sweep.json`` by default, holds per-stage medians, every
 repeat, the machine, Python, numpy, the kernel lane and the repeat count.
 """

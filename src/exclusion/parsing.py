@@ -40,8 +40,12 @@ _ATOM = re.compile(
     re.VERBOSE,
 )
 
-# a whole well-formed atom: both sides ASCII identifier lists, one ';' between them
-_NAMES = r"[A-Za-z_][A-Za-z0-9_]*(?:\s+[A-Za-z_][A-Za-z0-9_]*)*"
+# a whole well-formed atom: both sides ASCII identifier lists, one ';' between them.
+# The quantifiers are possessive, so a failed match never backtracks into a
+# name list.  That leaves the language unchanged: a list is followed only by
+# `\s*;` or `\s*\)`, and any tail a list could give back is, after its
+# whitespace, an identifier character, which neither can match.
+_NAMES = r"[A-Za-z_][A-Za-z0-9_]*+(?:\s+[A-Za-z_][A-Za-z0-9_]*+)*+"
 _STRICT_ATOM = re.compile(
     rf"""\s* excl
         \s* (?: \[ (?P<degree> [^\]]*) \] )?
@@ -113,10 +117,11 @@ def parse_atom(text: str) -> Atom:
     """
     m = _STRICT_ATOM.match(text)
     if m is not None:
-        left, right = m.group("left").split(), m.group("right").split()
+        left, right, spelling = m.group("left", "right", "degree")
+        left, right = left.split(), right.split()
         if len(left) == len(right):
             try:
-                degree = _degree(m.group("degree"))
+                degree = _degree(spelling)
             except (ParseError, ValueError):
                 pass  # _diagnose reports it after any earlier fault
             else:
@@ -166,13 +171,18 @@ def read_sigma_file(path: str | Path) -> list[Atom]:
 
 
 def parse_team_csv(text: str, source: str = "<team>") -> tuple[Team, int]:
-    """Team plus the number of duplicate rows that were collapsed."""
+    """Team plus the number of duplicate rows that were collapsed.
+
+    Lines end at ``\r\n``, ``\r`` or ``\n``, as in `parse_sigma`.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
         raise ParseError(f"{source}: empty file, header row required")
-    header = [cell.strip() for cell in lines[0].rstrip("\r").split(",")]
+    header = [cell.strip() for cell in lines[0].split(",")]
     for name in header:
         if IDENT.match(name) is None:
             raise ParseError(f"{source}: bad variable name {name!r} in header")
@@ -180,7 +190,7 @@ def parse_team_csv(text: str, source: str = "<team>") -> tuple[Team, int]:
         raise ParseError(f"{source}: duplicate variable names in header")
     rows = []
     for lineno, raw in enumerate(lines[1:], start=2):
-        cells = raw.rstrip("\r").split(",")
+        cells = raw.split(",")
         if len(cells) != len(header):
             raise ParseError(
                 f"{source}:{lineno}: expected {len(header)} cells, got {len(cells)}"

@@ -27,6 +27,18 @@ No row lies in two components, so the rows removed for different
 components are disjoint and their minimum counts add up to the exact
 minimum.  Each component is searched exhaustively, and CHOICE_CAP bounds
 the size of one component, not of the whole table.
+
+satisfies_all, which checks a NO certificate's team against every
+premise, lifts the first-position filter from rows to the team.  It
+builds the set of values each column takes once per team.  A premise
+with a position whose left and right value sets are disjoint is skipped:
+no row's left value there equals any row's right value, so no row pair
+conflicts and the removal is 0 at every degree.  The filter is exact for
+the same reason as the row filter, and on a few-row team over many
+variables it skips nearly every premise before any index or projection
+is built.  Every name of a premise is still resolved, the left side
+before the right, so an unknown variable raises UnknownVariableError for
+the same name `satisfies` would.
 """
 
 from __future__ import annotations
@@ -220,25 +232,39 @@ def satisfies_all(team: Team, atoms: Sequence[Atom]) -> bool:
 
     Equal to ``all(satisfies(team, a) for a in atoms)``: the atoms are
     checked in order, degree-1 atoms are skipped, and the first failing
-    atom ends the pass.  The column map and the rows are built once per
-    team.
+    atom ends the pass.  The value set of each column is built once per
+    team, at the first atom to check, so a list without one costs no pass
+    over the rows.  Every name of an atom is resolved through these sets,
+    the left side before the right, so an unknown variable raises
+    UnknownVariableError for the name `satisfies` names.  An atom with a
+    position whose left and right value sets are disjoint is skipped: no
+    row pair agrees there, so none conflicts and the removal is 0 at every
+    degree.  Only the atoms left are given column indexes, by
+    `schema.index` as `Team.column` gives them, and searched: on the wide
+    teams of 1000-premise NOs hardly an atom is left, and a column map
+    would cost each small team of the keystone sweep its build.
     """
-    column = {v: i for i, v in enumerate(team.schema)}
-    rows = tuple(team.rows)
-    size = len(rows)
+    schema = team.schema
+    values = None
     for atom in atoms:
         degree = atom.degree
         if degree.numerator == degree.denominator:  # degree 1 holds vacuously
             continue
+        if values is None:  # at the first atom to check, once per team
+            rows = tuple(team.rows)
+            columns = zip(*rows) if rows else [()] * len(schema)
+            values = dict(zip(schema, map(frozenset, columns)))
         try:
-            left_idx = tuple(map(column.__getitem__, atom.left))
-            right_idx = tuple(map(column.__getitem__, atom.right))
+            lefts = list(map(values.__getitem__, atom.left))
+            rights = list(map(values.__getitem__, atom.right))
         except KeyError as exc:
             team.column(exc.args[0])  # raises UnknownVariableError
             raise
+        if any(map(frozenset.isdisjoint, lefts, rights)):
+            continue
+        left_idx = tuple(map(schema.index, atom.left))
+        right_idx = tuple(map(schema.index, atom.right))
         removal = min_removal_indexed(rows, left_idx, right_idx)
-        # a removal of 0 fits every degree; skipping the budget test keeps
-        # premises whose sides share no value as cheap as the search's exit
-        if removal and not within_budget(removal, degree, size):
+        if not within_budget(removal, degree, len(rows)):
             return False
     return True

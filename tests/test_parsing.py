@@ -182,10 +182,48 @@ def atom_texts(draw):
     return draw(PADDING) + "excl" + mark + draw(PADDING) + f"({body})" + suffix
 
 
+# separators of long sides: whitespace other than space and tab, which both
+# `str.split` and the pattern's `\s` accept
+LONG_SPACES = st.sampled_from(["\x1c", "\x85", "\u2028", "\u00a0", "\x0c"])
+TRAILING_SPACES = st.sampled_from(["", " ", "\x85", "\u2028\x0c"])
+# a leading digit, non-ASCII letters and digits
+ODD_LETTER_NAMES = st.sampled_from(["1a", "9", "b\u00e9", "\u0443", "y\u0660"])
+
+
+@st.composite
+def long_side_texts(draw, arity):
+    """A side of `arity` names, sometimes with an odd name among its last
+    three, ending in whitespace now and then."""
+    names = [draw(VALID_NAMES) for _ in range(arity)]
+    if draw(st.booleans()):
+        names[-draw(st.integers(1, 3))] = draw(ODD_LETTER_NAMES)
+    out = names[0]
+    for name in names[1:]:
+        out += draw(LONG_SPACES) + name
+    return out + draw(TRAILING_SPACES)
+
+
+@st.composite
+def long_atom_texts(draw):
+    """Atom texts with sides of 20 to 45 names, where a failed match of a
+    backtracking name pattern would retry most."""
+    left_arity = draw(st.integers(20, 45))
+    right_arity = left_arity if draw(st.integers(0, 4)) else draw(st.integers(20, 45))
+    degree = draw(DEGREE_TEXTS)
+    mark = "" if degree is None else f"[{degree}]"
+    left, right = draw(long_side_texts(left_arity)), draw(long_side_texts(right_arity))
+    return f"excl{mark}({left};{right})"
+
+
 class TestParseAtomEquivalence:
     @given(atom_texts())
     @settings(max_examples=1000, deadline=None)
     def test_same_atom_or_same_error_as_the_reference(self, text):
+        assert outcome(parse_atom, text) == outcome(reference_parse_atom, text)
+
+    @given(long_atom_texts())
+    @settings(max_examples=300, deadline=None)
+    def test_long_sides_match_the_reference(self, text):
         assert outcome(parse_atom, text) == outcome(reference_parse_atom, text)
 
     @pytest.mark.parametrize(
@@ -317,6 +355,18 @@ class TestTeamCsv:
         with pytest.raises(ParseError) as info:
             parse_team_csv("x,y\n0\n", source="team.csv")
         assert "team.csv" in str(info.value)
+
+    def test_carriage_returns_end_lines(self):
+        # a lone "\r" ends a line as "\n" and "\r\n" do, as in parse_sigma
+        team, duplicates = parse_team_csv("a,b\r1,2\r")
+        assert team == team_from_rows(("a", "b"), [("1", "2")])
+        assert duplicates == 0
+        assert parse_team_csv("a,b\r\n1,2\r\n3,4\n") == parse_team_csv("a,b\n1,2\n3,4\n")
+
+    def test_carriage_return_in_a_row_splits_it(self):
+        # "1\r,2" is two lines, never a cell "1\r" that cannot be written back
+        with pytest.raises(ParseError, match=r"^<team>:2: expected 2 cells, got 1$"):
+            parse_team_csv("a,b\n1\r,2\n")
 
     def test_missing_header_rejected(self):
         with pytest.raises(ParseError):

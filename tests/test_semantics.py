@@ -400,7 +400,8 @@ def team_and_atoms(draw):
             st.tuples(*[st.sampled_from("012") for _ in schema]), max_size=6
         )
     )
-    names = st.sampled_from(schema)
+    # now and then names outside the schema, so unknown variables are met
+    names = st.sampled_from(schema if draw(st.integers(0, 3)) else COLUMNS + ("z",))
 
     @st.composite
     def one_atom(draw):
@@ -412,6 +413,14 @@ def team_and_atoms(draw):
     return team_from_rows(schema, rows), draw(st.lists(one_atom(), max_size=5))
 
 
+def outcome(check, *args):
+    """The check's answer, or the message of the UnknownVariableError it raised."""
+    try:
+        return check(*args)
+    except UnknownVariableError as exc:
+        return str(exc)
+
+
 class TestSatisfiesAllEquivalence:
     """satisfies_all and satisfies agree, atom by atom, with the brute-force
     removal count, so the shared search is checked against code it does
@@ -421,12 +430,17 @@ class TestSatisfiesAllEquivalence:
     @given(team_and_atoms())
     def test_matches_per_atom_conjunction(self, case):
         team, atoms = case
-        expected = [
-            a.degree == 1 or within_budget(brute_min_removal(team, a), a.degree, team.size)
-            for a in atoms
-        ]
-        assert [satisfies(team, a) for a in atoms] == expected
-        assert satisfies_all(team, atoms) == all(expected)
+        # atom by atom, in order: the first failure or raised error decides
+        expected = True
+        for a in atoms:
+            expected = outcome(satisfies, team, a)
+            if expected is not True:
+                break
+        assert outcome(satisfies_all, team, atoms) == expected
+        for a in atoms:
+            if a.degree != 1 and set(a.left + a.right) <= set(team.schema):
+                budget = within_budget(brute_min_removal(team, a), a.degree, team.size)
+                assert satisfies(team, a) == budget
 
     def test_empty_team(self):
         t = team_from_rows(("x", "y"), [])
@@ -476,6 +490,13 @@ class TestSatisfiesAllEquivalence:
             satisfies_all(t, [atom("x", "z")])
         with pytest.raises(UnknownVariableError, match="'w' not in schema"):
             satisfies_all(t, [atom("w x", "y z")])
+
+    def test_unknown_variable_raises_where_sides_share_no_value(self):
+        # x and y share no value, so the first position alone shows that
+        # no row pair conflicts; every name is still resolved, left first
+        t = team_from_rows(("x", "y"), [("1", "2"), ("3", "4")])
+        with pytest.raises(UnknownVariableError, match="'w' not in schema"):
+            satisfies_all(t, [atom("x w", "y z")])
 
     def test_unknown_variable_ignored_at_degree_one(self):
         t = team_from_rows(("x", "y"), [("1", "2")])
