@@ -248,6 +248,40 @@ def _machine() -> str:
     return f"{platform.machine()}, {os.cpu_count()} CPUs"
 
 
+def _arguments(description: str, topic: str, argv, child: bool = False):
+    """The options every parent-against-change script takes."""
+    parser = argparse.ArgumentParser(description=description)
+    parser.add_argument("--parent", type=Path, help="src/ of the tree to compare against")
+    parser.add_argument("--change", type=Path, default=ROOT / "src", help="src/ of this tree")
+    parser.add_argument("--repeats", type=int, default=7)
+    parser.add_argument("--out", type=Path, default=HERE / f"BENCH_{topic}.json")
+    if child:
+        parser.add_argument("--child", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.parent is None and not (child and args.child):
+        parser.error("--parent is required")
+    return args
+
+
+def _result(topic: str, trees: dict, lanes: dict, repeats: int, unit: str, **fields) -> dict:
+    """The record's header: machine, versions, trees; ``fields`` go before the times."""
+    import numpy
+
+    return {
+        "benchmark": f"bench_{topic}",
+        "machine": _machine(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "kernel_lane": lanes,
+        "repeats": repeats,
+        "commits": {name: _commit(path) for name, path in trees.items()},
+        **fields,
+        "unit": unit,
+        "median": {},
+        "runs": {},
+    }
+
+
 def _add_case(result: dict, case: str, per_tree: dict) -> None:
     """Record one case's per-tree times (one per repeat) and their medians.
 
@@ -265,6 +299,15 @@ def _add_case(result: dict, case: str, per_tree: dict) -> None:
     }
     result["runs"][case] = {n: [round(v, 2) for v in vs] for n, vs in per_tree.items()}
     result["runs"][case]["paired_speedup"] = [round(v, 3) for v in paired]
+
+
+def _finish(result: dict, times: dict, out: Path) -> int:
+    """Add every case's times (case -> tree -> one per repeat), write and print."""
+    for case, per_tree in times.items():
+        _add_case(result, case, per_tree)
+    out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
+    print(json.dumps(result["median"], indent=2))
+    return 0
 
 
 def compare(
@@ -288,18 +331,10 @@ def compare(
     by default.  ``unit`` names the unit of the recorded times and its
     number per second.
     """
-    parser = argparse.ArgumentParser(description=description)
-    parser.add_argument("--parent", type=Path, help="src/ of the tree to compare against")
-    parser.add_argument("--change", type=Path, default=ROOT / "src", help="src/ of this tree")
-    parser.add_argument("--repeats", type=int, default=7)
-    parser.add_argument("--out", type=Path, default=HERE / f"BENCH_{topic}.json")
-    parser.add_argument("--child", help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
+    args = _arguments(description, topic, argv, child=True)
     if args.child:
         child_main(args.child)
         return 0
-    if args.parent is None:
-        parser.error("--parent is required")
 
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = {name: [] for name in trees}
@@ -309,22 +344,10 @@ def compare(
             runs[name].append(_run_child(script, trees[name]))
             print(f"repeat {repeat + 1}/{args.repeats} {name} done", file=sys.stderr)
 
-    import numpy
-
-    cases = list(runs["change"][0]["seconds_per_call"])
-    result = {
-        "benchmark": f"bench_{topic}",
-        "machine": _machine(),
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "kernel_lane": {name: runs[name][0]["lane"] for name in trees},
-        "repeats": args.repeats,
-        "commits": {name: _commit(path) for name, path in trees.items()},
-        "same_results": len({r["digest"] for rs in runs.values() for r in rs}) == 1,
-        "unit": unit[0],
-        "median": {},
-        "runs": {},
-    }
+    result = _result(
+        topic, trees, {name: runs[name][0]["lane"] for name in trees}, args.repeats, unit[0],
+        same_results=len({r["digest"] for rs in runs.values() for r in rs}) == 1,
+    )
     if "peak_rss_mb" in runs["change"][0]:
         result["peak_rss_mb"] = {
             name: statistics.median(r["peak_rss_mb"] for r in runs[name]) for name in trees
@@ -347,13 +370,13 @@ def compare(
             for p, c in zip(answers["parent"][case], answers["change"][case])
             if "CapacityError" not in (p, c)
         )
-    for case in cases:
-        _add_case(result, case, {
+    times = {
+        case: {
             name: [r["seconds_per_call"][case] * unit[1] for r in runs[name]] for name in trees
-        })
-    args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
-    print(json.dumps(result["median"], indent=2))
-    return 0
+        }
+        for case in runs["change"][0]["seconds_per_call"]
+    }
+    return _finish(result, times, args.out)
 
 
 # ==========================================================================
@@ -361,14 +384,7 @@ def compare(
 # ==========================================================================
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", type=Path, required=True,
-                        help="src/ of the tree to compare against")
-    parser.add_argument("--change", type=Path, default=ROOT / "src", help="src/ of this tree")
-    parser.add_argument("--repeats", type=int, default=7)
-    parser.add_argument("--out", type=Path, default=HERE / "BENCH_certify.json")
-    args = parser.parse_args(argv)
-
+    args = _arguments(__doc__.split("\n\n")[0], "certify", argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     packages = {name: _load_tree(src, f"exclusion_{name}") for name, src in trees.items()}
     built = {name: cases(ex) for name, ex in packages.items()}
@@ -381,28 +397,13 @@ def main(argv=None) -> int:
                 times[case][name].append(_time_per_call(calls, repeat_until) * 1e6)
         print(f"repeat {repeat + 1}/{args.repeats} done", file=sys.stderr)
 
-    import numpy
-
     digests = {name: built[name][0] for name in trees}
-    result = {
-        "benchmark": "bench_certify",
-        "machine": _machine(),
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "kernel_lane": {name: ex.kernel.IMPLEMENTATION for name, ex in packages.items()},
-        "repeats": args.repeats,
-        "commits": {name: _commit(path) for name, path in trees.items()},
-        "digests": digests,
-        "same_results": digests["parent"] == digests["change"],
-        "unit": "microseconds per call",
-        "median": {},
-        "runs": {},
-    }
-    for case, per_tree in times.items():
-        _add_case(result, case, per_tree)
-    args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
-    print(json.dumps(result["median"], indent=2))
-    return 0
+    result = _result(
+        "certify", trees, {name: ex.kernel.IMPLEMENTATION for name, ex in packages.items()},
+        args.repeats, "microseconds per call",
+        digests=digests, same_results=digests["parent"] == digests["change"],
+    )
+    return _finish(result, times, args.out)
 
 
 if __name__ == "__main__":

@@ -44,7 +44,8 @@ _ATOM = re.compile(
 # The quantifiers are possessive, so a failed match never backtracks into a
 # name list.  That leaves the language unchanged: a list is followed only by
 # `\s*;` or `\s*\)`, and any tail a list could give back is, after its
-# whitespace, an identifier character, which neither can match.
+# whitespace, an identifier character, which neither can match.  `re`
+# accepts possessive quantifiers from Python 3.11 on, hence requires-python.
 _NAMES = r"[A-Za-z_][A-Za-z0-9_]*+(?:\s+[A-Za-z_][A-Za-z0-9_]*+)*+"
 _STRICT_ATOM = re.compile(
     rf"""\s* excl
