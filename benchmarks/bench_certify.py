@@ -207,14 +207,15 @@ def _load_tree(src: Path, name: str):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    for module in ("counterexample", "decision", "kernel", "model", "parsing", "sweep"):
+    for module in ("calculus", "counterexample", "decision", "errors", "kernel", "model",
+                   "parsing", "sweep"):
         importlib.import_module(f"{name}.{module}")
     return package
 
 
 # ==========================================================================
-# compare: one fresh interpreter per tree and repeat, shared by the
-# other bench_*.py scripts
+# compare: one fresh interpreter per tree and repeat, shared by
+# bench_eval.py and bench_sweep.py
 # ==========================================================================
 
 def _run_child(script: str, src: Path) -> dict:
@@ -380,14 +381,24 @@ def compare(
 
 
 # ==========================================================================
-# main: both trees in one interpreter, timed case by case
+# main: both trees in one interpreter, timed case by case, shared by
+# bench_decide.py
 # ==========================================================================
 
-def main(argv=None) -> int:
-    args = _arguments(__doc__.split("\n\n")[0], "certify", argv)
+def compare_in_process(topic: str, cases_of, description: str, argv=None) -> int:
+    """Command line of the scripts that time both trees in one interpreter.
+
+    ``cases_of(ex)`` builds one tree's inputs and returns its digest and
+    its timed cases, as ``cases`` does.  Each tree is imported under a
+    name of its own (``_load_tree``) and builds its own inputs; then,
+    within each repeat, every case is timed on one tree and at once on the
+    other, alternating which goes first.  The result goes to
+    ``BENCH_<topic>.json`` by default.
+    """
+    args = _arguments(description, topic, argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     packages = {name: _load_tree(src, f"exclusion_{name}") for name, src in trees.items()}
-    built = {name: cases(ex) for name, ex in packages.items()}
+    built = {name: cases_of(ex) for name, ex in packages.items()}
     times = {case: {name: [] for name in trees} for case in built["change"][1]}
     for repeat in range(args.repeats):
         for i, case in enumerate(times):
@@ -399,11 +410,15 @@ def main(argv=None) -> int:
 
     digests = {name: built[name][0] for name in trees}
     result = _result(
-        "certify", trees, {name: ex.kernel.IMPLEMENTATION for name, ex in packages.items()},
+        topic, trees, {name: ex.kernel.IMPLEMENTATION for name, ex in packages.items()},
         args.repeats, "microseconds per call",
         digests=digests, same_results=digests["parent"] == digests["change"],
     )
     return _finish(result, times, args.out)
+
+
+def main(argv=None) -> int:
+    return compare_in_process("certify", cases, __doc__.split("\n\n")[0], argv)
 
 
 if __name__ == "__main__":

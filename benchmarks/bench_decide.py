@@ -33,21 +33,22 @@ it times ``synthesize`` and ``check_derivation`` on the YES answers and
 known refused plans raise and are only counted).
 
 ``--parent``, ``--change``, ``--repeats`` and ``--out`` work as in
-``bench_certify.compare``: one fresh interpreter per tree and repeat,
-alternating which tree goes first, and a digest of what each tree
-returned (the parsed atoms, the derivation text of each YES, every plan's
-parameters and built team CSV, every keystone verdict, and each
-certify-small derivation text and team CSV) so the JSON
-records whether both trees answered alike.  The digest reads only what
-every tree has, so trees whose plans store different fields compare.  The output, ``benchmarks/BENCH_decide.json`` by
-default, holds per-case medians, every repeat, the machine, Python,
-numpy, the kernel lane and the repeat count.
+``bench_certify.compare_in_process``: both trees are imported into one
+interpreter and timed case by case, alternating which tree goes first,
+so the two timings of a case lie seconds apart.  A digest of what each
+tree returned (the parsed atoms, the derivation text of each YES, every
+plan's parameters and built team CSV, every keystone verdict, and each
+certify-small derivation text and team CSV) records whether both trees
+answered alike.  The digest reads only what every tree has, so trees
+whose plans store different fields compare.  The output,
+``benchmarks/BENCH_decide.json`` by default, holds per-case medians,
+every repeat, the machine, Python, numpy, the kernel lane and the repeat
+count.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 import sys
 from pathlib import Path
@@ -59,8 +60,7 @@ from bench_certify import (
     SEED,
     _premise_files,
     _random_side,
-    _time_per_call,
-    compare,
+    compare_in_process,
 )
 
 KEYSTONE_INSTANCES = 2000
@@ -107,25 +107,16 @@ def _certify_small(ex):
     return queries
 
 
-def child(src: str) -> None:
-    sys.path.insert(0, src)
-    import exclusion.calculus
-    import exclusion.counterexample
-    import exclusion.decision
-    import exclusion.errors
-    import exclusion.kernel
-    import exclusion.model
-    import exclusion.parsing
-    import exclusion.sweep
-
-    ex = exclusion
+def cases(ex) -> tuple[str, dict]:
+    """The digest of one tree's answers and its timed cases, as
+    ``bench_certify.cases`` gives them."""
     parse_sigma, decide, plan = ex.parsing.parse_sigma, ex.decision.decide, ex.counterexample.plan
     domain_size_bound = ex.counterexample.domain_size_bound
     synthesize, to_text = ex.calculus.synthesize, ex.calculus.derivation_to_json_str
     check_derivation = ex.calculus.check_derivation
     rng = random.Random(SEED)
     digest = hashlib.sha256()
-    times = {}
+    timed = {}
 
     for arity, texts in _premise_files(rng).items():
         sigmas = [parse_sigma(text) for text in texts]
@@ -140,25 +131,21 @@ def child(src: str) -> None:
             digest.update(to_text(derivations[-1]).encode())
             digest.update(repr(_plan_fields(ex, verdicts[1].plan)).encode())
             digest.update(repr(_plan_fields(ex, plan(sigma, no))).encode())
-        times[f"parse_sigma.1000x{arity}"] = _time_per_call(
-            [lambda t=t: parse_sigma(t) for t in texts], 1.0
-        )
+        timed[f"parse_sigma.1000x{arity}"] = ([lambda t=t: parse_sigma(t) for t in texts], 1.0)
         pairs = list(zip(sigmas, goals))
-        times[f"decide_yes.1000x{arity}"] = _time_per_call(
+        timed[f"decide_yes.1000x{arity}"] = (
             [lambda s=s, g=g[0]: decide(s, g) for s, g in pairs], 0.5
         )
-        times[f"certify_yes.1000x{arity}"] = _time_per_call(
+        timed[f"certify_yes.1000x{arity}"] = (
             [lambda s=s, g=g[0]: synthesize(s, g, decide(s, g).witness) for s, g in pairs], 0.5
         )
-        times[f"check_derivation.1000x{arity}"] = _time_per_call(
+        timed[f"check_derivation.1000x{arity}"] = (
             [lambda d=d: check_derivation(d) for d in derivations], 0.5
         )
-        times[f"decide_no.1000x{arity}"] = _time_per_call(
+        timed[f"decide_no.1000x{arity}"] = (
             [lambda s=s, g=g[1]: decide(s, g) for s, g in pairs], 0.5
         )
-        times[f"plan.1000x{arity}"] = _time_per_call(
-            [lambda s=s, g=g[1]: plan(s, g) for s, g in pairs], 0.5
-        )
+        timed[f"plan.1000x{arity}"] = ([lambda s=s, g=g[1]: plan(s, g) for s, g in pairs], 0.5)
 
     keystone = ex.sweep.keystone_atoms()
     instances = [
@@ -177,10 +164,8 @@ def child(src: str) -> None:
         domain_size_bound(decide(sigma, goal).plan or plan(sigma, goal))
 
     for name, f in (("decide", decide), ("plan", plan), ("slice_op", slice_op)):
-        times[f"{name}.keystone"] = _time_per_call(
-            [lambda s=s, g=g: f(s, g) for s, g in instances], 0.5
-        )
-    times["check_derivation.keystone"] = _time_per_call(
+        timed[f"{name}.keystone"] = ([lambda s=s, g=g, f=f: f(s, g) for s, g in instances], 0.5)
+    timed["check_derivation.keystone"] = (
         [lambda d=d: check_derivation(d) for d in keystone_derivations], 0.5
     )
 
@@ -200,25 +185,21 @@ def child(src: str) -> None:
             continue
         no.append(verdict.plan)
         digest.update(ex.parsing.team_csv_text(team).encode())
-    times["synthesize.certify_small"] = _time_per_call(
+    timed["synthesize.certify_small"] = (
         [lambda s=s, g=g, w=w: synthesize(s, g, w) for s, g, w in yes], 0.5
     )
-    times["check_derivation.certify_small"] = _time_per_call(
+    timed["check_derivation.certify_small"] = (
         [lambda d=d: check_derivation(d) for d in derivations], 0.5
     )
-    times["verified_counterexample.certify_small"] = _time_per_call(
+    timed["verified_counterexample.certify_small"] = (
         [lambda p=p: ex.counterexample.verified_counterexample(p) for p in no], 0.5
     )
 
-    print(json.dumps({
-        "lane": ex.kernel.IMPLEMENTATION,
-        "digest": digest.hexdigest(),
-        "seconds_per_call": times,
-    }))
+    return digest.hexdigest(), timed
 
 
 def main(argv=None) -> int:
-    return compare("decide", __file__, child, __doc__.split("\n\n")[0], argv)
+    return compare_in_process("decide", cases, __doc__.split("\n\n")[0], argv)
 
 
 if __name__ == "__main__":

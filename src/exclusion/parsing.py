@@ -13,6 +13,14 @@ human-readable rendering still uses the bar notation `x1 x2 |[1/4]| y1 y2`.
 Assumption files hold one atom per line; `#` starts a comment and blank
 lines are ignored.
 
+Atoms are read by one exact pattern of their plain spelling (no blanks
+around `excl` or its brackets, names separated by spaces): `parse_atom`
+matches it in full, and `parse_sigma` reads a file whose lines are all
+plain in one pass of it over the whole text.  Any other text falls back
+to reading each atom part by part, line by line in a file; the fallback
+parses every well-formed atom and names the first fault of any other, so
+it alone defines the accepted language and the messages.
+
 Team CSV: first row names the variables, each later row is one
 assignment.  Cells are raw strings without quoting, so values may not
 contain commas or newlines.  Duplicate rows collapse; readers report how
@@ -25,7 +33,6 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
-from typing import NoReturn
 
 from .errors import ParseError
 from .model import Atom, Team, ZERO, as_degree
@@ -40,19 +47,21 @@ _ATOM = re.compile(
     re.VERBOSE,
 )
 
-# a whole well-formed atom: both sides ASCII identifier lists, one ';' between them.
-# The quantifiers are possessive, so a failed match never backtracks into a
-# name list.  That leaves the language unchanged: a list is followed only by
-# `\s*;` or `\s*\)`, and any tail a list could give back is, after its
-# whitespace, an identifier character, which neither can match.  `re`
-# accepts possessive quantifiers from Python 3.11 on, hence requires-python.
-_NAMES = r"[A-Za-z_][A-Za-z0-9_]*+(?:\s+[A-Za-z_][A-Za-z0-9_]*+)*+"
-_STRICT_ATOM = re.compile(
-    rf"""\s* excl
-        \s* (?: \[ (?P<degree> [^\]]*) \] )?
-        \s* \( \s* (?P<left> {_NAMES}) \s* ; \s* (?P<right> {_NAMES}) \s* \) \s* \Z""",
-    re.VERBOSE,
-)
+# the plain spelling of an atom: ASCII identifier lists separated by spaces,
+# a degree of digits, '/', '.' and spaces, no blanks around `excl` or the
+# brackets.  The quantifiers are possessive, so a failed match never
+# backtracks into a name list; a backtracking pattern would match the same
+# texts, since a list is followed only by ` *;` or ` *\)`, and any tail a
+# list could give back is, after its spaces, an identifier character,
+# which neither can match.  `re` accepts possessive quantifiers from Python 3.11 on, hence
+# requires-python.  Every other well-formed atom is read by `_diagnose`.
+_NAMES = r"[A-Za-z_][A-Za-z0-9_]*+(?:[ ]++[A-Za-z_][A-Za-z0-9_]*+)*+"
+_PLAIN = rf"excl(?:\[([0-9/. ]++)\])?\([ ]*+({_NAMES})[ ]*+;[ ]*+({_NAMES})[ ]*+\)"
+_PLAIN_ATOM = re.compile(_PLAIN)
+# one line of an assumption file spelled plainly: blank, a comment, or a
+# plain atom with blanks or tabs around it and an optional comment after;
+# no class in it holds a newline, so each line gives at most one match
+_PLAIN_LINE = re.compile(rf"^[ \t]*+(?:{_PLAIN}[ \t]*+)?(?:#[^\n]*+)?$", re.MULTILINE)
 
 _RATIONAL = re.compile(
     r"\s*(?: (?P<num>\d+) \s* / \s* (?P<den>\d+) | (?P<dec>\d+\.\d+) | (?P<int>\d+) )\s*\Z",
@@ -82,9 +91,12 @@ def _degree(text: str | None) -> Fraction:
     return ZERO if text is None else as_degree(parse_rational(text))
 
 
-def _diagnose(text: str) -> NoReturn:
-    """Raise the ParseError naming the first fault of a malformed atom, in
-    grammar order: outline, degree spelling, ';', names, arities, range."""
+def _diagnose(text: str) -> Atom:
+    """The atom any text denotes, read part by part, or the ParseError
+    naming its first fault, in grammar order: outline, degree spelling,
+    ';', names, arities, range.  This is the parser of every atom that
+    `_PLAIN_ATOM` does not read: tabs or other Unicode whitespace between
+    names, blanks inside or around `excl[...]`, and blanks around the atom."""
     m = _ATOM.match(text)
     if m is None:
         raise ParseError(f"malformed atom: {text!r}")
@@ -102,23 +114,24 @@ def _diagnose(text: str) -> NoReturn:
                 raise ParseError(f"bad identifier {name!r} on {side} side")
         sides.append(names)
     try:
-        Atom(*sides, degree)
+        return Atom(*sides, degree)
     except (ValueError, TypeError) as exc:
         raise ParseError(str(exc)) from exc
-    raise AssertionError(f"the strict atom pattern refused a well-formed atom: {text!r}")
 
 
 def parse_atom(text: str) -> Atom:
     """Parse one atom expression.
 
-    One strict match of the whole text replaces `Atom`'s side checks: each
-    side is a nonempty list of ASCII identifiers.  The per-spelling degree
-    cache replaces its degree check, so only the arities are compared here.
-    Any other text goes to `_diagnose`, which raises and never returns.
+    A text spelled plainly (`_PLAIN_ATOM`, matched in full) needs no side
+    checks from `Atom`: each side is a nonempty list of ASCII identifiers.
+    The per-spelling degree cache replaces its degree check, so only the
+    arities are compared here.  Any other text, and a plain one whose
+    arities or degree fail, goes to `_diagnose`, which reads it part by
+    part, so the accepted language and every message are its.
     """
-    m = _STRICT_ATOM.match(text)
+    m = _PLAIN_ATOM.fullmatch(text)
     if m is not None:
-        left, right, spelling = m.group("left", "right", "degree")
+        spelling, left, right = m.groups()
         left, right = left.split(), right.split()
         if len(left) == len(right):
             try:
@@ -127,7 +140,7 @@ def parse_atom(text: str) -> Atom:
                 pass  # _diagnose reports it after any earlier fault
             else:
                 return Atom._unchecked(tuple(left), tuple(right), degree)
-    _diagnose(text)
+    return _diagnose(text)
 
 
 def render_atom(atom: Atom) -> str:
@@ -147,9 +160,17 @@ def parse_sigma(text: str, source: str = "<sigma>") -> list[Atom]:
     Lines end at ``\r\n``, ``\r`` or ``\n`` only, the universal newlines;
     a form feed, U+0085 or U+2028 inside a line is whitespace, so it never
     turns a comment's tail into an atom or shifts a reported line number.
+
+    A file whose every line is spelled plainly (`_PLAIN_LINE`) is read in
+    one pattern pass over the whole text.  Any other file, and a plain one
+    with an atom whose arities or degree fail, is read line by line with
+    `parse_atom`, which reports the first bad line by number.
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
+    atoms = _plain_sigma(text)
+    if atoms is not None:
+        return atoms
     atoms = []
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -159,6 +180,31 @@ def parse_sigma(text: str, source: str = "<sigma>") -> list[Atom]:
             atoms.append(parse_atom(line))
         except ParseError as exc:
             raise ParseError(f"{source}:{lineno}: {exc}") from exc
+    return atoms
+
+
+def _plain_sigma(text: str) -> list[Atom] | None:
+    """The atoms of a text whose lines are all plain, or None.
+
+    Each line gives at most one `_PLAIN_LINE` match, so one match per line
+    means every line is plain.  A line without an atom leaves its groups
+    empty; a present degree or side is never empty, since each group needs
+    a character, so an empty group is an absent part, never an empty one.
+    """
+    found = _PLAIN_LINE.findall(text)
+    if len(found) != text.count("\n") + 1:
+        return None
+    atoms = []
+    append, unchecked = atoms.append, Atom._unchecked
+    try:
+        for spelling, left, right in found:
+            if left:
+                left, right = left.split(), right.split()
+                if len(left) != len(right):
+                    return None
+                append(unchecked(tuple(left), tuple(right), _degree(spelling or None)))
+    except (ParseError, ValueError):
+        return None
     return atoms
 
 

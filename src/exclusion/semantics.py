@@ -36,9 +36,10 @@ no row's left value there equals any row's right value, so no row pair
 conflicts and the removal is 0 at every degree.  The filter is exact for
 the same reason as the row filter, and on a few-row team over many
 variables it skips nearly every premise before any index or projection
-is built.  Every name of a premise is still resolved, the left side
-before the right, so an unknown variable raises UnknownVariableError for
-the same name `satisfies` would.
+is built.  A premise's names are checked against the schema as a set,
+the left side before the right, before any value set is looked up, so an
+unknown variable raises UnknownVariableError for the same name
+`satisfies` would, even in a premise the filter would skip.
 """
 
 from __future__ import annotations
@@ -232,38 +233,38 @@ def satisfies_all(team: Team, atoms: Sequence[Atom]) -> bool:
 
     Equal to ``all(satisfies(team, a) for a in atoms)``: the atoms are
     checked in order, degree-1 atoms are skipped, and the first failing
-    atom ends the pass.  The value set of each column is built once per
-    team, at the first atom to check, so a list without one costs no pass
-    over the rows.  Every name of an atom is resolved through these sets,
-    the left side before the right, so an unknown variable raises
-    UnknownVariableError for the name `satisfies` names.  An atom with a
-    position whose left and right value sets are disjoint is skipped: no
-    row pair agrees there, so none conflicts and the removal is 0 at every
-    degree.  Only the atoms left are given column indexes, by
-    `schema.index` as `Team.column` gives them, and searched: on the wide
-    teams of 1000-premise NOs hardly an atom is left, and a column map
-    would cost each small team of the keystone sweep its build.
+    atom ends the pass.  The value set of each column and the set of the
+    schema's names are built once per team, at the first atom to check, so
+    a list without one costs no pass over the rows.  An atom's names are
+    checked against the schema as a set, the left side before the right;
+    only on a miss are they resolved one by one, so an unknown variable
+    raises UnknownVariableError for the name `satisfies` names.  An atom
+    with a position whose left and right value sets are disjoint is
+    skipped, at the first such position: no row pair agrees there, so none
+    conflicts and the removal is 0 at every degree.  Only the atoms left
+    are given column indexes, by `schema.index` as `Team.column` gives
+    them, and searched: on the wide teams of 1000-premise NOs hardly an
+    atom is left, and a column map would cost each small team of the
+    keystone sweep its build.
     """
     schema = team.schema
-    values = None
+    value_set = None
     for atom in atoms:
         degree = atom.degree
         if degree.numerator == degree.denominator:  # degree 1 holds vacuously
             continue
-        if values is None:  # at the first atom to check, once per team
+        if value_set is None:  # at the first atom to check, once per team
             rows = tuple(team.rows)
             columns = zip(*rows) if rows else [()] * len(schema)
-            values = dict(zip(schema, map(frozenset, columns)))
-        try:
-            lefts = list(map(values.__getitem__, atom.left))
-            rights = list(map(values.__getitem__, atom.right))
-        except KeyError as exc:
-            team.column(exc.args[0])  # raises UnknownVariableError
-            raise
-        if any(map(frozenset.isdisjoint, lefts, rights)):
+            value_set = dict(zip(schema, map(frozenset, columns))).__getitem__
+            known = frozenset(schema)
+        left, right = atom.left, atom.right
+        if not (known.issuperset(left) and known.issuperset(right)):
+            list(map(team.column, left + right))  # raises UnknownVariableError
+        if any(map(frozenset.isdisjoint, map(value_set, left), map(value_set, right))):
             continue
-        left_idx = tuple(map(schema.index, atom.left))
-        right_idx = tuple(map(schema.index, atom.right))
+        left_idx = tuple(map(schema.index, left))
+        right_idx = tuple(map(schema.index, right))
         removal = min_removal_indexed(rows, left_idx, right_idx)
         if not within_budget(removal, degree, len(rows)):
             return False

@@ -280,6 +280,65 @@ class TestRoundTrip:
         assert parse_atom(render_atom(a)) == a
 
 
+def reference_parse_sigma(text):
+    """`parse_sigma` as `parse_atom` on each line, comments and blanks cut."""
+    atoms = []
+    for lineno, raw in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            try:
+                atoms.append(parse_atom(line))
+            except ParseError as exc:
+                raise ParseError(f"<sigma>:{lineno}: {exc}") from exc
+    return atoms
+
+
+COMMENTS = st.sampled_from(["#", "# note", " # excl(a ; b)", "\t#(x ; 1)", "# \x0c\u2028"])
+BLANKS = st.sampled_from(["", " ", "\t", "\x0c", "\u00a0"])
+
+
+@st.composite
+def plain_atom_texts(draw):
+    """Atom texts spelled with single spaces and no padding, as files are
+    written, with degree spellings and arities drawn as in `atom_texts`:
+    an empty side or degree, unequal arities or a bad degree now and then."""
+    left_arity = draw(ARITIES)
+    right_arity = left_arity if draw(st.integers(0, 4)) else draw(ARITIES)
+    left = " ".join(draw(VALID_NAMES) for _ in range(left_arity))
+    right = " ".join(draw(VALID_NAMES) for _ in range(right_arity))
+    degree = draw(DEGREE_TEXTS)
+    mark = "" if degree is None else f"[{degree}]"
+    return f"excl{mark}({left} ; {right})"
+
+
+@st.composite
+def sigma_lines(draw, atom_lines):
+    """A blank line, a comment, or an atom line with a comment now and then."""
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return draw(BLANKS)
+    if kind == 1:
+        return draw(COMMENTS)
+    text = draw(atom_lines)
+    return text + draw(COMMENTS) if kind == 3 else text
+
+
+@st.composite
+def sigma_texts(draw):
+    """Files of atom lines, blank lines and comments, each line break one
+    of the three; a blank last line stands for a final break.  Half the
+    files spell every atom plainly, so that whole files are plain often
+    enough; the others mix in `atom_texts`."""
+    if draw(st.booleans()):
+        atom_lines = plain_atom_texts()
+    else:
+        atom_lines = st.one_of(atom_texts(), plain_atom_texts())
+    parts = [draw(sigma_lines(atom_lines))]
+    for _ in range(draw(st.integers(0, 5))):
+        parts += [draw(st.sampled_from(["\n", "\r\n", "\r"])), draw(sigma_lines(atom_lines))]
+    return "".join(parts)
+
+
 class TestParseSigma:
     def test_lines_comments_blanks(self):
         text = """
@@ -319,6 +378,45 @@ excl[1/3](u v ; x y)  # inline note
         assert parse_sigma(text.replace("excl(broken", "")) == [
             atom("a", "b"), atom("b", "c"), atom("c", "d")
         ]
+
+    # Files the one-pass reading must hand to the line-by-line one.  Its
+    # pattern's groups read '' both when a part is absent and when it is
+    # empty, so an empty degree or an empty side must not pass for none.
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("excl( ; )", "<sigma>:1: empty left side"),
+            ("excl(a ; b)\nexcl( ; )", "<sigma>:2: empty left side"),
+            ("excl[](a ; b)", "<sigma>:1: malformed rational: ''"),
+            ("excl(a ; 1b)", "<sigma>:1: bad identifier '1b' on right side"),
+            ("excl(a b ; c)\n", "<sigma>:1: side arities differ: 2 vs 1"),
+            ("# x\nexcl[3/2](a ; b)", "<sigma>:2: degree out of range [0, 1]: 3/2"),
+        ],
+    )
+    def test_faulty_plain_lines_report_their_line(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_sigma(text)
+        assert str(info.value) == message
+
+    # tabs and Unicode whitespace between names, blanks in a degree or
+    # around an atom, and a comment holding atom syntax
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("excl(a\tb ; c d)", [atom("a b", "c d")]),
+            ("excl(a\u2028b ; c d)", [atom("a b", "c d")]),
+            ("excl[ 1 / 4 ](a ; b)", [atom("a", "b", "1/4")]),
+            (" excl(a ; b) # (x ; 1)", [atom("a", "b")]),
+            ("excl(a ; b)\n\x0cexcl (c ; d)\n", [atom("a", "b"), atom("c", "d")]),
+        ],
+    )
+    def test_other_spellings_parse(self, text, expected):
+        assert parse_sigma(text) == expected
+
+    @given(sigma_texts())
+    @settings(max_examples=500, deadline=None)
+    def test_same_atoms_or_same_error_as_line_by_line(self, text):
+        assert outcome(parse_sigma, text) == outcome(reference_parse_sigma, text)
 
 
 class TestTeamCsv:

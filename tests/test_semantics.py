@@ -498,6 +498,23 @@ class TestSatisfiesAllEquivalence:
         with pytest.raises(UnknownVariableError, match="'w' not in schema"):
             satisfies_all(t, [atom("x w", "y z")])
 
+    @pytest.mark.parametrize(
+        "left, right, name",
+        [
+            ("x y", "y w", "w"),  # only a right side's last name is unknown
+            ("x y w", "y z x", "w"),  # 'z' comes earlier, but on the right
+        ],
+    )
+    def test_unknown_name_in_a_premise_the_filter_would_skip(self, left, right, name):
+        # the first position alone would skip the premise; its names are
+        # still checked, and the one named is the one satisfies names
+        t = team_from_rows(("x", "y"), [("1", "2"), ("3", "4")])
+        premise = atom(left, right)
+        with pytest.raises(UnknownVariableError, match=f"'{name}' not in schema"):
+            satisfies(t, premise)
+        with pytest.raises(UnknownVariableError, match=f"'{name}' not in schema"):
+            satisfies_all(t, [premise])
+
     def test_unknown_variable_ignored_at_degree_one(self):
         t = team_from_rows(("x", "y"), [("1", "2")])
         assert satisfies_all(t, [atom("x", "z", 1), atom("x", "y")])
