@@ -207,8 +207,7 @@ def _load_tree(src: Path, name: str):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    for module in ("calculus", "counterexample", "decision", "errors", "kernel", "model",
-                   "parsing", "sweep"):
+    for module in ("counterexample", "decision", "kernel", "model", "parsing", "sweep"):
         importlib.import_module(f"{name}.{module}")
     return package
 

@@ -53,8 +53,8 @@ _ATOM = re.compile(
 # backtracks into a name list; a backtracking pattern would match the same
 # texts, since a list is followed only by ` *;` or ` *\)`, and any tail a
 # list could give back is, after its spaces, an identifier character,
-# which neither can match.  `re` accepts possessive quantifiers from Python 3.11 on, hence
-# requires-python.  Every other well-formed atom is read by `_diagnose`.
+# which neither can match.  `re` accepts possessive quantifiers from
+# Python 3.11 on, hence requires-python.
 _NAMES = r"[A-Za-z_][A-Za-z0-9_]*+(?:[ ]++[A-Za-z_][A-Za-z0-9_]*+)*+"
 _PLAIN = rf"excl(?:\[([0-9/. ]++)\])?\([ ]*+({_NAMES})[ ]*+;[ ]*+({_NAMES})[ ]*+\)"
 _PLAIN_ATOM = re.compile(_PLAIN)
