@@ -147,11 +147,12 @@ def _time_per_call(calls, repeat_until=0.2):
             return best / len(calls)
 
 
-def cases(ex) -> tuple[str, dict]:
-    """The digest of one tree's answers and its timed cases.
+def cases(ex) -> tuple[str, dict, dict]:
+    """The digest of one tree's answers, its timed cases and its facts.
 
     ``ex`` is the tree's package; each case maps to its calls and the
-    seconds its passes repeat for.
+    seconds its passes repeat for.  The facts, none here, are what else
+    the record keeps per tree (``compare_in_process``).
     """
     Atom = ex.model.Atom
     verify = ex.counterexample.verify
@@ -191,7 +192,7 @@ def cases(ex) -> tuple[str, dict]:
         digest.update(repr([verify(*inst) for inst in found]).encode())
         timed[name] = ([lambda i=i: verify(*i) for i in found], 1.0)
 
-    return digest.hexdigest(), timed
+    return digest.hexdigest(), timed, {}
 
 
 def _load_tree(src: Path, name: str):
@@ -207,24 +208,14 @@ def _load_tree(src: Path, name: str):
     package = importlib.util.module_from_spec(spec)
     sys.modules[name] = package
     spec.loader.exec_module(package)
-    for module in ("counterexample", "decision", "kernel", "model", "parsing", "sweep"):
+    for module in ("cli", "counterexample", "decision", "kernel", "model", "parsing", "sweep"):
         importlib.import_module(f"{name}.{module}")
     return package
 
 
 # ==========================================================================
-# compare: one fresh interpreter per tree and repeat, shared by
-# bench_eval.py and bench_sweep.py
+# main: both trees in one interpreter, timed case by case
 # ==========================================================================
-
-def _run_child(script: str, src: Path) -> dict:
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    out = subprocess.run(
-        [sys.executable, script, "--child", str(src)],
-        check=True, capture_output=True, text=True, env=env,
-    )
-    return json.loads(out.stdout.strip().splitlines()[-1])
-
 
 def _commit(src: Path) -> str:
     try:
@@ -248,19 +239,22 @@ def _machine() -> str:
     return f"{platform.machine()}, {os.cpu_count()} CPUs"
 
 
-def _arguments(description: str, topic: str, argv, child: bool = False):
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {value}")
+    return value
+
+
+def _arguments(description: str, topic: str, argv):
     """The options every parent-against-change script takes."""
     parser = argparse.ArgumentParser(description=description)
-    parser.add_argument("--parent", type=Path, help="src/ of the tree to compare against")
+    parser.add_argument("--parent", type=Path, required=True,
+                        help="src/ of the tree to compare against")
     parser.add_argument("--change", type=Path, default=ROOT / "src", help="src/ of this tree")
-    parser.add_argument("--repeats", type=int, default=7)
+    parser.add_argument("--repeats", type=_positive, default=7)
     parser.add_argument("--out", type=Path, default=HERE / f"BENCH_{topic}.json")
-    if child:
-        parser.add_argument("--child", help=argparse.SUPPRESS)
-    args = parser.parse_args(argv)
-    if args.parent is None and not (child and args.child):
-        parser.error("--parent is required")
-    return args
+    return parser.parse_args(argv)
 
 
 def _result(topic: str, trees: dict, lanes: dict, repeats: int, unit: str, **fields) -> dict:
@@ -301,98 +295,45 @@ def _add_case(result: dict, case: str, per_tree: dict) -> None:
     result["runs"][case]["paired_speedup"] = [round(v, 3) for v in paired]
 
 
-def _finish(result: dict, times: dict, out: Path) -> int:
-    """Add every case's times (case -> tree -> one per repeat), write and print."""
-    for case, per_tree in times.items():
-        _add_case(result, case, per_tree)
-    out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
-    print(json.dumps(result["median"], indent=2))
-    return 0
-
-
-def compare(
-    topic: str,
-    script: str,
-    child_main,
-    description: str,
-    argv=None,
-    unit: tuple[str, float] = ("microseconds per call", 1e6),
-) -> int:
-    """Command line shared by the parent-against-change scripts.
-
-    ``script --child SRC`` runs ``child_main(SRC)``, which times one tree
-    and prints ``{"lane", "digest", "seconds_per_call"}`` as its last line,
-    optionally with ``"answers"``: case -> list of results, where the
-    string ``"CapacityError"`` stands for a refusal (recorded with each
-    case's answered share per tree), ``"peak_rss_mb"``
-    (recorded as a median per tree) and ``"calls"`` (recorded as the first
-    repeat's, per tree).  Without ``--child``, the two trees alternate, one
-    fresh interpreter each, and the result goes to ``BENCH_<topic>.json``
-    by default.  ``unit`` names the unit of the recorded times and its
-    number per second.
-    """
-    args = _arguments(description, topic, argv, child=True)
-    if args.child:
-        child_main(args.child)
-        return 0
-
-    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    runs = {name: [] for name in trees}
-    for repeat in range(args.repeats):
-        order = list(trees) if repeat % 2 == 0 else list(reversed(trees))
-        for name in order:
-            runs[name].append(_run_child(script, trees[name]))
-            print(f"repeat {repeat + 1}/{args.repeats} {name} done", file=sys.stderr)
-
-    result = _result(
-        topic, trees, {name: runs[name][0]["lane"] for name in trees}, args.repeats, unit[0],
-        same_results=len({r["digest"] for rs in runs.values() for r in rs}) == 1,
-    )
-    if "peak_rss_mb" in runs["change"][0]:
-        result["peak_rss_mb"] = {
-            name: statistics.median(r["peak_rss_mb"] for r in runs[name]) for name in trees
-        }
-    if "calls" in runs["change"][0]:
-        result["calls"] = {name: runs[name][0]["calls"] for name in trees}
-    if "answers" in runs["change"][0]:
-        answers = {name: runs[name][0]["answers"] for name in trees}
-        result["answers"] = answers
-        result["answered_share"] = {
+def _answered(answers: dict) -> dict:
+    """Per tree and case, the share of answers that are not the refusal
+    ``"CapacityError"``, and whether the trees agree wherever both answer."""
+    return {
+        "answered_share": {
             name: {
                 case: round(sum(a != "CapacityError" for a in got) / len(got), 3)
-                for case, got in answers[name].items()
+                for case, got in per_case.items()
             }
-            for name in trees
-        }
-        result["same_where_both_answer"] = all(
+            for name, per_case in answers.items()
+        },
+        "same_where_both_answer": all(
             p == c
             for case in answers["change"]
             for p, c in zip(answers["parent"][case], answers["change"][case])
             if "CapacityError" not in (p, c)
-        )
-    times = {
-        case: {
-            name: [r["seconds_per_call"][case] * unit[1] for r in runs[name]] for name in trees
-        }
-        for case in runs["change"][0]["seconds_per_call"]
+        ),
     }
-    return _finish(result, times, args.out)
 
 
-# ==========================================================================
-# main: both trees in one interpreter, timed case by case, shared by
-# bench_decide.py
-# ==========================================================================
+def compare_in_process(
+    topic: str,
+    cases_of,
+    description: str,
+    argv=None,
+    unit: tuple[str, float] = ("microseconds per call", 1e6),
+) -> int:
+    """Command line of the parent-against-change scripts.
 
-def compare_in_process(topic: str, cases_of, description: str, argv=None) -> int:
-    """Command line of the scripts that time both trees in one interpreter.
-
-    ``cases_of(ex)`` builds one tree's inputs and returns its digest and
-    its timed cases, as ``cases`` does.  Each tree is imported under a
-    name of its own (``_load_tree``) and builds its own inputs; then,
-    within each repeat, every case is timed on one tree and at once on the
-    other, alternating which goes first.  The result goes to
-    ``BENCH_<topic>.json`` by default.
+    ``cases_of(ex)`` builds one tree's inputs and returns its digest, its
+    timed cases and its facts, as ``cases`` does.  Each tree is imported
+    under a name of its own (``_load_tree``) and builds its own inputs;
+    then, within each repeat, every case is timed on one tree and at once
+    on the other, alternating which goes first.  Every fact is recorded
+    per tree under its own key; ``answers`` (case -> list of results)
+    also gives each case's answered share and ``same_where_both_answer``
+    (``_answered``).  ``unit`` names the unit of the recorded times and
+    its number per second.  The result goes to ``BENCH_<topic>.json`` by
+    default.
     """
     args = _arguments(description, topic, argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -404,16 +345,24 @@ def compare_in_process(topic: str, cases_of, description: str, argv=None) -> int
             order = list(trees) if (repeat + i) % 2 == 0 else list(reversed(trees))
             for name in order:
                 calls, repeat_until = built[name][1][case]
-                times[case][name].append(_time_per_call(calls, repeat_until) * 1e6)
+                times[case][name].append(_time_per_call(calls, repeat_until) * unit[1])
         print(f"repeat {repeat + 1}/{args.repeats} done", file=sys.stderr)
 
     digests = {name: built[name][0] for name in trees}
+    facts = {key: {name: built[name][2][key] for name in trees} for key in built["change"][2]}
+    if "answers" in facts:
+        facts.update(_answered(facts["answers"]))
     result = _result(
         topic, trees, {name: ex.kernel.IMPLEMENTATION for name, ex in packages.items()},
-        args.repeats, "microseconds per call",
+        args.repeats, unit[0],
         digests=digests, same_results=digests["parent"] == digests["change"],
     )
-    return _finish(result, times, args.out)
+    for case, per_tree in times.items():
+        _add_case(result, case, per_tree)
+    result.update(facts)
+    args.out.write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8")
+    print(json.dumps(result["median"], indent=2))
+    return 0
 
 
 def main(argv=None) -> int:

@@ -107,9 +107,9 @@ def _certify_small(ex):
     return queries
 
 
-def cases(ex) -> tuple[str, dict]:
-    """The digest of one tree's answers and its timed cases, as
-    ``bench_certify.cases`` gives them."""
+def cases(ex) -> tuple[str, dict, dict]:
+    """The digest of one tree's answers, its timed cases and (no) facts,
+    as ``bench_certify.cases`` gives them."""
     parse_sigma, decide, plan = ex.parsing.parse_sigma, ex.decision.decide, ex.counterexample.plan
     domain_size_bound = ex.counterexample.domain_size_bound
     synthesize, to_text = ex.calculus.synthesize, ex.calculus.derivation_to_json_str
@@ -195,7 +195,7 @@ def cases(ex) -> tuple[str, dict]:
         [lambda p=p: ex.counterexample.verified_counterexample(p) for p in no], 0.5
     )
 
-    return digest.hexdigest(), timed
+    return digest.hexdigest(), timed, {}
 
 
 def main(argv=None) -> int:

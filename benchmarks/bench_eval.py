@@ -28,25 +28,33 @@ removal counts of its tables, or ``"CapacityError"`` where it refused one.
 The JSON keeps these under ``answers`` and says, as
 ``same_where_both_answer``, whether the trees agree on every table both
 answered; ``same_results`` compares whole digests, so it reads false when
-one tree refuses a table the other answers.  ``--parent``, ``--change``,
-``--repeats``, ``--out`` and ``paired_speedup`` work as in
-``bench_certify.compare``.  The output,
+one tree refuses a table the other answers.
+
+``--parent``, ``--change``, ``--repeats``, ``--out`` and
+``paired_speedup`` work as in ``bench_certify.compare_in_process``: both
+trees are imported into one interpreter, each builds the same seeded
+tables, and each case is timed on one tree and at once on the other,
+alternating which goes first.  Each tree writes its tables to a CSV
+directory of its own that lives until the interpreter exits, since the
+timed ``eval`` calls read the files in every repeat.  The output,
 ``benchmarks/BENCH_eval.json`` by default, holds per-case medians, every
 repeat, the machine, Python, numpy, the kernel lane and the repeat count.
 """
 
 from __future__ import annotations
 
+import atexit
 import contextlib
 import hashlib
 import io
 import json
 import random
+import shutil
 import sys
 import tempfile
 from pathlib import Path
 
-from bench_certify import _time_per_call, compare
+from bench_certify import compare_in_process
 
 SEED = 20261019
 ROWS = (1000, 10_000, 100_000)
@@ -121,17 +129,14 @@ def _cases():
                (n_rows, n_values, arity), DENSE_TABLES)
 
 
-def child(src: str) -> None:
-    sys.path.insert(0, src)
-    import exclusion.cli
-    import exclusion.kernel
-    import exclusion.parsing
-    import exclusion.semantics
-
-    ex = exclusion
+def cases(ex) -> tuple[str, dict, dict]:
+    """The digest of one tree's answers, its timed cases and its facts
+    (the ``answers``), as ``bench_certify.cases`` gives them."""
     CapacityError = ex.errors.CapacityError
     rng = random.Random(SEED)
-    times, answers = {}, {}
+    work = Path(tempfile.mkdtemp(prefix="bench_eval."))
+    atexit.register(shutil.rmtree, work, ignore_errors=True)
+    timed, answers = {}, {}
 
     def removal(team, atom):
         try:
@@ -143,34 +148,26 @@ def child(src: str) -> None:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             return ex.cli.main(["eval", str(path), atom_text])
 
-    with tempfile.TemporaryDirectory() as work:
-        for case, make, args, count in _cases():
-            tables = []
-            for k in range(count):
-                text, atom_text = make(rng, *args)
-                path = Path(work) / f"{case}.{k}.csv"
-                path.write_text(text, encoding="utf-8")
-                team, _ = ex.parsing.parse_team_csv(text)
-                tables.append((path, atom_text, team, ex.parsing.parse_atom(atom_text)))
-            answers[case] = [removal(team, atom) for _, _, team, atom in tables]
-            times[f"min_removal.{case}"] = _time_per_call(
-                [lambda t=t, a=a: removal(t, a) for _, _, t, a in tables], 0.3
-            )
-            times[f"eval.{case}"] = _time_per_call(
-                [lambda p=p, a=a: run_eval(p, a) for p, a, _, _ in tables], 0.3
-            )
-            del tables
+    for case, make, args, count in _cases():
+        tables = []
+        for k in range(count):
+            text, atom_text = make(rng, *args)
+            path = work / f"{case}.{k}.csv"
+            path.write_text(text, encoding="utf-8")
+            team, _ = ex.parsing.parse_team_csv(text)
+            tables.append((path, atom_text, team, ex.parsing.parse_atom(atom_text)))
+        answers[case] = [removal(team, atom) for _, _, team, atom in tables]
+        timed[f"min_removal.{case}"] = (
+            [lambda t=t, a=a: removal(t, a) for _, _, t, a in tables], 0.3
+        )
+        timed[f"eval.{case}"] = ([lambda p=p, a=a: run_eval(p, a) for p, a, _, _ in tables], 0.3)
 
-    print(json.dumps({
-        "lane": ex.kernel.IMPLEMENTATION,
-        "digest": hashlib.sha256(json.dumps(answers, sort_keys=True).encode()).hexdigest(),
-        "answers": answers,
-        "seconds_per_call": times,
-    }))
+    digest = hashlib.sha256(json.dumps(answers, sort_keys=True).encode()).hexdigest()
+    return digest, timed, {"answers": answers}
 
 
 def main(argv=None) -> int:
-    return compare("eval", __file__, child, __doc__.split("\n\n")[0], argv)
+    return compare_in_process("eval", cases, __doc__.split("\n\n")[0], argv)
 
 
 if __name__ == "__main__":

@@ -2,39 +2,47 @@
 
     python benchmarks/bench_sweep.py --parent OTHER/src [--repeats 7]
 
-Each interpreter builds the keystone sweep's bank once, exactly as the
-sweep does (``TeamBank.build(3, 4, 12)``, then the 270 keystone
-satisfaction masks in ``keystone_atoms`` order), and records, in seconds:
+Each tree builds the keystone sweep's bank as the sweep does
+(``TeamBank.build(3, 4, 12)``, then the 270 keystone satisfaction masks
+in ``keystone_atoms`` order), and each stage is timed as a plain call, in
+milliseconds, the fastest of its passes:
 
 * ``enumerate_packed``: the canonical enumeration packed into arrays;
-* ``conflict_words``: every ``kernel.conflict_words`` call the masks make,
-  summed (``calls`` records how many there were);
+* ``conflict_words``: the 9 ``kernel.conflict_words`` calls, one per
+  column pair, over the built bank's arrays;
 * ``build``: the whole ``TeamBank.build``, ``enumerate_packed`` included;
-* ``masks``: the 270 ``satisfaction_mask`` calls, conflict words included;
+* ``masks``: the 270 ``satisfaction_mask`` calls on a fresh
+  ``TeamBank(...)`` over the built arrays (a bank caches its conflict
+  words, so each pass needs a new one), conflict words included;
 * ``build_and_masks``: the two together, the sweep's set-up.
 
-``peak_rss_mb`` is the interpreter's peak resident set after the build.
-The answers are digests of the 270 masks, of the ``enumerate_packed``
-arrays after a stable sort by row count (trees that list teams in
-generator order and trees that list them in bank order digest alike), of
-the bank arrays (cells, row counts, value counts, with dtypes and shapes)
-and of every row and value mask the sweep can ask for; ``same_results``
-is true when both trees produced bit-identical ones.  ``--parent``, ``--change``, ``--repeats`` and
-``--out`` work as in ``bench_certify.compare``.  The output,
-``benchmarks/BENCH_sweep.json`` by default, holds per-stage medians, every
-repeat, the machine, Python, numpy, the kernel lane and the repeat count.
+One untimed build plus its masks per tree gives the answers and two
+facts: ``traced_peak_mb``, the ``tracemalloc`` peak of that build and
+its masks (both trees share one process, so its resident set cannot be
+split between them, and numpy's arrays are traced), and ``calls``, how
+many times it called each of the two kernel functions.  The answers are
+digests of the 270 masks, of the ``enumerate_packed`` arrays after a
+stable sort by row count (trees that list teams in generator order and
+trees that list them in bank order digest alike), of the bank arrays
+(cells, row counts, value counts, with dtypes and shapes) and of every
+row and value mask the sweep can ask for; ``same_results`` is true when
+both trees produced bit-identical ones.  ``--parent``, ``--change``,
+``--repeats``, ``--out`` and ``paired_speedup`` work as in
+``bench_certify.compare_in_process``.  The output,
+``benchmarks/BENCH_sweep.json`` by default, holds per-stage medians,
+every repeat, the machine, Python, numpy, the kernel lane and the repeat
+count.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import resource
 import sys
-import time
+import tracemalloc
+from collections import Counter
 
 import numpy as np
-from bench_certify import compare
+from bench_certify import compare_in_process
 
 
 def _digest(arrays) -> str:
@@ -45,77 +53,71 @@ def _digest(arrays) -> str:
     return h.hexdigest()
 
 
-def child(src: str) -> None:
-    sys.path.insert(0, src)
-    import exclusion.kernel
-    import exclusion.sweep
-
-    kernel, sweep = exclusion.kernel, exclusion.sweep
-    spent = {"enumerate_packed": 0.0, "conflict_words": 0.0}
-    calls = {"enumerate_packed": 0, "conflict_words": 0}
-    packed = []
-
-    def timed(name, fn):
-        def wrapper(*args, **kwargs):
-            start = time.perf_counter()
-            result = fn(*args, **kwargs)
-            spent[name] += time.perf_counter() - start
-            calls[name] += 1
-            if name == "enumerate_packed":
-                order = np.argsort(result[1], kind="stable")
-                packed.append(_digest(a[order] for a in result))
-            return result
-
-        return wrapper
-
-    kernel.enumerate_packed = timed("enumerate_packed", kernel.enumerate_packed)
-    kernel.conflict_words = timed("conflict_words", kernel.conflict_words)
-
+def cases(ex) -> tuple[str, dict, dict]:
+    """The digest of one tree's answers, its timed stages and its facts
+    (``calls`` and ``traced_peak_mb``), as ``bench_certify.cases`` gives
+    them."""
+    kernel, sweep = ex.kernel, ex.sweep
+    shape = (len(sweep.KEYSTONE_VARS), sweep.KEYSTONE_MAX_ROWS, sweep.KEYSTONE_MAX_VALUES)
     col = {v: i for i, v in enumerate(sweep.KEYSTONE_VARS)}
-    atoms = sweep.keystone_atoms()
-    start = time.perf_counter()
-    bank = sweep.TeamBank.build(
-        len(sweep.KEYSTONE_VARS), sweep.KEYSTONE_MAX_ROWS, sweep.KEYSTONE_MAX_VALUES
-    )
-    built = time.perf_counter()
-    masks = [
-        bank.satisfaction_mask([col[v] for v in a.left], [col[v] for v in a.right], a.degree)
-        for a in atoms
-    ]
-    done = time.perf_counter()
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    atoms = [([col[v] for v in a.left], [col[v] for v in a.right], a.degree)
+             for a in sweep.keystone_atoms()]
+    pairs = sorted({pair for left, right, _ in atoms for pair in zip(left, right)})
 
-    answers = {
-        "masks": [_digest(masks)],
-        "enumerate_packed": packed,
-        "bank": [_digest((bank.cells, bank.n_rows, bank.n_values))],
-        "row_value_masks": [
-            _digest(
-                [bank.row_mask(k) for k in range(bank.max_rows + 1)]
-                + [bank.value_mask(d) for d in range(bank.max_values + 1)]
-                + [bank.all_mask()]
-            )
+    def masks(bank):
+        return [bank.satisfaction_mask(*atom) for atom in atoms]
+
+    calls = Counter()
+    originals = kernel.enumerate_packed, kernel.conflict_words
+
+    def counted(fn):
+        def call(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    kernel.enumerate_packed, kernel.conflict_words = map(counted, originals)
+    tracemalloc.start()
+    try:
+        bank = sweep.TeamBank.build(*shape)
+        answers = [_digest(masks(bank))]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        kernel.enumerate_packed, kernel.conflict_words = originals
+
+    packed = kernel.enumerate_packed(*shape)
+    order = np.argsort(packed[1], kind="stable")
+    arrays = (bank.cells, bank.n_rows, bank.n_values)
+    answers += [
+        _digest(a[order] for a in packed),
+        _digest(arrays),
+        _digest(
+            [bank.row_mask(k) for k in range(bank.max_rows + 1)]
+            + [bank.value_mask(d) for d in range(bank.max_values + 1)]
+            + [bank.all_mask()]
+        ),
+    ]
+    del packed, order
+
+    timed = {
+        "enumerate_packed": [lambda: kernel.enumerate_packed(*shape)],
+        "conflict_words": [
+            lambda: [kernel.conflict_words(*arrays[:2], shape[0], *pair) for pair in pairs]
         ],
+        "build": [lambda: sweep.TeamBank.build(*shape)],
+        "masks": [lambda: masks(sweep.TeamBank(*shape, *arrays))],
+        "build_and_masks": [lambda: masks(sweep.TeamBank.build(*shape))],
     }
-    print(json.dumps({
-        "lane": kernel.IMPLEMENTATION,
-        "digest": hashlib.sha256(json.dumps(answers, sort_keys=True).encode()).hexdigest(),
-        "answers": answers,
-        "peak_rss_mb": round(peak_mb, 1),
-        "calls": calls,
-        "seconds_per_call": {
-            "enumerate_packed": spent["enumerate_packed"],
-            "conflict_words": spent["conflict_words"],
-            "build": built - start,
-            "masks": done - built,
-            "build_and_masks": done - start,
-        },
-    }))
+    digest = hashlib.sha256(" ".join(answers).encode()).hexdigest()
+    facts = {"calls": dict(sorted(calls.items())), "traced_peak_mb": round(peak / 2**20, 1)}
+    return digest, {stage: (stage_calls, 1.0) for stage, stage_calls in timed.items()}, facts
 
 
 def main(argv=None) -> int:
-    return compare(
-        "sweep", __file__, child, __doc__.split("\n\n")[0], argv, unit=("seconds", 1.0)
+    return compare_in_process(
+        "sweep", cases, __doc__.split("\n\n")[0], argv, unit=("milliseconds per call", 1e3)
     )
 
 

@@ -21,9 +21,10 @@ from fractions import Fraction
 
 from .calculus import synthesize, write_derivation
 from .counterexample import domain_size_bound, verified_counterexample
+from .counterexample import plan as counterexample_plan
 from .decision import decide
 from .errors import EXIT_OK, EXIT_WRONG_DIRECTION, ExclusionError
-from .oracle import DEFAULT_BUDGET, default_bounds, oracle_implies
+from .oracle import DEFAULT_BUDGET, oracle_implies
 from .parsing import (
     parse_atom,
     read_sigma_file,
@@ -136,12 +137,12 @@ def cmd_oracle_check(args) -> int:
     sigma = read_sigma_file(args.sigma_file)
     goal = parse_atom(args.goal)
     verdict = decide(sigma, goal)
-    if args.max_rows is not None and args.domain is not None:
-        max_rows, domain = args.max_rows, args.domain
-    else:
-        planned_rows, planned_domain = default_bounds(sigma, goal)
-        max_rows = args.max_rows if args.max_rows is not None else planned_rows
-        domain = args.domain if args.domain is not None else planned_domain
+    plan = verdict.plan
+    if args.max_rows is None or args.domain is None:
+        # the bounds within which a refutation must appear, if any
+        plan = plan or counterexample_plan(sigma, goal)
+    max_rows = plan.k if args.max_rows is None else args.max_rows
+    domain = domain_size_bound(plan) if args.domain is None else args.domain
     result = oracle_implies(
         sigma, goal, max_rows=max_rows, max_values=domain, budget=args.budget
     )
@@ -156,7 +157,7 @@ def cmd_oracle_check(args) -> int:
     if result.implied:
         # decide said NO and the oracle found no team; below the bounds of
         # the planned team, that proves nothing
-        rows, values = verdict.plan.k, domain_size_bound(verdict.plan)
+        rows, values = plan.k, domain_size_bound(plan)
         if max_rows < rows or domain < values:
             print(
                 f"inconclusive: bounds max_rows={max_rows}, domain={domain} are "

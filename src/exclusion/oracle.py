@@ -20,9 +20,9 @@ would shrink the sequence).  The sweep's packed bank
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
-from .counterexample import domain_size_bound, plan as counterexample_plan, schema_order
+from .counterexample import schema_order
 from .errors import CapacityError
 from .model import Atom, Team
 from .semantics import min_removal_indexed, within_budget
@@ -99,12 +99,6 @@ class OracleResult:
 
     def __bool__(self) -> bool:
         return self.implied
-
-
-def default_bounds(sigma: Sequence[Atom], goal: Atom) -> tuple[int, int]:
-    """Row and value bounds within which a refutation must appear, if any."""
-    cxp = counterexample_plan(tuple(sigma), goal)
-    return cxp.k, domain_size_bound(cxp)
 
 
 def oracle_implies(

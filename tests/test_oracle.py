@@ -27,7 +27,7 @@ from exclusion.calculus import Rule
 from exclusion.counterexample import build_team, domain_size_bound, plan as cx_plan, schema_order
 from exclusion.decision import DominationWitness
 from exclusion.model import Team, team_from_rows
-from exclusion.oracle import default_bounds, enumerate_row_sets
+from exclusion.oracle import enumerate_row_sets
 from exclusion.semantics import satisfies_all
 from exclusion.sweep import keystone_atoms
 
@@ -190,7 +190,8 @@ class TestChainedGoalPairs:
         # t.a = s.d violates a | d (s = t included): the goal holds
         sigma = [atom("a", "d")]
         goal = atom("d c c", "b b a")
-        assert oracle_implies(sigma, goal, *default_bounds(sigma, goal)).implied
+        plan = cx_plan(sigma, goal)
+        assert oracle_implies(sigma, goal, plan.k, domain_size_bound(plan)).implied
         assert decide(sigma, goal).holds
 
 
@@ -287,12 +288,13 @@ class TestKeystoneSinglePremise:
 
 class TestDefaultBounds:
     def test_planned_bounds(self):
+        # oracle-check reads its default bounds off the plan decide returns
         sigma = [atom("x", "y", "1/3")]
         goal = atom("x", "y")
-        rows, values = default_bounds(sigma, goal)
-        plan = cx_plan(sigma, goal)
-        assert rows == plan.k == 3
-        assert values == domain_size_bound(plan)
+        plan = decide(sigma, goal).plan
+        assert plan == cx_plan(sigma, goal)
+        assert plan.k == 3
+        assert domain_size_bound(plan) == 5
 
     def test_bounds_complete_for_simple_false_instances(self):
         # within the planned bounds the oracle must find a counterexample
@@ -306,6 +308,5 @@ class TestDefaultBounds:
         for sigma, goal in cases:
             verdict = decide(sigma, goal)
             assert not verdict.holds
-            rows, values = default_bounds(sigma, goal)
-            result = oracle_implies(sigma, goal, rows, values)
+            result = oracle_implies(sigma, goal, verdict.plan.k, domain_size_bound(verdict.plan))
             assert not result.implied, (sigma, goal)
