@@ -99,7 +99,6 @@ def cases(ex) -> tuple[str, dict, dict]:
             + [bank.all_mask()]
         ),
     ]
-    del packed, order
 
     timed = {
         "enumerate_packed": [lambda: kernel.enumerate_packed(*shape)],
