@@ -1,4 +1,4 @@
-"""Stage times of the keystone bank build, parent against change.
+"""Stage times of the keystone bank build and scan, parent against change.
 
     python benchmarks/bench_sweep.py --parent OTHER/src [--repeats 7]
 
@@ -14,7 +14,13 @@ milliseconds, the fastest of its passes:
 * ``masks``: the 270 ``satisfaction_mask`` calls on a fresh
   ``TeamBank(...)`` over the built arrays (a bank caches its conflict
   words, so each pass needs a new one), conflict words included;
-* ``build_and_masks``: the two together, the sweep's set-up.
+* ``build_and_masks``: the two together, the sweep's set-up;
+* ``scan.keystone``: ``kernel.any_counterexample`` on the built bank, one
+  call per instance of 2000 seeded ones drawn as ``keystone-slice`` draws
+  them (a goal and 0, 1 or 2 premises from ``sweep.keystone_atoms()``, 2
+  half the time), at the row and value masks of the instance's plan; the
+  decisions and plans are made before timing, and the 2000 calls are timed
+  as one.
 
 One untimed build plus its masks per tree gives the answers and two
 facts: ``traced_peak_mb``, the ``tracemalloc`` peak of that build and
@@ -25,8 +31,8 @@ digests of the 270 masks, of the ``enumerate_packed`` arrays after a
 stable sort by row count (trees that list teams in generator order and
 trees that list them in bank order digest alike), of the bank arrays
 (cells, row counts, value counts, with dtypes and shapes) and of every
-row and value mask the sweep can ask for; ``same_results`` is true when
-both trees produced bit-identical ones.  ``--parent``, ``--change``,
+row and value mask the sweep can ask for, and the scan's found flags;
+``same_results`` is true when both trees produced bit-identical ones.  ``--parent``, ``--change``,
 ``--repeats``, ``--out`` and ``paired_speedup`` work as in
 ``bench_certify.compare_in_process``.  The output,
 ``benchmarks/BENCH_sweep.json`` by default, holds per-stage medians,
@@ -37,12 +43,15 @@ count.
 from __future__ import annotations
 
 import hashlib
+import random
 import sys
 import tracemalloc
 from collections import Counter
 
 import numpy as np
-from bench_certify import compare_in_process
+from bench_certify import SEED, compare_in_process
+
+KEYSTONE_SCANS = 2000
 
 
 def _digest(arrays) -> str:
@@ -60,8 +69,9 @@ def cases(ex) -> tuple[str, dict, dict]:
     kernel, sweep = ex.kernel, ex.sweep
     shape = (len(sweep.KEYSTONE_VARS), sweep.KEYSTONE_MAX_ROWS, sweep.KEYSTONE_MAX_VALUES)
     col = {v: i for i, v in enumerate(sweep.KEYSTONE_VARS)}
+    keystone = sweep.keystone_atoms()
     atoms = [([col[v] for v in a.left], [col[v] for v in a.right], a.degree)
-             for a in sweep.keystone_atoms()]
+             for a in keystone]
     pairs = sorted({pair for left, right, _ in atoms for pair in zip(left, right)})
 
     def masks(bank):
@@ -81,7 +91,8 @@ def cases(ex) -> tuple[str, dict, dict]:
     tracemalloc.start()
     try:
         bank = sweep.TeamBank.build(*shape)
-        answers = [_digest(masks(bank))]
+        sat = masks(bank)
+        answers = [_digest(sat)]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -100,6 +111,25 @@ def cases(ex) -> tuple[str, dict, dict]:
         ),
     ]
 
+    rng = random.Random(SEED)
+    ones = bank.all_mask()
+    scans = []
+    for _ in range(KEYSTONE_SCANS):
+        picked = rng.sample(range(len(atoms)), rng.choice((0, 1, 2, 2)))
+        g = rng.randrange(len(atoms))
+        sigma = tuple(keystone[i] for i in picked)
+        plan = ex.decision.decide(sigma, keystone[g]).plan or ex.counterexample.plan(
+            sigma, keystone[g]
+        )
+        scans.append((
+            sat[picked[0]] if picked else ones,
+            sat[picked[1]] if len(picked) > 1 else ones,
+            sat[g],
+            bank.row_mask(plan.k),
+            bank.value_mask(ex.counterexample.domain_size_bound(plan)),
+        ))
+    answers.append(repr([kernel.any_counterexample(*scan) for scan in scans]))
+
     timed = {
         "enumerate_packed": [lambda: kernel.enumerate_packed(*shape)],
         "conflict_words": [
@@ -108,6 +138,7 @@ def cases(ex) -> tuple[str, dict, dict]:
         "build": [lambda: sweep.TeamBank.build(*shape)],
         "masks": [lambda: masks(sweep.TeamBank(*shape, *arrays))],
         "build_and_masks": [lambda: masks(sweep.TeamBank.build(*shape))],
+        "scan.keystone": [lambda: [kernel.any_counterexample(*scan) for scan in scans]],
     }
     digest = hashlib.sha256(" ".join(answers).encode()).hexdigest()
     facts = {"calls": dict(sorted(calls.items())), "traced_peak_mb": round(peak / 2**20, 1)}

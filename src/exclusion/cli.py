@@ -137,12 +137,16 @@ def cmd_oracle_check(args) -> int:
     sigma = read_sigma_file(args.sigma_file)
     goal = parse_atom(args.goal)
     verdict = decide(sigma, goal)
-    plan = verdict.plan
-    if args.max_rows is None or args.domain is None:
+    if goal.degree == 1:
+        # every team satisfies the goal, so no plan bounds a refutation;
+        # one row of one value stands for all teams
+        rows = values = 1
+    else:
         # the bounds within which a refutation must appear, if any
-        plan = plan or counterexample_plan(sigma, goal)
-    max_rows = plan.k if args.max_rows is None else args.max_rows
-    domain = domain_size_bound(plan) if args.domain is None else args.domain
+        plan = verdict.plan or counterexample_plan(sigma, goal)
+        rows, values = plan.k, domain_size_bound(plan)
+    max_rows = rows if args.max_rows is None else args.max_rows
+    domain = values if args.domain is None else args.domain
     result = oracle_implies(
         sigma, goal, max_rows=max_rows, max_values=domain, budget=args.budget
     )
@@ -157,7 +161,6 @@ def cmd_oracle_check(args) -> int:
     if result.implied:
         # decide said NO and the oracle found no team; below the bounds of
         # the planned team, that proves nothing
-        rows, values = plan.k, domain_size_bound(plan)
         if max_rows < rows or domain < values:
             print(
                 f"inconclusive: bounds max_rows={max_rows}, domain={domain} are "

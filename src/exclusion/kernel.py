@@ -12,7 +12,8 @@ of a 16-bit word, so row counts are capped at 4.
 Masks are uint64 words, one bit per team.  The row-count mask may be
 shorter than the others: a bank sorted by row count needs only the prefix
 of teams within the row bound, and the masked scan reads no further than
-that prefix.
+that prefix.  The scan exits early over 64-team words, testing word 0 on
+its own before the chunked numpy pass over the rest.
 """
 
 from __future__ import annotations
@@ -195,10 +196,20 @@ def any_counterexample(
     Only the first rc.shape[0] words are scanned: teams past the end of
     the row-count mask count as outside it.  The other masks must be at
     least that long.
+
+    The scan exits early over 64-team words.  Word 0 is tested first, as
+    Python ints: the bank is sorted by row count, so it holds the small
+    teams that refute most non-implications, and most refuted instances
+    stop there without a numpy temporary.  The rest is ANDed in chunks of
+    4096 words from word 1, stopping at the first chunk with a hit.
     """
     n = rc.shape[0]
+    if not n:
+        return False
+    if rc.item(0) & a.item(0) & b.item(0) & nv.item(0) & ~g.item(0):
+        return True
     step = 4096
-    for s in range(0, n, step):
+    for s in range(1, n, step):
         e = min(s + step, n)
         w = rc[s:e] & a[s:e]
         w &= b[s:e]

@@ -24,7 +24,9 @@ Three layers make the volume tractable:
 * The per-instance search is a numpy bitwise AND scan with early exit
   over 64-team words.  Banks are sorted by row count, so the teams within
   a plan's row bound form a prefix; the row mask covers only that prefix
-  and the scan stops at its end.
+  and the scan stops at its end.  Word 0, the smallest teams, is tested
+  first as Python ints: most refuted instances are refuted there, before
+  any numpy temporary is made.
 
 Min-removal over a packed team is a table lookup: conflicts between rows
 i and j form a 16-bit word (bit i*4+j), and the table holds the least

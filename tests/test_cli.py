@@ -342,6 +342,21 @@ class TestOracleCheck:
         assert code == EXIT_OK
         assert capsys.readouterr().out.splitlines()[2] == "agree"
 
+    @pytest.mark.parametrize("goal", ["excl[1](x ; x)", "excl[1](x ; y)"])
+    @pytest.mark.parametrize(
+        "bounds, shown",
+        [([], "max_rows=1, domain=1"), (["--max-rows", "3"], "max_rows=3, domain=1")],
+    )
+    def test_degree_one_goal_needs_no_plan(self, sigma_file, capsys, goal, bounds, shown):
+        # every team satisfies a degree-1 goal: no plan exists, and the
+        # default bounds are one row over one value
+        code = main(["oracle-check", sigma_file("excl(a ; b)"), goal, *bounds])
+        out = capsys.readouterr().out.splitlines()
+        assert code == EXIT_OK
+        assert out[0] == "decision: holds=true"
+        assert out[1] == f"oracle:   holds=true ({shown}, teams=2)"
+        assert out[2] == "agree"
+
     def test_budget_exhaustion(self, sigma_file, capsys):
         code = main(
             [

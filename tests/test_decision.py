@@ -473,6 +473,35 @@ class TestSchemaOrder:
         assert schema_order(sigma, goal) == (("x", "y", "u"), ())
         assert schema_order([], goal) == (("x", "y", "u"), ())
 
+    @pytest.mark.parametrize("fresh_at", ["last", "middle"])
+    @pytest.mark.parametrize("n", [*range(13), 1000])
+    def test_both_sides_of_the_count_cut_off(self, n, fresh_at):
+        # short lists are scanned without a count, long ones counted and
+        # cut short; 0-12 premises cross the cut-off
+        assert 0 < cx.SCHEMA_COUNT_PREMISES <= 12
+        rng = random.Random(n)
+        names = [f"v{i}" for i in range(8)]
+
+        def side(k):
+            return " ".join(rng.choice(names) for _ in range(k))
+
+        goal = atom("v0 v1", "v1 v2")
+        sigma = []
+        for i in range(n):
+            if i % 3 == 2:
+                # adds no variable: goal-only, or an earlier premise again
+                sigma.append(rng.choice(sigma[:1] + [atom("v1", "v0")]))
+            else:
+                k = rng.randint(1, 3)
+                sigma.append(atom(side(k), side(k), "1/4"))
+        if n:
+            # one premise brings a variable no other has: the last one, or
+            # one midway, after which a counted scan may stop
+            sigma[-1 if fresh_at == "last" else n // 2] = atom("v0 fresh", "v2 v1")
+        assert schema_order(sigma, goal) == reference_schema_order(sigma, goal)
+        assert schema_order(tuple(sigma), goal) == reference_schema_order(sigma, goal)
+        assert ("fresh" in schema_order(sigma, goal)[1]) is (n > 0)
+
     @given(st.lists(small_atoms(), max_size=6), small_atoms())
     @settings(max_examples=300, deadline=None)
     def test_matches_the_full_scan(self, sigma, goal):

@@ -219,6 +219,71 @@ class TestMaskedScan:
         assert kernel.any_counterexample(pack_mask(late), ones, none, ones, ones)
         assert not kernel.any_counterexample(pack_mask(late), ones, none, short, ones)
 
+    # (words, where the hit is): word 0 alone is tested as ints, the rest
+    # in 4096-word chunks from word 1, so 4,097 and 9,000 words reach a
+    # second and a third chunk
+    PLACES = [
+        (words, place)
+        for words in (1, 2, 4097, 9000)
+        for place in ("word 0", "word 1", "last word", "nowhere", "full goal word 0")
+        if place != "word 1" or words > 1
+    ]
+
+    @staticmethod
+    def word_masks(words, seed):
+        """Random (a, b, g, rc, nv) words with no hit anywhere: g covers
+        every bit the other four share."""
+        rng = np.random.default_rng(seed)
+        a, b, rc, nv, noise = (
+            np.frombuffer(rng.bytes(8 * words), dtype=np.uint64).copy() for _ in range(5)
+        )
+        return a, b, (a & b & rc & nv) | noise, rc, nv
+
+    @staticmethod
+    def plant(masks, word, bit=5):
+        a, b, g, rc, nv = masks
+        one = np.uint64(1 << bit)
+        for m in (a, b, rc, nv):
+            m[word] |= one
+        g[word] &= ~one
+
+    @staticmethod
+    def reference(a, b, g, rc, nv):
+        n = rc.shape[0]
+        return bool(np.any(rc & a[:n] & b[:n] & nv[:n] & ~g[:n]))
+
+    @pytest.mark.parametrize("words, place", PLACES)
+    def test_matches_whole_array_reference(self, words, place):
+        masks = self.word_masks(words, words)
+        if place == "full goal word 0":
+            # every team of word 0 is in the other four masks and none
+            # evades the goal: no hit there
+            for m in masks:
+                m[0] = np.uint64(2**64 - 1)
+        elif place != "nowhere":
+            self.plant(masks, {"word 0": 0, "word 1": 1, "last word": words - 1}[place])
+        expected = place not in ("nowhere", "full goal word 0")
+        assert self.reference(*masks) is expected
+        assert kernel.any_counterexample(*masks) is expected
+
+    @pytest.mark.parametrize("prefix", [1, 2, 4097, 4098])
+    def test_short_row_mask_bounds_the_word_scan(self, prefix):
+        masks = self.word_masks(9000, prefix)
+        self.plant(masks, prefix)  # first word past the row mask
+        a, b, g, rc, nv = masks
+        short = rc[:prefix].copy()
+        assert not kernel.any_counterexample(a, b, g, short, nv)
+        self.plant((a, b, g, short, nv), prefix - 1)  # last word inside it
+        assert self.reference(a, b, g, short, nv)
+        assert kernel.any_counterexample(a, b, g, short, nv)
+
+    def test_zero_word_row_mask_finds_nothing(self):
+        ones = np.full(3, 2**64 - 1, dtype=np.uint64)
+        none = np.zeros(3, dtype=np.uint64)
+        empty = np.zeros(0, dtype=np.uint64)
+        assert kernel.any_counterexample(ones, ones, none, ones, ones)
+        assert not kernel.any_counterexample(ones, ones, none, empty, ones)
+
     def test_pack_mask_round_trip(self):
         rng = random.Random(13)
         flags = np.asarray([rng.randrange(2) for _ in range(130)], dtype=bool)
