@@ -32,9 +32,10 @@ stable sort by row count (trees that list teams in generator order and
 trees that list them in bank order digest alike), of the bank arrays
 (cells, row counts, value counts, with dtypes and shapes) and of every
 row and value mask the sweep can ask for, and the scan's found flags;
-``same_results`` is true when both trees produced bit-identical ones.  ``--parent``, ``--change``,
-``--repeats``, ``--out`` and ``paired_speedup`` work as in
-``bench_certify.compare_in_process``.  The output,
+``same_results`` is true when both trees produced bit-identical ones.
+``--parent``, ``--change``, ``--repeats``, ``--out`` and
+``paired_speedup`` work as in ``bench_certify.compare_in_process``.  The
+output,
 ``benchmarks/BENCH_sweep.json`` by default, holds per-stage medians,
 every repeat, the machine, Python, numpy, the kernel lane and the repeat
 count.
