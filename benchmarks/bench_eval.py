@@ -31,7 +31,7 @@ answered; ``same_results`` compares whole digests, so it reads false when
 one tree refuses a table the other answers.
 
 ``--parent``, ``--change``, ``--repeats``, ``--out`` and
-``paired_speedup`` work as in ``bench_certify.compare_in_process``: both
+``paired_speedup`` work as in ``harness.compare_in_process``: both
 trees are imported into one interpreter, each builds the same seeded
 tables, and each case is timed on one tree and at once on the other,
 alternating which goes first.  Each tree writes its tables to a CSV
@@ -54,7 +54,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from bench_certify import compare_in_process
+from harness import compare_in_process
 
 SEED = 20261019
 ROWS = (1000, 10_000, 100_000)
@@ -131,7 +131,7 @@ def _cases():
 
 def cases(ex) -> tuple[str, dict, dict]:
     """The digest of one tree's answers, its timed cases and its facts
-    (the ``answers``), as ``bench_certify.cases`` gives them."""
+    (the ``answers``), as ``harness.compare_in_process`` takes them."""
     CapacityError = ex.errors.CapacityError
     rng = random.Random(SEED)
     work = Path(tempfile.mkdtemp(prefix="bench_eval."))
@@ -157,10 +157,8 @@ def cases(ex) -> tuple[str, dict, dict]:
             team, _ = ex.parsing.parse_team_csv(text)
             tables.append((path, atom_text, team, ex.parsing.parse_atom(atom_text)))
         answers[case] = [removal(team, atom) for _, _, team, atom in tables]
-        timed[f"min_removal.{case}"] = (
-            [lambda t=t, a=a: removal(t, a) for _, _, t, a in tables], 0.3
-        )
-        timed[f"eval.{case}"] = ([lambda p=p, a=a: run_eval(p, a) for p, a, _, _ in tables], 0.3)
+        timed[f"min_removal.{case}"] = [lambda t=t, a=a: removal(t, a) for _, _, t, a in tables]
+        timed[f"eval.{case}"] = [lambda p=p, a=a: run_eval(p, a) for p, a, _, _ in tables]
 
     digest = hashlib.sha256(json.dumps(answers, sort_keys=True).encode()).hexdigest()
     return digest, timed, {"answers": answers}

@@ -34,11 +34,9 @@ trees that list them in bank order digest alike), of the bank arrays
 row and value mask the sweep can ask for, and the scan's found flags;
 ``same_results`` is true when both trees produced bit-identical ones.
 ``--parent``, ``--change``, ``--repeats``, ``--out`` and
-``paired_speedup`` work as in ``bench_certify.compare_in_process``.  The
-output,
-``benchmarks/BENCH_sweep.json`` by default, holds per-stage medians,
-every repeat, the machine, Python, numpy, the kernel lane and the repeat
-count.
+``paired_speedup`` work as in ``harness.compare_in_process``.  The output,
+``benchmarks/BENCH_sweep.json`` by default, holds per-stage medians, every
+repeat, the machine, Python, numpy, the kernel lane and the repeat count.
 """
 
 from __future__ import annotations
@@ -50,8 +48,9 @@ import tracemalloc
 from collections import Counter
 
 import numpy as np
-from bench_certify import SEED, compare_in_process
+from harness import compare_in_process
 
+SEED = 20261018
 KEYSTONE_SCANS = 2000
 
 
@@ -65,8 +64,8 @@ def _digest(arrays) -> str:
 
 def cases(ex) -> tuple[str, dict, dict]:
     """The digest of one tree's answers, its timed stages and its facts
-    (``calls`` and ``traced_peak_mb``), as ``bench_certify.cases`` gives
-    them."""
+    (``calls`` and ``traced_peak_mb``), as ``harness.compare_in_process``
+    takes them."""
     kernel, sweep = ex.kernel, ex.sweep
     shape = (len(sweep.KEYSTONE_VARS), sweep.KEYSTONE_MAX_ROWS, sweep.KEYSTONE_MAX_VALUES)
     col = {v: i for i, v in enumerate(sweep.KEYSTONE_VARS)}
@@ -143,7 +142,7 @@ def cases(ex) -> tuple[str, dict, dict]:
     }
     digest = hashlib.sha256(" ".join(answers).encode()).hexdigest()
     facts = {"calls": dict(sorted(calls.items())), "traced_peak_mb": round(peak / 2**20, 1)}
-    return digest, {stage: (stage_calls, 1.0) for stage, stage_calls in timed.items()}, facts
+    return digest, timed, facts
 
 
 def main(argv=None) -> int:

@@ -1,19 +1,11 @@
-"""Per-call time of the NO-certificate layers, parent against change.
+"""The parent-against-change harness of the per-layer scripts.
 
-    python benchmarks/bench_certify.py --parent OTHER/src [--repeats 7]
+``bench_decide.py``, ``bench_eval.py`` and ``bench_sweep.py`` each give
+``compare_in_process`` a function that builds one tree's seeded inputs and
+returns a digest of its answers, its timed cases (case -> calls) and its
+facts; the harness does the rest:
 
-Times, per call, as the fastest of repeated passes over each case's
-calls (``_time_per_call``):
-
-* ``parse_sigma`` on 1000-atom premise files at arity 5, 10, 20 and 40
-  (60 variables, degrees 0, 1/4 and 1/3), the shape of ``decide-large``;
-* ``counterexample.verify`` on the separating team of a NO answer over
-  1000 premises at the same arities;
-* ``verify`` on sweep-sized NO instances (at most two keystone premises,
-  three variables, arity at most 2) and on ``certify-small``-sized ones
-  (at most three premises over five variables, arity at most 4).  These
-  small teams guard against a change that pays off on 1000 premises but
-  slows the calls the keystone sweep makes about a million times.
+    python benchmarks/bench_<topic>.py --parent OTHER/src [--repeats 7]
 
 ``--parent`` names the ``src/`` directory of a second checkout, usually
 of the parent commit (``git clone`` this repository and check the parent
@@ -23,12 +15,16 @@ under a package name of its own, and each builds the same seeded inputs.
 The machine's speed may drift by tens of percent over minutes, so the two
 trees are timed case by case: within a repeat, each case is timed on one
 tree and then at once on the other, alternating which goes first, so the
-two timings of a case lie seconds apart.  The JSON records, per case,
-each repeat's speedup (parent time over change time) and their median as
-``paired_speedup``, the figure to read for changes of a few percent, and
-each tree's digest of what it returned (the parsed atoms and every verify
-result), with ``same_results`` true when they are equal.  The output,
-``benchmarks/BENCH_certify.json`` by default, holds per-case medians,
+two timings of a case lie seconds apart.
+
+One rule times every case (``_time_per_call``): passes over the case's
+calls repeat until there have been at least ``MIN_PASSES`` of them and
+``MIN_SECONDS`` have gone by, and the fastest pass counts.  The JSON
+records, per case, each repeat's speedup (parent time over change time)
+and their median as ``paired_speedup``, the figure to read for changes
+of a few percent, and each tree's digest of what it returned, with
+``same_results`` true when they are equal.  The output,
+``benchmarks/BENCH_<topic>.json`` by default, holds per-case medians,
 every repeat, the machine, Python, numpy, the kernel lane and the repeat
 count.
 """
@@ -36,163 +32,43 @@ count.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import importlib
 import importlib.util
 import json
 import os
 import platform
-import random
 import statistics
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 
-SEED = 20261018
-ARITIES = (5, 10, 20, 40)
-PREMISES = 1000
-DEGREES = (Fraction(0), Fraction(1, 4), Fraction(1, 3))
-NAMES = tuple(f"v{i}" for i in range(60))
-SMALL_INSTANCES = 3000
+MIN_PASSES = 5
+MIN_SECONDS = 0.5
 
 
-# ==========================================================================
-# inputs and timed cases of one tree
-# ==========================================================================
-
-def _atom_text(left, right, degree) -> str:
-    mark = "" if degree == 0 else f"[{degree}]"
-    return f"excl{mark}({' '.join(left)} ; {' '.join(right)})"
-
-
-def _random_side(rng, names, arity):
-    return tuple(rng.choice(names) for _ in range(arity))
-
-
-def _premise_files(rng):
-    """arity -> three 1000-atom premise texts."""
-    return {
-        arity: [
-            "\n".join(
-                _atom_text(_random_side(rng, NAMES, arity), _random_side(rng, NAMES, arity),
-                           rng.choice(DEGREES))
-                for _ in range(PREMISES)
-            )
-            for _ in range(3)
-        ]
-        for arity in ARITIES
-    }
-
-
-def _no_instance(ex, sigma, goal):
-    """(team, sigma, goal) when the package answers NO, else None."""
-    verdict = ex.decision.decide(sigma, goal)
-    if verdict.holds:
-        return None
-    return ex.counterexample.build_team(verdict.plan), sigma, goal
-
-
-def _large_instances(ex, rng, files):
-    """arity -> NO instances over 1000 parsed premises."""
-    out = {}
-    for arity, texts in files.items():
-        found = []
-        for text in texts:
-            sigma = ex.parsing.parse_sigma(text)
-            while True:
-                goal = ex.model.Atom(
-                    _random_side(rng, NAMES, arity), _random_side(rng, NAMES, arity),
-                    rng.choice(DEGREES),
-                )
-                inst = _no_instance(ex, sigma, goal)
-                if inst is not None:
-                    found.append(inst)
-                    break
-        out[arity] = found
-    return out
-
-
-def _small_instances(ex, rng, draw, count):
-    found = []
-    while len(found) < count:
-        sigma, goal = draw()
-        inst = _no_instance(ex, sigma, goal)
-        if inst is not None:
-            found.append(inst)
-    return found
-
-
-def _time_per_call(calls, repeat_until=0.2):
+def _time_per_call(calls):
     """Seconds per call in the fastest whole pass over ``calls``.
 
-    Passes repeat until ``repeat_until`` seconds have gone by.  The fastest
-    pass, not the mean, is the one least disturbed by other work on the
-    machine; a machine whose speed drifts over minutes still moves it
-    between repeats, so compare trees over several repeats.
+    Passes repeat until there have been ``MIN_PASSES`` of them and
+    ``MIN_SECONDS`` have gone by, so a case whose pass takes a large part
+    of a second still gets several.  The fastest pass, not the mean, is
+    the one least disturbed by other work on the machine; a machine whose
+    speed drifts over minutes still moves it between repeats, so compare
+    trees over several repeats.
     """
-    best = float("inf")
+    best, passes = float("inf"), 0
     start = time.perf_counter()
-    while True:
+    while passes < MIN_PASSES or time.perf_counter() - start < MIN_SECONDS:
         began = time.perf_counter()
         for call in calls:
             call()
-        ended = time.perf_counter()
-        best = min(best, ended - began)
-        if ended - start >= repeat_until:
-            return best / len(calls)
-
-
-def cases(ex) -> tuple[str, dict, dict]:
-    """The digest of one tree's answers, its timed cases and its facts.
-
-    ``ex`` is the tree's package; each case maps to its calls and the
-    seconds its passes repeat for.  The facts, none here, are what else
-    the record keeps per tree (``compare_in_process``).
-    """
-    Atom = ex.model.Atom
-    verify = ex.counterexample.verify
-    rng = random.Random(SEED)
-    digest = hashlib.sha256()
-    timed = {}
-
-    files = _premise_files(rng)
-    for arity, texts in files.items():
-        for text in texts:
-            digest.update(repr(ex.parsing.parse_sigma(text)).encode())
-        timed[f"parse_sigma.1000x{arity}"] = (
-            [lambda t=t: ex.parsing.parse_sigma(t) for t in texts], 1.0
-        )
-
-    for arity, found in _large_instances(ex, rng, files).items():
-        digest.update(repr([verify(*inst) for inst in found]).encode())
-        timed[f"verify.1000x{arity}"] = ([lambda i=i: verify(*i) for i in found], 0.5)
-
-    keystone = ex.sweep.keystone_atoms()
-
-    def sweep_shape():
-        return tuple(rng.sample(keystone, rng.randint(0, 2))), rng.choice(keystone)
-
-    small_vars = tuple("abcde")
-
-    def small_atom():
-        arity = rng.randint(1, 4)
-        return Atom(_random_side(rng, small_vars, arity), _random_side(rng, small_vars, arity),
-                    rng.choice(DEGREES))
-
-    def small_shape():
-        return tuple(small_atom() for _ in range(rng.randint(0, 3))), small_atom()
-
-    for name, draw in (("verify.sweep", sweep_shape), ("verify.certify_small", small_shape)):
-        found = _small_instances(ex, rng, draw, SMALL_INSTANCES)
-        digest.update(repr([verify(*inst) for inst in found]).encode())
-        timed[name] = ([lambda i=i: verify(*i) for i in found], 1.0)
-
-    return digest.hexdigest(), timed, {}
+        best = min(best, time.perf_counter() - began)
+        passes += 1
+    return best / len(calls)
 
 
 def _load_tree(src: Path, name: str):
@@ -324,8 +200,10 @@ def compare_in_process(
 ) -> int:
     """Command line of the parent-against-change scripts.
 
-    ``cases_of(ex)`` builds one tree's inputs and returns its digest, its
-    timed cases and its facts, as ``cases`` does.  Each tree is imported
+    ``cases_of(ex)`` builds the inputs of one tree, whose package is
+    ``ex``, and returns the digest of its answers, its timed cases (case
+    -> calls, each timed by ``_time_per_call``) and its facts (key ->
+    value, what else the record keeps per tree).  Each tree is imported
     under a name of its own (``_load_tree``) and builds its own inputs;
     then, within each repeat, every case is timed on one tree and at once
     on the other, alternating which goes first.  Every fact is recorded
@@ -344,8 +222,7 @@ def compare_in_process(
         for i, case in enumerate(times):
             order = list(trees) if (repeat + i) % 2 == 0 else list(reversed(trees))
             for name in order:
-                calls, repeat_until = built[name][1][case]
-                times[case][name].append(_time_per_call(calls, repeat_until) * unit[1])
+                times[case][name].append(_time_per_call(built[name][1][case]) * unit[1])
         print(f"repeat {repeat + 1}/{args.repeats} done", file=sys.stderr)
 
     digests = {name: built[name][0] for name in trees}
@@ -364,10 +241,3 @@ def compare_in_process(
     print(json.dumps(result["median"], indent=2))
     return 0
 
-
-def main(argv=None) -> int:
-    return compare_in_process("certify", cases, __doc__.split("\n\n")[0], argv)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

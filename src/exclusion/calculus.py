@@ -24,10 +24,14 @@ One rule is this package's, not the paper's:
 
 It is the semantic domination test of the decision procedure, recomputed
 by check_step from the two atoms; it carries no witness.  A derivation
-uses it only when the planner below finds no A1-A8 route: no YES of the
-exhaustive keystone space needs it, and 45, 52 and 53 of about 16,100
-YES answers do on the benchmark's certify-small queries (seeds 101 to
-103, arity up to 4).
+uses it only when the planner below finds no A1-A8 route, and that
+happens only when a side repeats a variable.  This is measured, not
+proved: seeded one-premise queries whose sides repeat no variable never
+need it (about 26,000 domination YES answers in the test suite), and
+the smallest case that does is excl(d ; b) implying excl(b c c ; c d c).
+No YES of the exhaustive keystone space needs it, and 45, 52 and 53 of
+about 16,100 YES answers do on the benchmark's certify-small queries
+(seeds 101 to 103, arity up to 4).
 
 A derivation is a numbered list of steps ending in its goal.  check_step
 and check_derivation verify everything; synthesize plans a derivation
@@ -736,28 +740,22 @@ def _switch(
     position of that side, whose variable becomes the pair's fresh one.
     """
     ref = b.hyp(src)
-    # contract duplicate pairs, keeping first occurrences
+    # contract duplicate pairs, keeping first occurrences: kept maps each
+    # first-seen pair to its position, and since every earlier repeat is
+    # already gone, a repeat sits at position len(kept)
     current = src
-    while True:
-        cpairs = list(zip(current.left, current.right))
-        dup = next(
-            (
-                (i, cpairs.index(cpairs[i]))
-                for i in range(len(cpairs))
-                if cpairs.index(cpairs[i]) < i
-            ),
-            None,
-        )
-        if dup is None:
-            break
-        removed, keep = dup
-        reduced = Atom._unchecked(
-            current.left[:removed] + current.left[removed + 1 :],
-            current.right[:removed] + current.right[removed + 1 :],
+    kept: dict[Pair, int] = {}
+    for pair in zip(src.left, src.right):
+        if pair not in kept:
+            kept[pair] = len(kept)
+            continue
+        i = len(kept)
+        current = Atom._unchecked(
+            current.left[:i] + current.left[i + 1 :],
+            current.right[:i] + current.right[i + 1 :],
             current.degree,
         )
-        ref = b.add(Rule.CONTRACT, (ref,), reduced, ContractWitness(removed, keep))
-        current = reduced
+        ref = b.add(Rule.CONTRACT, (ref,), current, ContractWitness(i, kept[pair]))
     # reorder into end-constant form: plain pairs first, diagonals last
     ec = end_constant_form(current)
     if (ec.left, ec.right) != (current.left, current.right):

@@ -211,7 +211,7 @@ def _plain_sigma(text: str) -> list[Atom] | None:
 def read_sigma_file(path: str | Path) -> list[Atom]:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return parse_sigma(text, source=str(path))
@@ -250,7 +250,7 @@ def parse_team_csv(text: str, source: str = "<team>") -> tuple[Team, int]:
 def read_team_csv(path: str | Path) -> tuple[Team, int]:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return parse_team_csv(text, source=str(path))

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -708,6 +709,19 @@ class TestSynthesize:
         )
         assert Rule.CONTRACT in rules
         assert Rule.A6 in rules
+        # three repeats, each contracted where the one before it stood
+        sigma = [atom("x1 w1 x2 x1 x2 w1", "y1 w1 y2 y1 y2 w1")]
+        goal = atom("z1 z2 z1 z2", "x1 x2 y1 y2")
+        self.check(sigma, goal)
+        steps = synthesize(sigma, goal, decide(sigma, goal).witness).steps
+        assert [(s.rule, s.witness) for s in steps] == [
+            (Rule.HYP, None),
+            (Rule.CONTRACT, ContractWitness(3, 0)),
+            (Rule.CONTRACT, ContractWitness(3, 2)),
+            (Rule.CONTRACT, ContractWitness(3, 1)),
+            (Rule.PERM, PermWitness((0, 2, 1))),
+            (Rule.A6, SwitchWitness(1, ("z1", "z2"))),
+        ]
 
     def test_unknown_witness_rejected(self):
         with pytest.raises(ValueError):
@@ -752,6 +766,49 @@ class TestDom:
             "conclusion": {"left": ["d", "c", "c"], "right": ["b", "b", "a"], "degree": "1/3"},
             "witness": None,
         }
+
+
+    def test_smallest_goal_that_needs_dom(self):
+        # a side that repeats a variable: no A1-A8 route is found
+        sigma = [atom("d", "b")]
+        goal = atom("b c c", "c d c")
+        derivation = synthesize(sigma, goal, decide(sigma, goal).witness)
+        assert [s.rule for s in derivation.steps] == [Rule.HYP, Rule.DOM]
+
+    @pytest.mark.parametrize("seed", [1, 7])
+    def test_repetition_free_sides_never_need_dom(self, seed):
+        # one premise and one goal over six variables at arity <= 4, no
+        # side repeating a variable; every other goal is the premise's
+        # pairs shuffled, with one random pair added where that repeats
+        # no variable
+        rng = random.Random(seed)
+        names = tuple(f"v{i}" for i in range(6))
+        degrees = (Fraction(0), Fraction(1, 4), Fraction(1, 3))
+
+        def side(arity):
+            return tuple(rng.sample(names, arity))
+
+        dominated = 0
+        for i in range(40_000):
+            arity = rng.randint(1, 4)
+            premise = Atom(side(arity), side(arity), rng.choice(degrees))
+            if i % 2:
+                pairs = list(zip(premise.left, premise.right))
+                pairs.append((rng.choice(names), rng.choice(names)))
+                rng.shuffle(pairs)
+                left, right = zip(*pairs)
+                if len(set(left)) < len(left) or len(set(right)) < len(right):
+                    left, right = premise.left, premise.right
+                goal = Atom(tuple(left), tuple(right), rng.choice(degrees))
+            else:
+                arity = rng.randint(1, 4)
+                goal = Atom(side(arity), side(arity), rng.choice(degrees))
+            verdict = decide([premise], goal)
+            if verdict.holds and verdict.witness.kind == "domination":
+                dominated += 1
+                steps = synthesize([premise], goal, verdict.witness).steps
+                assert all(s.rule is not Rule.DOM for s in steps), (premise, goal)
+        assert dominated > 12_000
 
 
 class TestEndConstantForm:

@@ -105,6 +105,16 @@ class TestCheck:
             assert payload["holds"] is True
             assert payload["witness"] == kind
 
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys):
+        # spreadsheet "CSV UTF-8" exports start with one
+        path = tmp_path / "sigma.txt"
+        outputs = []
+        for prefix in (b"", b"\xef\xbb\xbf"):
+            path.write_bytes(prefix + b"excl(x1 w1 w2 ; y1 w1 w2)\n")
+            assert main(["check", str(path), "excl(z1 z1 ; x1 y1)", "--json"]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     def test_unsupported_degree_band(self, sigma_file, capsys):
         code = main(["check", sigma_file(""), "excl[3/4](x1 ; y1)"])
         err = capsys.readouterr().err
@@ -165,6 +175,15 @@ class TestEval:
         assert payload["satisfied"] is False
         assert payload["min_removal"] == 2
         assert payload["min_degree"] == "2/3"
+
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys):
+        path = tmp_path / "team.csv"
+        outputs = []
+        for prefix in (b"", b"\xef\xbb\xbf"):
+            path.write_bytes(prefix + TABLE_QUAD.encode())
+            assert main(["eval", str(path), "excl[1/2](x u ; y v)", "--json"]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_unknown_variable(self, team_file, capsys):
         code = main(["eval", team_file(TABLE_PAIR), "excl(z ; y)"])
