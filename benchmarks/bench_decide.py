@@ -56,28 +56,19 @@ from __future__ import annotations
 import hashlib
 import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from harness import compare_in_process
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import gen
+
 SEED = 20261018
 ARITIES = (5, 10, 20, 40)
 PREMISES = 1000
-DEGREES = (Fraction(0), Fraction(1, 4), Fraction(1, 3))
 NAMES = tuple(f"v{i}" for i in range(60))
 KEYSTONE_INSTANCES = 2000
 CERTIFY_SMALL_QUERIES = 6000
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def _atom_text(left, right, degree) -> str:
-    mark = "" if degree == 0 else f"[{degree}]"
-    return f"excl{mark}({' '.join(left)} ; {' '.join(right)})"
-
-
-def _random_side(rng, names, arity):
-    return tuple(rng.choice(names) for _ in range(arity))
 
 
 def _premise_files(rng):
@@ -85,9 +76,7 @@ def _premise_files(rng):
     return {
         arity: [
             "\n".join(
-                _atom_text(_random_side(rng, NAMES, arity), _random_side(rng, NAMES, arity),
-                           rng.choice(DEGREES))
-                for _ in range(PREMISES)
+                gen.atom_text(*gen.random_atom(rng, NAMES, arity)) for _ in range(PREMISES)
             )
             for _ in range(3)
         ]
@@ -109,18 +98,13 @@ def _goals(ex, rng, sigma, arity):
     pairs.insert(rng.randint(0, len(pairs)), (rng.choice(NAMES), rng.choice(NAMES)))
     yes = ex.model.Atom(tuple(a for a, _ in pairs), tuple(b for _, b in pairs), premise.degree)
     while True:
-        no = ex.model.Atom(
-            _random_side(rng, NAMES, arity), _random_side(rng, NAMES, arity), rng.choice(DEGREES)
-        )
+        no = ex.model.Atom(*gen.random_atom(rng, NAMES, arity))
         if not ex.decision.decide(sigma, no).holds:
             return yes, no
 
 
 def _certify_small(ex):
     """The certify-small queries as parsed (sigma, goal) pairs."""
-    sys.path.insert(0, str(PERFBENCH))
-    import gen
-
     rng = random.Random(SEED)
     names = tuple("abcde")
     queries = []

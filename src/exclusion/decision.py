@@ -7,8 +7,7 @@ wins, so results and witnesses are deterministic:
 1. p = 1 goals hold outright.
 2. degrees in [1/2, 1) are rejected as unsupported.
 3. a contradictory assumption of degree below 1 implies everything.
-4. a goal with equal sides fails; one fresh row refutes it.
-5. the first assumption of degree at most p that dominates the goal
+4. the first assumption of degree at most p that dominates the goal
    settles it: it conflicts on the goal's generic violating pair of rows
    s, t (`counterexample.generic_pair`) in one of the row pairs (s, t),
    (t, s), (s, s) or (t, t).
@@ -21,8 +20,13 @@ the pair, the pair plus fresh rows separates it from the goal; if its
 degree is above p, collapsed rows at a density between the two degrees
 do.  Anything else is answered NO with a counterexample plan, which the
 verified wrapper re-checks before it emits a team.  The goal's generic
-pair is built once, before step 4, and serves both the domination test
-and the plan of either NO.
+pair is built once and serves both the domination test and the plan.
+
+A goal with equal sides needs no check of its own.  Its generic pair
+gives each distinct variable its own class, so only an assumption with
+equal sides conflicts on it: one of degree below 1 already fired at step
+3, and one of degree 1 lies above p.  So such a goal fails, and its plan
+refutes it with one fresh row.
 
 A positive verdict carries a witness from which `calculus.synthesize`
 plans a derivation; a negative one carries a counterexample plan.
@@ -109,9 +113,6 @@ def decide(sigma: Sequence[Atom], goal: Atom) -> Verdict:
             return Verdict(True, witness=ContradictionWitness(a, index))
 
     pair = generic_pair(goal)
-    if goal.left == goal.right:
-        return Verdict(False, plan=cx.plan(sigma, goal, pair))
-
     for index, a in enumerate(sigma):
         degree = a.degree
         if degree.numerator * p_den <= p_num * degree.denominator and conflicts(a, pair):

@@ -1,22 +1,34 @@
-"""Numpy scan primitives for the bounded sweep.
+"""Packed canonical teams: the bank's format, its masks and its scan.
 
 Teams are packed into flat numpy arrays: one row of `cells` per team,
 holding max_rows * n_vars uint8 values in row-major order, padded with
-zeros past the team's own rows.  The packer builds the canonical teams
-level by level, one level per row count, keeping only parent and row
-indices per level, and writes every team's cells into one preallocated
-array at the end.  Conflicts between rows i and j (row i's left
-projection equal to row j's right projection) are encoded as bit i*4 + j
-of a 16-bit word, so row counts are capped at 4.
+zeros past the team's own rows.  `enumerate_packed` builds the canonical
+teams (one per class under value renaming; satisfaction only compares
+values for equality, so they carry the whole space) level by level, one
+level per row count.  A bank is therefore sorted by row count, and the
+teams within a row bound are a prefix.
 
-Masks are uint64 words, one bit per team.  The row-count mask may be
-shorter than the others: a bank sorted by row count needs only the prefix
-of teams within the row bound, and the masked scan reads no further than
-that prefix.  The scan exits early over 64-team words, testing word 0 on
-its own before the chunked numpy pass over the rest.
+Conflicts between rows i and j (row i's left projection equal to row j's
+right projection) are encoded as bit i*4 + j of a 16-bit word, so row
+counts are capped at 4.  A tuple conflict is a conflict at every
+position, so a multi-column word is the AND of single-column words.
+`removal_table` maps each word to the least number of rows covering every
+conflict, which is exactly the removal count the semantics module
+computes.  A team satisfies an atom of degree num/den when that count is
+at most floor(num * rows / den).
+
+Masks are uint64 words, one bit per team (`pack_mask`).  The row-count
+mask may be shorter than the others: it covers only the prefix of teams
+within the row bound, and the masked scan reads no further.  The scan
+exits early over 64-team words, testing word 0 on its own before the
+chunked numpy pass over the rest.  `TeamBank` holds one bank and builds
+these masks, caching what its callers ask for again.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -29,9 +41,12 @@ MAX_PACK_ROWS = 4
 __all__ = [
     "IMPLEMENTATION",
     "MAX_PACK_ROWS",
+    "TeamBank",
     "any_counterexample",
     "conflict_words",
     "enumerate_packed",
+    "pack_mask",
+    "removal_table",
 ]
 
 
@@ -89,9 +104,11 @@ def enumerate_packed(
     of distinct values.
 
     Only int32 parent and row indices are kept per level; the cells are
-    written once, into one preallocated array.  More than `budget` teams,
-    or more than `budget` candidate rows, raise CapacityError before an
-    array of that size is allocated.
+    written once, into one preallocated array, a level at a time: each
+    team copies its parent's cells, written one level earlier, and adds
+    its own last row.  More than `budget` teams, or more than `budget`
+    candidate rows, raise CapacityError before an array of that size is
+    allocated.
     """
     if max_rows > MAX_PACK_ROWS:
         raise ValueError(f"packed teams hold at most {MAX_PACK_ROWS} rows")
@@ -118,14 +135,9 @@ def enumerate_packed(
     size = rows.shape[0]
     block_end = np.searchsorted(block, np.arange(top + 1), side="right")
     # a global lex rank, equal for equal rows of different blocks; block
-    # and rank together order the whole table strictly
-    rank = np.zeros(size, dtype=np.int64)
-    if n_vars and size:
-        order = np.lexsort(rows.T[::-1])
-        ordered = rows[order]
-        fresh = np.zeros(size, dtype=np.int64)
-        fresh[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-        rank[order] = np.cumsum(fresh)
+    # and rank together order the whole table strictly (numpy 2.0.0 gives
+    # the inverse a second axis, hence the reshape)
+    rank = np.unique(rows, axis=0, return_inverse=True)[1].reshape(-1)
     key = block * size + rank
 
     parents: list[np.ndarray] = []
@@ -152,19 +164,15 @@ def enumerate_packed(
     cells = np.zeros((total, max_rows * n_vars), dtype=np.uint8)
     n_rows = np.zeros(total, dtype=np.uint8)
     n_values = np.zeros(total, dtype=np.uint8)
-    begin = 1
-    for k, pick in enumerate(picks, start=1):
+    above, begin = 0, 1  # the parent level's first team, this level's
+    for k, (parent, pick) in enumerate(zip(parents, picks), start=1):
         end = begin + pick.shape[0]
         n_rows[begin:end] = k
         n_values[begin:end] = peak[pick]
-        team = cells[begin:end]
-        # walk each team's parent chain from its last row to its first
-        chain = parents[k - 1]
-        for j in range(k - 1, -1, -1):
-            team[:, j * n_vars : (j + 1) * n_vars] = rows[pick]
-            if j:
-                pick, chain = picks[j - 1][chain], parents[j - 1][chain]
-        begin = end
+        width = (k - 1) * n_vars
+        cells[begin:end, :width] = cells[above + parent, :width]
+        cells[begin:end, width : width + n_vars] = rows[pick]
+        above, begin = begin, end
     return cells, n_rows, n_values
 
 
@@ -185,6 +193,33 @@ def conflict_words(
             hit &= live[max(i, j)]
             words |= hit.astype(np.uint16) << np.uint16(i * 4 + j)
     return words
+
+
+@cache
+def removal_table() -> np.ndarray:
+    """Least rows covering every conflict, for each 16-bit conflict word."""
+    words = np.arange(1 << 16, dtype=np.uint32)
+    best = np.full(words.shape, 255, dtype=np.uint8)
+    for chosen in range(1 << 4):
+        killed = 0
+        for i in range(4):
+            if chosen >> i & 1:
+                for j in range(4):
+                    killed |= 1 << (i * 4 + j)
+                    killed |= 1 << (j * 4 + i)
+        covered = (words & ~np.uint32(killed)) == 0
+        size = bin(chosen).count("1")
+        np.minimum(best, np.where(covered, size, 255).astype(np.uint8), out=best)
+    return best
+
+
+def pack_mask(flags: np.ndarray) -> np.ndarray:
+    """Bools to uint64 words, one bit per team, zero-padded at the top."""
+    count = flags.shape[0]
+    words = (count + 63) // 64
+    padded = np.zeros(words * 64, dtype=bool)
+    padded[:count] = flags
+    return np.packbits(padded, bitorder="little").view(np.uint64)
 
 
 def any_counterexample(
@@ -218,3 +253,120 @@ def any_counterexample(
         if w.any():
             return True
     return False
+
+
+class TeamBank:
+    """Canonical teams packed for mask scans, sorted by row count."""
+
+    def __init__(
+        self,
+        n_vars: int,
+        max_rows: int,
+        max_values: int,
+        cells: np.ndarray,
+        n_rows: np.ndarray,
+        n_values: np.ndarray,
+    ):
+        self.n_vars = n_vars
+        self.max_rows = max_rows
+        self.max_values = max_values
+        self.cells = cells
+        self.n_rows = n_rows
+        self.n_values = n_values
+        self._words: dict[tuple[int, int], np.ndarray] = {}
+        self._removed: tuple[tuple, np.ndarray] | None = None
+        self._budgets: dict[Fraction, np.ndarray] = {}
+        self._rows_le: dict[int, np.ndarray] = {}
+        self._values_le: dict[int, np.ndarray] = {}
+        self._ones: np.ndarray | None = None
+
+    @classmethod
+    def build(cls, n_vars: int, max_rows: int, max_values: int) -> "TeamBank":
+        cells, n_rows, n_values = enumerate_packed(
+            n_vars, max_rows, max_values, DEFAULT_BUDGET
+        )
+        return cls(n_vars, max_rows, max_values, cells, n_rows, n_values)
+
+    @property
+    def size(self) -> int:
+        return self.cells.shape[0]
+
+    def conflict_words(self, left_cols, right_cols) -> np.ndarray:
+        """The conflict word for a pair of column tuples.
+
+        Two rows conflict on tuples exactly when they conflict at every
+        position, and masking bits past the row count commutes with AND,
+        so a multi-column word is the AND of single-column words.  Only
+        those are cached: at most n_vars ** 2 arrays.
+        """
+        left_cols, right_cols = tuple(left_cols), tuple(right_cols)
+        if not left_cols or len(left_cols) != len(right_cols):
+            raise ValueError("column tuples must be nonempty and of equal length")
+        words = self._column_word(left_cols[0], right_cols[0])
+        for left, right in zip(left_cols[1:], right_cols[1:]):
+            words = words & self._column_word(left, right)
+        return words
+
+    def _column_word(self, left: int, right: int) -> np.ndarray:
+        key = (left, right)
+        words = self._words.get(key)
+        if words is None:
+            words = self._words[key] = conflict_words(
+                self.cells, self.n_rows, self.n_vars, left, right
+            )
+        return words
+
+    def satisfaction_mask(self, left_cols, right_cols, degree: Fraction) -> np.ndarray:
+        cols = (tuple(left_cols), tuple(right_cols))
+        return pack_mask(self._removal_counts(cols) <= self._budget(degree))
+
+    def _removal_counts(self, cols: tuple) -> np.ndarray:
+        """Rows each team must lose for a pair of column tuples.
+
+        Only the last pair's counts are kept: callers ask for the degrees
+        of one pair in a row, and one array is the size of the bank.
+        """
+        if self._removed is None or self._removed[0] != cols:
+            words = self.conflict_words(*cols)
+            self._removed = (cols, removal_table().take(words))
+        return self._removed[1]
+
+    def _budget(self, degree: Fraction) -> np.ndarray:
+        """Most rows each team may lose at this degree, floor(degree * rows).
+
+        For nonnegative integers, removed * den <= num * rows holds exactly
+        when removed <= (num * rows) // den, so one uint8 compare decides
+        satisfaction.
+        """
+        budget = self._budgets.get(degree)
+        if budget is None:
+            budget = self._budgets[degree] = (
+                self.n_rows.astype(np.int64) * degree.numerator // degree.denominator
+            ).astype(np.uint8)
+        return budget
+
+    def row_mask(self, max_rows: int) -> np.ndarray:
+        """Teams with at most max_rows rows, packed up to the last of them.
+
+        The bank is sorted by row count, so these teams are a prefix and
+        the mask is only as many words as that prefix needs.
+        """
+        k = min(max_rows, self.max_rows)
+        mask = self._rows_le.get(k)
+        if mask is None:
+            end = int(np.searchsorted(self.n_rows, k, side="right"))
+            mask = self._rows_le[k] = pack_mask(np.ones(end, dtype=bool))
+        return mask
+
+    def value_mask(self, max_values: int) -> np.ndarray:
+        d = min(max_values, 255)
+        mask = self._values_le.get(d)
+        if mask is None:
+            mask = self._values_le[d] = pack_mask(self.n_values <= d)
+        return mask
+
+    def all_mask(self) -> np.ndarray:
+        if self._ones is None:
+            words = (self.size + 63) // 64
+            self._ones = np.full(words, 2**64 - 1, dtype=np.uint64)
+        return self._ones

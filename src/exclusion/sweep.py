@@ -3,37 +3,20 @@
 The keystone space: all instances over variables a, b, c with tuple
 lengths at most 2, at most two assumptions, and degrees in {0, 1/4, 1/3}.
 That is 270 atoms, 36,586 assumption sets, 9,878,220 instances.  For each
-one the decision verdict is compared against a brute-force search for a
-separating team within the row and value bounds of its counterexample
-plan, and the certificates are exercised.
+one the decision verdict is compared against a search for a separating
+team within the row and value bounds of its counterexample plan, and the
+certificates are exercised: every YES derivation is synthesized (which
+checks it) and every NO team is built and verified.
 
-Three layers make the volume tractable:
+Two layers make the volume tractable:
 
-* Teams are enumerated once, canonically up to value renaming, level by
-  level into packed arrays already sorted by row count, and turned into
-  per-atom satisfaction bitmasks.  Satisfaction only compares values for
-  equality, so renaming representatives carry the whole space.  Conflict
-  words are computed and cached per single column pair only; a tuple
-  conflict is a conflict at every position, so a multi-column word is the
-  AND of single-column words.  The removal counts of the last column
-  pair are kept, so the degrees of one pair share one table lookup.
+* The search runs over a `kernel.TeamBank` of every canonical team with
+  at most 4 rows and 12 values, built once with one satisfaction mask per
+  atom; an instance is one masked scan (`kernel.any_counterexample`).
 * Instances are grouped under variable renaming.  Decision, semantics,
   and plan bounds all commute with renaming, so one representative per
   class settles the class; a modular sample re-runs the decision directly
   on unreduced instances to cross-check the transfer.
-* The per-instance search is a numpy bitwise AND scan with early exit
-  over 64-team words.  Banks are sorted by row count, so the teams within
-  a plan's row bound form a prefix; the row mask covers only that prefix
-  and the scan stops at its end.  Word 0, the smallest teams, is tested
-  first as Python ints: most refuted instances are refuted there, before
-  any numpy temporary is made.
-
-Min-removal over a packed team is a table lookup: conflicts between rows
-i and j form a 16-bit word (bit i*4+j), and the table holds the least
-number of rows covering every conflict, which is exactly the removal
-count the semantics module computes.  A team satisfies an atom of degree
-num/den when that count is at most floor(num * rows / den), one uint8
-compare against a per-degree budget array.
 """
 
 from __future__ import annotations
@@ -46,13 +29,13 @@ from itertools import permutations, product
 
 import numpy as np
 
-from . import kernel
-from .calculus import check_derivation, synthesize
+from .calculus import synthesize
 from .counterexample import build_team, domain_size_bound, verify
 from .counterexample import plan as counterexample_plan
 from .decision import decide
+from .kernel import TeamBank, any_counterexample
 from .model import Atom
-from .oracle import DEFAULT_BUDGET, oracle_implies
+from .oracle import oracle_implies
 
 KEYSTONE_VARS = ("a", "b", "c")
 KEYSTONE_DEGREES = (Fraction(0), Fraction(1, 4), Fraction(1, 3))
@@ -62,158 +45,6 @@ KEYSTONE_MAX_VALUES = 12
 SAMPLE_STRIDE = 61
 # oracle_spot_check's comparisons per planned team size k
 SPOT_CHECK_COUNTS = {1: 30, 2: 170, 3: 20, 4: 2}
-
-_removal_table: np.ndarray | None = None
-
-
-def removal_table() -> np.ndarray:
-    """Least rows covering every conflict, for each 16-bit conflict word."""
-    global _removal_table
-    if _removal_table is None:
-        words = np.arange(1 << 16, dtype=np.uint32)
-        best = np.full(words.shape, 255, dtype=np.uint8)
-        for chosen in range(1 << 4):
-            killed = 0
-            for i in range(4):
-                if chosen >> i & 1:
-                    for j in range(4):
-                        killed |= 1 << (i * 4 + j)
-                        killed |= 1 << (j * 4 + i)
-            covered = (words & ~np.uint32(killed)) == 0
-            size = bin(chosen).count("1")
-            np.minimum(
-                best,
-                np.where(covered, size, 255).astype(np.uint8),
-                out=best,
-            )
-        _removal_table = best
-    return _removal_table
-
-
-def pack_mask(flags: np.ndarray) -> np.ndarray:
-    """Bools to uint64 words, one bit per team, zero-padded at the top."""
-    count = flags.shape[0]
-    words = (count + 63) // 64
-    padded = np.zeros(words * 64, dtype=bool)
-    padded[:count] = flags
-    return np.packbits(padded, bitorder="little").view(np.uint64)
-
-
-class TeamBank:
-    """Canonical teams packed for mask scans, sorted by row count."""
-
-    def __init__(
-        self,
-        n_vars: int,
-        max_rows: int,
-        max_values: int,
-        cells: np.ndarray,
-        n_rows: np.ndarray,
-        n_values: np.ndarray,
-    ):
-        self.n_vars = n_vars
-        self.max_rows = max_rows
-        self.max_values = max_values
-        self.cells = cells
-        self.n_rows = n_rows
-        self.n_values = n_values
-        self._words: dict[tuple[int, int], np.ndarray] = {}
-        self._removed: tuple[tuple, np.ndarray] | None = None
-        self._budgets: dict[Fraction, np.ndarray] = {}
-        self._rows_le: dict[int, np.ndarray] = {}
-        self._values_le: dict[int, np.ndarray] = {}
-        self._ones: np.ndarray | None = None
-
-    @classmethod
-    def build(cls, n_vars: int, max_rows: int, max_values: int) -> "TeamBank":
-        cells, n_rows, n_values = kernel.enumerate_packed(
-            n_vars, max_rows, max_values, DEFAULT_BUDGET
-        )
-        return cls(n_vars, max_rows, max_values, cells, n_rows, n_values)
-
-    @property
-    def size(self) -> int:
-        return self.cells.shape[0]
-
-    def conflict_words(self, left_cols, right_cols) -> np.ndarray:
-        """The kernel's conflict word for a pair of column tuples.
-
-        Two rows conflict on tuples exactly when they conflict at every
-        position, and masking bits past the row count commutes with AND,
-        so a multi-column word is the AND of single-column words.  Only
-        those are cached: at most n_vars ** 2 arrays.
-        """
-        left_cols, right_cols = tuple(left_cols), tuple(right_cols)
-        if not left_cols or len(left_cols) != len(right_cols):
-            raise ValueError("column tuples must be nonempty and of equal length")
-        words = self._column_word(left_cols[0], right_cols[0])
-        for left, right in zip(left_cols[1:], right_cols[1:]):
-            words = words & self._column_word(left, right)
-        return words
-
-    def _column_word(self, left: int, right: int) -> np.ndarray:
-        key = (left, right)
-        words = self._words.get(key)
-        if words is None:
-            words = self._words[key] = kernel.conflict_words(
-                self.cells, self.n_rows, self.n_vars, left, right
-            )
-        return words
-
-    def satisfaction_mask(self, left_cols, right_cols, degree: Fraction) -> np.ndarray:
-        cols = (tuple(left_cols), tuple(right_cols))
-        return pack_mask(self._removal_counts(cols) <= self._budget(degree))
-
-    def _removal_counts(self, cols: tuple) -> np.ndarray:
-        """Rows each team must lose for a pair of column tuples.
-
-        Only the last pair's counts are kept: callers ask for the degrees
-        of one pair in a row, and one array is the size of the bank.
-        """
-        if self._removed is None or self._removed[0] != cols:
-            words = self.conflict_words(*cols)
-            self._removed = (cols, removal_table().take(words))
-        return self._removed[1]
-
-    def _budget(self, degree: Fraction) -> np.ndarray:
-        """Most rows each team may lose at this degree, floor(degree * rows).
-
-        For nonnegative integers, removed * den <= num * rows holds exactly
-        when removed <= (num * rows) // den, so one uint8 compare decides
-        satisfaction.
-        """
-        budget = self._budgets.get(degree)
-        if budget is None:
-            budget = self._budgets[degree] = (
-                self.n_rows.astype(np.int64) * degree.numerator // degree.denominator
-            ).astype(np.uint8)
-        return budget
-
-    def row_mask(self, max_rows: int) -> np.ndarray:
-        """Teams with at most max_rows rows, packed up to the last of them.
-
-        The bank is sorted by row count, so these teams are a prefix and
-        the mask is only as many words as that prefix needs.
-        """
-        k = min(max_rows, self.max_rows)
-        mask = self._rows_le.get(k)
-        if mask is None:
-            end = int(np.searchsorted(self.n_rows, k, side="right"))
-            mask = self._rows_le[k] = pack_mask(np.ones(end, dtype=bool))
-        return mask
-
-    def value_mask(self, max_values: int) -> np.ndarray:
-        d = min(max_values, 255)
-        mask = self._values_le.get(d)
-        if mask is None:
-            mask = self._values_le[d] = pack_mask(self.n_values <= d)
-        return mask
-
-    def all_mask(self) -> np.ndarray:
-        if self._ones is None:
-            words = (self.size + 63) // 64
-            self._ones = np.full(words, 2**64 - 1, dtype=np.uint64)
-        return self._ones
 
 
 def keystone_atoms() -> list[Atom]:
@@ -363,7 +194,7 @@ def run_keystone() -> KeystoneReport:
                 plan = counterexample_plan(sigma, goal)
             a_mask = masks[sigma_idx[0]] if len(sigma_idx) > 0 else ones
             b_mask = masks[sigma_idx[1]] if len(sigma_idx) > 1 else ones
-            found = kernel.any_counterexample(
+            found = any_counterexample(
                 a_mask,
                 b_mask,
                 masks[g],
@@ -376,10 +207,8 @@ def run_keystone() -> KeystoneReport:
             if verdict.holds:
                 true_classes += 1
                 try:
-                    derivation = synthesize(sigma, goal, verdict.witness)
-                    result = check_derivation(derivation)
-                    if not result.ok or derivation.goal != goal:
-                        derivation_failures.add((*describe(s, g), result.reason))
+                    # synthesize checks the derivation and its endpoint
+                    synthesize(sigma, goal, verdict.witness)
                 except Exception as exc:
                     derivation_failures.add((*describe(s, g), repr(exc)))
             else:

@@ -2,7 +2,7 @@
 
 The report lines bypass pytest's capture, so they appear in the live
 output of any run, interleaved with the progress dots.  Criterion 1 runs
-the exhaustive keystone sweep once (248-257 s on a 2-core Xeon with
+the exhaustive keystone sweep once (about 100-110 s on a 2-core Xeon with
 Python 3.11 and numpy 2.4) and shares its report with criteria 2 and 5.
 """
 

@@ -1,9 +1,14 @@
 """Command line interface: subcommands, exit codes, and stable output."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import exclusion
 from exclusion import check_derivation, parse_team_csv
 from exclusion.calculus import derivation_from_json
 from exclusion.cli import build_parser, main
@@ -436,3 +441,16 @@ class TestUnwritableOutput:
         assert code == EXIT_PARSE
         assert captured.err.startswith(f"error: cannot write {out}")
         assert captured.out == ""
+
+
+class TestColdImport:
+    def test_cli_import_leaves_numpy_out(self):
+        # numpy is only needed by the packed-team kernel; importing it on
+        # the way to the CLI would about double the CLI's cold start
+        src = str(Path(exclusion.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, exclusion, exclusion.cli; print('numpy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"

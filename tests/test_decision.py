@@ -172,6 +172,37 @@ class TestContradictoryGoal:
         verdict = decide([atom("u", "u")], atom("x", "x"))
         assert verdict.holds
 
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_seeded_band(self, seed):
+        """Equal-sides goals at arity <= 5, with repeated variables and
+        premises over outside ones: NO with the unary plan and a verified
+        team, unless some premise has equal sides and degree below 1."""
+        rng = random.Random(seed)
+        names = "abcdefg"
+        degrees = [Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(1)]
+        yes = 0
+        for _ in range(1500):
+            side = tuple(rng.choice(names[:4]) for _ in range(rng.randint(1, 5)))
+            goal = Atom(side, side, rng.choice(degrees[:3]))
+            sigma = []
+            for _ in range(rng.randint(0, 3)):
+                arity = rng.randint(1, 5)
+                left = tuple(rng.choice(names) for _ in range(arity))
+                right = left if rng.random() < 0.3 else tuple(
+                    rng.choice(names) for _ in range(arity)
+                )
+                sigma.append(Atom(left, right, rng.choice(degrees)))
+            verdict = decide(sigma, goal)
+            contradiction = any(a.left == a.right and a.degree < 1 for a in sigma)
+            assert verdict.holds == contradiction, (sigma, goal)
+            if contradiction:
+                yes += 1
+                continue
+            assert verdict.plan.kind == "unary-canonical"
+            assert verdict.plan.k == 1
+            verified_counterexample(verdict.plan)
+        assert 0 < yes < 1500
+
 
 class TestOnePassOrder:
     """Contradiction is checked before domination and its degree filter."""

@@ -1,4 +1,4 @@
-"""Scan kernel: packed enumeration, conflict words, masked scans.
+"""Packed-team kernel: enumeration, conflict words, masked scans, the bank.
 
 The kernels must agree with brute force, and the 65536-entry removal
 table must agree with the reference removal engine.
@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from exclusion import CapacityError, atom, kernel, satisfies
-from exclusion.kernel import IMPLEMENTATION
+from exclusion.kernel import IMPLEMENTATION, TeamBank, pack_mask, removal_table
 from exclusion.model import team_from_rows
 from exclusion.oracle import enumerate_row_sets
 from exclusion.semantics import min_removal_indexed
-from exclusion.sweep import KEYSTONE_DEGREES, TeamBank, pack_mask, removal_table
+from exclusion.sweep import KEYSTONE_DEGREES
 
 
 def bank_order_teams(n_vars, max_rows, max_values):
