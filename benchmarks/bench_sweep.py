@@ -15,12 +15,14 @@ milliseconds, the fastest of its passes:
   ``TeamBank(...)`` over the built arrays (a bank caches its conflict
   words, so each pass needs a new one), conflict words included;
 * ``build_and_masks``: the two together, the sweep's set-up;
-* ``scan.keystone``: ``kernel.any_counterexample`` on the built bank, one
-  call per instance of 2000 seeded ones drawn as ``keystone-slice`` draws
-  them (a goal and 0, 1 or 2 premises from ``sweep.keystone_atoms()``, 2
-  half the time), at the row and value masks of the instance's plan; the
-  decisions and plans are made before timing, and the 2000 calls are timed
-  as one.
+* ``scan.keystone.yes`` and ``scan.keystone.no``:
+  ``kernel.any_counterexample`` on the built bank, one call per instance
+  of 2000 seeded ones drawn as ``keystone-slice`` draws them (a goal and
+  0, 1 or 2 premises from ``sweep.keystone_atoms()``, 2 half the time), at
+  the row and value masks of the instance's plan, split by the instance's
+  verdict: a YES scan finds nothing and has no early exit, a NO scan stops
+  at its first hit.  The decisions and plans are made before timing, and
+  each case's calls are timed as one pass.
 
 One untimed build plus its masks per tree gives the answers and two
 facts: ``traced_peak_mb``, the ``tracemalloc`` peak of that build and
@@ -31,8 +33,12 @@ digests of the 270 masks, of the ``enumerate_packed`` arrays after a
 stable sort by row count (trees that list teams in generator order and
 trees that list them in bank order digest alike), of the bank arrays
 (cells, row counts, value counts, with dtypes and shapes) and of every
-row and value mask the sweep can ask for, and the scan's found flags;
-``same_results`` is true when both trees produced bit-identical ones.
+row and value mask the sweep can ask for, and the scan's found flags in
+draw order; ``same_results`` is true when both trees produced
+bit-identical ones.  A mask digests as its uint64 words, whether the tree
+returns the array or a ``kernel.Mask`` holding it; ``all_mask`` digests
+as its bits over the bank's teams, since trees before ``kernel.Mask`` set
+its padding bits.
 ``--parent``, ``--change``, ``--repeats``, ``--out`` and
 ``paired_speedup`` work as in ``harness.compare_in_process``.  The output,
 ``benchmarks/BENCH_sweep.json`` by default, holds per-stage medians, every
@@ -57,6 +63,7 @@ KEYSTONE_SCANS = 2000
 def _digest(arrays) -> str:
     h = hashlib.sha256()
     for a in arrays:
+        a = getattr(a, "words", a)
         h.update(f"{a.dtype}{a.shape}".encode())
         h.update(a.tobytes())
     return h.hexdigest()
@@ -101,26 +108,27 @@ def cases(ex) -> tuple[str, dict, dict]:
     packed = kernel.enumerate_packed(*shape)
     order = np.argsort(packed[1], kind="stable")
     arrays = (bank.cells, bank.n_rows, bank.n_values)
+    ones = bank.all_mask()
     answers += [
         _digest(a[order] for a in packed),
         _digest(arrays),
         _digest(
             [bank.row_mask(k) for k in range(bank.max_rows + 1)]
             + [bank.value_mask(d) for d in range(bank.max_values + 1)]
-            + [bank.all_mask()]
+            + [np.unpackbits(getattr(ones, "words", ones).view(np.uint8),
+                             bitorder="little", count=bank.size)]
         ),
     ]
 
     rng = random.Random(SEED)
-    ones = bank.all_mask()
-    scans = []
+    scans, verdicts = [], []
     for _ in range(KEYSTONE_SCANS):
         picked = rng.sample(range(len(atoms)), rng.choice((0, 1, 2, 2)))
         g = rng.randrange(len(atoms))
         sigma = tuple(keystone[i] for i in picked)
-        plan = ex.decision.decide(sigma, keystone[g]).plan or ex.counterexample.plan(
-            sigma, keystone[g]
-        )
+        verdict = ex.decision.decide(sigma, keystone[g])
+        plan = verdict.plan or ex.counterexample.plan(sigma, keystone[g])
+        verdicts.append(verdict.holds)
         scans.append((
             sat[picked[0]] if picked else ones,
             sat[picked[1]] if len(picked) > 1 else ones,
@@ -129,6 +137,8 @@ def cases(ex) -> tuple[str, dict, dict]:
             bank.value_mask(ex.counterexample.domain_size_bound(plan)),
         ))
     answers.append(repr([kernel.any_counterexample(*scan) for scan in scans]))
+    yes = [scan for scan, holds in zip(scans, verdicts) if holds]
+    no = [scan for scan, holds in zip(scans, verdicts) if not holds]
 
     timed = {
         "enumerate_packed": [lambda: kernel.enumerate_packed(*shape)],
@@ -138,7 +148,8 @@ def cases(ex) -> tuple[str, dict, dict]:
         "build": [lambda: sweep.TeamBank.build(*shape)],
         "masks": [lambda: masks(sweep.TeamBank(*shape, *arrays))],
         "build_and_masks": [lambda: masks(sweep.TeamBank.build(*shape))],
-        "scan.keystone": [lambda: [kernel.any_counterexample(*scan) for scan in scans]],
+        "scan.keystone.yes": [lambda: [kernel.any_counterexample(*scan) for scan in yes]],
+        "scan.keystone.no": [lambda: [kernel.any_counterexample(*scan) for scan in no]],
     }
     digest = hashlib.sha256(" ".join(answers).encode()).hexdigest()
     facts = {"calls": dict(sorted(calls.items())), "traced_peak_mb": round(peak / 2**20, 1)}

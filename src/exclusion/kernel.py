@@ -17,18 +17,23 @@ conflict, which is exactly the removal count the semantics module
 computes.  A team satisfies an atom of degree num/den when that count is
 at most floor(num * rows / den).
 
-Masks are uint64 words, one bit per team (`pack_mask`).  The row-count
+A mask (`pack_mask`) is a `Mask`: uint64 words, one bit per team, and
+two summary bitmaps over blocks of `BLOCK` words.  `live` has bit i set
+when block i holds a team in the mask, `gaps` when it holds a bank team
+outside the mask; `head` is block 0's words as one int.  The row-count
 mask may be shorter than the others: it covers only the prefix of teams
 within the row bound, and the masked scan reads no further.  The scan
-exits early over 64-team words, testing word 0 on its own before the
-chunked numpy pass over the rest.  `TeamBank` holds one bank and builds
-these masks, caching what its callers ask for again.
+tests `head` as Python ints, ANDs the summaries to find the blocks where
+a counterexample can lie, and reads words only from the first of those
+to the last.  `TeamBank` holds one bank and builds these masks, caching
+what its callers ask for again.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,10 +42,14 @@ from .oracle import DEFAULT_BUDGET
 
 IMPLEMENTATION = "python"
 MAX_PACK_ROWS = 4
+# words per summary bit of a Mask
+BLOCK = 8
 
 __all__ = [
+    "BLOCK",
     "IMPLEMENTATION",
     "MAX_PACK_ROWS",
+    "Mask",
     "TeamBank",
     "any_counterexample",
     "conflict_words",
@@ -213,43 +222,84 @@ def removal_table() -> np.ndarray:
     return best
 
 
-def pack_mask(flags: np.ndarray) -> np.ndarray:
-    """Bools to uint64 words, one bit per team, zero-padded at the top."""
+class Mask(NamedTuple):
+    """A packed team mask and the summaries its scan reads first."""
+
+    words: np.ndarray  # uint64, bit t of the array is team t
+    head: int  # block 0's words as one little-endian int
+    live: int  # bit i: block i holds a team in the mask
+    gaps: int  # bit i: block i holds a bank team outside the mask
+
+
+def _bits(flags: np.ndarray) -> int:
+    """Bools as one int, flag i at bit i."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def pack_mask(flags: np.ndarray) -> Mask:
+    """Bools to a `Mask` of flags.shape[0] teams, zero-padded at the top.
+
+    np.packbits pads its last byte with zeros itself; its bytes go into
+    one zeroed buffer of whole blocks, and the words and both summaries
+    are read from views of it.  Bits past flags.shape[0] are padding, not
+    teams, so they never make a gap.
+    """
     count = flags.shape[0]
-    words = (count + 63) // 64
-    padded = np.zeros(words * 64, dtype=bool)
-    padded[:count] = flags
-    return np.packbits(padded, bitorder="little").view(np.uint64)
+    block_bits = BLOCK * 64
+    blocks = -(-count // block_bits)
+    buffer = np.zeros(blocks * BLOCK * 8, dtype=np.uint8)
+    packed = np.packbits(flags, bitorder="little")
+    buffer[: packed.shape[0]] = packed
+    grid = buffer.view(np.uint64).reshape(blocks, BLOCK)
+    # a block's 8 per-word flags are 8 bytes: read as one uint64, they are
+    # nonzero when any flag is set (this is why BLOCK is 8)
+    live = (grid != 0).view(np.uint64)[:, 0] != 0
+    gaps = (grid != ~np.uint64(0)).view(np.uint64)[:, 0] != 0
+    if count % block_bits:
+        gaps[-1] = not flags[count - count % block_bits :].all()
+    return Mask(
+        buffer[: -(-count // 64) * 8].view(np.uint64),
+        int.from_bytes(buffer[: BLOCK * 8].tobytes(), "little"),
+        _bits(live),
+        _bits(gaps),
+    )
 
 
-def any_counterexample(
-    a: np.ndarray, b: np.ndarray, g: np.ndarray, rc: np.ndarray, nv: np.ndarray
-) -> bool:
+def any_counterexample(a: Mask, b: Mask, g: Mask, rc: Mask, nv: Mask) -> bool:
     """Whether any packed team satisfies both constraint masks, evades the
     goal mask, and lies within the row-count and value-count masks.
 
-    Only the first rc.shape[0] words are scanned: teams past the end of
-    the row-count mask count as outside it.  The other masks must be at
-    least that long.
+    Only the teams of the row-count mask are scanned: teams past its end
+    count as outside it.  The other masks must cover at least those teams.
 
-    The scan exits early over 64-team words.  Word 0 is tested first, as
-    Python ints: the bank is sorted by row count, so it holds the small
-    teams that refute most non-implications, and most refuted instances
-    stop there without a numpy temporary.  The rest is ANDed in chunks of
-    4096 words from word 1, stopping at the first chunk with a hit.
+    Block 0 is tested first, as the Python ints `head`: the bank is
+    sorted by row count, so block 0 holds the small teams that refute most
+    non-implications, and a row mask of at most 3 words lies inside it.
+    The summaries then bound the rest.  A hit at team t of block i is a
+    team in rc, a, b and nv, so bit i is set in their four `live`
+    summaries; it is a bank team outside g, so bit i is set in `g.gaps`.
+    A block whose bit is clear in any of the five holds no hit, so the
+    AND of the summaries, block 0 dropped, is a superset of the blocks
+    with a hit, and when it is 0 the answer is False with no word read.
+    Otherwise the words from its first block to its last, clipped to rc's
+    words, are ANDed in chunks of 4096 words, stopping at the first chunk
+    with a hit.
     """
-    n = rc.shape[0]
-    if not n:
-        return False
-    if rc.item(0) & a.item(0) & b.item(0) & nv.item(0) & ~g.item(0):
+    if rc.head & a.head & b.head & nv.head & ~g.head:
         return True
+    # bit j stands for block j + 1
+    candidates = (rc.live & a.live & b.live & nv.live & g.gaps) >> 1
+    if not candidates:
+        return False
+    start = (candidates & -candidates).bit_length() * BLOCK
+    end = min((candidates.bit_length() + 1) * BLOCK, rc.words.shape[0])
     step = 4096
-    for s in range(1, n, step):
-        e = min(s + step, n)
-        w = rc[s:e] & a[s:e]
-        w &= b[s:e]
-        w &= nv[s:e]
-        w &= ~g[s:e]
+    for s in range(start, end, step):
+        e = min(s + step, end)
+        w = rc.words[s:e] & a.words[s:e]
+        w &= b.words[s:e]
+        w &= nv.words[s:e]
+        w &= ~g.words[s:e]
         if w.any():
             return True
     return False
@@ -276,9 +326,9 @@ class TeamBank:
         self._words: dict[tuple[int, int], np.ndarray] = {}
         self._removed: tuple[tuple, np.ndarray] | None = None
         self._budgets: dict[Fraction, np.ndarray] = {}
-        self._rows_le: dict[int, np.ndarray] = {}
-        self._values_le: dict[int, np.ndarray] = {}
-        self._ones: np.ndarray | None = None
+        self._rows_le: dict[int, Mask] = {}
+        self._values_le: dict[int, Mask] = {}
+        self._ones: Mask | None = None
 
     @classmethod
     def build(cls, n_vars: int, max_rows: int, max_values: int) -> "TeamBank":
@@ -316,7 +366,7 @@ class TeamBank:
             )
         return words
 
-    def satisfaction_mask(self, left_cols, right_cols, degree: Fraction) -> np.ndarray:
+    def satisfaction_mask(self, left_cols, right_cols, degree: Fraction) -> Mask:
         cols = (tuple(left_cols), tuple(right_cols))
         return pack_mask(self._removal_counts(cols) <= self._budget(degree))
 
@@ -345,7 +395,7 @@ class TeamBank:
             ).astype(np.uint8)
         return budget
 
-    def row_mask(self, max_rows: int) -> np.ndarray:
+    def row_mask(self, max_rows: int) -> Mask:
         """Teams with at most max_rows rows, packed up to the last of them.
 
         The bank is sorted by row count, so these teams are a prefix and
@@ -358,15 +408,14 @@ class TeamBank:
             mask = self._rows_le[k] = pack_mask(np.ones(end, dtype=bool))
         return mask
 
-    def value_mask(self, max_values: int) -> np.ndarray:
+    def value_mask(self, max_values: int) -> Mask:
         d = min(max_values, 255)
         mask = self._values_le.get(d)
         if mask is None:
             mask = self._values_le[d] = pack_mask(self.n_values <= d)
         return mask
 
-    def all_mask(self) -> np.ndarray:
+    def all_mask(self) -> Mask:
         if self._ones is None:
-            words = (self.size + 63) // 64
-            self._ones = np.full(words, 2**64 - 1, dtype=np.uint64)
+            self._ones = pack_mask(np.ones(self.size, dtype=bool))
         return self._ones

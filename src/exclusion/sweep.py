@@ -125,6 +125,7 @@ class KeystoneReport:
     sample_mismatches: Tally
     elapsed: float
     setup_s: float  # bank build plus the 270 masks, inside elapsed
+    scan_s: float  # inside any_counterexample, inside elapsed
 
 
 def run_keystone() -> KeystoneReport:
@@ -170,6 +171,7 @@ def run_keystone() -> KeystoneReport:
     sample_mismatches = Tally()
     classes = true_classes = false_classes = 0
     sample_size = 0
+    scan_s = 0.0
 
     def describe(s: int, g: int) -> tuple:
         sigma_idx = [int(i) for i in (first[s], second[s]) if i != sentinel]
@@ -194,13 +196,11 @@ def run_keystone() -> KeystoneReport:
                 plan = counterexample_plan(sigma, goal)
             a_mask = masks[sigma_idx[0]] if len(sigma_idx) > 0 else ones
             b_mask = masks[sigma_idx[1]] if len(sigma_idx) > 1 else ones
-            found = any_counterexample(
-                a_mask,
-                b_mask,
-                masks[g],
-                bank.row_mask(plan.k),
-                bank.value_mask(domain_size_bound(plan)),
-            )
+            rc_mask = bank.row_mask(plan.k)
+            nv_mask = bank.value_mask(domain_size_bound(plan))
+            scan_start = time.perf_counter()
+            found = any_counterexample(a_mask, b_mask, masks[g], rc_mask, nv_mask)
+            scan_s += time.perf_counter() - scan_start
             if verdict.holds == found:
                 disagreements.add((*describe(s, g), verdict.holds, found))
 
@@ -249,6 +249,7 @@ def run_keystone() -> KeystoneReport:
         sample_mismatches=sample_mismatches,
         elapsed=time.perf_counter() - start,
         setup_s=setup_s,
+        scan_s=scan_s,
     )
 
 

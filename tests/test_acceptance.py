@@ -2,8 +2,9 @@
 
 The report lines bypass pytest's capture, so they appear in the live
 output of any run, interleaved with the progress dots.  Criterion 1 runs
-the exhaustive keystone sweep once (about 100-110 s on a 2-core Xeon with
-Python 3.11 and numpy 2.4) and shares its report with criteria 2 and 5.
+the exhaustive keystone sweep once (75-84 s in standalone runs on a 2-core
+Xeon with Python 3.11 and numpy 2.4, 4.5-5.2 s of it in the masked scan)
+and shares its report with criteria 2 and 5.
 """
 
 import random
@@ -73,7 +74,7 @@ class TestCriterion1Equivalence:
             f"{keystone.disagreements.count} disagreements, "
             f"{compared} literal-oracle replays with "
             f"{mismatches.count} mismatches, sweep {keystone.elapsed:.1f}s "
-            f"(set-up {keystone.setup_s:.1f}s)"
+            f"(set-up {keystone.setup_s:.1f}s, scan {keystone.scan_s:.1f}s)"
         )
         ok = (
             keystone.instances == KEYSTONE_INSTANCES

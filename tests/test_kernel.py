@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from exclusion import CapacityError, atom, kernel, satisfies
-from exclusion.kernel import IMPLEMENTATION, TeamBank, pack_mask, removal_table
+from exclusion.kernel import BLOCK, IMPLEMENTATION, TeamBank, pack_mask, removal_table
 from exclusion.model import team_from_rows
 from exclusion.oracle import enumerate_row_sets
 from exclusion.semantics import min_removal_indexed
@@ -186,6 +186,54 @@ class TestRemovalTable:
         assert int(removal_table()[0]) == 0
 
 
+def pack_words(words, count=None):
+    """The Mask pack_mask builds from the first count bits of uint64 words
+    (all of them by default)."""
+    flags = np.unpackbits(words.view(np.uint8), bitorder="little", count=count)
+    return pack_mask(flags.astype(bool))
+
+
+def brute_summaries(flags):
+    """(head, live, gaps) of a flag array, block by block."""
+    span = BLOCK * 64
+    head = sum(1 << t for t in range(min(len(flags), span)) if flags[t])
+    live = gaps = 0
+    for i in range(math.ceil(len(flags) / span)):
+        block = flags[i * span : (i + 1) * span]
+        live |= bool(block.any()) << i
+        gaps |= (not block.all()) << i
+    return head, live, gaps
+
+
+class TestPackMask:
+    COUNTS = [0, 1, 63, 64, 65, 511, 512, 513, 4097 * 64 + 5]
+
+    @pytest.mark.parametrize("count", COUNTS)
+    @pytest.mark.parametrize("fill", ["random", "ones", "zeros", "one gap"])
+    def test_summaries_match_brute_force(self, count, fill):
+        rng = np.random.default_rng(count)
+        flags = {
+            "random": rng.random(count) < 0.5,
+            "ones": np.ones(count, dtype=bool),
+            "zeros": np.zeros(count, dtype=bool),
+            "one gap": np.arange(count) != count - 1,
+        }[fill]
+        mask = pack_mask(flags)
+        padded = np.zeros(math.ceil(count / 64) * 64, dtype=bool)
+        padded[:count] = flags
+        expected = np.packbits(padded, bitorder="little").view(np.uint64)
+        assert mask.words.dtype == np.uint64
+        assert np.array_equal(mask.words, expected)
+        assert (mask.head, mask.live, mask.gaps) == brute_summaries(flags)
+        if fill == "ones":
+            # padding bits are not bank teams, so never a gap
+            assert mask.gaps == 0
+
+
+# word 7 is the last of block 0, word 8 the first of block 1
+HIT_WORDS = {"word 0": 0, "word 1": 1, "word 7": 7, "word 8": 8}
+
+
 class TestMaskedScan:
     def masks(self, n, rng):
         flags = np.asarray([rng.randrange(2) for _ in range(n)], dtype=bool)
@@ -215,18 +263,18 @@ class TestMaskedScan:
         ones = pack_mask(np.ones(300, dtype=bool))
         none = pack_mask(np.zeros(300, dtype=bool))
         short = pack_mask(np.ones(128, dtype=bool))
-        assert short.shape[0] == 2
+        assert short.words.shape[0] == 2
         assert kernel.any_counterexample(pack_mask(late), ones, none, ones, ones)
         assert not kernel.any_counterexample(pack_mask(late), ones, none, short, ones)
 
-    # (words, where the hit is): word 0 alone is tested as ints, the rest
-    # in 4096-word chunks from word 1, so 4,097 and 9,000 words reach a
-    # second and a third chunk
+    # (words, where the hit is): block 0 (words 0-7) is tested as ints,
+    # the candidate blocks after it in 4096-word chunks, so 4,097 and 9,000
+    # words reach a second and a third chunk
     PLACES = [
         (words, place)
-        for words in (1, 2, 4097, 9000)
-        for place in ("word 0", "word 1", "last word", "nowhere", "full goal word 0")
-        if place != "word 1" or words > 1
+        for words in (1, 2, 9, 4097, 9000)
+        for place in (*HIT_WORDS, "last word", "nowhere", "full goal word 0")
+        if HIT_WORDS.get(place, 0) < words
     ]
 
     @staticmethod
@@ -261,33 +309,76 @@ class TestMaskedScan:
             for m in masks:
                 m[0] = np.uint64(2**64 - 1)
         elif place != "nowhere":
-            self.plant(masks, {"word 0": 0, "word 1": 1, "last word": words - 1}[place])
+            self.plant(masks, HIT_WORDS.get(place, words - 1))
         expected = place not in ("nowhere", "full goal word 0")
         assert self.reference(*masks) is expected
-        assert kernel.any_counterexample(*masks) is expected
+        assert kernel.any_counterexample(*map(pack_words, masks)) is expected
 
-    @pytest.mark.parametrize("prefix", [1, 2, 4097, 4098])
+    @pytest.mark.parametrize("prefix", [1, 2, 12, 4097, 4098])
     def test_short_row_mask_bounds_the_word_scan(self, prefix):
         masks = self.word_masks(9000, prefix)
         self.plant(masks, prefix)  # first word past the row mask
         a, b, g, rc, nv = masks
         short = rc[:prefix].copy()
-        assert not kernel.any_counterexample(a, b, g, short, nv)
+        packed = [pack_words(m) for m in (a, b, g, short, nv)]
+        assert not kernel.any_counterexample(*packed)
         self.plant((a, b, g, short, nv), prefix - 1)  # last word inside it
         assert self.reference(a, b, g, short, nv)
-        assert kernel.any_counterexample(a, b, g, short, nv)
+        packed = [pack_words(m) for m in (a, b, g, short, nv)]
+        assert kernel.any_counterexample(*packed)
+
+    @pytest.mark.parametrize("teams", [11 * 64 + 5, 4097 * 64 + 5])
+    def test_row_mask_ending_mid_block(self, teams):
+        # a, b and nv hold every team, the goal none of the hits planted
+        # at the row mask's last team or at the first team past it
+        words = 9000
+        ones = np.full(words, 2**64 - 1, dtype=np.uint64)
+        goal = ones.copy()
+        rc = pack_words(ones, teams)
+        goal[teams // 64] &= ~np.uint64(1 << teams % 64)
+        assert not kernel.any_counterexample(
+            pack_words(ones), pack_words(ones), pack_words(goal), rc, pack_words(ones)
+        )
+        goal[(teams - 1) // 64] &= ~np.uint64(1 << (teams - 1) % 64)
+        assert kernel.any_counterexample(
+            pack_words(ones), pack_words(ones), pack_words(goal), rc, pack_words(ones)
+        )
+
+    @pytest.mark.parametrize("teams", [100, 9 * 64 + 5, 4097 * 64 + 5])
+    def test_goal_missing_only_padding_has_no_hit(self, teams):
+        # every team is in all five masks; the goal's only clear bits are
+        # the padding past the last team, which is not a team
+        ones = pack_mask(np.ones(teams, dtype=bool))
+        assert ones.gaps == 0
+        assert not kernel.any_counterexample(ones, ones, ones, ones, ones)
+        clear = teams // 2
+        goal = np.ones(teams, dtype=bool)
+        goal[clear] = False
+        assert kernel.any_counterexample(ones, ones, pack_mask(goal), ones, ones)
+
+    def test_words_are_read_only_in_candidate_blocks(self):
+        # a hit in block 2, behind a goal whose gaps summary rules block 2
+        # out: a scan that trusts the summaries never reads its words
+        ones = pack_mask(np.ones(3 * BLOCK * 64, dtype=bool))
+        goal = np.ones(3 * BLOCK * 64, dtype=bool)
+        goal[2 * BLOCK * 64 + 5] = False
+        g = pack_mask(goal)
+        assert g.gaps == 0b100
+        assert kernel.any_counterexample(ones, ones, g, ones, ones)
+        assert not kernel.any_counterexample(ones, ones, g._replace(gaps=0), ones, ones)
 
     def test_zero_word_row_mask_finds_nothing(self):
-        ones = np.full(3, 2**64 - 1, dtype=np.uint64)
-        none = np.zeros(3, dtype=np.uint64)
-        empty = np.zeros(0, dtype=np.uint64)
+        ones = pack_mask(np.ones(3 * 64, dtype=bool))
+        none = pack_mask(np.zeros(3 * 64, dtype=bool))
+        empty = pack_mask(np.zeros(0, dtype=bool))
+        assert empty.words.shape[0] == 0
         assert kernel.any_counterexample(ones, ones, none, ones, ones)
         assert not kernel.any_counterexample(ones, ones, none, empty, ones)
 
     def test_pack_mask_round_trip(self):
         rng = random.Random(13)
         flags = np.asarray([rng.randrange(2) for _ in range(130)], dtype=bool)
-        words = pack_mask(flags)
+        words = pack_mask(flags).words
         unpacked = np.unpackbits(
             words.view(np.uint8), bitorder="little", count=len(flags)
         ).astype(bool)
@@ -295,6 +386,7 @@ class TestMaskedScan:
         # padding bits beyond the flag count stay zero
         tail = np.unpackbits(words.view(np.uint8), bitorder="little")[len(flags):]
         assert not tail.any()
+
 
 
 @pytest.fixture(scope="module")
@@ -320,7 +412,7 @@ class TestTeamBank:
         ]:
             mask = bank.satisfaction_mask(left_cols, right_cols, degree)
             bits = np.unpackbits(
-                mask.view(np.uint8), bitorder="little", count=bank.size
+                mask.words.view(np.uint8), bitorder="little", count=bank.size
             )
             for idx in range(bank.size):
                 count = int(bank.n_rows[idx])
@@ -341,22 +433,24 @@ class TestTeamBank:
 
     def test_row_and_value_masks(self, bank):
         bits = np.unpackbits(
-            bank.row_mask(2).view(np.uint8), bitorder="little", count=bank.size
+            bank.row_mask(2).words.view(np.uint8), bitorder="little", count=bank.size
         )
         assert np.array_equal(bits.astype(bool), bank.n_rows <= 2)
         for k in range(bank.max_rows + 1):
             prefix = int(np.count_nonzero(bank.n_rows <= k))
-            assert bank.row_mask(k).shape[0] == math.ceil(prefix / 64)
+            assert bank.row_mask(k).words.shape[0] == math.ceil(prefix / 64)
         bits = np.unpackbits(
-            bank.value_mask(3).view(np.uint8), bitorder="little", count=bank.size
+            bank.value_mask(3).words.view(np.uint8), bitorder="little", count=bank.size
         )
         assert np.array_equal(bits.astype(bool), bank.n_values <= 3)
 
     def test_all_mask_covers_every_team(self, bank):
-        bits = np.unpackbits(
-            bank.all_mask().view(np.uint8), bitorder="little", count=bank.size
-        )
-        assert bits.all()
+        mask = bank.all_mask()
+        bits = np.unpackbits(mask.words.view(np.uint8), bitorder="little")
+        assert bits[: bank.size].all()
+        # zero-padded like every other mask, and no block has a gap
+        assert not bits[bank.size :].any()
+        assert mask.gaps == 0
 
 
 @pytest.fixture(scope="module")
@@ -393,7 +487,8 @@ class TestBankConflictWords:
                 for degree in KEYSTONE_DEGREES:
                     expected = reference_satisfaction_mask(wide_bank, left, right, degree)
                     got = wide_bank.satisfaction_mask(left, right, degree)
-                    assert np.array_equal(got, expected), (left, right, degree)
+                    assert np.array_equal(got.words, expected.words), (left, right, degree)
+                    assert got[1:] == expected[1:], (left, right, degree)
 
     def test_only_single_column_words_are_cached(self, wide_bank):
         for left in self.column_tuples(wide_bank.n_vars):
