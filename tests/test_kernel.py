@@ -329,20 +329,15 @@ class TestMaskedScan:
 
     @pytest.mark.parametrize("teams", [11 * 64 + 5, 4097 * 64 + 5])
     def test_row_mask_ending_mid_block(self, teams):
-        # a, b and nv hold every team, the goal none of the hits planted
-        # at the row mask's last team or at the first team past it
-        words = 9000
-        ones = np.full(words, 2**64 - 1, dtype=np.uint64)
+        # a, b and nv hold every team; the goal misses the first team past
+        # the row mask's end, then also the row mask's last team
+        ones = np.full(9000, 2**64 - 1, dtype=np.uint64)
+        full, rc = pack_words(ones), pack_words(ones, teams)
         goal = ones.copy()
-        rc = pack_words(ones, teams)
         goal[teams // 64] &= ~np.uint64(1 << teams % 64)
-        assert not kernel.any_counterexample(
-            pack_words(ones), pack_words(ones), pack_words(goal), rc, pack_words(ones)
-        )
+        assert not kernel.any_counterexample(full, full, pack_words(goal), rc, full)
         goal[(teams - 1) // 64] &= ~np.uint64(1 << (teams - 1) % 64)
-        assert kernel.any_counterexample(
-            pack_words(ones), pack_words(ones), pack_words(goal), rc, pack_words(ones)
-        )
+        assert kernel.any_counterexample(full, full, pack_words(goal), rc, full)
 
     @pytest.mark.parametrize("teams", [100, 9 * 64 + 5, 4097 * 64 + 5])
     def test_goal_missing_only_padding_has_no_hit(self, teams):
@@ -351,9 +346,8 @@ class TestMaskedScan:
         ones = pack_mask(np.ones(teams, dtype=bool))
         assert ones.gaps == 0
         assert not kernel.any_counterexample(ones, ones, ones, ones, ones)
-        clear = teams // 2
         goal = np.ones(teams, dtype=bool)
-        goal[clear] = False
+        goal[teams // 2] = False
         assert kernel.any_counterexample(ones, ones, pack_mask(goal), ones, ones)
 
     def test_words_are_read_only_in_candidate_blocks(self):
@@ -386,7 +380,6 @@ class TestMaskedScan:
         # padding bits beyond the flag count stay zero
         tail = np.unpackbits(words.view(np.uint8), bitorder="little")[len(flags):]
         assert not tail.any()
-
 
 
 @pytest.fixture(scope="module")
