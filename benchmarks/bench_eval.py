@@ -5,6 +5,8 @@
 Times, per call, on seeded CSV tables of 1k, 10k and 100k rows with 4, 15
 and 24 conflicting values at arity 1 and 2:
 
+* ``parsing.read_team_csv`` on the table's file, the CSV reader alone
+  (``read.*``, the sparse grid only), its result freed in the pass;
 * ``semantics.min_removal`` on the parsed team;
 * ``cli.main(["eval", path, atom])``, the whole command: reading the CSV,
   parsing the atom, the search and printing (to a discarded buffer).
@@ -144,6 +146,9 @@ def cases(ex) -> tuple[str, dict, dict]:
         except CapacityError:
             return "CapacityError"
 
+    def read(path):
+        ex.parsing.read_team_csv(path)
+
     def run_eval(path, atom_text):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             return ex.cli.main(["eval", str(path), atom_text])
@@ -157,6 +162,8 @@ def cases(ex) -> tuple[str, dict, dict]:
             team, _ = ex.parsing.parse_team_csv(text)
             tables.append((path, atom_text, team, ex.parsing.parse_atom(atom_text)))
         answers[case] = [removal(team, atom) for _, _, team, atom in tables]
+        if not case.startswith("dense."):
+            timed[f"read.{case}"] = [lambda p=p: read(p) for p, _, _, _ in tables]
         timed[f"min_removal.{case}"] = [lambda t=t, a=a: removal(t, a) for _, _, t, a in tables]
         timed[f"eval.{case}"] = [lambda p=p, a=a: run_eval(p, a) for p, a, _, _ in tables]
 

@@ -24,6 +24,7 @@ from .counterexample import domain_size_bound, verified_counterexample
 from .counterexample import plan as counterexample_plan
 from .decision import decide
 from .errors import EXIT_OK, EXIT_WRONG_DIRECTION, ExclusionError
+from .model import column_index
 from .oracle import DEFAULT_BUDGET, oracle_implies
 from .parsing import (
     parse_atom,
@@ -33,8 +34,16 @@ from .parsing import (
     team_csv_text,
     write_team_csv,
 )
-# satisfies is not called here; perfbench/spans.py wraps this binding
-from .semantics import min_removal, satisfies, within_budget  # noqa: F401
+# perfbench/spans.py looks up read_team_csv and parse_atom (above) and
+# min_removal and satisfies (below) in this module by name and wraps them to
+# time their layers, so all four stay bound here; min_removal and satisfies
+# are not called here
+from .semantics import (  # noqa: F401
+    min_removal,
+    min_removal_indexed,
+    satisfies,
+    within_budget,
+)
 
 
 def _print_json(payload: dict) -> None:
@@ -75,14 +84,17 @@ def cmd_check(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    team, duplicates = read_team_csv(args.team_csv)
+    schema, columns, duplicates = read_team_csv(args.team_csv)
     atom = parse_atom(args.atom)
     if duplicates:
         print(f"warning: {duplicates} duplicate rows collapsed", file=sys.stderr)
+    left_idx = tuple(column_index(schema, var) for var in atom.left)
+    right_idx = tuple(column_index(schema, var) for var in atom.right)
     # one removal search: satisfaction and the smallest degree follow from it
-    removal = min_removal(team, atom)
-    satisfied = within_budget(removal, atom.degree, team.size)
-    degree = None if team.is_empty() else Fraction(removal, team.size)
+    removal = min_removal_indexed(columns, left_idx, right_idx)
+    size = len(columns[0])
+    satisfied = within_budget(removal, atom.degree, size)
+    degree = None if size == 0 else Fraction(removal, size)
     if args.json:
         payload = {
             "format": 1,

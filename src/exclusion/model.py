@@ -159,17 +159,28 @@ class Team:
         return not self.rows
 
     def column(self, var: str) -> int:
-        """Schema index of a variable."""
+        """Schema index of a variable, as `column_index` gives it; a known
+        variable is found without that call, since the removal search
+        looks up every name of its atom here."""
         try:
             return self.schema.index(var)
         except ValueError:
-            from .errors import UnknownVariableError
-
-            raise UnknownVariableError(f"variable {var!r} not in schema {self.schema}")
+            return column_index(self.schema, var)  # raises UnknownVariableError
 
     def value_count(self) -> int:
         """Number of distinct values appearing in any cell."""
         return len({cell for row in self.rows for cell in row})
+
+
+def column_index(schema: tuple[str, ...], var: str) -> int:
+    """Index of a variable in a schema; UnknownVariableError names a
+    variable the schema lacks."""
+    try:
+        return schema.index(var)
+    except ValueError:
+        from .errors import UnknownVariableError
+
+        raise UnknownVariableError(f"variable {var!r} not in schema {schema}")
 
 
 def team_from_rows(schema: Iterable[str], rows: Iterable[Iterable[str]]) -> Team:

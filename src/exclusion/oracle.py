@@ -124,14 +124,15 @@ def oracle_implies(
     for rows in enumerate_row_sets(len(schema), max_rows, max_values, budget):
         checked += 1
         size = len(rows)
+        columns = list(zip(*rows)) if rows else [()] * len(schema)
         satisfied = True
         for left_idx, right_idx, q in constraints:
-            if not within_budget(min_removal_indexed(rows, left_idx, right_idx), q, size):
+            if not within_budget(min_removal_indexed(columns, left_idx, right_idx), q, size):
                 satisfied = False
                 break
         if not satisfied:
             continue
-        if not within_budget(min_removal_indexed(rows, goal_left, goal_right), p, size):
+        if not within_budget(min_removal_indexed(columns, goal_left, goal_right), p, size):
             team = Team(
                 schema, frozenset(tuple(str(c) for c in row) for row in rows)
             )

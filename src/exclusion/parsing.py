@@ -23,8 +23,13 @@ it alone defines the accepted language and the messages.
 
 Team CSV: first row names the variables, each later row is one
 assignment.  Cells are raw strings without quoting, so values may not
-contain commas or newlines.  Duplicate rows collapse; readers report how
-many were dropped.
+contain commas or newlines.  The table is read column-wise: body cells
+are not stripped, so a line and its row determine each other, and
+duplicate rows collapse as duplicate lines before any cell is split; the
+distinct lines are joined and split once, and each column is a slice of
+that one list of cells.  `read_team_csv`, the reader of `excl eval`,
+returns the columns without building a `Team`; `parse_team_csv` builds
+the team from the same columns.  Both report how many rows were dropped.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice, repeat
 from pathlib import Path
 
 from .errors import ParseError
@@ -217,10 +223,16 @@ def read_sigma_file(path: str | Path) -> list[Atom]:
     return parse_sigma(text, source=str(path))
 
 
-def parse_team_csv(text: str, source: str = "<team>") -> tuple[Team, int]:
-    """Team plus the number of duplicate rows that were collapsed.
+def _team_columns(text: str, source: str) -> tuple[tuple[str, ...], list[list[str]], int]:
+    """The schema, one list of cells per column over the distinct rows, and
+    the number of duplicate rows that were collapsed.
 
-    Lines end at ``\r\n``, ``\r`` or ``\n``, as in `parse_sigma`.
+    Lines end at ``\r\n``, ``\r`` or ``\n``, as in `parse_sigma`.  Body
+    cells are not stripped, so a line and its cell tuple determine each
+    other, and duplicate rows collapse as duplicate lines, first one first.
+    Every distinct line's comma count is checked in one pass; on a mismatch
+    the lines are walked in order to name the first bad one.  The columns
+    are slices of one split of the distinct lines joined by commas.
     """
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -229,31 +241,39 @@ def parse_team_csv(text: str, source: str = "<team>") -> tuple[Team, int]:
         lines.pop()
     if not lines:
         raise ParseError(f"{source}: empty file, header row required")
-    header = [cell.strip() for cell in lines[0].split(",")]
+    header = tuple(cell.strip() for cell in lines[0].split(","))
     for name in header:
         if IDENT.match(name) is None:
             raise ParseError(f"{source}: bad variable name {name!r} in header")
     if len(set(header)) != len(header):
         raise ParseError(f"{source}: duplicate variable names in header")
-    rows = []
-    for lineno, raw in enumerate(lines[1:], start=2):
-        cells = raw.split(",")
-        if len(cells) != len(header):
-            raise ParseError(
-                f"{source}:{lineno}: expected {len(header)} cells, got {len(cells)}"
-            )
-        rows.append(tuple(cells))
-    team = Team._unchecked(tuple(header), frozenset(rows))
-    return team, len(rows) - team.size
+    width = len(header)
+    unique = dict.fromkeys(islice(lines, 1, None))
+    if not {width - 1}.issuperset(map(str.count, unique, repeat(","))):
+        for lineno, raw in enumerate(lines[1:], start=2):
+            found = raw.count(",") + 1
+            if found != width:
+                raise ParseError(f"{source}:{lineno}: expected {width} cells, got {found}")
+    cells = ",".join(unique).split(",") if unique else []
+    columns = [cells[c::width] for c in range(width)]
+    return header, columns, len(lines) - 1 - len(unique)
 
 
-def read_team_csv(path: str | Path) -> tuple[Team, int]:
+def parse_team_csv(text: str, source: str = "<team>") -> tuple[Team, int]:
+    """Team plus the number of duplicate rows that were collapsed."""
+    schema, columns, duplicates = _team_columns(text, source)
+    return Team._unchecked(schema, frozenset(zip(*columns))), duplicates
+
+
+def read_team_csv(path: str | Path) -> tuple[tuple[str, ...], list[list[str]], int]:
+    """The schema, columns and duplicate count of a team CSV file, as
+    `_team_columns` reads them; no `Team` is built."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    return parse_team_csv(text, source=str(path))
+    return _team_columns(text, str(path))
 
 
 def _row_sort_key(row: tuple[str, ...]):

@@ -8,13 +8,15 @@ smallest number of rows whose removal achieves this; it is exact, never an
 estimate.
 
 min_removal_indexed is the one removal search; every satisfaction
-question reduces to its count.  It first looks at the first position of
-each side alone.  Two rows conflict only if the left row's first value
-equals the right row's first value, so this filter is exact, not a
-heuristic: when no first value is taken on both sides there is no
-conflicting value, the count is 0 and the atom holds at every degree.
-Otherwise only the rows whose first value the other side also takes can
-conflict, and only they are projected whole; every row taking a
+question reduces to its count.  It reads a team by columns: one sequence
+of cells per schema variable, rows at the same position in each.  It
+first reads the first position of each side alone, that is two columns.
+Two rows conflict only if the left row's first value equals the right
+row's first value, so this filter is exact, not a heuristic: when no
+first value is taken on both sides there is no conflicting value, the
+count is 0 and the atom holds at every degree.  Otherwise only the rows
+whose first value the other side also takes can conflict, and only their
+positions are projected, one `itemgetter` per column; every row taking a
 conflicting value is among them, so the conflict map built from them is
 the whole table's.  At arity 1 the first position is the whole
 projection.  Teams of at most UNFILTERED_ROWS rows skip the filter and
@@ -27,6 +29,14 @@ No row lies in two components, so the rows removed for different
 components are disjoint and their minimum counts add up to the exact
 minimum.  Each component is searched exhaustively, and CHOICE_CAP bounds
 the size of one component, not of the whole table.
+
+Callers hand the search columns.  `excl eval` reads them from the CSV
+(`parsing.read_team_csv`) and never builds rows.  Callers holding rows
+transpose them once: satisfies_all per team, for its value sets too, and
+the oracle per enumerated team.  min_removal on a `Team` copies only the
+atom's two first columns out of its rows and reads its other columns in
+place (`_RowColumn`), at the few positions the filter keeps: on a large
+team every copied column is one more pass over the rows in hash order.
 
 satisfies_all, which checks a NO certificate's team against every
 premise, lifts the first-position filter from rows to the team.  It
@@ -47,7 +57,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 from operator import itemgetter
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import CapacityError, EmptyTeamError
 from .model import Atom, Row, Team
@@ -64,7 +74,7 @@ Choice = tuple[set[int], set[int]]
 
 
 # ==========================================================================
-# raw-row engine, shared with the enumeration oracle
+# the column engine, shared with the enumeration oracle
 # ==========================================================================
 
 def _unions(sides: list[list[int]]) -> list[int]:
@@ -119,45 +129,69 @@ def _components(choices: list[Choice]) -> list[list[Choice]]:
     return list(classes.values())
 
 
+def _picker(at: Sequence[int]):
+    """The function from a column to the tuple of its cells at `at`;
+    `itemgetter` of one index gives the cell itself, not a 1-tuple."""
+    if len(at) == 1:
+        (pos,) = at
+        return lambda column: (column[pos],)
+    return itemgetter(*at)
+
+
 def min_removal_indexed(
-    rows: Sequence[Row], left_idx: Sequence[int], right_idx: Sequence[int]
+    columns: Sequence[Sequence[str]] | Mapping[int, Sequence[str]],
+    left_idx: Sequence[int],
+    right_idx: Sequence[int],
 ) -> int:
     """Smallest number of rows to delete so no conflicting value remains.
 
-    A removal set works iff it contains every row that takes some value on
-    both sides (such a row conflicts with itself) and, for each conflicting
-    value, swallows its left occurrences or its right occurrences entirely.
-    Past UNFILTERED_ROWS rows the first-position filter picks the rows
-    that can conflict.  The right rows whose first value is some left
-    row's first value are found first; if there are none, the count is 0.
-    Then the left rows whose first value one of those right rows takes are
-    found.  Both passes are C-level (`map`, `compress`).  Only these rows
-    are projected whole, and the conflict map built from them equals the
-    whole table's.  Forced rows are removed first.  Each remaining value is
-    a binary side choice; two choices are linked when they share a row,
-    and the linked classes are independent components.  Components share
-    no rows, so their removal sets are disjoint and the minimum is the sum
-    of each component's minimum, found by trying every pick within it.
-    CHOICE_CAP bounds the choices of any one component.
+    The team is given by columns: `columns[i][pos]` is the cell of row
+    `pos` in column i, and the indexes name columns.  A removal set works
+    iff it contains every row that takes some value on both sides (such a
+    row conflicts with itself) and, for each conflicting value, swallows
+    its left occurrences or its right occurrences entirely.  Past
+    UNFILTERED_ROWS rows the first-position filter reads the two first
+    columns, `columns[left_idx[0]]` and `columns[right_idx[0]]`, whole to
+    pick the rows that can conflict.  The right rows whose first value is
+    some left row's first value are found first; if there are none, the
+    count is 0.  Then the left rows whose first value one of those right
+    rows takes are found.  Both passes are C-level (`map`, `compress`).
+    Only these positions are projected, one `itemgetter` per column, so
+    any other column is read only there, and the conflict map built from
+    them equals the whole table's.  Forced rows are removed first.  Each
+    remaining value is a binary side choice; two choices are linked when
+    they share a row, and the linked classes are independent components.
+    Components share no rows, so their removal sets are disjoint and the
+    minimum is the sum of each component's minimum, found by trying every
+    pick within it.  CHOICE_CAP bounds the choices of any one component.
     """
-    if len(rows) <= UNFILTERED_ROWS:
-        lefts = list(map(itemgetter(*left_idx), rows))
-        rights = list(map(itemgetter(*right_idx), rows))
+    left_first, right_first = columns[left_idx[0]], columns[right_idx[0]]
+    positions = range(len(left_first))
+    # itemgetter of several indexes gives a side's columns, of one its column
+    left_get, right_get = itemgetter(*left_idx), itemgetter(*right_idx)
+    # a value is a cell at arity 1 and a tuple of cells above it; both
+    # sides have one arity
+    whole = len(left_idx) > 1
+    if len(positions) <= UNFILTERED_ROWS:
+        lefts, rights = left_get(columns), right_get(columns)
+        if whole:
+            lefts, rights = list(zip(*lefts)), list(zip(*rights))
         shared = set(lefts)
         if shared.isdisjoint(rights):
             return 0
-        left_at = right_at = range(len(rows))
+        left_at = right_at = positions
     else:
-        left_firsts = list(map(itemgetter(left_idx[0]), rows))
-        right_firsts = list(map(itemgetter(right_idx[0]), rows))
-        positions = range(len(rows))
-        right_at = list(compress(positions, map(set(left_firsts).__contains__, right_firsts)))
+        right_at = list(compress(positions, map(set(left_first).__contains__, right_first)))
         if not right_at:
             return 0
-        shared_firsts = set(map(right_firsts.__getitem__, right_at))
-        left_at = list(compress(positions, map(shared_firsts.__contains__, left_firsts)))
-        lefts = list(map(itemgetter(*left_idx), map(rows.__getitem__, left_at)))
-        rights = list(map(itemgetter(*right_idx), map(rows.__getitem__, right_at)))
+        shared_firsts = set(map(right_first.__getitem__, right_at))
+        left_at = list(compress(positions, map(shared_firsts.__contains__, left_first)))
+        left_pick, right_pick = _picker(left_at), _picker(right_at)
+        if whole:
+            lefts = list(zip(*map(left_pick, left_get(columns))))
+            rights = list(zip(*map(right_pick, right_get(columns))))
+        else:
+            lefts, rights = left_pick(left_first), right_pick(right_first)
         shared = set(lefts)
     shared.intersection_update(rights)
     conflicts: dict[object, Choice] = {value: (set(), set()) for value in shared}
@@ -192,11 +226,39 @@ def min_removal_indexed(
 # public API over Team and Atom
 # ==========================================================================
 
+class _RowColumn:
+    """One column of a tuple of rows, read in place, a cell at a time."""
+
+    __slots__ = ("rows", "index")
+
+    def __init__(self, rows: Sequence[Row], index: int):
+        self.rows, self.index = rows, index
+
+    def __getitem__(self, pos: int) -> str:
+        return self.rows[pos][self.index]
+
+
 def min_removal(team: Team, atom: Atom) -> int:
-    """Fewest rows to delete so the exact atom holds on the remainder."""
+    """Fewest rows to delete so the exact atom holds on the remainder.
+
+    A team the search reads whole (at most UNFILTERED_ROWS rows) is
+    transposed in one call.  From a larger one only the atom's two first
+    columns are copied, for the search's filter; its other columns are
+    read in place.
+    """
     left_idx = tuple(map(team.column, atom.left))
     right_idx = tuple(map(team.column, atom.right))
-    return min_removal_indexed(tuple(team.rows), left_idx, right_idx)
+    rows = team.rows
+    if len(rows) <= UNFILTERED_ROWS:
+        columns = list(zip(*rows)) if rows else [()] * len(team.schema)
+        return min_removal_indexed(columns, left_idx, right_idx)
+    rows = tuple(rows)
+    firsts = (left_idx[0], right_idx[0])
+    columns = {
+        i: list(map(itemgetter(i), rows)) if i in firsts else _RowColumn(rows, i)
+        for i in {*left_idx, *right_idx}
+    }
+    return min_removal_indexed(columns, left_idx, right_idx)
 
 
 def within_budget(removal: int, degree: Fraction, size: int) -> bool:
@@ -254,8 +316,8 @@ def satisfies_all(team: Team, atoms: Sequence[Atom]) -> bool:
         if degree.numerator == degree.denominator:  # degree 1 holds vacuously
             continue
         if value_set is None:  # at the first atom to check, once per team
-            rows = tuple(team.rows)
-            columns = zip(*rows) if rows else [()] * len(schema)
+            rows = team.rows
+            columns = list(zip(*rows)) if rows else [()] * len(schema)
             value_set = dict(zip(schema, map(frozenset, columns))).__getitem__
             known = frozenset(schema)
         left, right = atom.left, atom.right
@@ -265,7 +327,7 @@ def satisfies_all(team: Team, atoms: Sequence[Atom]) -> bool:
             continue
         left_idx = tuple(map(schema.index, left))
         right_idx = tuple(map(schema.index, right))
-        removal = min_removal_indexed(rows, left_idx, right_idx)
+        removal = min_removal_indexed(columns, left_idx, right_idx)
         if not within_budget(removal, degree, len(rows)):
             return False
     return True

@@ -85,3 +85,23 @@ def test_a_pass_longer_than_half_a_second_is_still_repeated(harness, monkeypatch
 
     assert harness._time_per_call([slow_call]) == pytest.approx(0.6)
     assert len(passes) == 5
+
+
+def test_every_traced_binding_resolves(monkeypatch):
+    # a traced perfbench run wraps each (owner, attr) it lists by getattr,
+    # so a name the package no longer binds would crash every traced run
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    before = set(sys.modules)
+    try:
+        run = importlib.import_module("run")
+        spans = importlib.import_module("spans")
+        ex = run.load_package()
+        bindings = spans.layer_bindings(run.make_api(ex), ex)
+        assert set(bindings) == set(spans.LAYERS)
+        for layer, places in bindings.items():
+            for owner, attr in places:
+                assert callable(getattr(owner, attr, None)), (layer, attr)
+    finally:
+        for name in set(sys.modules) - before:
+            if name in ("run", "spans", "gen", "reference", "speed"):
+                del sys.modules[name]

@@ -2,8 +2,10 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -228,6 +230,64 @@ class TestEval:
         assert payload["satisfied"] is False
         assert payload["min_removal"] == 21
         assert payload["min_degree"] == "1/2"
+
+
+def predicted_eval(text, atom_text, as_json):
+    """(stdout, stderr, exit code) of `excl eval` as the Team-level library
+    predicts them: parse_team_csv, parse_atom and min_removal."""
+    team, duplicates = parse_team_csv(text)
+    goal = exclusion.parse_atom(atom_text)
+    err = f"warning: {duplicates} duplicate rows collapsed\n" if duplicates else ""
+    try:
+        removal = exclusion.min_removal(team, goal)
+    except exclusion.ExclusionError as exc:
+        return "", err + f"error: {exc}\n", exc.exit_code
+    satisfied = removal * goal.degree.denominator <= goal.degree.numerator * team.size
+    degree = None if team.is_empty() else Fraction(removal, team.size)
+    if as_json:
+        payload = {"format": 1, "atom": str(goal), "satisfied": satisfied,
+                   "min_removal": removal}
+        if degree is not None:
+            payload["min_degree"] = str(degree)
+        return json.dumps(payload, indent=2) + "\n", err, EXIT_OK
+    out = f"atom: {goal}\nsatisfied: {str(satisfied).lower()}\nmin_removal: {removal}\n"
+    if degree is not None:
+        out += f"min_degree: {degree}\n"
+    return out, err, EXIT_OK
+
+
+def seeded_table(seed):
+    """40 rows over x, u, y, v from a pool of eight values, so that values
+    conflict, with a few lines repeated."""
+    rng = random.Random(seed)
+    lines = [",".join(rng.choice("abcdefgh") for _ in range(4)) for _ in range(40)]
+    lines += rng.sample(lines, 5)
+    rng.shuffle(lines)
+    return "x,u,y,v\n" + "\n".join(lines) + "\n"
+
+
+class TestEvalMatchesLibrary:
+    """The column-wise command prints what the Team-level library predicts."""
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    @pytest.mark.parametrize(
+        "atom_text",
+        [
+            "excl(x ; y)",
+            "excl[1/4](x u ; y v)",
+            "excl[1/2](u ; v)",
+            "excl[1](x ; x)",
+            "excl(x w ; y v)",  # w is not in the schema
+            "excl(x u ; y w)",
+        ],
+    )
+    def test_same_bytes_and_exit_code(self, team_file, capsys, atom_text, as_json):
+        text = seeded_table(20261019)
+        expected = predicted_eval(text, atom_text, as_json)
+        assert "duplicate rows collapsed" in expected[1]
+        code = main(["eval", team_file(text), atom_text] + ["--json"] * as_json)
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err, code) == expected
 
 
 class TestCounterexample:

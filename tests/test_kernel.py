@@ -177,9 +177,10 @@ class TestRemovalTable:
         sample = rng.sample(range(len(reference)), 400)
         for idx in sample:
             rows = [tuple(str(c) for c in row) for row in reference[idx]]
+            columns = list(zip(*rows)) if rows else [(), ()]
             for left, right in [((0,), (1,)), ((0, 1), (1, 0))]:
                 word = brute_conflict_word(reference[idx], left, right)
-                expected = min_removal_indexed(rows, left, right)
+                expected = min_removal_indexed(columns, left, right)
                 assert int(table[word]) == expected
 
     def test_empty_word_needs_no_removal(self):

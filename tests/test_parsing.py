@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exclusion import Atom, ParseError, atom, parse_atom, parse_team_csv
-from exclusion.model import ZERO, team_from_rows
+from exclusion.model import ZERO, Team, team_from_rows
 from exclusion.parsing import (
+    IDENT,
     parse_rational,
     parse_sigma,
+    read_team_csv,
     render_atom,
     render_human,
     team_csv_text,
@@ -550,9 +552,119 @@ class TestCsvTeamUnchecked:
             ("x,y\n0,1\n1,2,3\n", "<team>:3: expected 2 cells, got 3"),
             ("x,y\r\n0,1\r\n\r\n", "<team>:3: expected 2 cells, got 1"),
             ("x , y\n0,1,\n", "<team>:2: expected 2 cells, got 3"),
+            # a duplicate line still counts toward the number of a later one
+            ("x,y\n0,1\n0,1\n1,2,3\n", "<team>:4: expected 2 cells, got 3"),
+            ("x,y\n0,1\n1,2\n2,3\n3,4\n4,5\n5,6\n6\n", "<team>:8: expected 2 cells, got 1"),
+            # one cell too many and one too few: the total number of cells is right
+            ("x,y\n0,1\n1,2,3\n4\n", "<team>:3: expected 2 cells, got 3"),
         ],
     )
     def test_malformed_messages(self, text, message):
         with pytest.raises(ParseError) as info:
             parse_team_csv(text)
         assert str(info.value) == message
+
+
+def reference_parse_team_csv(text, source="<team>"):
+    """The row-wise reader the column reader replaced: one split and one
+    cell-count check per line, and a frozenset of row tuples."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise ParseError(f"{source}: empty file, header row required")
+    header = [cell.strip() for cell in lines[0].split(",")]
+    for name in header:
+        if IDENT.match(name) is None:
+            raise ParseError(f"{source}: bad variable name {name!r} in header")
+    if len(set(header)) != len(header):
+        raise ParseError(f"{source}: duplicate variable names in header")
+    rows = []
+    for lineno, raw in enumerate(lines[1:], start=2):
+        cells = raw.split(",")
+        if len(cells) != len(header):
+            raise ParseError(
+                f"{source}:{lineno}: expected {len(header)} cells, got {len(cells)}"
+            )
+        rows.append(tuple(cells))
+    team = Team._unchecked(tuple(header), frozenset(rows))
+    return team, len(rows) - team.size
+
+
+def parsed(parse, text):
+    """The team, its hash and the duplicate count, or the ParseError message."""
+    try:
+        team, duplicates = parse(text)
+    except ParseError as exc:
+        return "error", str(exc)
+    return team, hash(team), duplicates
+
+
+# empty cells, cells the header's stripping would change, and a few values
+# so that drawn rows repeat
+TABLE_CELLS = st.sampled_from(["", "0", "1", "2", " a", "b ", "\u00e9"])
+
+
+@st.composite
+def table_texts(draw):
+    """CSV text of one to three columns: rows that repeat, empty cells (a
+    width-1 row of one empty cell is a blank line), now and then one or
+    two lines of the wrong width, any of the three line ends, a final line end or none,
+    and now and then a byte order mark, which no header name can start with."""
+    width = draw(st.integers(1, 3))
+    lines = [",".join(f"v{i}" for i in range(width))]
+    for _ in range(draw(st.integers(0, 8))):
+        if lines[1:] and draw(st.integers(0, 3)) == 0:
+            lines.append(draw(st.sampled_from(lines[1:])))  # a duplicate line
+        else:
+            lines.append(",".join(draw(st.tuples(*[TABLE_CELLS] * width))))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):  # lines of other widths
+        bad = ",".join(draw(st.lists(TABLE_CELLS, min_size=1, max_size=4)))
+        lines.insert(draw(st.integers(1, len(lines))), bad)
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    return draw(st.sampled_from(["", "", "\ufeff"])) + text
+
+
+class TestColumnReader:
+    """The column reader gives the row-wise reader's team, hash, duplicate
+    count and messages."""
+
+    @given(table_texts())
+    @settings(max_examples=1000, deadline=None)
+    def test_matches_row_wise_reader(self, text):
+        assert parsed(parse_team_csv, text) == parsed(reference_parse_team_csv, text)
+
+    @pytest.mark.parametrize(
+        "text, schema, rows, duplicates",
+        [
+            ("x\n\n", "x", [("",)], 0),  # one row holding ""
+            ("x\n\n\n\n", "x", [("",)], 2),
+            ("x,y\n,\n,1\n,\n", "xy", [("", ""), ("", "1")], 1),
+            ("x,y\r\n1,2\r\n1,2\r3,4\n", "xy", [("1", "2"), ("3", "4")], 1),
+            ("x\n", "x", [], 0),
+        ],
+    )
+    def test_examples(self, text, schema, rows, duplicates):
+        team = team_from_rows(schema, rows)
+        assert parsed(parse_team_csv, text) == (team, hash(team), duplicates)
+        assert parsed(reference_parse_team_csv, text) == (team, hash(team), duplicates)
+
+    def test_file_reader_gives_columns(self, tmp_path):
+        # the byte order mark is dropped when the file is read
+        path = tmp_path / "team.csv"
+        path.write_bytes(b"\xef\xbb\xbfx,y\r\n1,2\r\n3,\r\n1,2\r\n")
+        schema, columns, duplicates = read_team_csv(path)
+        assert schema == ("x", "y")
+        assert [list(column) for column in columns] == [["1", "3"], ["2", ""]]
+        assert duplicates == 1
+
+    def test_file_reader_on_an_empty_body(self, tmp_path):
+        path = tmp_path / "team.csv"
+        path.write_text("x,y,z\n")
+        schema, columns, duplicates = read_team_csv(path)
+        assert schema == ("x", "y", "z")
+        assert [list(column) for column in columns] == [[], [], []]
+        assert duplicates == 0

@@ -60,6 +60,12 @@ def brute_min_removal(team, a):
     raise AssertionError("removing every row always satisfies the atom")
 
 
+def columns_of(rows, width=0):
+    """The rows' columns, as min_removal_indexed reads a team; no rows
+    give `width` empty columns."""
+    return list(zip(*rows)) if rows else [()] * width
+
+
 def reference_conflict_map(rows, left_idx, right_idx):
     """Each value tuple both sides take, mapped to the row positions taking
     it on the left and on the right, built from every row's value tuples."""
@@ -229,11 +235,15 @@ class TestChoiceCap:
     def test_interdependent_choices_exceeding_cap(self, monkeypatch):
         # two values each removable from either side: two binary choices
         t = team_from_rows(("x", "y"), [("1", "2"), ("2", "1")])
+        columns = columns_of(sorted(t.rows))
         monkeypatch.setattr(semantics, "CHOICE_CAP", 1)
         with pytest.raises(CapacityError):
             min_removal(t, atom("x", "y"))
+        with pytest.raises(CapacityError):
+            min_removal_indexed(columns, (0,), (1,))
         monkeypatch.setattr(semantics, "CHOICE_CAP", 2)
         assert min_removal(t, atom("x", "y")) == 1
+        assert min_removal_indexed(columns, (0,), (1,)) == 1
 
     def test_cap_applies_per_component(self, monkeypatch):
         # two components of two choices each: {1, 2} and {3, 4} share no row
@@ -257,12 +267,42 @@ class TestIndexedEngine:
         rows = sorted(QUAD_TEAM.rows)
         left = (0, 1)
         right = (2, 3)
-        assert min_removal_indexed(rows, left, right) == 2
+        assert min_removal_indexed(columns_of(rows), left, right) == 2
 
     def test_duplicate_column_indices(self):
         # the same physical column may serve both tuple positions
         rows = [("1", "1"), ("2", "3")]
-        assert min_removal_indexed(rows, (0, 0), (1, 1)) == 1
+        assert min_removal_indexed(columns_of(rows), (0, 0), (1, 1)) == 1
+
+    def test_no_rows(self):
+        for columns in ([(), ()], [[], []], {0: [], 1: ()}):
+            assert min_removal_indexed(columns, (0,), (1,)) == 0
+            assert min_removal_indexed(columns, (0, 1), (1, 0)) == 0
+
+    def test_at_most_four_rows_skip_the_filter(self):
+        # one of each: a row conflicting with itself, a value both sides
+        # take on different rows, a row with a fresh value on each side
+        rows = [("s", "s"), ("a", "b"), ("c", "a"), ("d", "e")]
+        for n in range(len(rows) + 1):
+            assert min_removal_indexed(columns_of(rows[:n], 2), (0,), (1,)) == [
+                0, 1, 1, 2, 2
+            ][n]
+        assert min_removal_indexed(columns_of(rows), (0, 1), (1, 0)) == 1
+
+    def test_one_candidate_position(self):
+        # past four rows, the filter keeps one position on each side:
+        # itemgetter of one index gives a cell, which is not a 1-tuple, and
+        # values of two characters tell a cell from a tuple of its letters
+        rows = [("s1", "t1", "s1", "t1")] + [(f"x{i}", "1", f"y{i}", "1") for i in range(6)]
+        assert min_removal_indexed(columns_of(rows), (0,), (2,)) == 1
+        assert min_removal_indexed(columns_of(rows), (0, 1), (2, 3)) == 1
+        rows[0] = ("s1", "t1", "s1", "u1")  # first positions agree, tuples do not
+        assert min_removal_indexed(columns_of(rows), (0, 1), (2, 3)) == 0
+        # one right position against two left ones, and the other way round
+        rows = [("a1", "p1", "z1", "q1"), ("a1", "q1", "b1", "p1")]
+        rows += [(f"x{i}", "1", f"y{i}", "1") for i in range(6)] + [("c1", "r1", "a1", "p1")]
+        assert min_removal_indexed(columns_of(rows), (0, 1), (2, 3)) == 1
+        assert min_removal_indexed(columns_of(rows), (2, 3), (0, 1)) == 1
 
 
 @st.composite
@@ -287,17 +327,18 @@ class TestComponentEquivalence:
     @given(rows_and_sides())
     def test_matches_whole_product(self, case):
         rows, left, right = case
-        assert min_removal_indexed(rows, left, right) == reference_min_removal_indexed(
+        columns = columns_of(rows, 1 + max(left + right))
+        assert min_removal_indexed(columns, left, right) == reference_min_removal_indexed(
             rows, left, right
         )
 
     def test_chained_values_form_one_component(self, monkeypatch):
         # 1 -> 2 -> 3 -> 1 through shared rows: one component, three choices
-        rows = [("1", "2"), ("2", "3"), ("3", "1")]
-        assert min_removal_indexed(rows, (0,), (1,)) == 2
+        columns = columns_of([("1", "2"), ("2", "3"), ("3", "1")])
+        assert min_removal_indexed(columns, (0,), (1,)) == 2
         monkeypatch.setattr(semantics, "CHOICE_CAP", 2)
         with pytest.raises(CapacityError, match="component of 3 "):
-            min_removal_indexed(rows, (0,), (1,))
+            min_removal_indexed(columns, (0,), (1,))
 
 
 @st.composite
@@ -349,30 +390,42 @@ class TestFirstPositionFilter:
     @given(first_position_tables())
     def test_matches_brute_force(self, case):
         rows, left, right = case
-        assert min_removal_indexed(rows, left, right) == self.brute(rows, left, right)
+        columns = columns_of(rows, 2 * len(left))
+        assert min_removal_indexed(columns, left, right) == self.brute(rows, left, right)
+
+    @settings(max_examples=200, deadline=None)
+    @given(first_position_tables())
+    def test_team_path_matches_brute_force(self, case):
+        # min_removal copies the first columns and reads the others in place
+        rows, left, right = case
+        schema = tuple(f"c{i}" for i in range(2 * len(left)))
+        team = team_from_rows(schema, rows)
+        goal = atom([schema[i] for i in left], [schema[i] for i in right])
+        assert min_removal(team, goal) == self.brute(rows, left, right)
 
     def test_first_positions_collide_whole_tuples_do_not(self):
         rows = [("a", "1", "a", "2"), ("b", "1", "a", "3"), ("a", "4", "b", "5")]
         rows += [(f"x{i}", "1", f"y{i}", "1") for i in range(5)]
-        assert min_removal_indexed(rows, (0, 1), (2, 3)) == 0
+        assert min_removal_indexed(columns_of(rows), (0, 1), (2, 3)) == 0
 
     def test_later_positions_collide_first_do_not(self):
         rows = [(f"x{i}", "1", f"y{i}", "1") for i in range(8)]
-        assert min_removal_indexed(rows, (0, 1), (2, 3)) == 0
+        assert min_removal_indexed(columns_of(rows), (0, 1), (2, 3)) == 0
         # the same rows conflict everywhere on the second position alone
-        assert min_removal_indexed(rows, (1,), (3,)) == 8
+        assert min_removal_indexed(columns_of(rows), (1,), (3,)) == 8
 
     def test_self_conflicting_rows_among_many(self):
         rows = [("s", "t", "s", "t"), ("a", "b", "c", "d")]
         rows += [(f"x{i}", "1", f"y{i}", "1") for i in range(6)]
         rows += [("c", "d", "e", "f")]  # takes ("c", "d") on the left
-        assert min_removal_indexed(rows, (0, 1), (2, 3)) == 2
+        assert min_removal_indexed(columns_of(rows), (0, 1), (2, 3)) == 2
 
     def test_empty_team(self):
         for arity in (1, 2, 3):
             idx = tuple(range(arity))
-            assert min_removal_indexed([], idx, idx) == 0
-            assert min_removal_indexed((), idx, tuple(range(arity, 2 * arity))) == 0
+            assert min_removal_indexed(columns_of([], arity), idx, idx) == 0
+            columns = columns_of((), 2 * arity)
+            assert min_removal_indexed(columns, idx, tuple(range(arity, 2 * arity))) == 0
 
 
 class TestWithinBudget:
