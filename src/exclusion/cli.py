@@ -9,6 +9,9 @@ Exit codes: 0 decided, 1 internal error, 2 parse error (an unreadable or
 unwritable file and a negative bound included), 3 unsupported degree, 4
 wrong-direction command, 5 capacity.  JSON outputs carry "format": 1 and
 no timing, so repeated runs print identical bytes.
+
+The argument parser is built on the first `main` call and reused by every
+later call in the process.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 from .calculus import synthesize, write_derivation
 from .counterexample import domain_size_bound, verified_counterexample
@@ -193,6 +197,11 @@ def non_negative(text: str) -> int:
     return value
 
 
+# Reuse is safe: parse_args returns a fresh Namespace per call, and a usage
+# error leaves the parser as it was.  The cmd_* functions held by
+# set_defaults look up read_team_csv and parse_atom as module globals when
+# they run, so perfbench/spans.py's wrappers of those names see every call.
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="excl",

@@ -218,7 +218,7 @@ def read_sigma_file(path: str | Path) -> list[Atom]:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8-sig")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return parse_sigma(text, source=str(path))
 
@@ -271,7 +271,7 @@ def read_team_csv(path: str | Path) -> tuple[tuple[str, ...], list[list[str]], i
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8-sig")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     return _team_columns(text, str(path))
 

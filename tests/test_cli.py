@@ -1,8 +1,10 @@
 """Command line interface: subcommands, exit codes, and stable output."""
 
+import argparse
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -501,6 +503,93 @@ class TestUnwritableOutput:
         assert code == EXIT_PARSE
         assert captured.err.startswith(f"error: cannot write {out}")
         assert captured.out == ""
+
+
+class TestUnreadableInput:
+    """A file that is not UTF-8 is an input error, like a missing one."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "{csv}", "excl(x ; y)"],
+            ["check", "{sigma}", "excl(x ; y)"],
+            ["counterexample", "{sigma}", "excl(x ; y)", "{out}"],
+            ["derive", "{sigma}", "excl(x ; y)", "{out}"],
+            ["oracle-check", "{sigma}", "excl(x ; y)"],
+        ],
+    )
+    def test_exit_code_and_message(self, argv, tmp_path, capsys):
+        csv, sigma = tmp_path / "team.csv", tmp_path / "sigma.txt"
+        csv.write_bytes(b"x,y\n\xff,1\n")
+        sigma.write_bytes(b"excl(x ; y)\n\xff\n")
+        names = {"csv": str(csv), "sigma": str(sigma), "out": str(tmp_path / "out")}
+        code = main([a.format(**names) for a in argv])
+        captured = capsys.readouterr()
+        assert code == EXIT_PARSE
+        assert captured.err.startswith("error: cannot read ")
+        assert captured.out == ""
+        assert not (tmp_path / "out").exists()
+
+
+class TestParserReuse:
+    """main builds its parser on the first call and reuses it; every later
+    call must print what a freshly built parser would."""
+
+    @staticmethod
+    def run(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        # the human check report ends with its wall-clock time
+        return code, re.sub(r"time: .* ms", "time: - ms", captured.out), captured.err
+
+    def test_a_sequence_prints_what_fresh_parsers_do(self, sigma_file, team_file, capsys):
+        sigma, team = sigma_file("excl(x ; y)"), team_file(TABLE_QUAD)
+        calls = [
+            ["eval", team, "excl[1/2](x u ; y v)", "--json"],
+            ["eval", team, "excl[1/2](x u ; y v)"],
+            ["oracle-check", sigma, "excl(x ; z)", "--max-rows", "-1"],
+            ["oracle-check", sigma, "excl(x ; z)", "--max-rows", "1"],
+            ["oracle-check", sigma, "excl(x ; z)"],
+            ["check", sigma, "excl(x ; z)"],
+        ]
+        fresh = []
+        for argv in calls:
+            build_parser.cache_clear()
+            fresh.append(self.run(argv, capsys))
+        build_parser.cache_clear()
+        reused = [self.run(argv, capsys) for argv in calls]
+        assert reused == fresh
+        assert json.loads(fresh[0][1])["min_removal"] == 2
+        assert fresh[1][1].startswith("atom: ")
+        assert fresh[2][0] == ("exit", 2)
+        assert "max_rows=1, domain=5" in fresh[3][1]
+        # no bound given: the planned bounds come back
+        assert "max_rows=2, domain=5" in fresh[4][1]
+        assert fresh[5][1].startswith("holds: false\n")
+
+    def test_later_calls_build_no_parser(self, sigma_file, team_file, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        sigma, team = sigma_file("excl(x ; y)"), team_file(TABLE_PAIR)
+        assert main(["eval", team, "excl(x ; y)"]) == EXIT_OK
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(["eval", team, "excl(x ; y)", "--json"]) == EXIT_OK
+        assert main(["check", sigma, "excl(x ; y)"]) == EXIT_OK
+        with pytest.raises(SystemExit):
+            main(["frobnicate"])
+        assert built == []
+        # the counter does see a build
+        build_parser.cache_clear()
+        assert main(["check", sigma, "excl(x ; y)"]) == EXIT_OK
+        assert built[0] == "excl"
 
 
 class TestColdImport:
