@@ -6,12 +6,13 @@ rule of this package where no route in it is found, or a concrete
 separating team), and evaluate atoms directly against tables.
 
 The package exports the names of its documented workflow; every other
-helper is imported from its module (exclusion.calculus, .counterexample,
-.decision, .errors, .kernel, .model, .oracle, .parsing, .semantics,
-.sweep).
+helper is imported from its module (exclusion.calculus, .certificate,
+.counterexample, .decision, .errors, .kernel, .model, .oracle, .parsing,
+.semantics, .sweep).
 """
 
-from .calculus import check_derivation, synthesize
+from .calculus import synthesize
+from .certificate import check_derivation
 from .counterexample import verified_counterexample
 from .decision import Verdict, decide, implies
 from .errors import (

@@ -16,15 +16,16 @@ cover all cases:
   while each assumption stays within its own budget.
 
 Rows t and l + t of a block are the goal's generic violating pair
-(`generic_pair`): goal positions sharing a variable on either side take
-equal values, closed under union-find.  A premise of degree at most p that
-conflicts on that pair (`conflicts`) dominates the goal, and the goal then
-follows; a premise that does not conflict on it loses no row in the team.
-A premise of degree above p may lose both rows of a block, more than its
-budget; the verified wrapper re-checks semantically and raises rather than
-emit a wrong certificate.  A plan keeps the generic pair its rows are
-built from; its `transitive` flag, computed when it is read, tells whether
-the merge relation was already transitive before its closure.
+(`model.generic_pair`): goal positions sharing a variable on either side
+take equal values, closed under union-find.  A premise of degree at most p
+that conflicts on that pair (`model.conflicts`) dominates the goal, and
+the goal then follows; a premise that does not conflict on it loses no row
+in the team.  A premise of degree above p may lose both rows of a block,
+more than its budget; the verified wrapper re-checks semantically and
+raises rather than emit a wrong certificate.  A plan keeps the generic
+pair its rows are built from; its `transitive` flag, computed when it is
+read, tells whether the merge relation was already transitive before its
+closure.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from itertools import combinations, count
 from typing import Sequence
 
 from .errors import InternalVerificationError
-from .model import Atom, Team
+from .model import Atom, GenericPair, Team, generic_pair, schema_order
 from .semantics import satisfies, satisfies_all
 
 
@@ -77,61 +78,6 @@ def domain_size_bound(plan: "CounterexamplePlan") -> int:
     return 3 * l * n + 2 * l * m + (k - 2 * l) * (2 * n + m)
 
 
-# per row s, t of the generic pair: the class of each cell that is merged
-GenericPair = tuple[dict[str, int], dict[str, int]]
-
-
-def generic_pair(goal: Atom) -> GenericPair:
-    """The goal's generic violating pair of rows s and t.
-
-    Cells (s, x_i) and (t, y_i) are merged at every position i, closed
-    under transitivity; every other cell is fresh.  A class is named by
-    its smallest position, so s maps each left variable and t each right
-    variable to the class of a position where it occurs.  The pair maps
-    into every pair of rows that violates the goal, a row paired with
-    itself included.
-    """
-    s: dict[str, int] = {}
-    t: dict[str, int] = {}
-    for i, (x, y) in enumerate(zip(goal.left, goal.right)):
-        a, b = s.get(x, i), t.get(y, i)
-        lo, hi = min(a, b), max(a, b)
-        if lo != hi != i:
-            # position i joins two classes: the later one takes the
-            # earlier one's name
-            for row in (s, t):
-                for v, c in row.items():
-                    if c == hi:
-                        row[v] = lo
-        s[x] = t[y] = lo
-    return s, t
-
-
-def conflicts(atom: Atom, pair: GenericPair) -> bool:
-    """Whether the atom is violated on the generic pair.
-
-    Tries the row pairs (s, t), (t, s), (s, s) and (t, t): the first row's
-    left cells must equal the second row's right cells.  A cell missing
-    from a row's map is fresh; it is named by its variable within its row
-    (get's default) and equals no cell of the other row (None).  The first
-    position rules out most row pairs before whole tuples are built.
-    """
-    s, t = pair
-    left, right = atom.left, atom.right
-    x, y = left[0], right[0]
-    for u, w in ((s, t), (t, s)):
-        if u.get(x, x) == w.get(y) and (
-            tuple(map(u.get, left, left)) == tuple(map(w.get, right))
-        ):
-            return True
-    for u in (s, t):
-        if u.get(x, x) == u.get(y, y) and (
-            tuple(map(u.get, left, left)) == tuple(map(u.get, right, right))
-        ):
-            return True
-    return False
-
-
 @dataclass(frozen=True)
 class CounterexamplePlan:
     """Everything needed to build and audit a counterexample team."""
@@ -164,37 +110,6 @@ class CounterexamplePlan:
     @property
     def m(self) -> int:
         return len(self.extra_vars)
-
-
-# Premise lists this long are counted before the scan.  Below it the count
-# costs more than the scan it can cut short.  On a 2-core Xeon (Python
-# 3.11), 0-2 premises over 3 variables took 1.2-3.3 us a call with the count
-# and 0.6-2.4 us without; over 3 or 5 variables the count's early stop won
-# from 5 to 8 premises on, and over 60 variables from about 20.
-SCHEMA_COUNT_PREMISES = 6
-
-
-def schema_order(
-    sigma: Sequence[Atom], goal: Atom
-) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Schema order: goal left, new goal right, then assumption-only vars.
-
-    Returns the whole schema and its assumption-only tail.  A list of
-    SCHEMA_COUNT_PREMISES premises or more has its variables counted
-    first, so the scan stops at the premise completing the schema; a
-    shorter list is scanned premise by premise without a count.
-    """
-    schema = dict.fromkeys(goal.left + goal.right)
-    goal_width = len(schema)
-    total = None
-    if len(sigma) >= SCHEMA_COUNT_PREMISES:
-        total = len(set(schema).union(*[a.left for a in sigma], *[a.right for a in sigma]))
-    for atom in sigma:
-        if len(schema) == total:
-            break
-        schema.update(dict.fromkeys(atom.left + atom.right))
-    order = tuple(schema)
-    return order, order[goal_width:]
 
 
 def plan(

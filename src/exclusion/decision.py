@@ -9,7 +9,7 @@ wins, so results and witnesses are deterministic:
 3. a contradictory assumption of degree below 1 implies everything.
 4. the first assumption of degree at most p that dominates the goal
    settles it: it conflicts on the goal's generic violating pair of rows
-   s, t (`counterexample.generic_pair`) in one of the row pairs (s, t),
+   s, t (`model.generic_pair`) in one of the row pairs (s, t),
    (t, s), (s, s) or (t, t).
 
 Domination is sound: the generic pair maps into every pair of rows that
@@ -39,9 +39,8 @@ from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
 from . import counterexample as cx
-from .counterexample import conflicts, generic_pair
 from .errors import UnsupportedDegreeError
-from .model import Atom
+from .model import Atom, conflicts, generic_pair
 
 __all__ = [
     "VacuousDegreeWitness",

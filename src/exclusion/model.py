@@ -8,13 +8,20 @@ an x-value and as a y-value anywhere in the team); degree p relaxes this to
 A team is a finite set of assignments over a fixed schema of variables.
 Rows are value tuples aligned with the schema.  Values are opaque strings
 compared by equality only; degrees are exact rationals, never floats.
+
+The goal's generic violating pair (`generic_pair`, `conflicts`) and the
+schema order (`schema_order`) are here too, so that the decision
+procedure, the certificate checker and the oracle read them without
+importing the counterexample planner.  This module imports only `errors`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
+
+from .errors import UnknownVariableError
 
 VarTuple = tuple[str, ...]
 Row = tuple[str, ...]
@@ -178,8 +185,6 @@ def column_index(schema: tuple[str, ...], var: str) -> int:
     try:
         return schema.index(var)
     except ValueError:
-        from .errors import UnknownVariableError
-
         raise UnknownVariableError(f"variable {var!r} not in schema {schema}")
 
 
@@ -187,3 +192,88 @@ def team_from_rows(schema: Iterable[str], rows: Iterable[Iterable[str]]) -> Team
     """Convenience constructor; deduplicates rows silently."""
     return Team(tuple(schema), frozenset(tuple(r) for r in rows))
 
+
+# per row s, t of the generic pair: the class of each cell that is merged
+GenericPair = tuple[dict[str, int], dict[str, int]]
+
+
+def generic_pair(goal: Atom) -> GenericPair:
+    """The goal's generic violating pair of rows s and t.
+
+    Cells (s, x_i) and (t, y_i) are merged at every position i, closed
+    under transitivity; every other cell is fresh.  A class is named by
+    its smallest position, so s maps each left variable and t each right
+    variable to the class of a position where it occurs.  The pair maps
+    into every pair of rows that violates the goal, a row paired with
+    itself included.
+    """
+    s: dict[str, int] = {}
+    t: dict[str, int] = {}
+    for i, (x, y) in enumerate(zip(goal.left, goal.right)):
+        a, b = s.get(x, i), t.get(y, i)
+        lo, hi = min(a, b), max(a, b)
+        if lo != hi != i:
+            # position i joins two classes: the later one takes the
+            # earlier one's name
+            for row in (s, t):
+                for v, c in row.items():
+                    if c == hi:
+                        row[v] = lo
+        s[x] = t[y] = lo
+    return s, t
+
+
+def conflicts(atom: Atom, pair: GenericPair) -> bool:
+    """Whether the atom is violated on the generic pair.
+
+    Tries the row pairs (s, t), (t, s), (s, s) and (t, t): the first row's
+    left cells must equal the second row's right cells.  A cell missing
+    from a row's map is fresh; it is named by its variable within its row
+    (get's default) and equals no cell of the other row (None).  The first
+    position rules out most row pairs before whole tuples are built.
+    """
+    s, t = pair
+    left, right = atom.left, atom.right
+    x, y = left[0], right[0]
+    for u, w in ((s, t), (t, s)):
+        if u.get(x, x) == w.get(y) and (
+            tuple(map(u.get, left, left)) == tuple(map(w.get, right))
+        ):
+            return True
+    for u in (s, t):
+        if u.get(x, x) == u.get(y, y) and (
+            tuple(map(u.get, left, left)) == tuple(map(u.get, right, right))
+        ):
+            return True
+    return False
+
+
+# Premise lists this long are counted before the scan.  Below it the count
+# costs more than the scan it can cut short.  On a 2-core Xeon (Python
+# 3.11), 0-2 premises over 3 variables took 1.2-3.3 us a call with the count
+# and 0.6-2.4 us without; over 3 or 5 variables the count's early stop won
+# from 5 to 8 premises on, and over 60 variables from about 20.
+SCHEMA_COUNT_PREMISES = 6
+
+
+def schema_order(
+    sigma: Sequence[Atom], goal: Atom
+) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Schema order: goal left, new goal right, then assumption-only vars.
+
+    Returns the whole schema and its assumption-only tail.  A list of
+    SCHEMA_COUNT_PREMISES premises or more has its variables counted
+    first, so the scan stops at the premise completing the schema; a
+    shorter list is scanned premise by premise without a count.
+    """
+    schema = dict.fromkeys(goal.left + goal.right)
+    goal_width = len(schema)
+    total = None
+    if len(sigma) >= SCHEMA_COUNT_PREMISES:
+        total = len(set(schema).union(*[a.left for a in sigma], *[a.right for a in sigma]))
+    for atom in sigma:
+        if len(schema) == total:
+            break
+        schema.update(dict.fromkeys(atom.left + atom.right))
+    order = tuple(schema)
+    return order, order[goal_width:]

@@ -22,9 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .counterexample import schema_order
 from .errors import CapacityError
-from .model import Atom, Team
+from .model import Atom, Team, schema_order
 from .semantics import min_removal_indexed, within_budget
 
 DEFAULT_BUDGET = 10_000_000

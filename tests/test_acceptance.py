@@ -25,7 +25,8 @@ from exclusion import (
     satisfies,
     synthesize,
 )
-from exclusion.calculus import (
+from exclusion.calculus import goal_squares
+from exclusion.certificate import (
     AppendWitness,
     BlockSwapWitness,
     Derivation,
@@ -33,12 +34,11 @@ from exclusion.calculus import (
     Rule,
     Step,
     SwitchWitness,
-    goal_squares,
 )
 from exclusion.cli import main as cli_main
-from exclusion.counterexample import conflicts, generic_pair, verified_counterexample
+from exclusion.counterexample import verified_counterexample
 from exclusion.errors import EXIT_UNSUPPORTED_DEGREE
-from exclusion.model import team_from_rows
+from exclusion.model import conflicts, generic_pair, team_from_rows
 from exclusion.semantics import satisfies_all
 from exclusion.sweep import keystone_atoms, oracle_spot_check, run_keystone
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import importlib
 import json
+import re
 import sys
 import types
 from pathlib import Path
@@ -105,3 +106,36 @@ def test_every_traced_binding_resolves(monkeypatch):
         for name in set(sys.modules) - before:
             if name in ("run", "spans", "gen", "reference", "speed"):
                 del sys.modules[name]
+
+
+@pytest.mark.parametrize(
+    "sigma, goal",
+    [
+        ((), "excl[1](x ; y)"),
+        (("excl(x ; x)",), "excl(u ; v)"),
+        (("excl(x y ; u v)",), "excl(y x ; v u)"),
+    ],
+)
+def test_synthesize_self_checks_through_the_calculus_binding(monkeypatch, sigma, goal):
+    # a traced run counts the self-checks by wrapping this one binding
+    from exclusion import calculus, decide, parse_atom
+
+    checked = []
+    real = calculus.check_derivation
+    monkeypatch.setattr(calculus, "check_derivation", lambda d: checked.append(d) or real(d))
+    sigma, goal = tuple(map(parse_atom, sigma)), parse_atom(goal)
+    verdict = decide(sigma, goal)
+    assert verdict.holds
+    assert checked == [calculus.synthesize(sigma, goal, verdict.witness)]
+
+
+def test_every_package_name_a_script_reads_resolves():
+    # the scripts also run against older trees, as ``--parent`` or as the
+    # benchmark's parent checkout, and read the package as ``ex``: a name
+    # they read as ``ex.<module>.<name>`` must stay bound in that module
+    names = set()
+    for path in [*(ROOT / "benchmarks").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+        names.update(re.findall(r"\bex\.(\w+)\.(\w+)", path.read_text(encoding="utf-8")))
+    assert {("calculus", "check_derivation"), ("counterexample", "verify")} <= names
+    for module, name in sorted(names):
+        assert hasattr(importlib.import_module(f"exclusion.{module}"), name), (module, name)

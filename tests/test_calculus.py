@@ -20,8 +20,9 @@ from exclusion import (
     decide,
     synthesize,
 )
-from exclusion import calculus
-from exclusion.calculus import (
+from exclusion import certificate
+from exclusion.calculus import end_constant_form
+from exclusion.certificate import (
     AppendWitness,
     BlockSwapWitness,
     ContractWitness,
@@ -37,23 +38,20 @@ from exclusion.calculus import (
     derivation_from_json,
     derivation_to_json,
     derivation_to_json_str,
-    end_constant_form,
 )
-from exclusion.counterexample import conflicts, generic_pair
+from exclusion.model import conflicts, generic_pair
 
 X_Y = atom("x", "y")
 GOLDEN = Path(__file__).resolve().parent / "golden" / "derivation_all_witness_kinds.json"
 
 
 def ok(step, assumptions=(), prior=()):
-    outcome = check_step(step, assumptions, prior)
-    assert outcome.ok, outcome.reason
+    reason = check_step(step, assumptions, prior)
+    assert reason is None, reason
 
 
 def bad(step, assumptions=(), prior=()):
-    outcome = check_step(step, assumptions, prior)
-    assert not outcome.ok
-    assert outcome.reason
+    assert check_step(step, assumptions, prior)
 
 
 class TestHyp:
@@ -974,8 +972,8 @@ def reference_check_step(step, assumptions, prior):
 
 
 def outcome_of(step, assumptions=(), prior=()):
-    outcome = check_step(step, assumptions, prior)
-    return outcome.ok, outcome.reason
+    reason = check_step(step, assumptions, prior)
+    return reason is None, reason
 
 
 P2 = atom("x y", "u v", "1/4")
@@ -1105,7 +1103,7 @@ class TestRuleTable:
 
     def test_every_reason_is_covered(self):
         covered = {case[-1] for case in RULE_CASES}
-        source = inspect.getsource(calculus)
+        source = inspect.getsource(certificate)
         stated = set(re.findall(r'return "((?:HYP|A\d|PERM|CONTRACT|DOM) [^"]+)"', source))
         assert len(stated) == 29
         assert stated <= covered
@@ -1120,7 +1118,7 @@ class TestRuleTable:
         monkeypatch.setattr(Atom, "_unchecked", refuse)
         for rule, prior, assumptions, conclusion, witness, _ in cases:
             step = Step(len(prior) + 1, rule, (1,) if prior else (), conclusion, witness)
-            assert check_step(step, assumptions, prior).ok
+            assert check_step(step, assumptions, prior) is None
 
 
 def set_at(payload, path, value):
@@ -1151,9 +1149,7 @@ class TestEmptyVariableNames:
         ],
     )
     def test_check_step_rejects(self, step):
-        outcome = check_step(step, (X_Y,), (X_Y,))
-        assert not outcome.ok
-        assert outcome.reason in {
+        assert check_step(step, (X_Y,), (X_Y,)) in {
             "A3 conclusion must append the witness tuples",
             "A6 conclusion must be fresh-fresh over the moved sides",
         }

@@ -14,7 +14,7 @@ import pytest
 
 import exclusion
 from exclusion import check_derivation, parse_team_csv
-from exclusion.calculus import derivation_from_json
+from exclusion.certificate import derivation_from_json
 from exclusion.cli import build_parser, main
 from exclusion.errors import (
     EXIT_CAPACITY,

@@ -17,9 +17,11 @@ from exclusion import (
     synthesize,
     verified_counterexample,
 )
-from exclusion.calculus import Rule, a6_cover, goal_squares
-from exclusion import counterexample as cx
-from exclusion.counterexample import conflicts, generic_pair, min_gap_degree, schema_order
+from exclusion.calculus import a6_cover, goal_squares
+from exclusion.certificate import Rule
+from exclusion import counterexample as cx, model
+from exclusion.counterexample import min_gap_degree
+from exclusion.model import conflicts, generic_pair, schema_order
 from exclusion.decision import ContradictionWitness, DominationWitness, VacuousDegreeWitness
 from exclusion.model import team_from_rows
 from exclusion.semantics import min_removal
@@ -509,7 +511,7 @@ class TestSchemaOrder:
     def test_both_sides_of_the_count_cut_off(self, n, fresh_at):
         # short lists are scanned without a count, long ones counted and
         # cut short; 0-12 premises cross the cut-off
-        assert 0 < cx.SCHEMA_COUNT_PREMISES <= 12
+        assert 0 < model.SCHEMA_COUNT_PREMISES <= 12
         rng = random.Random(n)
         names = [f"v{i}" for i in range(8)]
 

@@ -23,10 +23,10 @@ from exclusion import (
     synthesize,
     verified_counterexample,
 )
-from exclusion.calculus import Rule
-from exclusion.counterexample import build_team, domain_size_bound, plan as cx_plan, schema_order
+from exclusion.certificate import Rule
+from exclusion.counterexample import build_team, domain_size_bound, plan as cx_plan
 from exclusion.decision import DominationWitness
-from exclusion.model import Team, team_from_rows
+from exclusion.model import Team, schema_order, team_from_rows
 from exclusion.oracle import enumerate_row_sets
 from exclusion.semantics import satisfies_all
 from exclusion.sweep import keystone_atoms
