@@ -12,6 +12,13 @@ no timing, so repeated runs print identical bytes.
 
 The argument parser is built on the first `main` call and reused by every
 later call in the process.
+
+Every subcommand loads exclusion.decision, .counterexample, .oracle,
+.parsing, .semantics, .model and .errors, imported below.  Only `check
+--certificate` on a YES and `derive` write a derivation, so only they
+import the derivation planner and, through it, the certificate checker
+(exclusion.calculus, .certificate), most of the package's import time.
+No subcommand loads numpy.
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ import time
 from fractions import Fraction
 from functools import cache
 
-from .calculus import synthesize, write_derivation
 from .counterexample import domain_size_bound, verified_counterexample
 from .counterexample import plan as counterexample_plan
 from .decision import decide
@@ -61,13 +67,12 @@ def cmd_check(args) -> int:
     verdict = decide(sigma, goal)
     elapsed = time.perf_counter() - started
     kind = verdict.witness.kind if verdict.holds else verdict.plan.kind
-    certificate_path = None
     if args.certificate:
-        certificate_path = args.certificate
         if verdict.holds:
-            write_derivation(synthesize(sigma, goal, verdict.witness), certificate_path)
+            from .calculus import synthesize, write_derivation
+            write_derivation(synthesize(sigma, goal, verdict.witness), args.certificate)
         else:
-            write_team_csv(verified_counterexample(verdict.plan), certificate_path)
+            write_team_csv(verified_counterexample(verdict.plan), args.certificate)
     if args.json:
         payload = {
             "format": 1,
@@ -75,15 +80,15 @@ def cmd_check(args) -> int:
             "witness": kind,
             "goal": render_human(goal),
         }
-        if certificate_path:
-            payload["certificate"] = certificate_path
+        if args.certificate:
+            payload["certificate"] = args.certificate
         _print_json(payload)
     else:
         print(f"holds: {'true' if verdict.holds else 'false'}")
         print(f"witness: {kind}")
         print(f"time: {elapsed * 1000:.2f} ms")
-        if certificate_path:
-            print(f"certificate: {certificate_path}")
+        if args.certificate:
+            print(f"certificate: {args.certificate}")
     return EXIT_OK
 
 
@@ -143,6 +148,7 @@ def cmd_derive(args) -> int:
             "the counterexample command produces a separating team"
         )
         return EXIT_WRONG_DIRECTION
+    from .calculus import synthesize, write_derivation
     derivation = synthesize(sigma, goal, verdict.witness)
     write_derivation(derivation, args.out_json)
     print(f"wrote {args.out_json} ({len(derivation.steps)} steps)")

@@ -6,6 +6,7 @@ from __future__ import annotations
 import importlib
 import json
 import re
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -71,8 +72,29 @@ def test_repeats_below_one_is_a_usage_error(harness, tmp_path, capsys):
 def test_every_script_imports(harness, script):
     # builds no inputs and times nothing: only the imports and definitions run
     module = importlib.import_module(script)
+    if script == "bench_cold":  # times fresh interpreters, not in-process cases
+        assert module._arguments is harness._arguments
+        return
     assert module.compare_in_process is harness.compare_in_process
     assert callable(module.cases)
+
+
+def test_cold_start_script_compares_a_tree_with_itself(tmp_path):
+    out = tmp_path / "BENCH_cold.json"
+    subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "bench_cold.py"),
+         "--parent", str(ROOT / "src"), "--repeats", "1", "--out", str(out)],
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    result = json.loads(out.read_text(encoding="utf-8"))
+    assert result["repeats"] == 1
+    assert result["same_certificate"] is True
+    assert set(result["cases"]) == {"import", "check_json", "check_certificate", "eval_json"}
+    for case in result["cases"].values():
+        assert case["same_results"] is True
+        assert case["modules"]["parent"] == case["modules"]["change"]
+        assert set(case["parent"]) == {"median", "q1", "q3"}
+    assert result["cases"]["import"]["modules"]["change"] == ["exclusion"]
 
 
 def test_a_pass_longer_than_half_a_second_is_still_repeated(harness, monkeypatch):

@@ -592,14 +592,134 @@ class TestParserReuse:
         assert built[0] == "excl"
 
 
+SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(exclusion.__file__).resolve().parents[1]))
+
+# the README's examples, written into a working directory by `readme_files`
+README_SIGMA = "excl(x1 w1 w2 ; y1 w1 w2)\n"
+README_YES = "excl(z1 z1 ; x1 y1)"
+
+
+def readme_files(directory: Path) -> Path:
+    directory.mkdir(exist_ok=True)
+    (directory / "sigma.txt").write_text(README_SIGMA)
+    (directory / "empty.txt").write_text("")
+    (directory / "team.csv").write_text(TABLE_PAIR)
+    return directory
+
+
+def modules_after(statements: str, cwd=None) -> set[str]:
+    """The package's modules, and numpy, loaded in a fresh interpreter
+    once ``statements`` have run."""
+    code = statements + (
+        "\nimport sys\nprint(*sorted(m for m in sys.modules"
+        " if m == 'numpy' or m.split('.')[0] == 'exclusion'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=SRC_ENV, cwd=cwd, capture_output=True, text=True, check=True,
+    )
+    return set(out.stdout.split())
+
+
+def modules_after_main(argv, cwd) -> set[str]:
+    return modules_after(
+        "import contextlib, io\nfrom exclusion.cli import main\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n    assert main({argv!r}) == 0",
+        cwd,
+    )
+
+
+# the planner and checker, and the kernel of the acceptance gate
+HEAVY = {"exclusion.calculus", "exclusion.certificate", "exclusion.kernel", "exclusion.sweep"}
+
+
 class TestColdImport:
     def test_cli_import_leaves_numpy_out(self):
         # numpy is only needed by the packed-team kernel; importing it on
         # the way to the CLI would about double the CLI's cold start
-        src = str(Path(exclusion.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
         code = "import sys, exclusion, exclusion.cli; print('numpy' in sys.modules)"
         out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            [sys.executable, "-c", code], env=SRC_ENV, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "False"
+
+    def test_package_import_loads_no_submodule(self):
+        assert modules_after("import exclusion") == {"exclusion"}
+
+    def test_certificate_checker_loads_only_its_base(self):
+        # the trusted base of a certificate check, without the planner or
+        # the decision procedure
+        assert modules_after("import exclusion.certificate") == {
+            "exclusion", "exclusion.errors", "exclusion.model", "exclusion.certificate"
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--json", "sigma.txt", README_YES],
+            ["check", "--certificate", "team_out.csv", "empty.txt", "excl(x1 ; y1)"],
+            ["eval", "--json", "team.csv", "excl[1/2](x ; y)"],
+            ["counterexample", "empty.txt", "excl(x1 ; y1)", "team_out.csv"],
+            ["oracle-check", "sigma.txt", README_YES, "--max-rows", "1", "--domain", "2"],
+        ],
+        ids=["check", "check-certificate-no", "eval", "counterexample", "oracle-check"],
+    )
+    def test_commands_without_derivations_load_no_planner(self, argv, tmp_path):
+        loaded = modules_after_main(argv, readme_files(tmp_path))
+        assert "exclusion.decision" in loaded
+        assert not loaded & (HEAVY | {"numpy"})
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--certificate", "proof.json", "sigma.txt", README_YES],
+            ["derive", "sigma.txt", README_YES, "proof.json"],
+        ],
+        ids=["check-certificate-yes", "derive"],
+    )
+    def test_commands_that_write_derivations_load_the_calculus(self, argv, tmp_path):
+        loaded = modules_after_main(argv, readme_files(tmp_path))
+        assert {"exclusion.calculus", "exclusion.certificate"} <= loaded
+        assert not loaded & {"exclusion.kernel", "exclusion.sweep", "numpy"}
+
+
+class TestStandardLibraryOnly:
+    """`excl` on an interpreter without site-packages (``-S``), where numpy
+    cannot be imported, prints what it prints with them."""
+
+    def test_numpy_is_out_of_reach(self):
+        out = subprocess.run(
+            [sys.executable, "-S", "-c", "import numpy"],
+            env=SRC_ENV, capture_output=True, text=True,
+        )
+        assert out.returncode == 1
+        assert "No module named 'numpy'" in out.stderr
+
+    @pytest.mark.parametrize(
+        "argv, written",
+        [
+            (["check", "--json", "sigma.txt", README_YES], None),
+            (["check", "--json", "--certificate", "proof.json", "sigma.txt", README_YES],
+             "proof.json"),
+            (["check", "--json", "--certificate", "team_out.csv", "empty.txt", "excl(x1 ; y1)"],
+             "team_out.csv"),
+            (["eval", "--json", "team.csv", "excl[1/2](x ; y)"], None),
+            (["counterexample", "empty.txt", "excl(x1 ; y1)", "team_out.csv"], "team_out.csv"),
+            (["derive", "sigma.txt", README_YES, "proof.json"], "proof.json"),
+            (["oracle-check", "sigma.txt", README_YES, "--max-rows", "2", "--domain", "11"],
+             None),
+        ],
+        ids=["check", "check-certificate-yes", "check-certificate-no", "eval",
+             "counterexample", "derive", "oracle-check"],
+    )
+    def test_same_output_without_site_packages(self, argv, written, tmp_path):
+        results = []
+        for flags, name in (([], "site"), (["-S"], "no-site")):
+            cwd = readme_files(tmp_path / name)
+            out = subprocess.run(
+                [sys.executable, *flags, "-m", "exclusion.cli", *argv],
+                env=SRC_ENV, cwd=cwd, capture_output=True, text=True,
+            )
+            results.append((out.returncode, out.stdout, written and (cwd / written).read_bytes()))
+        assert results[0] == results[1]
+        assert results[0][0] == EXIT_OK
