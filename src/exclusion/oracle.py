@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 
 from .errors import CapacityError
 from .model import Atom, Team, schema_order
-from .semantics import min_removal_indexed, within_budget
+from .semantics import columns_of, min_removal_indexed, within_budget
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -123,7 +123,7 @@ def oracle_implies(
     for rows in enumerate_row_sets(len(schema), max_rows, max_values, budget):
         checked += 1
         size = len(rows)
-        columns = list(zip(*rows)) if rows else [()] * len(schema)
+        columns = columns_of(rows, len(schema))
         satisfied = True
         for left_idx, right_idx, q in constraints:
             if not within_budget(min_removal_indexed(columns, left_idx, right_idx), q, size):

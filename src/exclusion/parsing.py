@@ -214,13 +214,18 @@ def _plain_sigma(text: str) -> list[Atom] | None:
     return atoms
 
 
-def read_sigma_file(path: str | Path) -> list[Atom]:
+def _read_text(path: str | Path) -> tuple[str, str]:
+    """A UTF-8 file's text, a leading BOM dropped, and its path as messages
+    name it; a file that cannot be read or decoded is a ParseError."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8-sig")
+        return path.read_text(encoding="utf-8-sig"), str(path)
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    return parse_sigma(text, source=str(path))
+
+
+def read_sigma_file(path: str | Path) -> list[Atom]:
+    return parse_sigma(*_read_text(path))
 
 
 def _team_columns(text: str, source: str) -> tuple[tuple[str, ...], list[list[str]], int]:
@@ -268,12 +273,7 @@ def parse_team_csv(text: str, source: str = "<team>") -> tuple[Team, int]:
 def read_team_csv(path: str | Path) -> tuple[tuple[str, ...], list[list[str]], int]:
     """The schema, columns and duplicate count of a team CSV file, as
     `_team_columns` reads them; no `Team` is built."""
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    return _team_columns(text, str(path))
+    return _team_columns(*_read_text(path))
 
 
 def _row_sort_key(row: tuple[str, ...]):

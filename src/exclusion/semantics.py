@@ -32,11 +32,8 @@ the size of one component, not of the whole table.
 
 Callers hand the search columns.  `excl eval` reads them from the CSV
 (`parsing.read_team_csv`) and never builds rows.  Callers holding rows
-transpose them once: satisfies_all per team, for its value sets too, and
-the oracle per enumerated team.  min_removal on a `Team` copies only the
-atom's two first columns out of its rows and reads its other columns in
-place (`_RowColumn`), at the few positions the filter keeps: on a large
-team every copied column is one more pass over the rows in hash order.
+transpose them once with columns_of: min_removal per call, satisfies_all
+per team, for its value sets too, and the oracle per enumerated team.
 
 satisfies_all, which checks a NO certificate's team against every
 premise, lifts the first-position filter from rows to the team.  It
@@ -57,10 +54,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 from operator import itemgetter
-from typing import Mapping, Sequence
+from typing import Collection, Sequence
 
 from .errors import CapacityError, EmptyTeamError
-from .model import Atom, Row, Team
+from .model import Atom, Team
 
 # most interdependent removal choices searched in one conflict component
 CHOICE_CAP = 20
@@ -76,6 +73,12 @@ Choice = tuple[set[int], set[int]]
 # ==========================================================================
 # the column engine, shared with the enumeration oracle
 # ==========================================================================
+
+def columns_of(rows: Collection[Sequence], width: int) -> list[Sequence]:
+    """The rows' columns, as the search reads a team; no rows give `width`
+    empty columns."""
+    return list(zip(*rows)) if rows else [()] * width
+
 
 def _unions(sides: list[list[int]]) -> list[int]:
     """Every union of one side per choice, each side a bitmask of rows."""
@@ -139,7 +142,7 @@ def _picker(at: Sequence[int]):
 
 
 def min_removal_indexed(
-    columns: Sequence[Sequence[str]] | Mapping[int, Sequence[str]],
+    columns: Sequence[Sequence[str]],
     left_idx: Sequence[int],
     right_idx: Sequence[int],
 ) -> int:
@@ -226,39 +229,12 @@ def min_removal_indexed(
 # public API over Team and Atom
 # ==========================================================================
 
-class _RowColumn:
-    """One column of a tuple of rows, read in place, a cell at a time."""
-
-    __slots__ = ("rows", "index")
-
-    def __init__(self, rows: Sequence[Row], index: int):
-        self.rows, self.index = rows, index
-
-    def __getitem__(self, pos: int) -> str:
-        return self.rows[pos][self.index]
-
-
 def min_removal(team: Team, atom: Atom) -> int:
-    """Fewest rows to delete so the exact atom holds on the remainder.
-
-    A team the search reads whole (at most UNFILTERED_ROWS rows) is
-    transposed in one call.  From a larger one only the atom's two first
-    columns are copied, for the search's filter; its other columns are
-    read in place.
-    """
+    """Fewest rows to delete so the exact atom holds on the remainder; the
+    team's rows are transposed for the search."""
     left_idx = tuple(map(team.column, atom.left))
     right_idx = tuple(map(team.column, atom.right))
-    rows = team.rows
-    if len(rows) <= UNFILTERED_ROWS:
-        columns = list(zip(*rows)) if rows else [()] * len(team.schema)
-        return min_removal_indexed(columns, left_idx, right_idx)
-    rows = tuple(rows)
-    firsts = (left_idx[0], right_idx[0])
-    columns = {
-        i: list(map(itemgetter(i), rows)) if i in firsts else _RowColumn(rows, i)
-        for i in {*left_idx, *right_idx}
-    }
-    return min_removal_indexed(columns, left_idx, right_idx)
+    return min_removal_indexed(columns_of(team.rows, len(team.schema)), left_idx, right_idx)
 
 
 def within_budget(removal: int, degree: Fraction, size: int) -> bool:
@@ -317,7 +293,7 @@ def satisfies_all(team: Team, atoms: Sequence[Atom]) -> bool:
             continue
         if value_set is None:  # at the first atom to check, once per team
             rows = team.rows
-            columns = list(zip(*rows)) if rows else [()] * len(schema)
+            columns = columns_of(rows, len(schema))
             value_set = dict(zip(schema, map(frozenset, columns))).__getitem__
             known = frozenset(schema)
         left, right = atom.left, atom.right

@@ -396,7 +396,7 @@ class TestFirstPositionFilter:
     @settings(max_examples=200, deadline=None)
     @given(first_position_tables())
     def test_team_path_matches_brute_force(self, case):
-        # min_removal copies the first columns and reads the others in place
+        # min_removal transposes the team's rows and searches their columns
         rows, left, right = case
         schema = tuple(f"c{i}" for i in range(2 * len(left)))
         team = team_from_rows(schema, rows)
