@@ -13,8 +13,12 @@ milliseconds, the fastest of its passes:
 * ``build``: the whole ``TeamBank.build``, ``enumerate_packed`` included;
 * ``masks``: the 270 ``satisfaction_mask`` calls on a fresh
   ``TeamBank(...)`` over the built arrays (a bank caches its conflict
-  words, so each pass needs a new one), conflict words included;
+  words and masks, so each pass needs a new one), conflict words
+  included;
 * ``build_and_masks``: the two together, the sweep's set-up;
+* ``masks.arity3``: as ``masks``, for the 2,457 atoms over a, b, c with
+  tuples of length at most 3 and the keystone degrees, the atoms of
+  ROADMAP item 6's arity-3 band;
 * ``scan.keystone.yes`` and ``scan.keystone.no``:
   ``kernel.any_counterexample`` on the built bank, one call per instance
   of 2000 seeded ones drawn as ``keystone-slice`` draws them (a goal and
@@ -24,12 +28,15 @@ milliseconds, the fastest of its passes:
   at its first hit.  The decisions and plans are made before timing, and
   each case's calls are timed as one pass.
 
-One untimed build plus its masks per tree gives the answers and two
+One untimed build plus its masks per tree gives the answers and three
 facts: ``traced_peak_mb``, the ``tracemalloc`` peak of that build and
 its masks (both trees share one process, so its resident set cannot be
-split between them, and numpy's arrays are traced), and ``calls``, how
-many times it called each of the two kernel functions.  The answers are
-digests of the 270 masks, of the ``enumerate_packed`` arrays after a
+split between them, and numpy's arrays are traced),
+``arity3_traced_peak_mb``, the peak of the arity-3 masks on a fresh bank
+over the built arrays, and ``calls``, how many times the build and its
+270 masks called each of the two kernel functions.  The answers are
+digests of the 270 masks, of the 2,457 arity-3 masks, of the
+``enumerate_packed`` arrays after a
 stable sort by row count (trees that list teams in generator order and
 trees that list them in bank order digest alike), of the bank arrays
 (cells, row counts, value counts, with dtypes and shapes) and of every
@@ -52,6 +59,7 @@ import random
 import sys
 import tracemalloc
 from collections import Counter
+from itertools import product
 
 import numpy as np
 from harness import compare_in_process
@@ -80,8 +88,11 @@ def cases(ex) -> tuple[str, dict, dict]:
     atoms = [([col[v] for v in a.left], [col[v] for v in a.right], a.degree)
              for a in keystone]
     pairs = sorted({pair for left, right, _ in atoms for pair in zip(left, right)})
+    tuples = [t for arity in (1, 2, 3) for t in product(range(shape[0]), repeat=arity)]
+    arity3 = [(left, right, degree) for left in tuples for right in tuples
+              if len(left) == len(right) for degree in sweep.KEYSTONE_DEGREES]
 
-    def masks(bank):
+    def masks(bank, atoms=atoms):
         return [bank.satisfaction_mask(*atom) for atom in atoms]
 
     calls = Counter()
@@ -105,9 +116,16 @@ def cases(ex) -> tuple[str, dict, dict]:
         tracemalloc.stop()
         kernel.enumerate_packed, kernel.conflict_words = originals
 
+    arrays = (bank.cells, bank.n_rows, bank.n_values)
+    tracemalloc.start()
+    try:
+        answers.append(_digest(masks(sweep.TeamBank(*shape, *arrays), arity3)))
+        _, arity3_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
     packed = kernel.enumerate_packed(*shape)
     order = np.argsort(packed[1], kind="stable")
-    arrays = (bank.cells, bank.n_rows, bank.n_values)
     ones = bank.all_mask()
     answers += [
         _digest(a[order] for a in packed),
@@ -148,11 +166,16 @@ def cases(ex) -> tuple[str, dict, dict]:
         "build": [lambda: sweep.TeamBank.build(*shape)],
         "masks": [lambda: masks(sweep.TeamBank(*shape, *arrays))],
         "build_and_masks": [lambda: masks(sweep.TeamBank.build(*shape))],
+        "masks.arity3": [lambda: masks(sweep.TeamBank(*shape, *arrays), arity3)],
         "scan.keystone.yes": [lambda: [kernel.any_counterexample(*scan) for scan in yes]],
         "scan.keystone.no": [lambda: [kernel.any_counterexample(*scan) for scan in no]],
     }
     digest = hashlib.sha256(" ".join(answers).encode()).hexdigest()
-    facts = {"calls": dict(sorted(calls.items())), "traced_peak_mb": round(peak / 2**20, 1)}
+    facts = {
+        "calls": dict(sorted(calls.items())),
+        "traced_peak_mb": round(peak / 2**20, 1),
+        "arity3_traced_peak_mb": round(arity3_peak / 2**20, 1),
+    }
     return digest, timed, facts
 
 

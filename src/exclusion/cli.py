@@ -13,8 +13,11 @@ no timing, so repeated runs print identical bytes.
 The argument parser is built on the first `main` call and reused by every
 later call in the process.
 
-Every subcommand loads exclusion.decision, .counterexample, .oracle,
-.parsing, .semantics, .model and .errors, imported below.  Only `check
+Every subcommand loads exclusion.oracle (for --budget's default),
+.parsing, .semantics, .model and .errors, imported below.  The commands
+that decide an implication (check, counterexample, derive,
+oracle-check) import exclusion.decision and .counterexample when they
+run; eval, which only measures a table, loads neither.  Only `check
 --certificate` on a YES and `derive` write a derivation, so only they
 import the derivation planner and, through it, the certificate checker
 (exclusion.calculus, .certificate), most of the package's import time.
@@ -30,9 +33,6 @@ import time
 from fractions import Fraction
 from functools import cache
 
-from .counterexample import domain_size_bound, verified_counterexample
-from .counterexample import plan as counterexample_plan
-from .decision import decide
 from .errors import EXIT_OK, EXIT_WRONG_DIRECTION, ExclusionError
 from .model import column_index
 from .oracle import DEFAULT_BUDGET, oracle_implies
@@ -61,6 +61,9 @@ def _print_json(payload: dict) -> None:
 
 
 def cmd_check(args) -> int:
+    from .counterexample import verified_counterexample
+    from .decision import decide
+
     sigma = read_sigma_file(args.sigma_file)
     goal = parse_atom(args.goal)
     started = time.perf_counter()
@@ -124,6 +127,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
+    from .counterexample import domain_size_bound, verified_counterexample
+    from .decision import decide
+
     sigma = read_sigma_file(args.sigma_file)
     goal = parse_atom(args.goal)
     verdict = decide(sigma, goal)
@@ -139,6 +145,8 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_derive(args) -> int:
+    from .decision import decide
+
     sigma = read_sigma_file(args.sigma_file)
     goal = parse_atom(args.goal)
     verdict = decide(sigma, goal)
@@ -156,6 +164,10 @@ def cmd_derive(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    from .counterexample import domain_size_bound
+    from .counterexample import plan as counterexample_plan
+    from .decision import decide
+
     sigma = read_sigma_file(args.sigma_file)
     goal = parse_atom(args.goal)
     verdict = decide(sigma, goal)

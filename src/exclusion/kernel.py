@@ -27,6 +27,18 @@ tests `head` as Python ints, ANDs the summaries to find the blocks where
 a counterexample can lie, and reads words only from the first of those
 to the last.  `TeamBank` holds one bank and builds these masks, caching
 what its callers ask for again.
+
+A satisfaction mask is built once per atom class.  Whether a team
+satisfies x |_p y depends only on p and on the set of pairs
+(x_i, y_i): a tuple conflict is the AND of its positions' conflicts, so
+reordering or repeating positions (PERM, CONTRACT) leaves the word
+unchanged, and swapping the sides (A2) moves bit i*4 + j to bit j*4 + i
+(`transpose_table`), which keeps the removal count, since a removed row
+takes both of its bits with it.  The bank therefore keys a mask by the
+degree and by the sorted distinct (left, right) column pairs or their
+side-swapped sort, whichever is lower; the keystone's 270 atoms fall
+into 81 classes.  A swapped column pair's word is likewise transposed
+from its mirror's instead of computed again.
 """
 
 from __future__ import annotations
@@ -56,6 +68,7 @@ __all__ = [
     "enumerate_packed",
     "pack_mask",
     "removal_table",
+    "transpose_table",
 ]
 
 
@@ -222,6 +235,19 @@ def removal_table() -> np.ndarray:
     return best
 
 
+@cache
+def transpose_table() -> np.ndarray:
+    """Each 16-bit conflict word with bit i * 4 + j moved to bit j * 4 + i:
+    the word of the same columns with left and right swapped."""
+    words = np.arange(1 << 16, dtype=np.uint32)
+    out = np.zeros(words.shape, dtype=np.uint16)
+    for i in range(4):
+        for j in range(4):
+            bit = (words >> np.uint32(i * 4 + j)) & np.uint32(1)
+            out |= bit.astype(np.uint16) << np.uint16(j * 4 + i)
+    return out
+
+
 class Mask(NamedTuple):
     """A packed team mask and the summaries its scan reads first."""
 
@@ -242,7 +268,8 @@ def pack_mask(flags: np.ndarray) -> Mask:
     np.packbits pads its last byte with zeros itself; its bytes go into
     one zeroed buffer of whole blocks, and the words and both summaries
     are read from views of it.  Bits past flags.shape[0] are padding, not
-    teams, so they never make a gap.
+    teams, so they never make a gap.  The words are read-only: a bank
+    hands one mask to many callers.
     """
     count = flags.shape[0]
     block_bits = BLOCK * 64
@@ -257,8 +284,10 @@ def pack_mask(flags: np.ndarray) -> Mask:
     gaps = (grid != ~np.uint64(0)).view(np.uint64)[:, 0] != 0
     if count % block_bits:
         gaps[-1] = not flags[count - count % block_bits :].all()
+    words = buffer[: -(-count // 64) * 8].view(np.uint64)
+    words.flags.writeable = False
     return Mask(
-        buffer[: -(-count // 64) * 8].view(np.uint64),
+        words,
         int.from_bytes(buffer[: BLOCK * 8].tobytes(), "little"),
         _bits(live),
         _bits(gaps),
@@ -305,8 +334,30 @@ def any_counterexample(a: Mask, b: Mask, g: Mask, rc: Mask, nv: Mask) -> bool:
     return False
 
 
+def _sides(left_cols, right_cols) -> tuple[tuple, tuple]:
+    """Both column tuples as tuples, refused unless nonempty and of equal
+    length."""
+    left_cols, right_cols = tuple(left_cols), tuple(right_cols)
+    if not left_cols or len(left_cols) != len(right_cols):
+        raise ValueError("column tuples must be nonempty and of equal length")
+    return left_cols, right_cols
+
+
+def _class_columns(left_cols: tuple, right_cols: tuple) -> tuple[tuple, tuple]:
+    """The column tuples standing for an atom's class: its sorted distinct
+    (left, right) pairs, or their side-swapped sort if that is lower."""
+    pairs = sorted(set(zip(left_cols, right_cols)))
+    swapped = sorted((right, left) for left, right in pairs)
+    lefts, rights = zip(*min(pairs, swapped))
+    return lefts, rights
+
+
 class TeamBank:
-    """Canonical teams packed for mask scans, sorted by row count."""
+    """Canonical teams packed for mask scans, sorted by row count.
+
+    A bank builds one satisfaction mask per atom class (module docstring)
+    and hands the same `Mask` to every atom of the class.
+    """
 
     def __init__(
         self,
@@ -325,6 +376,7 @@ class TeamBank:
         self.n_values = n_values
         self._words: dict[tuple[int, int], np.ndarray] = {}
         self._removed: tuple[tuple, np.ndarray] | None = None
+        self._masks: dict[tuple, Mask] = {}
         self._budgets: dict[Fraction, np.ndarray] = {}
         self._rows_le: dict[int, Mask] = {}
         self._values_le: dict[int, Mask] = {}
@@ -349,32 +401,50 @@ class TeamBank:
         so a multi-column word is the AND of single-column words.  Only
         those are cached: at most n_vars ** 2 arrays.
         """
-        left_cols, right_cols = tuple(left_cols), tuple(right_cols)
-        if not left_cols or len(left_cols) != len(right_cols):
-            raise ValueError("column tuples must be nonempty and of equal length")
+        left_cols, right_cols = _sides(left_cols, right_cols)
         words = self._column_word(left_cols[0], right_cols[0])
         for left, right in zip(left_cols[1:], right_cols[1:]):
             words = words & self._column_word(left, right)
         return words
 
     def _column_word(self, left: int, right: int) -> np.ndarray:
+        """One column pair's word; the swapped pair's cached word, if there
+        is one, is transposed instead of computed again."""
         key = (left, right)
         words = self._words.get(key)
         if words is None:
-            words = self._words[key] = conflict_words(
-                self.cells, self.n_rows, self.n_vars, left, right
-            )
+            mirror = self._words.get((right, left))
+            if mirror is None:
+                words = conflict_words(self.cells, self.n_rows, self.n_vars, left, right)
+            else:
+                words = transpose_table().take(mirror)
+            self._words[key] = words
         return words
 
     def satisfaction_mask(self, left_cols, right_cols, degree: Fraction) -> Mask:
-        cols = (tuple(left_cols), tuple(right_cols))
-        return pack_mask(self._removal_counts(cols) <= self._budget(degree))
+        """Teams satisfying left_cols |_degree right_cols, built once per
+        class: atoms of one degree whose (left, right) column pairs form the
+        same set, up to a side swap, get the same `Mask` object.
+
+        Satisfaction reads only the conflict word's removal count.  The word
+        is the AND of one word per pair, so it depends on the set of pairs
+        alone, and swapping the sides transposes it, which keeps its count.
+        The sides are checked before the key is built, since zip would
+        silently cut the longer one.
+        """
+        cols = _class_columns(*_sides(left_cols, right_cols))
+        key = (degree, cols)
+        mask = self._masks.get(key)
+        if mask is None:
+            fits = self._removal_counts(cols) <= self._budget(degree)
+            mask = self._masks[key] = pack_mask(fits)
+        return mask
 
     def _removal_counts(self, cols: tuple) -> np.ndarray:
-        """Rows each team must lose for a pair of column tuples.
+        """Rows each team must lose for a class's column tuples.
 
-        Only the last pair's counts are kept: callers ask for the degrees
-        of one pair in a row, and one array is the size of the bank.
+        Only the last class's counts are kept: callers ask for the degrees
+        of one atom in a row, and one array is the size of the bank.
         """
         if self._removed is None or self._removed[0] != cols:
             words = self.conflict_words(*cols)

@@ -12,7 +12,8 @@ Two layers make the volume tractable:
 
 * The search runs over a `kernel.TeamBank` of every canonical team with
   at most 4 rows and 12 values, built once with one satisfaction mask per
-  atom; an instance is one masked scan (`kernel.any_counterexample`).
+  atom class (81 for the 270 atoms); an instance is one masked scan
+  (`kernel.any_counterexample`).
 * Instances are grouped under variable renaming.  Decision, semantics,
   and plan bounds all commute with renaming, so one representative per
   class settles the class; a modular sample re-runs the decision directly
@@ -124,7 +125,7 @@ class KeystoneReport:
     sample_size: int
     sample_mismatches: Tally
     elapsed: float
-    setup_s: float  # bank build plus the 270 masks, inside elapsed
+    setup_s: float  # bank build plus its 81 class masks, inside elapsed
     scan_s: float  # inside any_counterexample, inside elapsed
 
 

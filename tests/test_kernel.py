@@ -6,6 +6,7 @@ table must agree with the reference removal engine.
 
 import math
 import random
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -16,7 +17,7 @@ from exclusion.kernel import BLOCK, IMPLEMENTATION, TeamBank, pack_mask, removal
 from exclusion.model import team_from_rows
 from exclusion.oracle import enumerate_row_sets
 from exclusion.semantics import min_removal_indexed
-from exclusion.sweep import KEYSTONE_DEGREES
+from exclusion.sweep import KEYSTONE_DEGREES, KEYSTONE_VARS, keystone_atoms
 
 
 def bank_order_teams(n_vars, max_rows, max_values):
@@ -394,8 +395,6 @@ class TestTeamBank:
         assert np.all(np.diff(bank.n_rows.astype(int)) >= 0)
 
     def test_satisfaction_mask_matches_semantics(self, bank):
-        from fractions import Fraction
-
         schema = ("a", "b")
         checks = 0
         for left_cols, right_cols, degree in [
@@ -492,10 +491,93 @@ class TestBankConflictWords:
         assert len(wide_bank._words) <= wide_bank.n_vars ** 2
 
     def test_mismatched_sides_refused(self, wide_bank):
+        # zip would cut (0, 1), (1,) down to (0,), (1,): a wrong mask, not an error
+        for sides in [((), ()), ((0, 1), (1,)), ((0,), (1, 0))]:
+            with pytest.raises(ValueError, match="nonempty and of equal length"):
+                wide_bank.conflict_words(*sides)
+            with pytest.raises(ValueError, match="nonempty and of equal length"):
+                wide_bank.satisfaction_mask(*sides, Fraction(0))
+
+
+def pair_class(left, right):
+    """An atom's column pairs as a set, the same for both side orders."""
+    pairs = frozenset(zip(left, right))
+    return min(pairs, frozenset((r, l) for l, r in pairs), key=sorted)
+
+
+class TestMaskClasses:
+    """One mask per degree and set of column pairs up to a side swap."""
+
+    def test_class_shares_one_mask_equal_to_reference(self, wide_bank):
+        cols = range(wide_bank.n_vars)
+        tuples = [t for arity in (1, 2, 3) for t in product(cols, repeat=arity)]
+        first = {}
+        for left in tuples:
+            for right in tuples:
+                if len(left) != len(right):
+                    continue
+                for degree in KEYSTONE_DEGREES:
+                    got = wide_bank.satisfaction_mask(left, right, degree)
+                    seen = first.setdefault((degree, pair_class(left, right)), got)
+                    assert got is seen, (left, right, degree)
+                    expected = reference_satisfaction_mask(wide_bank, left, right, degree)
+                    assert np.array_equal(got.words, expected.words), (left, right, degree)
+                    assert got[1:] == expected[1:], (left, right, degree)
+        # 2,457 atoms in 222 classes, one mask each
+        assert len(first) == 222
+        assert len({id(m) for m in first.values()}) == 222
+
+    def test_keystone_atoms_build_81_masks(self, wide_bank):
+        col = {v: i for i, v in enumerate(KEYSTONE_VARS)}
+        atoms = keystone_atoms()
+        masks = [
+            wide_bank.satisfaction_mask(
+                [col[v] for v in a.left], [col[v] for v in a.right], a.degree
+            )
+            for a in atoms
+        ]
+        assert len(atoms) == 270
+        assert len({id(m) for m in masks}) == 81
+
+    def test_masks_are_read_only(self, wide_bank):
+        mask = wide_bank.satisfaction_mask((0,), (1,), Fraction(1, 4))
+        assert not mask.words.flags.writeable
         with pytest.raises(ValueError):
-            wide_bank.conflict_words((), ())
-        with pytest.raises(ValueError):
-            wide_bank.conflict_words((0, 1), (1,))
+            mask.words[0] = 0
+
+
+class TestTransposedWords:
+    def test_transpose_table_is_an_involution(self):
+        table = kernel.transpose_table()
+        assert table.dtype == np.uint16 and table.shape == (1 << 16,)
+        assert np.array_equal(table.take(table), np.arange(1 << 16))
+        for i in range(4):
+            for j in range(4):
+                assert table[1 << (i * 4 + j)] == 1 << (j * 4 + i)
+
+    def test_mirrored_words_match_kernel(self, monkeypatch):
+        bank = TeamBank.build(3, 4, 4)
+        computed = []
+        real = kernel.conflict_words
+
+        def counted(*args):
+            computed.append(args[-2:])
+            return real(*args)
+
+        monkeypatch.setattr(kernel, "conflict_words", counted)
+        n = bank.n_vars
+        for left in range(n):
+            for right in range(left, n):
+                bank._column_word(left, right)
+        assert len(computed) == n * (n + 1) // 2
+        for left in range(n):
+            for right in range(left):
+                expected = real(bank.cells, bank.n_rows, n, left, right)
+                got = bank._column_word(left, right)
+                assert got.dtype == expected.dtype
+                assert np.array_equal(got, expected), (left, right)
+        # the swapped pairs were transposed, not computed again
+        assert len(computed) == n * (n + 1) // 2
 
 
 class TestLaneSelection:
