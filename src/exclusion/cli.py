@@ -40,7 +40,6 @@ from .parsing import (
     parse_atom,
     read_sigma_file,
     read_team_csv,
-    render_human,
     team_csv_text,
     write_team_csv,
 )
@@ -81,7 +80,7 @@ def cmd_check(args) -> int:
             "format": 1,
             "holds": verdict.holds,
             "witness": kind,
-            "goal": render_human(goal),
+            "goal": str(goal),
         }
         if args.certificate:
             payload["certificate"] = args.certificate
@@ -110,7 +109,7 @@ def cmd_eval(args) -> int:
     if args.json:
         payload = {
             "format": 1,
-            "atom": render_human(atom),
+            "atom": str(atom),
             "satisfied": satisfied,
             "min_removal": removal,
         }
@@ -118,7 +117,7 @@ def cmd_eval(args) -> int:
             payload["min_degree"] = str(degree)
         _print_json(payload)
     else:
-        print(f"atom: {render_human(atom)}")
+        print(f"atom: {atom}")
         print(f"satisfied: {'true' if satisfied else 'false'}")
         print(f"min_removal: {removal}")
         if degree is not None:

@@ -165,15 +165,6 @@ class Team:
     def is_empty(self) -> bool:
         return not self.rows
 
-    def column(self, var: str) -> int:
-        """Schema index of a variable, as `column_index` gives it; a known
-        variable is found without that call, since the removal search
-        looks up every name of its atom here."""
-        try:
-            return self.schema.index(var)
-        except ValueError:
-            return column_index(self.schema, var)  # raises UnknownVariableError
-
     def value_count(self) -> int:
         """Number of distinct values appearing in any cell."""
         return len({cell for row in self.rows for cell in row})

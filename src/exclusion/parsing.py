@@ -7,19 +7,20 @@ Atom grammar, with the degree defaulting to 0 when omitted:
     rational := INT "/" INT | INT | DECIMAL
     varlist  := IDENT (WS IDENT)*
 
-`;` separates the sides so atom strings survive unquoted in shells; the
-human-readable rendering still uses the bar notation `x1 x2 |[1/4]| y1 y2`.
+`;` separates the sides so atom strings survive unquoted in shells;
+`str(atom)` still uses the bar notation `x1 x2 |[1/4]| y1 y2`.
 
 Assumption files hold one atom per line; `#` starts a comment and blank
 lines are ignored.
 
-Atoms are read by one exact pattern of their plain spelling (no blanks
-around `excl` or its brackets, names separated by spaces): `parse_atom`
-matches it in full, and `parse_sigma` reads a file whose lines are all
-plain in one pass of it over the whole text.  Any other text falls back
-to reading each atom part by part, line by line in a file; the fallback
-parses every well-formed atom and names the first fault of any other, so
-it alone defines the accepted language and the messages.
+Atoms have two readers.  The plain reader, `_plain_sigma`, reads a text
+whose lines are all spelled plainly (no blanks around `excl` or its
+brackets, names separated by spaces) in one pass of one pattern over the
+whole text; `parse_sigma` reads a file with it, and `parse_atom` a
+one-line text without a comment.  Any other text goes to the diagnosing
+reader, `_diagnose`, which reads an atom part by part, line by line in a
+file: it parses every well-formed atom and names the first fault of any
+other, so it alone defines the accepted language and the messages.
 
 Team CSV: first row names the variables, each later row is one
 assignment.  Cells are raw strings without quoting, so values may not
@@ -63,7 +64,6 @@ _ATOM = re.compile(
 # Python 3.11 on, hence requires-python.
 _NAMES = r"[A-Za-z_][A-Za-z0-9_]*+(?:[ ]++[A-Za-z_][A-Za-z0-9_]*+)*+"
 _PLAIN = rf"excl(?:\[([0-9/. ]++)\])?\([ ]*+({_NAMES})[ ]*+;[ ]*+({_NAMES})[ ]*+\)"
-_PLAIN_ATOM = re.compile(_PLAIN)
 # one line of an assumption file spelled plainly: blank, a comment, or a
 # plain atom with blanks or tabs around it and an optional comment after;
 # no class in it holds a newline, so each line gives at most one match
@@ -101,8 +101,9 @@ def _diagnose(text: str) -> Atom:
     """The atom any text denotes, read part by part, or the ParseError
     naming its first fault, in grammar order: outline, degree spelling,
     ';', names, arities, range.  This is the parser of every atom that
-    `_PLAIN_ATOM` does not read: tabs or other Unicode whitespace between
-    names, blanks inside or around `excl[...]`, and blanks around the atom."""
+    `_plain_sigma` does not read: tabs or other Unicode whitespace between
+    names, blanks inside or around `excl[...]`, and whitespace other than
+    blanks and tabs around the atom."""
     m = _ATOM.match(text)
     if m is None:
         raise ParseError(f"malformed atom: {text!r}")
@@ -128,24 +129,16 @@ def _diagnose(text: str) -> Atom:
 def parse_atom(text: str) -> Atom:
     """Parse one atom expression.
 
-    A text spelled plainly (`_PLAIN_ATOM`, matched in full) needs no side
-    checks from `Atom`: each side is a nonempty list of ASCII identifiers.
-    The per-spelling degree cache replaces its degree check, so only the
-    arities are compared here.  Any other text, and a plain one whose
-    arities or degree fail, goes to `_diagnose`, which reads it part by
-    part, so the accepted language and every message are its.
+    A one-line text is read by `_plain_sigma` first.  A text holding a `#`
+    is not, since the plain reader takes it for a comment, nor one holding a
+    newline, which would make it several lines.  Any other text, and one
+    the plain reader refuses or finds no atom in, goes to `_diagnose`, so
+    the accepted language and every message are its.
     """
-    m = _PLAIN_ATOM.fullmatch(text)
-    if m is not None:
-        spelling, left, right = m.groups()
-        left, right = left.split(), right.split()
-        if len(left) == len(right):
-            try:
-                degree = _degree(spelling)
-            except (ParseError, ValueError):
-                pass  # _diagnose reports it after any earlier fault
-            else:
-                return Atom._unchecked(tuple(left), tuple(right), degree)
+    if "#" not in text and "\n" not in text:
+        atoms = _plain_sigma(text)
+        if atoms:
+            return atoms[0]
     return _diagnose(text)
 
 
@@ -153,11 +146,6 @@ def render_atom(atom: Atom) -> str:
     """Machine form; parses back to an equal atom."""
     degree = "" if atom.degree == ZERO else f"[{atom.degree}]"
     return f"excl{degree}({' '.join(atom.left)} ; {' '.join(atom.right)})"
-
-
-def render_human(atom: Atom) -> str:
-    """Bar notation for reports: `x1 x2 |[1/4]| y1 y2`."""
-    return str(atom)
 
 
 def parse_sigma(text: str, source: str = "<sigma>") -> list[Atom]:

@@ -57,7 +57,7 @@ from operator import itemgetter
 from typing import Collection, Sequence
 
 from .errors import CapacityError, EmptyTeamError
-from .model import Atom, Team
+from .model import Atom, Team, column_index
 
 # most interdependent removal choices searched in one conflict component
 CHOICE_CAP = 20
@@ -232,8 +232,8 @@ def min_removal_indexed(
 def min_removal(team: Team, atom: Atom) -> int:
     """Fewest rows to delete so the exact atom holds on the remainder; the
     team's rows are transposed for the search."""
-    left_idx = tuple(map(team.column, atom.left))
-    right_idx = tuple(map(team.column, atom.right))
+    left_idx = tuple(column_index(team.schema, v) for v in atom.left)
+    right_idx = tuple(column_index(team.schema, v) for v in atom.right)
     return min_removal_indexed(columns_of(team.rows, len(team.schema)), left_idx, right_idx)
 
 
@@ -280,7 +280,7 @@ def satisfies_all(team: Team, atoms: Sequence[Atom]) -> bool:
     with a position whose left and right value sets are disjoint is
     skipped, at the first such position: no row pair agrees there, so none
     conflicts and the removal is 0 at every degree.  Only the atoms left
-    are given column indexes, by `schema.index` as `Team.column` gives
+    are given column indexes, by `schema.index` as `column_index` gives
     them, and searched: on the wide teams of 1000-premise NOs hardly an
     atom is left, and a column map would cost each small team of the
     keystone sweep its build.
@@ -298,7 +298,8 @@ def satisfies_all(team: Team, atoms: Sequence[Atom]) -> bool:
             known = frozenset(schema)
         left, right = atom.left, atom.right
         if not (known.issuperset(left) and known.issuperset(right)):
-            list(map(team.column, left + right))  # raises UnknownVariableError
+            for v in left + right:
+                column_index(schema, v)  # raises UnknownVariableError
         if any(map(frozenset.isdisjoint, map(value_set, left), map(value_set, right))):
             continue
         left_idx = tuple(map(schema.index, left))

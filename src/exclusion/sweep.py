@@ -26,7 +26,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -82,16 +82,10 @@ def _atom_images(atoms: list[Atom]) -> np.ndarray:
 
 def _premise_sets(n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
     """Assumption sets of size <= 2 as sorted index pairs, sentinel-padded."""
-    first = [n_atoms]
-    second = [n_atoms]
-    for i in range(n_atoms):
-        first.append(i)
-        second.append(n_atoms)
-    for i in range(n_atoms):
-        for j in range(i + 1, n_atoms):
-            first.append(i)
-            second.append(j)
-    return np.array(first, dtype=np.int64), np.array(second, dtype=np.int64)
+    n = n_atoms
+    pairs = [(n, n)] + [(i, n) for i in range(n)] + list(combinations(range(n), 2))
+    first, second = np.array(pairs, dtype=np.int64).T.copy()
+    return first, second
 
 
 @dataclass

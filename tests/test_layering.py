@@ -41,6 +41,8 @@ def package_imports(module: str, package: Path = PACKAGE) -> set[str]:
         ("model", {"errors"}),
         ("certificate", {"errors", "model"}),
         ("oracle", {"errors", "model", "semantics"}),
+        ("semantics", {"errors", "model"}),
+        ("parsing", {"errors", "model"}),
     ],
 )
 def test_trusted_modules_import_only_their_base(module, allowed):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from exclusion import Atom, Team, UnknownVariableError, atom
-from exclusion.model import as_degree, team_from_rows
+from exclusion.model import as_degree, column_index, team_from_rows
 
 
 class TestAsDegree:
@@ -133,10 +133,10 @@ class TestTeam:
             Team(("x",), frozenset({(0,)}))
 
     def test_column_lookup(self):
-        t = team_from_rows(("x", "y"), [("0", "1")])
-        assert t.column("y") == 1
-        with pytest.raises(UnknownVariableError):
-            t.column("z")
+        schema = ("x", "y")
+        assert column_index(schema, "y") == 1
+        with pytest.raises(UnknownVariableError, match="'z'"):
+            column_index(schema, "z")
 
     def test_value_count(self):
         t = team_from_rows(("x", "y"), [("0", "0"), ("1", "2")])

@@ -15,7 +15,6 @@ from exclusion.parsing import (
     parse_sigma,
     read_team_csv,
     render_atom,
-    render_human,
     team_csv_text,
 )
 
@@ -243,6 +242,13 @@ class TestParseAtomEquivalence:
             "excl(a ; b ; c)",
             "excl(a b)",
             "\u00a0excl[1/3](a ; b)\x1c",
+            "excl(a ; b) # c",
+            "excl(a ; b)\n",
+            "excl(a ; b)\nexcl(c ; d)",
+            "excl(a ; b)\r\n",
+            "",
+            "\t excl[1/4](a ; b) \t",
+            "excl(a\tb ; c d)",
         ],
     )
     def test_fixed_texts_match_the_reference(self, text):
@@ -257,10 +263,6 @@ class TestRender:
     def test_machine_form(self):
         assert render_atom(atom("x", "y")) == "excl(x ; y)"
         assert render_atom(atom("x1 x2", "y1 y2", "1/4")) == "excl[1/4](x1 x2 ; y1 y2)"
-
-    def test_human_form(self):
-        assert render_human(atom("x", "y")) == "x | y"
-        assert render_human(atom("x1 x2", "y1 y2", "1/4")) == "x1 x2 |[1/4]| y1 y2"
 
 
 IDENTIFIERS = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,5}", fullmatch=True)

@@ -44,8 +44,8 @@ QUAD_TEAM = team_from_rows(
 def satisfies_exact(team, a):
     """Exact exclusion of the atom's sides; the degree is not consulted.
     No row's left projection equals any row's right projection."""
-    left = [team.column(v) for v in a.left]
-    right = [team.column(v) for v in a.right]
+    left = [team.schema.index(v) for v in a.left]
+    right = [team.schema.index(v) for v in a.right]
     lefts = {tuple(row[i] for i in left) for row in team.rows}
     return not any(tuple(row[i] for i in right) in lefts for row in team.rows)
 
