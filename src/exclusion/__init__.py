@@ -26,7 +26,8 @@ _EXPORTS = {
     "decision": ("Verdict", "decide", "implies"),
     "errors": (
         "CapacityError", "EmptyTeamError", "ExclusionError", "InternalVerificationError",
-        "ParseError", "UnknownVariableError", "UnsupportedDegreeError",
+        "ParseError", "UndecidedError", "UnknownVariableError",
+        "UnsupportedDegreeError",
     ),
     "model": ("Atom", "Team", "atom"),
     "oracle": ("oracle_implies",),

@@ -7,8 +7,11 @@ bounded brute-force oracle).
 
 Exit codes: 0 decided, 1 internal error, 2 parse error (an unreadable or
 unwritable file and a negative bound included), 3 unsupported degree, 4
-wrong-direction command, 5 capacity.  JSON outputs carry "format": 1 and
-no timing, so repeated runs print identical bytes.
+wrong-direction command, 5 capacity, 6 undecided (a NO whose planned team
+fails its check).  `check` builds and verifies the team of every NO
+before it prints the verdict, and writes it only with --certificate.
+JSON outputs carry "format": 1 and no timing, so repeated runs print
+identical bytes.
 
 The argument parser is built on the first `main` call and reused by every
 later call in the process.
@@ -69,12 +72,14 @@ def cmd_check(args) -> int:
     verdict = decide(sigma, goal)
     elapsed = time.perf_counter() - started
     kind = verdict.witness.kind if verdict.holds else verdict.plan.kind
-    if args.certificate:
-        if verdict.holds:
+    if verdict.holds:
+        if args.certificate:
             from .calculus import synthesize, write_derivation
             write_derivation(synthesize(sigma, goal, verdict.witness), args.certificate)
-        else:
-            write_team_csv(verified_counterexample(verdict.plan), args.certificate)
+    else:
+        team = verified_counterexample(verdict.plan)
+        if args.certificate:
+            write_team_csv(team, args.certificate)
     if args.json:
         payload = {
             "format": 1,

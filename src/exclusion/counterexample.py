@@ -35,7 +35,7 @@ from fractions import Fraction
 from itertools import combinations, count
 from typing import Sequence
 
-from .errors import InternalVerificationError
+from .errors import UndecidedError
 from .model import Atom, GenericPair, Team, generic_pair, schema_order
 from .semantics import satisfies, satisfies_all
 
@@ -172,11 +172,15 @@ def verify(team: Team, sigma: Sequence[Atom], goal: Atom) -> bool:
 
 
 def verified_counterexample(cx: CounterexamplePlan) -> Team:
-    """Build the planned team and insist that it works."""
+    """Build the planned team and insist that it works: a team that fails
+    its check leaves the NO without a certificate, and UndecidedError is
+    raised instead of a verdict."""
     team = build_team(cx)
     if not verify(team, cx.sigma, cx.goal):
-        raise InternalVerificationError(
-            "constructed team fails to separate the assumptions from the goal"
+        raise UndecidedError(
+            "no verified counterexample was found: the constructed team fails "
+            "to separate the assumptions from the goal, so the implication is "
+            "undecided"
         )
     return team
 

@@ -14,6 +14,7 @@ EXIT_PARSE = 2
 EXIT_UNSUPPORTED_DEGREE = 3
 EXIT_WRONG_DIRECTION = 4
 EXIT_CAPACITY = 5
+EXIT_UNDECIDED = 6
 
 
 class ExclusionError(Exception):
@@ -56,3 +57,10 @@ class InternalVerificationError(ExclusionError):
     """A self-check failed: a synthesized certificate did not verify."""
 
     exit_code = EXIT_INTERNAL
+
+
+class UndecidedError(InternalVerificationError):
+    """A NO whose planned team fails its check: no verified counterexample
+    backs it, so the implication is left undecided."""
+
+    exit_code = EXIT_UNDECIDED

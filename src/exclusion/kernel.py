@@ -2,20 +2,28 @@
 
 Teams are packed into flat numpy arrays: one row of `cells` per team,
 holding max_rows * n_vars uint8 values in row-major order, padded with
-zeros past the team's own rows.  `enumerate_packed` builds the canonical
-teams (one per class under value renaming; satisfaction only compares
-values for equality, so they carry the whole space) level by level, one
-level per row count.  A bank is therefore sorted by row count, and the
-teams within a row bound are a prefix.
+zeros past the team's own rows.  The bank is stored column-major: one
+contiguous array per cell position (row r, variable v), and `cells` is
+the transpose view of that (max_rows * n_vars, teams) array, so row
+r * n_vars + v of `cells.T` holds every team's cell at that position.
+Its shape, dtype and C-order bytes are those of the row-major layout.
+`enumerate_packed` builds the canonical teams (one per class under value
+renaming; satisfaction only compares values for equality, so they carry
+the whole space) level by level, one level per row count.  A bank is
+therefore sorted by row count, and the teams within a row bound are a
+prefix.
 
 Conflicts between rows i and j (row i's left projection equal to row j's
 right projection) are encoded as bit i*4 + j of a 16-bit word, so row
 counts are capped at 4.  A tuple conflict is a conflict at every
 position, so a multi-column word is the AND of single-column words.
-`removal_table` maps each word to the least number of rows covering every
-conflict, which is exactly the removal count the semantics module
-computes.  A team satisfies an atom of degree num/den when that count is
-at most floor(num * rows / den).
+`conflict_words` builds a single-column word from whole arrays of
+`cells.T`, padding rows included, and then clears the bits of rows past
+each team's row count by one lookup on that count.  `removal_table` maps
+each word to the least number of rows covering every conflict, which is
+exactly the removal count the semantics module computes.  A team
+satisfies an atom of degree num/den when that count is at most
+floor(num * rows / den).
 
 A mask (`pack_mask`) is a `Mask`: uint64 words, one bit per team, and
 two summary bitmaps over blocks of `BLOCK` words.  `live` has bit i set
@@ -126,11 +134,13 @@ def enumerate_packed(
     of distinct values.
 
     Only int32 parent and row indices are kept per level; the cells are
-    written once, into one preallocated array, a level at a time: each
-    team copies its parent's cells, written one level earlier, and adds
-    its own last row.  More than `budget` teams, or more than `budget`
-    candidate rows, raise CapacityError before an array of that size is
-    allocated.
+    written once, into one preallocated column-major array, a level at a
+    time: each cell position's array takes the parents' cells of that
+    position, written one level earlier, and the new row's cells from
+    the candidate rows, each by one 1-D take.  The caller gets the
+    transpose view (module docstring).  More than `budget` teams, or more
+    than `budget` candidate rows, raise CapacityError before an array of
+    that size is allocated.
     """
     if max_rows > MAX_PACK_ROWS:
         raise ValueError(f"packed teams hold at most {MAX_PACK_ROWS} rows")
@@ -183,19 +193,33 @@ def enumerate_packed(
         parents.append(owner)
         picks.append(offset)
 
-    cells = np.zeros((total, max_rows * n_vars), dtype=np.uint8)
+    # row r's variable v is columns[r * n_vars + v]
+    columns = np.zeros((max_rows * n_vars, total), dtype=np.uint8)
     n_rows = np.zeros(total, dtype=np.uint8)
     n_values = np.zeros(total, dtype=np.uint8)
+    new_cells = np.ascontiguousarray(rows.T)
     above, begin = 0, 1  # the parent level's first team, this level's
     for k, (parent, pick) in enumerate(zip(parents, picks), start=1):
         end = begin + pick.shape[0]
         n_rows[begin:end] = k
         n_values[begin:end] = peak[pick]
         width = (k - 1) * n_vars
-        cells[begin:end, :width] = cells[above + parent, :width]
-        cells[begin:end, width : width + n_vars] = rows[pick]
+        for column in columns[:width]:
+            column[above:begin].take(parent, out=column[begin:end])
+        for column, cell in zip(columns[width : width + n_vars], new_cells):
+            cell.take(pick, out=column[begin:end])
         above, begin = begin, end
-    return cells, n_rows, n_values
+    return columns.T, n_rows, n_values
+
+
+# for each row count 0..4, the word bits whose two rows both lie within it
+_ROW_BITS = np.array(
+    [
+        sum(1 << (i * 4 + j) for i in range(k) for j in range(k))
+        for k in range(MAX_PACK_ROWS + 1)
+    ],
+    dtype=np.uint16,
+)
 
 
 def conflict_words(
@@ -203,17 +227,41 @@ def conflict_words(
 ) -> np.ndarray:
     """Per-team 16-bit conflict pattern for one pair of columns: bit
     i * 4 + j is set when row i's cell in column left equals row j's cell
-    in column right, both rows within the team."""
-    # one contiguous copy of the column per row
-    lefts = cells[:, left::n_vars].T.copy()
-    rights = cells[:, right::n_vars].T.copy()
-    live = [n_rows > i for i in range(lefts.shape[0])]
-    words = np.zeros(cells.shape[0], dtype=np.uint16)
-    for i, lhs in enumerate(lefts):
-        for j, rhs in enumerate(rights):
-            hit = lhs == rhs
-            hit &= live[max(i, j)]
-            words |= hit.astype(np.uint16) << np.uint16(i * 4 + j)
+    in column right, both rows within the team.
+
+    Row i's cells in a column are row i * n_vars + column of
+    ``cells.T``, read in place: one contiguous array for a bank's
+    column-major cells, a strided view for any other layout, with the
+    same words.  Every row pair is compared over all teams, padding rows
+    included; the bits of rows past a team's row count are then cleared
+    once, through the allowed bits of its row count, for the teams with
+    fewer than max_rows rows.  For a self pair (left == right) row i
+    equals itself, so the diagonal bit i * 4 + i is set exactly when the
+    team has more than i rows, and rows i and j conflict both ways or
+    neither, so each pair i < j is compared once and sets both bits.
+    """
+    lefts = cells.T[left::n_vars]
+    rights = cells.T[right::n_vars]
+    max_rows = lefts.shape[0]
+    count = cells.shape[0]
+    rows = range(max_rows)
+    if left == right:
+        # bits 0, 5, 10 and 15: each row against itself
+        words = (_ROW_BITS & np.uint16(0x8421)).take(n_rows)
+        pairs = [
+            (i, j, 1 << (i * 4 + j) | 1 << (j * 4 + i)) for i in rows for j in rows if i < j
+        ]
+    else:
+        words = np.zeros(count, dtype=np.uint16)
+        pairs = [(i, j, 1 << (i * 4 + j)) for i in rows for j in rows]
+    hit = np.empty(count, dtype=bool)
+    bits = np.empty(count, dtype=np.uint16)
+    for i, j, bit in pairs:
+        np.equal(lefts[i], rights[j], out=hit)
+        np.multiply(hit, np.uint16(bit), out=bits)
+        words |= bits
+    short = np.flatnonzero(n_rows < max_rows)
+    words[short] &= _ROW_BITS.take(n_rows[short])
     return words
 
 

@@ -20,6 +20,7 @@ from exclusion.errors import (
     EXIT_CAPACITY,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_UNDECIDED,
     EXIT_UNSUPPORTED_DEGREE,
     EXIT_WRONG_DIRECTION,
 )
@@ -529,6 +530,35 @@ class TestUnreadableInput:
         assert captured.err.startswith("error: cannot read ")
         assert captured.out == ""
         assert not (tmp_path / "out").exists()
+
+
+class TestUndecided:
+    """A NO whose planned team fails its check is refused with exit 6,
+    never printed as a verdict."""
+
+    # decide says NO, wrongly: the YES needs both premises together
+    TWO_PREMISE = ("excl(a b ; e a)\nexcl[1/4](a ; e)\n", "excl[1/5](b e a b ; a b b e)")
+    # a right NO whose shared-block team violates a | e beyond its budget
+    SHARED_BLOCK = ("excl[1/3](a ; b)\nexcl[1/4](a ; e)\n", "excl(b e a b ; a b b e)")
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_check_refuses_unverified_no(self, flags, sigma_file, capsys):
+        sigma, goal = self.TWO_PREMISE
+        code = main(["check", sigma_file(sigma), goal, *flags])
+        captured = capsys.readouterr()
+        assert code == EXIT_UNDECIDED == 6
+        assert captured.err.startswith("error: no verified counterexample")
+        assert "holds" not in captured.out
+
+    def test_counterexample_refuses_unverified_team(self, sigma_file, tmp_path, capsys):
+        sigma, goal = self.SHARED_BLOCK
+        out = tmp_path / "team.csv"
+        code = main(["counterexample", sigma_file(sigma), goal, str(out)])
+        captured = capsys.readouterr()
+        assert code == EXIT_UNDECIDED
+        assert captured.err.startswith("error: no verified counterexample")
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestParserReuse:

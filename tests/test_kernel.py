@@ -144,12 +144,29 @@ def brute_conflict_word(rows, left_cols, right_cols):
 
 class TestConflictWords:
     def test_against_brute_force(self):
-        cells, n_rows, _ = kernel.enumerate_packed(2, 3, 6)
-        reference = bank_order_teams(2, 3, 6)
-        for left, right in [(0, 1), (1, 0), (1, 1)]:
-            words = kernel.conflict_words(cells, n_rows, 2, left, right)
-            for w, rows in zip(words, reference):
-                assert int(w) == brute_conflict_word(rows, (left,), (right,))
+        # (2, 4, 8) has teams of every row count up to 4, so its self pair
+        # (1, 1) reaches the diagonal set from the row count and the
+        # clearing of bits past the row count on teams shorter than 4 rows
+        for shape in [(2, 3, 6), (2, 4, 8)]:
+            cells, n_rows, _ = kernel.enumerate_packed(*shape)
+            reference = bank_order_teams(*shape)
+            for left, right in [(0, 1), (1, 0), (1, 1)]:
+                words = kernel.conflict_words(cells, n_rows, 2, left, right)
+                for w, rows in zip(words, reference):
+                    assert int(w) == brute_conflict_word(rows, (left,), (right,))
+
+    def test_words_do_not_depend_on_memory_layout(self):
+        cells, n_rows, _ = kernel.enumerate_packed(3, 4, 4)
+        copy = np.ascontiguousarray(cells)
+        # the bank's cells are a transposed view, so the copy is laid out
+        # differently and holds the same bytes in C order
+        assert not cells.flags.c_contiguous and copy.flags.c_contiguous
+        assert copy.tobytes() == cells.tobytes()
+        for left, right in product(range(3), repeat=2):
+            words = kernel.conflict_words(cells, n_rows, 3, left, right)
+            again = kernel.conflict_words(copy, n_rows, 3, left, right)
+            assert words.dtype == again.dtype == np.uint16
+            assert np.array_equal(words, again), (left, right)
 
     def test_bank_tuples_against_brute_force(self):
         bank = TeamBank.build(2, 3, 6)
@@ -451,26 +468,34 @@ def wide_bank():
     return TeamBank.build(3, 3, 5)
 
 
+@pytest.fixture(scope="module")
+def four_row_bank():
+    return TeamBank.build(3, 4, 4)
+
+
 class TestBankConflictWords:
     def column_tuples(self, n_vars):
         cols = range(n_vars)
         return [t for arity in (1, 2) for t in product(cols, repeat=arity)]
 
-    def test_words_match_kernel(self, wide_bank):
-        tuples = self.column_tuples(wide_bank.n_vars)
-        checked = 0
-        for left in tuples:
-            for right in tuples:
-                if len(left) != len(right):
-                    continue
-                expected = reference_conflict_words(
-                    wide_bank.cells, wide_bank.n_rows, wide_bank.n_vars, left, right
-                )
-                got = wide_bank.conflict_words(left, right)
-                assert got.dtype == expected.dtype
-                assert np.array_equal(got, expected), (left, right)
-                checked += 1
-        assert checked == 3 * 3 + 9 * 9
+    def test_words_match_kernel(self, wide_bank, four_row_bank):
+        # the 4-row bank has teams shorter than its widest, whose bits past
+        # the row count are cleared after the compares
+        for bank in (wide_bank, four_row_bank):
+            tuples = self.column_tuples(bank.n_vars)
+            checked = 0
+            for left in tuples:
+                for right in tuples:
+                    if len(left) != len(right):
+                        continue
+                    expected = reference_conflict_words(
+                        bank.cells, bank.n_rows, bank.n_vars, left, right
+                    )
+                    got = bank.conflict_words(left, right)
+                    assert got.dtype == expected.dtype
+                    assert np.array_equal(got, expected), (left, right)
+                    checked += 1
+            assert checked == 3 * 3 + 9 * 9
 
     def test_masks_match_cross_multiplied_budget(self, wide_bank):
         for left in self.column_tuples(wide_bank.n_vars):
