@@ -8,8 +8,9 @@ bounded brute-force oracle).
 Exit codes: 0 decided, 1 internal error, 2 parse error (an unreadable or
 unwritable file and a negative bound included), 3 unsupported degree, 4
 wrong-direction command, 5 capacity, 6 undecided (a NO whose planned team
-fails its check).  `check` builds and verifies the team of every NO
-before it prints the verdict, and writes it only with --certificate.
+fails its check).  check, counterexample and derive answer through one
+helper, `_decided`, which verifies the team of every NO before any of
+them prints; `check` writes that team only with --certificate.
 JSON outputs carry "format": 1 and no timing, so repeated runs print
 identical bytes.
 
@@ -62,23 +63,30 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def cmd_check(args) -> int:
-    from .counterexample import verified_counterexample
+def _decided(args):
+    """Read the premises, parse the goal and decide; a NO also builds and
+    verifies its team, or raises UndecidedError (exit 6).  Returns
+    (sigma, goal, verdict, team), team None on a YES."""
+    from . import counterexample
     from .decision import decide
 
     sigma = read_sigma_file(args.sigma_file)
     goal = parse_atom(args.goal)
-    started = time.perf_counter()
     verdict = decide(sigma, goal)
+    team = None if verdict.holds else counterexample.verified_counterexample(verdict.plan)
+    return sigma, goal, verdict, team
+
+
+def cmd_check(args) -> int:
+    started = time.perf_counter()
+    sigma, goal, verdict, team = _decided(args)
     elapsed = time.perf_counter() - started
     kind = verdict.witness.kind if verdict.holds else verdict.plan.kind
-    if verdict.holds:
-        if args.certificate:
+    if args.certificate:
+        if verdict.holds:
             from .calculus import synthesize, write_derivation
             write_derivation(synthesize(sigma, goal, verdict.witness), args.certificate)
-    else:
-        team = verified_counterexample(verdict.plan)
-        if args.certificate:
+        else:
             write_team_csv(team, args.certificate)
     if args.json:
         payload = {
@@ -131,17 +139,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    from .counterexample import domain_size_bound, verified_counterexample
-    from .decision import decide
+    from .counterexample import domain_size_bound
 
-    sigma = read_sigma_file(args.sigma_file)
-    goal = parse_atom(args.goal)
-    verdict = decide(sigma, goal)
+    _, _, verdict, team = _decided(args)
     if verdict.holds:
         print("implication holds; no counterexample exists")
         return EXIT_WRONG_DIRECTION
     plan = verdict.plan
-    team = verified_counterexample(plan)
     write_team_csv(team, args.out_csv)
     print(f"l={plan.l} k={plan.k} domain-bound={domain_size_bound(plan)}")
     print(f"wrote {args.out_csv} ({team.size} rows)")
@@ -149,11 +153,7 @@ def cmd_counterexample(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    from .decision import decide
-
-    sigma = read_sigma_file(args.sigma_file)
-    goal = parse_atom(args.goal)
-    verdict = decide(sigma, goal)
+    sigma, goal, verdict, _ = _decided(args)
     if not verdict.holds:
         print(
             "implication does not hold; "

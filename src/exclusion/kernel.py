@@ -428,7 +428,6 @@ class TeamBank:
         self._budgets: dict[Fraction, np.ndarray] = {}
         self._rows_le: dict[int, Mask] = {}
         self._values_le: dict[int, Mask] = {}
-        self._ones: Mask | None = None
 
     @classmethod
     def build(cls, n_vars: int, max_rows: int, max_values: int) -> "TeamBank":
@@ -534,6 +533,4 @@ class TeamBank:
         return mask
 
     def all_mask(self) -> Mask:
-        if self._ones is None:
-            self._ones = pack_mask(np.ones(self.size, dtype=bool))
-        return self._ones
+        return self.row_mask(self.max_rows)

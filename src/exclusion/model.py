@@ -97,10 +97,6 @@ class Atom:
         bar = "|" if self.degree == ZERO else f"|[{self.degree}]|"
         return f"{' '.join(self.left)} {bar} {' '.join(self.right)}"
 
-    def swapped(self) -> "Atom":
-        """The atom with its sides exchanged, same degree."""
-        return Atom(self.right, self.left, self.degree)
-
 
 def _side(value: str | Iterable[str]) -> VarTuple:
     if isinstance(value, str):

@@ -142,12 +142,6 @@ def parse_atom(text: str) -> Atom:
     return _diagnose(text)
 
 
-def render_atom(atom: Atom) -> str:
-    """Machine form; parses back to an equal atom."""
-    degree = "" if atom.degree == ZERO else f"[{atom.degree}]"
-    return f"excl{degree}({' '.join(atom.left)} ; {' '.join(atom.right)})"
-
-
 def parse_sigma(text: str, source: str = "<sigma>") -> list[Atom]:
     """Assumption list from text: one atom per line, # comments.
 

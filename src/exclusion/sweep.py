@@ -31,7 +31,7 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from .calculus import synthesize
-from .counterexample import build_team, domain_size_bound, verify
+from .counterexample import domain_size_bound, verified_counterexample
 from .counterexample import plan as counterexample_plan
 from .decision import decide
 from .kernel import TeamBank, any_counterexample
@@ -209,15 +209,12 @@ def run_keystone() -> KeystoneReport:
             else:
                 false_classes += 1
                 try:
-                    team = build_team(plan)
-                    if not verify(team, sigma, goal):
-                        counterexample_failures.add((*describe(s, g), "verify"))
-                    if team.value_count() > domain_size_bound(plan):
-                        bound_violations.add(
-                            (*describe(s, g), team.value_count())
-                        )
-                except Exception as exc:
+                    team = verified_counterexample(plan)
+                except Exception as exc:  # UndecidedError for a failed check
                     counterexample_failures.add((*describe(s, g), repr(exc)))
+                else:
+                    if team.value_count() > domain_size_bound(plan):
+                        bound_violations.add((*describe(s, g), team.value_count()))
 
         # modular sample: re-run the decision on unreduced instances and
         # compare with the verdict recorded for their class

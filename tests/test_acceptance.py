@@ -134,7 +134,7 @@ def gen_a1(rng):
 
 def gen_a2(rng):
     prem = rand_atom(rng)
-    return prem, prem.swapped(), None
+    return prem, Atom(prem.right, prem.left, prem.degree), None
 
 
 def gen_a3(rng):

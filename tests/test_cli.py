@@ -541,21 +541,26 @@ class TestUndecided:
     # a right NO whose shared-block team violates a | e beyond its budget
     SHARED_BLOCK = ("excl[1/3](a ; b)\nexcl[1/4](a ; e)\n", "excl(b e a b ; a b b e)")
 
-    @pytest.mark.parametrize("flags", [[], ["--json"]])
-    def test_check_refuses_unverified_no(self, flags, sigma_file, capsys):
-        sigma, goal = self.TWO_PREMISE
-        code = main(["check", sigma_file(sigma), goal, *flags])
+    @pytest.mark.parametrize("instance", ["TWO_PREMISE", "SHARED_BLOCK"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["check"],
+            ["check", "--json"],
+            ["check", "--certificate", "{out}"],
+            ["counterexample", "{out}"],
+            ["derive", "{out}"],
+        ],
+        ids=["check", "check-json", "check-certificate", "counterexample", "derive"],
+    )
+    def test_refuses_unverified_no(self, command, instance, sigma_file, tmp_path, capsys):
+        sigma, goal = getattr(self, instance)
+        out = tmp_path / "out"
+        name, *rest = command
+        argv = [name, sigma_file(sigma), goal, *(arg.format(out=out) for arg in rest)]
+        code = main(argv)
         captured = capsys.readouterr()
         assert code == EXIT_UNDECIDED == 6
-        assert captured.err.startswith("error: no verified counterexample")
-        assert "holds" not in captured.out
-
-    def test_counterexample_refuses_unverified_team(self, sigma_file, tmp_path, capsys):
-        sigma, goal = self.SHARED_BLOCK
-        out = tmp_path / "team.csv"
-        code = main(["counterexample", sigma_file(sigma), goal, str(out)])
-        captured = capsys.readouterr()
-        assert code == EXIT_UNDECIDED
         assert captured.err.startswith("error: no verified counterexample")
         assert captured.out == ""
         assert not out.exists()

@@ -461,6 +461,9 @@ class TestTeamBank:
         # zero-padded like every other mask, and no block has a gap
         assert not bits[bank.size :].any()
         assert mask.gaps == 0
+        # the bank is sorted by row count, so every team is in the
+        # max_rows prefix
+        assert mask is bank.row_mask(bank.max_rows)
 
 
 @pytest.fixture(scope="module")

@@ -85,11 +85,6 @@ class TestAtom:
         a = Atom(("x", "x"), ("x", "y"))
         assert a.arity == 2
 
-    def test_swapped(self):
-        a = atom("x y", "u v", "1/4")
-        assert a.swapped() == Atom(("u", "v"), ("x", "y"), Fraction(1, 4))
-        assert a.swapped().swapped() == a
-
     def test_hashable_and_equal(self):
         assert atom("x", "y") == Atom(("x",), ("y",))
         assert len({atom("x", "y"), Atom(("x",), ("y",))}) == 1

@@ -14,7 +14,6 @@ from exclusion.parsing import (
     parse_rational,
     parse_sigma,
     read_team_csv,
-    render_atom,
     team_csv_text,
 )
 
@@ -257,6 +256,12 @@ class TestParseAtomEquivalence:
     @pytest.mark.parametrize("text", ["excl(a ; b)", "excl[1](a ; b)", "excl[0.25](a ; b)"])
     def test_degree_is_an_exact_fraction(self, text):
         assert type(parse_atom(text).degree) is Fraction
+
+
+def render_atom(a):
+    """Machine form; parses back to an equal atom."""
+    degree = "" if a.degree == ZERO else f"[{a.degree}]"
+    return f"excl{degree}({' '.join(a.left)} ; {' '.join(a.right)})"
 
 
 class TestRender:
