@@ -9,9 +9,11 @@ Times per call are the fastest of repeated passes over each case's calls
 ``decide-large``, it times:
 
 * ``parse_sigma`` on the file's text;
-* ``decide`` on one goal that holds (a premise's pairs, shuffled, with one
-  pair appended and the premise's degree) and one that does not (a random
-  goal drawn until the answer is NO); a NO includes its ``plan``;
+* ``decide`` on one goal that holds, derived from a random premise by
+  ``perfbench/gen.py``'s ``derived_goal`` as ``decide-large`` derives its
+  goals (the premise's pairs shuffled, the sides perhaps swapped, the
+  degree perhaps raised), and one that does not, a ``gen.random_atom``
+  drawn until the answer is NO; a NO includes its ``plan``;
 * ``decide`` plus ``synthesize`` on the goal that holds: where the
   derivation's route is searched differs between trees, so this is the
   case that compares like with like;
@@ -93,10 +95,8 @@ def _plan_fields(ex, plan):
 def _goals(ex, rng, sigma, arity):
     """(a goal that holds, a goal that does not) over the parsed premises."""
     premise = rng.choice(sigma)
-    pairs = list(zip(premise.left, premise.right))
-    rng.shuffle(pairs)
-    pairs.insert(rng.randint(0, len(pairs)), (rng.choice(NAMES), rng.choice(NAMES)))
-    yes = ex.model.Atom(tuple(a for a, _ in pairs), tuple(b for _, b in pairs), premise.degree)
+    yes = ex.model.Atom(*gen.derived_goal(
+        rng, (premise.left, premise.right, premise.degree), NAMES, arity))
     while True:
         no = ex.model.Atom(*gen.random_atom(rng, NAMES, arity))
         if not ex.decision.decide(sigma, no).holds:

@@ -11,12 +11,16 @@ and 24 conflicting values at arity 1 and 2:
 * ``cli.main(["eval", path, atom])``, the whole command: reading the CSV,
   parsing the atom, the search and printing (to a discarded buffer).
 
-The conflicting values fall into independent components of one to three
+The sparse tables come from ``perfbench/gen.py``'s ``table``, the
+generator of the ``eval-tables`` workload, with its atom and degree.  The
+conflicting values fall into independent components of one to three
 values, each value on both sides of its component's rows, and every other
-row takes values that occur on one side only; one row per table conflicts
-with itself.  At arity 2 the second column comes from a three-value pool,
-so single columns collide across the sides while whole tuples do not.
-The generator is this script's own, seeded, and not the benchmark's.
+row takes values that occur on one side only.  At arity 2 the second
+column comes from a three-value pool, so single columns collide across
+the sides while whole tuples do not.  ``gen`` plants each table's
+``min_removal`` by brute force over its components; each tree records, as
+``matches_planted``, whether its every sparse answer equals the planted
+one.
 
 The dense cases, ``dense.200x50.a1`` and ``.a2``, are five tables each of
 200 rows whose first columns draw from 50 values, every value on both
@@ -58,6 +62,9 @@ from pathlib import Path
 
 from harness import compare_in_process
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import gen
+
 SEED = 20261019
 ROWS = (1000, 10_000, 100_000)
 CONFLICTS = (4, 15, 24)
@@ -68,33 +75,9 @@ DENSE = (200, 50)  # rows, values of the dense tables
 DENSE_TABLES = 5
 
 
-def _table(rng, n_rows, n_conflicts, arity):
-    """(csv_text, atom_text) for one table."""
-
-    def value(tag, i):
-        return (f"{tag}{i}",) + tuple(rng.choice(PAD) for _ in range(arity - 1))
-
-    itself = value("s", 0)
-    rows = [(itself, itself)]  # conflicts with itself: removed outright
-    fresh = made = 0
-    while made < n_conflicts:
-        values = [value("c", made + i) for i in range(min(rng.randint(1, 3), n_conflicts - made))]
-        made += len(values)
-        for v in values:
-            fresh += 1
-            rows += [(v, value("r", fresh)), (value("l", fresh), v)]
-        for _ in range(rng.randint(0, 3)):  # links within the component
-            x = rng.choice(values)
-            y = rng.choice([v for v in values if v != x] or [value("r", fresh)])
-            if (x, y) not in rows:
-                rows.append((x, y))
-    for i in range(fresh + 1, fresh + 1 + max(0, n_rows - len(rows))):
-        rows.append((value("l", i), value("r", i)))
-    return _csv(rows, arity)
-
-
 def _dense_table(rng, n_rows, n_values, arity):
-    """(csv_text, atom_text) for a table whose first columns draw from one
+    """(csv_text, atom, None, rows), as ``gen.table`` returns it but with
+    no planted answer, for a table whose first columns draw from one
     pool of ``n_values`` values, each value on both sides, so every row's
     first value is shared and no row can be skipped before projection."""
     pool = [f"c{i}" for i in range(n_values)]
@@ -106,7 +89,7 @@ def _dense_table(rng, n_rows, n_values, arity):
          (y,) + tuple(rng.choice(PAD) for _ in range(arity - 1)))
         for x, y in firsts
     }
-    return _csv(sorted(rows), arity)
+    return (*_csv(sorted(rows), arity), None, len(rows))
 
 
 def _csv(rows, arity):
@@ -114,7 +97,7 @@ def _csv(rows, arity):
     right = [f"y{i}" for i in range(arity)]
     lines = [",".join(["k"] + left + right)]
     lines += [",".join((str(k),) + x + y) for k, (x, y) in enumerate(rows)]
-    return "\n".join(lines) + "\n", f"excl({' '.join(left)} ; {' '.join(right)})"
+    return "\n".join(lines) + "\n", (tuple(left), tuple(right), 0)
 
 
 def _cases():
@@ -123,7 +106,7 @@ def _cases():
     for n_rows in ROWS:
         for n_conflicts in CONFLICTS:
             for arity in ARITIES:
-                yield (f"{n_rows}x{n_conflicts}.a{arity}", _table,
+                yield (f"{n_rows}x{n_conflicts}.a{arity}", gen.table,
                        (n_rows, n_conflicts, arity), TABLES[n_rows])
     n_rows, n_values = DENSE
     for arity in ARITIES:
@@ -133,12 +116,13 @@ def _cases():
 
 def cases(ex) -> tuple[str, dict, dict]:
     """The digest of one tree's answers, its timed cases and its facts
-    (the ``answers``), as ``harness.compare_in_process`` takes them."""
+    (the ``answers`` and ``matches_planted``), as
+    ``harness.compare_in_process`` takes them."""
     CapacityError = ex.errors.CapacityError
     rng = random.Random(SEED)
     work = Path(tempfile.mkdtemp(prefix="bench_eval."))
     atexit.register(shutil.rmtree, work, ignore_errors=True)
-    timed, answers = {}, {}
+    timed, answers, matches_planted = {}, {}, True
 
     def removal(team, atom):
         try:
@@ -156,19 +140,21 @@ def cases(ex) -> tuple[str, dict, dict]:
     for case, make, args, count in _cases():
         tables = []
         for k in range(count):
-            text, atom_text = make(rng, *args)
+            text, atom, planted, _ = make(rng, *args)
+            atom_text = gen.atom_text(*atom)
             path = work / f"{case}.{k}.csv"
             path.write_text(text, encoding="utf-8")
             team, _ = ex.parsing.parse_team_csv(text)
-            tables.append((path, atom_text, team, ex.parsing.parse_atom(atom_text)))
-        answers[case] = [removal(team, atom) for _, _, team, atom in tables]
+            tables.append((path, atom_text, team, ex.parsing.parse_atom(atom_text), planted))
+        answers[case] = [removal(team, atom) for _, _, team, atom, _ in tables]
         if not case.startswith("dense."):
-            timed[f"read.{case}"] = [lambda p=p: read(p) for p, _, _, _ in tables]
-        timed[f"min_removal.{case}"] = [lambda t=t, a=a: removal(t, a) for _, _, t, a in tables]
-        timed[f"eval.{case}"] = [lambda p=p, a=a: run_eval(p, a) for p, a, _, _ in tables]
+            matches_planted &= answers[case] == [planted for *_, planted in tables]
+            timed[f"read.{case}"] = [lambda p=p: read(p) for p, *_ in tables]
+        timed[f"min_removal.{case}"] = [lambda t=t, a=a: removal(t, a) for _, _, t, a, _ in tables]
+        timed[f"eval.{case}"] = [lambda p=p, a=a: run_eval(p, a) for p, a, *_ in tables]
 
     digest = hashlib.sha256(json.dumps(answers, sort_keys=True).encode()).hexdigest()
-    return digest, timed, {"answers": answers}
+    return digest, timed, {"answers": answers, "matches_planted": matches_planted}
 
 
 def main(argv=None) -> int:

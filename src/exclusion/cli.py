@@ -17,15 +17,15 @@ identical bytes.
 The argument parser is built on the first `main` call and reused by every
 later call in the process.
 
-Every subcommand loads exclusion.oracle (for --budget's default),
-.parsing, .semantics, .model and .errors, imported below.  The commands
-that decide an implication (check, counterexample, derive,
-oracle-check) import exclusion.decision and .counterexample when they
-run; eval, which only measures a table, loads neither.  Only `check
---certificate` on a YES and `derive` write a derivation, so only they
-import the derivation planner and, through it, the certificate checker
-(exclusion.calculus, .certificate), most of the package's import time.
-No subcommand loads numpy.
+Every subcommand loads exclusion.parsing, .semantics, .model and
+.errors, imported below; only oracle-check loads exclusion.oracle, when
+it runs.  The commands that decide an implication (check,
+counterexample, derive, oracle-check) import exclusion.decision and
+.counterexample when they run; eval, which only measures a table, loads
+neither.  Only `check --certificate` on a YES and `derive` write a
+derivation, so only they import the derivation planner and, through it,
+the certificate checker (exclusion.calculus, .certificate), most of the
+package's import time.  No subcommand loads numpy.
 """
 
 from __future__ import annotations
@@ -37,9 +37,8 @@ import time
 from fractions import Fraction
 from functools import cache
 
-from .errors import EXIT_OK, EXIT_WRONG_DIRECTION, ExclusionError
-from .model import column_index
-from .oracle import DEFAULT_BUDGET, oracle_implies
+from .errors import DEFAULT_BUDGET, EXIT_OK, EXIT_WRONG_DIRECTION, ExclusionError
+from .model import atom_columns
 from .parsing import (
     parse_atom,
     read_sigma_file,
@@ -112,8 +111,7 @@ def cmd_eval(args) -> int:
     atom = parse_atom(args.atom)
     if duplicates:
         print(f"warning: {duplicates} duplicate rows collapsed", file=sys.stderr)
-    left_idx = tuple(column_index(schema, var) for var in atom.left)
-    right_idx = tuple(column_index(schema, var) for var in atom.right)
+    left_idx, right_idx = atom_columns(schema, atom)
     # one removal search: satisfaction and the smallest degree follow from it
     removal = min_removal_indexed(columns, left_idx, right_idx)
     size = len(columns[0])
@@ -139,15 +137,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_counterexample(args) -> int:
-    from .counterexample import domain_size_bound
+    from .counterexample import search_bounds
 
-    _, _, verdict, team = _decided(args)
+    sigma, goal, verdict, team = _decided(args)
     if verdict.holds:
         print("implication holds; no counterexample exists")
         return EXIT_WRONG_DIRECTION
-    plan = verdict.plan
+    rows, values = search_bounds(sigma, goal, verdict.plan)
     write_team_csv(team, args.out_csv)
-    print(f"l={plan.l} k={plan.k} domain-bound={domain_size_bound(plan)}")
+    print(f"l={verdict.plan.l} k={rows} domain-bound={values}")
     print(f"wrote {args.out_csv} ({team.size} rows)")
     return EXIT_OK
 
@@ -168,9 +166,9 @@ def cmd_derive(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    from .counterexample import domain_size_bound
-    from .counterexample import plan as counterexample_plan
+    from .counterexample import search_bounds
     from .decision import decide
+    from .oracle import oracle_implies
 
     sigma = read_sigma_file(args.sigma_file)
     goal = parse_atom(args.goal)
@@ -181,8 +179,7 @@ def cmd_oracle_check(args) -> int:
         rows = values = 1
     else:
         # the bounds within which a refutation must appear, if any
-        plan = verdict.plan or counterexample_plan(sigma, goal)
-        rows, values = plan.k, domain_size_bound(plan)
+        rows, values = search_bounds(sigma, goal, verdict.plan)
     max_rows = rows if args.max_rows is None else args.max_rows
     domain = values if args.domain is None else args.domain
     result = oracle_implies(

@@ -47,6 +47,9 @@ class UnsupportedDegreeError(ExclusionError):
     exit_code = EXIT_UNSUPPORTED_DEGREE
 
 
+DEFAULT_BUDGET = 10_000_000  # teams an enumeration visits before CapacityError
+
+
 class CapacityError(ExclusionError):
     """A configured enumeration budget would be exceeded."""
 

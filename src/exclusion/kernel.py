@@ -57,8 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError
-from .oracle import DEFAULT_BUDGET
+from .errors import DEFAULT_BUDGET, CapacityError
 
 IMPLEMENTATION = "python"
 MAX_PACK_ROWS = 4

@@ -175,6 +175,13 @@ def column_index(schema: tuple[str, ...], var: str) -> int:
         raise UnknownVariableError(f"variable {var!r} not in schema {schema}")
 
 
+def atom_columns(schema: tuple[str, ...], atom: Atom) -> tuple[tuple[int, ...], ...]:
+    """The column indexes of the atom's left side and of its right side;
+    `column_index` reports an unknown name, the left side's first."""
+    sides = (atom.left, atom.right)
+    return tuple(tuple(column_index(schema, v) for v in side) for side in sides)
+
+
 def team_from_rows(schema: Iterable[str], rows: Iterable[Iterable[str]]) -> Team:
     """Convenience constructor; deduplicates rows silently."""
     return Team(tuple(schema), frozenset(tuple(r) for r in rows))

@@ -22,11 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import CapacityError
-from .model import Atom, Team, schema_order
+from .errors import DEFAULT_BUDGET, CapacityError
+from .model import Atom, Team, atom_columns, schema_order
 from .semantics import columns_of, min_removal_indexed, within_budget
-
-DEFAULT_BUDGET = 10_000_000
 
 IntRow = tuple[int, ...]
 RowSet = tuple[IntRow, ...]
@@ -110,13 +108,8 @@ def oracle_implies(
     """Search the bounded space for a team separating sigma from the goal."""
     sigma = tuple(sigma)
     schema, _ = schema_order(sigma, goal)
-    col = {v: i for i, v in enumerate(schema)}
-
-    def indexed(atom: Atom) -> tuple[list[int], list[int]]:
-        return [col[v] for v in atom.left], [col[v] for v in atom.right]
-
-    constraints = [(*indexed(a), a.degree) for a in sigma]
-    goal_left, goal_right = indexed(goal)
+    constraints = [(*atom_columns(schema, a), a.degree) for a in sigma]
+    goal_left, goal_right = atom_columns(schema, goal)
     p = goal.degree
 
     checked = 0

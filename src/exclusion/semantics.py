@@ -57,7 +57,7 @@ from operator import itemgetter
 from typing import Collection, Sequence
 
 from .errors import CapacityError, EmptyTeamError
-from .model import Atom, Team, column_index
+from .model import Atom, Team, atom_columns, column_index
 
 # most interdependent removal choices searched in one conflict component
 CHOICE_CAP = 20
@@ -232,8 +232,7 @@ def min_removal_indexed(
 def min_removal(team: Team, atom: Atom) -> int:
     """Fewest rows to delete so the exact atom holds on the remainder; the
     team's rows are transposed for the search."""
-    left_idx = tuple(column_index(team.schema, v) for v in atom.left)
-    right_idx = tuple(column_index(team.schema, v) for v in atom.right)
+    left_idx, right_idx = atom_columns(team.schema, atom)
     return min_removal_indexed(columns_of(team.rows, len(team.schema)), left_idx, right_idx)
 
 

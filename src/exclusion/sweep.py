@@ -31,11 +31,10 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from .calculus import synthesize
-from .counterexample import domain_size_bound, verified_counterexample
-from .counterexample import plan as counterexample_plan
+from .counterexample import search_bounds, verified_counterexample
 from .decision import decide
 from .kernel import TeamBank, any_counterexample
-from .model import Atom
+from .model import Atom, atom_columns, schema_order
 from .oracle import oracle_implies
 
 KEYSTONE_VARS = ("a", "b", "c")
@@ -137,12 +136,7 @@ def run_keystone() -> KeystoneReport:
 
     setup_start = time.perf_counter()
     bank = TeamBank.build(len(KEYSTONE_VARS), KEYSTONE_MAX_ROWS, KEYSTONE_MAX_VALUES)
-    col = {v: i for i, v in enumerate(KEYSTONE_VARS)}
-    masks = []
-    for a in atoms:
-        left_cols = [col[v] for v in a.left]
-        right_cols = [col[v] for v in a.right]
-        masks.append(bank.satisfaction_mask(left_cols, right_cols, a.degree))
+    masks = [bank.satisfaction_mask(*atom_columns(KEYSTONE_VARS, a), a.degree) for a in atoms]
     ones = bank.all_mask()
     setup_s = time.perf_counter() - setup_start
 
@@ -168,9 +162,12 @@ def run_keystone() -> KeystoneReport:
     sample_size = 0
     scan_s = 0.0
 
+    def premises(s: int) -> list[int]:
+        """The atom indexes of assumption set s."""
+        return [int(i) for i in (first[s], second[s]) if i != sentinel]
+
     def describe(s: int, g: int) -> tuple:
-        sigma_idx = [int(i) for i in (first[s], second[s]) if i != sentinel]
-        return tuple(str(atoms[i]) for i in sigma_idx), str(atoms[g])
+        return tuple(str(atoms[i]) for i in premises(s)), str(atoms[g])
 
     for g in range(n_atoms):
         goal = atoms[g]
@@ -180,19 +177,17 @@ def run_keystone() -> KeystoneReport:
         reps = np.nonzero(min_keys == own)[0]
 
         for s in reps:
-            sigma_idx = [int(i) for i in (first[s], second[s]) if i != sentinel]
+            sigma_idx = premises(s)
             sigma = tuple(atoms[i] for i in sigma_idx)
             verdict = decide(sigma, goal)
             classes += 1
             verdict_map[own[s]] = 1 if verdict.holds else 2
 
-            plan = verdict.plan
-            if plan is None:
-                plan = counterexample_plan(sigma, goal)
+            rows, values = search_bounds(sigma, goal, verdict.plan)
             a_mask = masks[sigma_idx[0]] if len(sigma_idx) > 0 else ones
             b_mask = masks[sigma_idx[1]] if len(sigma_idx) > 1 else ones
-            rc_mask = bank.row_mask(plan.k)
-            nv_mask = bank.value_mask(domain_size_bound(plan))
+            rc_mask = bank.row_mask(rows)
+            nv_mask = bank.value_mask(values)
             scan_start = time.perf_counter()
             found = any_counterexample(a_mask, b_mask, masks[g], rc_mask, nv_mask)
             scan_s += time.perf_counter() - scan_start
@@ -209,11 +204,11 @@ def run_keystone() -> KeystoneReport:
             else:
                 false_classes += 1
                 try:
-                    team = verified_counterexample(plan)
+                    team = verified_counterexample(verdict.plan)
                 except Exception as exc:  # UndecidedError for a failed check
                     counterexample_failures.add((*describe(s, g), repr(exc)))
                 else:
-                    if team.value_count() > domain_size_bound(plan):
+                    if team.value_count() > values:
                         bound_violations.add((*describe(s, g), team.value_count()))
 
         # modular sample: re-run the decision on unreduced instances and
@@ -221,8 +216,7 @@ def run_keystone() -> KeystoneReport:
         start_offset = (-g * n_sets) % SAMPLE_STRIDE
         for s in range(start_offset, n_sets, SAMPLE_STRIDE):
             sample_size += 1
-            sigma_idx = [int(i) for i in (first[s], second[s]) if i != sentinel]
-            sigma = tuple(atoms[i] for i in sigma_idx)
+            sigma = tuple(atoms[i] for i in premises(s))
             verdict = decide(sigma, goal)
             stored = verdict_map[min_keys[s]]
             if stored == 0 or (stored == 1) != verdict.holds:
@@ -268,17 +262,14 @@ def oracle_spot_check() -> tuple[int, Tally]:
         if size == 2 and sigma[0] == sigma[1]:
             continue
         goal = atoms[rng.randrange(len(atoms))]
-        plan = counterexample_plan(sigma, goal)
-        k = plan.k
+        k, values = search_bounds(sigma, goal)
         if remaining.get(k, 0) <= 0:
             continue
-        if k >= 4 and len(plan.schema) > 2:
+        if k >= 4 and len(schema_order(sigma, goal)[0]) > 2:
             continue
         remaining[k] -= 1
         compared += 1
-        result = oracle_implies(
-            sigma, goal, max_rows=k, max_values=domain_size_bound(plan)
-        )
+        result = oracle_implies(sigma, goal, max_rows=k, max_values=values)
         verdict = decide(sigma, goal)
         if result.implied != verdict.holds:
             mismatches.add(

@@ -40,9 +40,13 @@ from exclusion.counterexample import verified_counterexample
 from exclusion.errors import EXIT_UNSUPPORTED_DEGREE
 from exclusion.model import conflicts, generic_pair, team_from_rows
 from exclusion.semantics import satisfies_all
-from exclusion.sweep import keystone_atoms, oracle_spot_check, run_keystone
+from exclusion.sweep import SPOT_CHECK_COUNTS, keystone_atoms, oracle_spot_check, run_keystone
 
 KEYSTONE_INSTANCES = 9_878_220
+KEYSTONE_SAMPLE = 161_939  # unreduced instances re-decided directly
+KEYSTONE_CLASSES = 1_646_832  # one per renaming class
+KEYSTONE_TRUE_CLASSES = 645_800
+KEYSTONE_FALSE_CLASSES = 1_001_032
 
 
 @pytest.fixture
@@ -72,6 +76,8 @@ class TestCriterion1Equivalence:
         detail = (
             f"{keystone.instances} instances, "
             f"{keystone.disagreements.count} disagreements, "
+            f"{keystone.sample_size} sampled with "
+            f"{keystone.sample_mismatches.count} mismatches, "
             f"{compared} literal-oracle replays with "
             f"{mismatches.count} mismatches, sweep {keystone.elapsed:.1f}s "
             f"(set-up {keystone.setup_s:.1f}s, scan {keystone.scan_s:.1f}s)"
@@ -79,9 +85,10 @@ class TestCriterion1Equivalence:
         ok = (
             keystone.instances == KEYSTONE_INSTANCES
             and keystone.disagreements.count == 0
+            and keystone.sample_size == KEYSTONE_SAMPLE
             and keystone.sample_mismatches.count == 0
             and keystone.elapsed < 600.0
-            and compared > 0
+            and compared == sum(SPOT_CHECK_COUNTS.values())
             and mismatches.count == 0
         )
         assert report(1, ok, detail), detail
@@ -90,6 +97,7 @@ class TestCriterion1Equivalence:
 class TestCriterion2Certificates:
     def test_every_verdict_has_a_checked_certificate(self, keystone, report):
         detail = (
+            f"{keystone.classes} classes, "
             f"{keystone.true_classes} derivations and "
             f"{keystone.false_classes} counterexamples verified, "
             f"{keystone.derivation_failures.count}+"
@@ -98,8 +106,9 @@ class TestCriterion2Certificates:
         ok = (
             keystone.derivation_failures.count == 0
             and keystone.counterexample_failures.count == 0
-            and keystone.true_classes + keystone.false_classes == keystone.classes
-            and keystone.classes > 0
+            and keystone.classes == KEYSTONE_CLASSES
+            and keystone.true_classes == KEYSTONE_TRUE_CLASSES
+            and keystone.false_classes == KEYSTONE_FALSE_CLASSES
         )
         assert report(2, ok, detail), detail
 

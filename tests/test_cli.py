@@ -681,6 +681,10 @@ class TestColdImport:
     def test_package_import_loads_no_submodule(self):
         assert modules_after("import exclusion") == {"exclusion"}
 
+    def test_kernel_loads_only_the_errors(self):
+        loaded = modules_after("import exclusion.kernel") - {"numpy"}
+        assert loaded == {"exclusion", "exclusion.errors", "exclusion.kernel"}
+
     def test_certificate_checker_loads_only_its_base(self):
         # the trusted base of a certificate check, without the planner or
         # the decision procedure
@@ -709,6 +713,8 @@ class TestColdImport:
         else:
             assert deciding <= loaded
         assert not loaded & (HEAVY | {"numpy"})
+        # the bounded oracle is loaded by the one command that runs it
+        assert ("exclusion.oracle" in loaded) == (argv[0] == "oracle-check")
 
     @pytest.mark.parametrize(
         "argv",
@@ -721,7 +727,7 @@ class TestColdImport:
     def test_commands_that_write_derivations_load_the_calculus(self, argv, tmp_path):
         loaded = modules_after_main(argv, readme_files(tmp_path))
         assert {"exclusion.calculus", "exclusion.certificate"} <= loaded
-        assert not loaded & {"exclusion.kernel", "exclusion.sweep", "numpy"}
+        assert not loaded & {"exclusion.kernel", "exclusion.oracle", "exclusion.sweep", "numpy"}
 
 
 class TestStandardLibraryOnly:

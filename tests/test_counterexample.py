@@ -22,6 +22,7 @@ from exclusion.counterexample import (
     domain_size_bound,
     plan as counterexample_plan,
     ratio_parameters,
+    search_bounds,
     verify as verify_counterexample,
 )
 from exclusion.decision import decide
@@ -155,12 +156,19 @@ def eager_transitive(plan):
 
 class TestDecidePlansOnItsPair:
     """decide plans a NO on the generic pair it built for domination;
-    plan builds its own.  Both must give the same plan."""
+    plan builds its own.  Both must give the same plan.  search_bounds
+    reads a NO's bounds off its plan and plans a YES itself."""
 
     def check(self, sigma, goal):
         verdict = decide(sigma, goal)
         if verdict.holds:
+            fresh = counterexample_plan(sigma, goal)
+            bounds = (fresh.k, domain_size_bound(fresh))
+            assert search_bounds(sigma, goal) == bounds, (sigma, goal)
+            assert search_bounds(sigma, goal, verdict.plan) == bounds, (sigma, goal)
             return
+        bounds = (verdict.plan.k, domain_size_bound(verdict.plan))
+        assert search_bounds(sigma, goal, verdict.plan) == bounds, (sigma, goal)
         fresh = counterexample_plan(sigma, goal)
         for f in fields(fresh):
             assert getattr(verdict.plan, f.name) == getattr(fresh, f.name), (sigma, goal, f.name)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from exclusion import Atom, Team, UnknownVariableError, atom
-from exclusion.model import as_degree, column_index, team_from_rows
+from exclusion.model import as_degree, atom_columns, column_index, team_from_rows
 
 
 class TestAsDegree:
@@ -132,6 +132,21 @@ class TestTeam:
         assert column_index(schema, "y") == 1
         with pytest.raises(UnknownVariableError, match="'z'"):
             column_index(schema, "z")
+        # both sides at once, as the comprehensions it replaced gave them
+        a = atom("y x y", "x x y")
+        expected = (
+            tuple(column_index(schema, v) for v in a.left),
+            tuple(column_index(schema, v) for v in a.right),
+        )
+        assert atom_columns(schema, a) == expected == ((1, 0, 1), (0, 0, 1))
+        # an unknown left name is reported before an unknown right name
+        with pytest.raises(UnknownVariableError, match="'u'") as left_first:
+            atom_columns(schema, atom("x u", "w y"))
+        with pytest.raises(UnknownVariableError) as direct:
+            column_index(schema, "u")
+        assert str(left_first.value) == str(direct.value)
+        with pytest.raises(UnknownVariableError, match="'w'"):
+            atom_columns(schema, atom("x y", "w y"))
 
     def test_value_count(self):
         t = team_from_rows(("x", "y"), [("0", "0"), ("1", "2")])
