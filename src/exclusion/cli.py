@@ -178,7 +178,6 @@ def cmd_oracle_check(args) -> int:
         # one row of one value stands for all teams
         rows = values = 1
     else:
-        # the bounds within which a refutation must appear, if any
         rows, values = search_bounds(sigma, goal, verdict.plan)
     max_rows = rows if args.max_rows is None else args.max_rows
     domain = values if args.domain is None else args.domain

@@ -138,7 +138,9 @@ def plan(
     return CounterexamplePlan("shared-block", sigma, goal, l, k, r, schema, extra, pair)
 
 
-def search_bounds(sigma: Sequence[Atom], goal: Atom, cx=None) -> tuple[int, int]:
+def search_bounds(
+    sigma: Sequence[Atom], goal: Atom, cx: CounterexamplePlan | None = None
+) -> tuple[int, int]:
     """The rows and values within which a team separating sigma from the
     goal lies, if one does: the plan's k and `domain_size_bound`.  ``cx``
     is the plan when the caller holds one (a NO verdict's), else None."""
