@@ -161,15 +161,12 @@ class TestDecidePlansOnItsPair:
 
     def check(self, sigma, goal):
         verdict = decide(sigma, goal)
-        if verdict.holds:
-            fresh = counterexample_plan(sigma, goal)
-            bounds = (fresh.k, domain_size_bound(fresh))
-            assert search_bounds(sigma, goal) == bounds, (sigma, goal)
-            assert search_bounds(sigma, goal, verdict.plan) == bounds, (sigma, goal)
-            return
-        bounds = (verdict.plan.k, domain_size_bound(verdict.plan))
-        assert search_bounds(sigma, goal, verdict.plan) == bounds, (sigma, goal)
         fresh = counterexample_plan(sigma, goal)
+        held = verdict.plan or fresh  # a YES has no plan of its own
+        bounds = (held.k, domain_size_bound(held))
+        assert search_bounds(sigma, goal, verdict.plan) == bounds, (sigma, goal)
+        if verdict.holds:
+            return
         for f in fields(fresh):
             assert getattr(verdict.plan, f.name) == getattr(fresh, f.name), (sigma, goal, f.name)
         assert verdict.plan.transitive == fresh.transitive == eager_transitive(fresh)

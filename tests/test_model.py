@@ -132,7 +132,7 @@ class TestTeam:
         assert column_index(schema, "y") == 1
         with pytest.raises(UnknownVariableError, match="'z'"):
             column_index(schema, "z")
-        # both sides at once, as the comprehensions it replaced gave them
+        # both sides at once, each name resolved as column_index resolves it
         a = atom("y x y", "x x y")
         expected = (
             tuple(column_index(schema, v) for v in a.left),
