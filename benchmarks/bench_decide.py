@@ -124,7 +124,7 @@ def cases(ex) -> tuple[str, dict, dict]:
     parse_sigma, decide, plan = ex.parsing.parse_sigma, ex.decision.decide, ex.counterexample.plan
     domain_size_bound = ex.counterexample.domain_size_bound
     build_team, verify = ex.counterexample.build_team, ex.counterexample.verify
-    synthesize, to_text = ex.calculus.synthesize, ex.calculus.derivation_to_json_str
+    synthesize, to_text = ex.calculus.synthesize, ex.certificate.derivation_to_json_str
     check_derivation = ex.calculus.check_derivation
     rng = random.Random(SEED)
     digest = hashlib.sha256()

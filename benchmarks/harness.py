@@ -94,12 +94,20 @@ def _load_tree(src: Path, name: str):
 # ==========================================================================
 
 def _commit(src: Path) -> str:
-    try:
+    """The tree's commit, marked ``-dirty`` only when a tracked file under
+    ``src`` differs from it: an edit to the docs leaves the code as
+    committed."""
+    def git(*argv: str) -> str:
         out = subprocess.run(
-            ["git", "-C", str(src), "describe", "--always", "--dirty"],
-            check=True, capture_output=True, text=True,
+            ["git", "-C", str(src), *argv], check=True, capture_output=True, text=True,
         )
         return out.stdout.strip()
+
+    try:
+        commit = git("describe", "--always")
+        if git("status", "--porcelain", "--untracked-files=no", "--", "."):
+            commit += "-dirty"
+        return commit
     except (OSError, subprocess.CalledProcessError):
         return "unknown"
 

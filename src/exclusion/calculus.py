@@ -1,8 +1,8 @@
 """Derivation planning: an A1-A8 derivation from a positive decision witness.
 
 synthesize plans a derivation from a decision witness and self-checks it
-before returning; write_derivation writes its certificate to a file.  The
-rules, their checker and the certificate codec are in `certificate`.
+before returning.  The rules, their checker and the certificate codec are
+in `certificate`.
 
 A domination witness is planned along the first A1-A8 route found, and
 otherwise by one DOM step.  DOM is needed only when a side repeats a
@@ -25,16 +25,9 @@ from typing import Sequence
 # a traced run wraps this module's check_derivation, which synthesize calls
 from .certificate import AppendWitness, ContractWitness, Derivation, PermWitness
 from .certificate import RaiseWitness, Rule, Step, SwitchWitness, Witness
-from .certificate import check_derivation, derivation_to_json_str
+from .certificate import check_derivation
 from .errors import InternalVerificationError
 from .model import Atom, VarTuple, ZERO
-from .parsing import write_text
-
-
-def write_derivation(derivation: Derivation, path) -> None:
-    """Write the certificate's text form; an unwritable path is a ParseError."""
-    write_text(path, derivation_to_json_str(derivation) + "\n")
-
 
 Pair = tuple[str, str]
 # per goal side, each variable's bitmask of the goal positions it partners

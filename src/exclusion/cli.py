@@ -23,8 +23,8 @@ it runs.  The commands that decide an implication (check,
 counterexample, derive, oracle-check) import exclusion.decision and
 .counterexample when they run; eval, which only measures a table, loads
 neither.  Only `check --certificate` on a YES and `derive` write a
-derivation, so only they import the derivation planner and, through it,
-the certificate checker (exclusion.calculus, .certificate), most of the
+derivation, so only they import the derivation planner and the
+certificate codec (exclusion.calculus, .certificate), most of the
 package's import time.  No subcommand loads numpy.
 """
 
@@ -45,6 +45,7 @@ from .parsing import (
     read_team_csv,
     team_csv_text,
     write_team_csv,
+    write_text,
 )
 # perfbench/spans.py looks up read_team_csv and parse_atom (above) and
 # min_removal and satisfies (below) in this module by name and wraps them to
@@ -60,6 +61,14 @@ from .semantics import (  # noqa: F401
 
 def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
+
+
+def _write_derivation(derivation, path) -> None:
+    """Write the derivation's certificate text; an unwritable path is a
+    ParseError."""
+    from .certificate import derivation_to_json_str
+
+    write_text(path, derivation_to_json_str(derivation) + "\n")
 
 
 def _decided(args):
@@ -83,8 +92,8 @@ def cmd_check(args) -> int:
     kind = verdict.witness.kind if verdict.holds else verdict.plan.kind
     if args.certificate:
         if verdict.holds:
-            from .calculus import synthesize, write_derivation
-            write_derivation(synthesize(sigma, goal, verdict.witness), args.certificate)
+            from .calculus import synthesize
+            _write_derivation(synthesize(sigma, goal, verdict.witness), args.certificate)
         else:
             write_team_csv(team, args.certificate)
     if args.json:
@@ -158,9 +167,9 @@ def cmd_derive(args) -> int:
             "the counterexample command produces a separating team"
         )
         return EXIT_WRONG_DIRECTION
-    from .calculus import synthesize, write_derivation
+    from .calculus import synthesize
     derivation = synthesize(sigma, goal, verdict.witness)
-    write_derivation(derivation, args.out_json)
+    _write_derivation(derivation, args.out_json)
     print(f"wrote {args.out_json} ({len(derivation.steps)} steps)")
     return EXIT_OK
 
@@ -173,12 +182,7 @@ def cmd_oracle_check(args) -> int:
     sigma = read_sigma_file(args.sigma_file)
     goal = parse_atom(args.goal)
     verdict = decide(sigma, goal)
-    if goal.degree == 1:
-        # every team satisfies the goal, so no plan bounds a refutation;
-        # one row of one value stands for all teams
-        rows = values = 1
-    else:
-        rows, values = search_bounds(sigma, goal, verdict.plan)
+    rows, values = search_bounds(sigma, goal, verdict.plan)
     max_rows = rows if args.max_rows is None else args.max_rows
     domain = values if args.domain is None else args.domain
     result = oracle_implies(

@@ -143,7 +143,13 @@ def search_bounds(
 ) -> tuple[int, int]:
     """The rows and values within which a team separating sigma from the
     goal lies, if one does: the plan's k and `domain_size_bound`.  ``cx``
-    is the plan when the caller holds one (a NO verdict's), else None."""
+    is the plan when the caller holds one (a NO verdict's), else None.
+
+    Every team satisfies a degree-1 goal, so no plan bounds a refutation
+    of it, and `plan` refuses one; one row of one value stands for all
+    teams, and (1, 1) is returned before any plan is read."""
+    if goal.degree.numerator == goal.degree.denominator:
+        return 1, 1
     if cx is None:
         cx = plan(sigma, goal)
     return cx.k, domain_size_bound(cx)

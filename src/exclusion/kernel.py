@@ -469,14 +469,10 @@ class TeamBank:
 
     def satisfaction_mask(self, left_cols, right_cols, degree: Fraction) -> Mask:
         """Teams satisfying left_cols |_degree right_cols, built once per
-        class: atoms of one degree whose (left, right) column pairs form the
-        same set, up to a side swap, get the same `Mask` object.
-
-        Satisfaction reads only the conflict word's removal count.  The word
-        is the AND of one word per pair, so it depends on the set of pairs
-        alone, and swapping the sides transposes it, which keeps its count.
-        The sides are checked before the key is built, since zip would
-        silently cut the longer one.
+        class (module docstring): atoms of one degree whose (left, right)
+        column pairs form the same set, up to a side swap, get the same
+        `Mask` object.  The sides are checked before the key is built,
+        since zip would silently cut the longer one.
         """
         cols = _class_columns(*_sides(left_cols, right_cols))
         key = (degree, cols)
@@ -525,7 +521,9 @@ class TeamBank:
         return mask
 
     def value_mask(self, max_values: int) -> Mask:
-        d = min(max_values, 255)
+        """Teams with at most max_values values; no bank team has more
+        than the bank's max_values, so every larger bound shares its mask."""
+        d = min(max_values, self.max_values)
         mask = self._values_le.get(d)
         if mask is None:
             mask = self._values_le[d] = pack_mask(self.n_values <= d)

@@ -178,8 +178,12 @@ def column_index(schema: tuple[str, ...], var: str) -> int:
 def atom_columns(schema: tuple[str, ...], atom: Atom) -> tuple[tuple[int, ...], ...]:
     """The column indexes of the atom's left side and of its right side;
     `column_index` reports an unknown name, the left side's first."""
-    sides = (atom.left, atom.right)
-    return tuple(tuple(column_index(schema, v) for v in side) for side in sides)
+    try:
+        return tuple(map(schema.index, atom.left)), tuple(map(schema.index, atom.right))
+    except ValueError:
+        for v in atom.left + atom.right:
+            column_index(schema, v)
+        raise
 
 
 def team_from_rows(schema: Iterable[str], rows: Iterable[Iterable[str]]) -> Team:

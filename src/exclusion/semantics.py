@@ -12,23 +12,26 @@ question reduces to its count.  It reads a team by columns: one sequence
 of cells per schema variable, rows at the same position in each.  It
 first reads the first position of each side alone, that is two columns.
 Two rows conflict only if the left row's first value equals the right
-row's first value, so this filter is exact, not a heuristic: when no
-first value is taken on both sides there is no conflicting value, the
-count is 0 and the atom holds at every degree.  Otherwise only the rows
-whose first value the other side also takes can conflict, and only their
-positions are projected, one `itemgetter` per column; every row taking a
-conflicting value is among them, so the conflict map built from them is
-the whole table's.  At arity 1 the first position is the whole
-projection.  Teams of at most UNFILTERED_ROWS rows skip the filter and
-project every row whole, since there its extra passes cost more than the
-rows they skip.  The search then takes every row that conflicts with
-itself.  Each conflicting value left is a choice: remove its left
-occurrences or its right ones.  Choices that share a row depend on each
-other; the classes of that relation are independent conflict components.
-No row lies in two components, so the rows removed for different
-components are disjoint and their minimum counts add up to the exact
-minimum.  Each component is searched exhaustively, and CHOICE_CAP bounds
-the size of one component, not of the whole table.
+row's first value, so this filter is exact, not a heuristic.  The right
+rows whose first value some left row takes are found first; when there
+are none there is no conflicting value, the count is 0 and the atom
+holds at every degree.  Then the left rows whose first value one of
+those right rows takes are found.  Both passes are C-level (`map`,
+`compress`).  Only these rows can conflict, and only their positions are
+projected, one `itemgetter` per column, so any other column is read only
+there; every row taking a conflicting value is among them, so the
+conflict map built from them is the whole table's.  At arity 1 the first
+position is the whole projection.  Teams of at most UNFILTERED_ROWS rows
+skip the filter and project every row whole, since there its extra
+passes cost more than the rows they skip.  The search then removes every
+row that conflicts with itself (a forced row).  Each conflicting value
+left is a choice: remove its left occurrences or its right ones.
+Choices that share a row depend on each other; the classes of that
+relation are independent conflict components.  No row lies in two
+components, so the rows removed for different components are disjoint
+and their minimum counts add up to the exact minimum.  Each component is
+searched exhaustively, and CHOICE_CAP bounds the size of one component,
+not of the whole table.
 
 Callers hand the search columns.  `excl eval` reads them from the CSV
 (`parsing.read_team_csv`) and never builds rows.  Callers holding rows
@@ -41,12 +44,14 @@ builds the set of values each column takes once per team.  A premise
 with a position whose left and right value sets are disjoint is skipped:
 no row's left value there equals any row's right value, so no row pair
 conflicts and the removal is 0 at every degree.  The filter is exact for
-the same reason as the row filter, and on a few-row team over many
-variables it skips nearly every premise before any index or projection
-is built.  A premise's names are checked against the schema as a set,
-the left side before the right, before any value set is looked up, so an
-unknown variable raises UnknownVariableError for the same name
-`satisfies` would, even in a premise the filter would skip.
+the same reason as the row filter.  Only the premises it leaves are
+resolved to column indexes (`model.atom_columns`) and searched, so on a
+few-row team over many variables, such as a 1000-premise NO's, nearly
+every premise is skipped before any index or projection is built.  A
+premise's names are checked against the schema as a set, the left side
+before the right, before any value set is looked up, so an unknown
+variable raises UnknownVariableError for the same name `satisfies`
+would, even in a premise the filter would skip.
 """
 
 from __future__ import annotations
@@ -57,7 +62,7 @@ from operator import itemgetter
 from typing import Collection, Sequence
 
 from .errors import CapacityError, EmptyTeamError
-from .model import Atom, Team, atom_columns, column_index
+from .model import Atom, Team, atom_columns
 
 # most interdependent removal choices searched in one conflict component
 CHOICE_CAP = 20
@@ -150,23 +155,11 @@ def min_removal_indexed(
 
     The team is given by columns: `columns[i][pos]` is the cell of row
     `pos` in column i, and the indexes name columns.  A removal set works
-    iff it contains every row that takes some value on both sides (such a
-    row conflicts with itself) and, for each conflicting value, swallows
-    its left occurrences or its right occurrences entirely.  Past
-    UNFILTERED_ROWS rows the first-position filter reads the two first
-    columns, `columns[left_idx[0]]` and `columns[right_idx[0]]`, whole to
-    pick the rows that can conflict.  The right rows whose first value is
-    some left row's first value are found first; if there are none, the
-    count is 0.  Then the left rows whose first value one of those right
-    rows takes are found.  Both passes are C-level (`map`, `compress`).
-    Only these positions are projected, one `itemgetter` per column, so
-    any other column is read only there, and the conflict map built from
-    them equals the whole table's.  Forced rows are removed first.  Each
-    remaining value is a binary side choice; two choices are linked when
-    they share a row, and the linked classes are independent components.
-    Components share no rows, so their removal sets are disjoint and the
-    minimum is the sum of each component's minimum, found by trying every
-    pick within it.  CHOICE_CAP bounds the choices of any one component.
+    iff it contains every row that takes some value on both sides and,
+    for each conflicting value, swallows its left occurrences or its
+    right occurrences entirely; the module docstring describes the
+    search.  CapacityError is raised when one conflict component holds
+    more than CHOICE_CAP choices.
     """
     left_first, right_first = columns[left_idx[0]], columns[right_idx[0]]
     positions = range(len(left_first))
@@ -269,20 +262,11 @@ def satisfies_all(team: Team, atoms: Sequence[Atom]) -> bool:
     """Whether the team satisfies every atom in the list, in one pass.
 
     Equal to ``all(satisfies(team, a) for a in atoms)``: the atoms are
-    checked in order, degree-1 atoms are skipped, and the first failing
-    atom ends the pass.  The value set of each column and the set of the
-    schema's names are built once per team, at the first atom to check, so
-    a list without one costs no pass over the rows.  An atom's names are
-    checked against the schema as a set, the left side before the right;
-    only on a miss are they resolved one by one, so an unknown variable
-    raises UnknownVariableError for the name `satisfies` names.  An atom
-    with a position whose left and right value sets are disjoint is
-    skipped, at the first such position: no row pair agrees there, so none
-    conflicts and the removal is 0 at every degree.  Only the atoms left
-    are given column indexes, by `schema.index` as `column_index` gives
-    them, and searched: on the wide teams of 1000-premise NOs hardly an
-    atom is left, and a column map would cost each small team of the
-    keystone sweep its build.
+    checked in order, degree-1 atoms are skipped, the first failing atom
+    ends the pass, and an unknown variable raises UnknownVariableError
+    for the name `satisfies` names.  The value sets and the schema's name
+    set are built at the first atom to check, so a list without one costs
+    no pass over the rows; the module docstring describes the filter.
     """
     schema = team.schema
     value_set = None
@@ -297,13 +281,10 @@ def satisfies_all(team: Team, atoms: Sequence[Atom]) -> bool:
             known = frozenset(schema)
         left, right = atom.left, atom.right
         if not (known.issuperset(left) and known.issuperset(right)):
-            for v in left + right:
-                column_index(schema, v)  # raises UnknownVariableError
+            atom_columns(schema, atom)  # raises UnknownVariableError
         if any(map(frozenset.isdisjoint, map(value_set, left), map(value_set, right))):
             continue
-        left_idx = tuple(map(schema.index, left))
-        right_idx = tuple(map(schema.index, right))
-        removal = min_removal_indexed(columns, left_idx, right_idx)
+        removal = min_removal_indexed(columns, *atom_columns(schema, atom))
         if not within_budget(removal, degree, len(rows)):
             return False
     return True

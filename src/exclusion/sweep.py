@@ -137,12 +137,16 @@ def run_keystone() -> KeystoneReport:
     setup_start = time.perf_counter()
     bank = TeamBank.build(len(KEYSTONE_VARS), KEYSTONE_MAX_ROWS, KEYSTONE_MAX_VALUES)
     masks = [bank.satisfaction_mask(*atom_columns(KEYSTONE_VARS, a), a.degree) for a in atoms]
-    ones = bank.all_mask()
+    masks.append(bank.all_mask())  # at the sentinel index: no premise
     setup_s = time.perf_counter() - setup_start
 
     img = _atom_images(atoms)
     first, second = _premise_sets(n_atoms)
     n_sets = first.shape[0]
+    sigmas = [
+        tuple(atoms[i] for i in pair if i != sentinel)
+        for pair in zip(first.tolist(), second.tolist())
+    ]
 
     # per-permutation key component of the assumption set, order-normalized
     set_parts = np.empty((img.shape[0], n_sets), dtype=np.int64)
@@ -162,12 +166,8 @@ def run_keystone() -> KeystoneReport:
     sample_size = 0
     scan_s = 0.0
 
-    def premises(s: int) -> list[int]:
-        """The atom indexes of assumption set s."""
-        return [int(i) for i in (first[s], second[s]) if i != sentinel]
-
     def describe(s: int, g: int) -> tuple:
-        return tuple(str(atoms[i]) for i in premises(s)), str(atoms[g])
+        return tuple(map(str, sigmas[s])), str(atoms[g])
 
     for g in range(n_atoms):
         goal = atoms[g]
@@ -177,19 +177,18 @@ def run_keystone() -> KeystoneReport:
         reps = np.nonzero(min_keys == own)[0]
 
         for s in reps:
-            sigma_idx = premises(s)
-            sigma = tuple(atoms[i] for i in sigma_idx)
+            sigma = sigmas[s]
             verdict = decide(sigma, goal)
             classes += 1
             verdict_map[own[s]] = 1 if verdict.holds else 2
 
             rows, values = search_bounds(sigma, goal, verdict.plan)
-            a_mask = masks[sigma_idx[0]] if len(sigma_idx) > 0 else ones
-            b_mask = masks[sigma_idx[1]] if len(sigma_idx) > 1 else ones
             rc_mask = bank.row_mask(rows)
             nv_mask = bank.value_mask(values)
             scan_start = time.perf_counter()
-            found = any_counterexample(a_mask, b_mask, masks[g], rc_mask, nv_mask)
+            found = any_counterexample(
+                masks[first[s]], masks[second[s]], masks[g], rc_mask, nv_mask
+            )
             scan_s += time.perf_counter() - scan_start
             if verdict.holds == found:
                 disagreements.add((*describe(s, g), verdict.holds, found))
@@ -216,8 +215,7 @@ def run_keystone() -> KeystoneReport:
         start_offset = (-g * n_sets) % SAMPLE_STRIDE
         for s in range(start_offset, n_sets, SAMPLE_STRIDE):
             sample_size += 1
-            sigma = tuple(atoms[i] for i in premises(s))
-            verdict = decide(sigma, goal)
+            verdict = decide(sigmas[s], goal)
             stored = verdict_map[min_keys[s]]
             if stored == 0 or (stored == 1) != verdict.holds:
                 sample_mismatches.add((*describe(s, g), int(stored), verdict.holds))

@@ -97,6 +97,30 @@ def test_cold_start_script_compares_a_tree_with_itself(tmp_path):
     assert result["cases"]["import"]["modules"]["change"] == ["exclusion"]
 
 
+def test_a_record_is_dirty_only_when_its_source_is(harness, tmp_path):
+    def git(*argv):
+        subprocess.run(
+            ["git", "-C", str(tmp_path), "-c", "user.name=bench", "-c", "user.email=bench@example.org",
+             "-c", "commit.gpgsign=false", *argv],
+            check=True, capture_output=True, text=True,
+        )
+
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "module.py").write_text("x = 1\n", encoding="utf-8")
+    (tmp_path / "README.md").write_text("notes\n", encoding="utf-8")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "seed")
+    clean = harness._commit(tmp_path / "src")
+    assert re.fullmatch(r"[0-9a-f]{7,}", clean)
+    # a docs edit and an untracked file leave the code as committed
+    (tmp_path / "README.md").write_text("more notes\n", encoding="utf-8")
+    (tmp_path / "src" / "scratch.txt").write_text("", encoding="utf-8")
+    assert harness._commit(tmp_path / "src") == clean
+    (tmp_path / "src" / "module.py").write_text("x = 2\n", encoding="utf-8")
+    assert harness._commit(tmp_path / "src") == clean + "-dirty"
+
+
 def test_a_pass_longer_than_half_a_second_is_still_repeated(harness, monkeypatch):
     clock = [0.0]
     monkeypatch.setattr(harness, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))

@@ -17,6 +17,7 @@ from exclusion import (
     synthesize,
     verified_counterexample,
 )
+from exclusion import counterexample
 from exclusion.counterexample import (
     build_team,
     domain_size_bound,
@@ -187,6 +188,19 @@ class TestDecidePlansOnItsPair:
         goal = atom("g1 g1 g2", "h1 h2 h2")
         self.check((), goal)
         assert not decide((), goal).plan.transitive
+
+
+class TestSearchBounds:
+    @pytest.mark.parametrize("goal", [atom("x", "y", 1), atom("x y", "x y", 1)])
+    @pytest.mark.parametrize("held", [None, counterexample_plan([], atom("u", "v"))])
+    def test_degree_one_goal_needs_no_plan(self, monkeypatch, goal, held):
+        # every team satisfies the goal: one row of one value stands for
+        # them all, and no plan is made or read
+        def refuse(*args, **kwargs):
+            raise AssertionError("plan called")
+
+        monkeypatch.setattr(counterexample, "plan", refuse)
+        assert search_bounds([atom("x", "y", Fraction(1, 3))], goal, held) == (1, 1)
 
 
 class TestDomainBound:

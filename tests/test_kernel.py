@@ -454,6 +454,14 @@ class TestTeamBank:
         )
         assert np.array_equal(bits.astype(bool), bank.n_values <= 3)
 
+    def test_value_bounds_past_the_bank_share_one_mask(self, bank):
+        # no bank team has more values than the bank's max_values
+        cap = bank.value_mask(bank.max_values)
+        for d in [*range(bank.max_values, bank.max_values + 8), 255, 256, 10**6]:
+            assert bank.value_mask(d) is cap, d
+        bits = np.unpackbits(cap.words.view(np.uint8), bitorder="little", count=bank.size)
+        assert bits.all()
+
     def test_all_mask_covers_every_team(self, bank):
         mask = bank.all_mask()
         bits = np.unpackbits(mask.words.view(np.uint8), bitorder="little")

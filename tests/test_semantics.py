@@ -538,11 +538,15 @@ class TestSatisfiesAllEquivalence:
         assert satisfies_all(t, [atom("x", "y"), atom("x y", "y x")])
 
     def test_unknown_variable_raises(self):
-        t = team_from_rows(("x", "y"), [("1", "2")])
-        with pytest.raises(UnknownVariableError, match="'z' not in schema"):
-            satisfies_all(t, [atom("x", "z")])
-        with pytest.raises(UnknownVariableError, match="'w' not in schema"):
-            satisfies_all(t, [atom("w x", "y z")])
+        t = team_from_rows(("x", "y"), [("1", "2"), ("2", "1")])
+        # a known left side with an unknown right side, and both unknown
+        for premise, name in [(atom("x", "z"), "z"), (atom("x y", "y z"), "z"),
+                              (atom("w x", "y z"), "w")]:
+            with pytest.raises(UnknownVariableError, match=f"'{name}' not in schema") as alone:
+                satisfies(t, premise)
+            with pytest.raises(UnknownVariableError) as listed:
+                satisfies_all(t, [premise])
+            assert str(listed.value) == str(alone.value)
 
     def test_unknown_variable_raises_where_sides_share_no_value(self):
         # x and y share no value, so the first position alone shows that
