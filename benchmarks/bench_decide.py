@@ -36,7 +36,9 @@ premises, a derived goal every other query) and parsed from their text,
 it times ``synthesize`` and ``check_derivation`` on the YES answers, and
 ``verified_counterexample`` and ``verify`` of the built team on the NO
 answers whose team verifies (the known refused plans raise and are only
-counted).
+counted).  ``synthesize.a6`` times ``synthesize`` on the YES answers of the
+keystone instances and the certify-small queries whose derivation has an
+A6 step, the arity switch that ``calculus.a6_cover`` plans.
 
 ``--parent``, ``--change``, ``--repeats`` and ``--out`` work as in
 ``harness.compare_in_process``: both trees are imported into one
@@ -126,6 +128,10 @@ def cases(ex) -> tuple[str, dict, dict]:
     build_team, verify = ex.counterexample.build_team, ex.counterexample.verify
     synthesize, to_text = ex.calculus.synthesize, ex.certificate.derivation_to_json_str
     check_derivation = ex.calculus.check_derivation
+
+    def has_switch(derivation):
+        return any(step.rule is ex.certificate.Rule.A6 for step in derivation.steps)
+
     rng = random.Random(SEED)
     digest = hashlib.sha256()
     timed = {}
@@ -163,12 +169,14 @@ def cases(ex) -> tuple[str, dict, dict]:
         (tuple(rng.sample(keystone, rng.choice((0, 1, 2, 2)))), rng.choice(keystone))
         for _ in range(KEYSTONE_INSTANCES)
     ]
-    keystone_derivations, keystone_refuted = [], []
+    keystone_derivations, keystone_refuted, switched = [], [], []
     for sigma, goal in instances:
         verdict = decide(sigma, goal)
         digest.update(repr((verdict.holds, verdict.witness)).encode())
         if verdict.holds:
             keystone_derivations.append(synthesize(sigma, goal, verdict.witness))
+            if has_switch(keystone_derivations[-1]):
+                switched.append((sigma, goal, verdict.witness))
         else:
             keystone_refuted.append((build_team(verdict.plan), sigma, goal))
         digest.update(repr(_plan_fields(ex, verdict.plan or plan(sigma, goal))).encode())
@@ -192,6 +200,8 @@ def cases(ex) -> tuple[str, dict, dict]:
             derivations.append(synthesize(sigma, goal, verdict.witness))
             assert check_derivation(derivations[-1]).ok
             digest.update(to_text(derivations[-1]).encode())
+            if has_switch(derivations[-1]):
+                switched.append((sigma, goal, verdict.witness))
             continue
         try:
             team = ex.counterexample.verified_counterexample(verdict.plan)
@@ -205,6 +215,7 @@ def cases(ex) -> tuple[str, dict, dict]:
     timed["synthesize.certify_small"] = [
         lambda s=s, g=g, w=w: synthesize(s, g, w) for s, g, w in yes
     ]
+    timed["synthesize.a6"] = [lambda s=s, g=g, w=w: synthesize(s, g, w) for s, g, w in switched]
     timed["check_derivation.certify_small"] = [lambda d=d: check_derivation(d) for d in derivations]
     timed["verified_counterexample.certify_small"] = [
         lambda p=p: ex.counterexample.verified_counterexample(p) for p in no

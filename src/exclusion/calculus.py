@@ -30,30 +30,21 @@ from .errors import InternalVerificationError
 from .model import Atom, VarTuple, ZERO
 
 Pair = tuple[str, str]
-# per goal side, each variable's bitmask of the goal positions it partners
-Squares = tuple[tuple[str, dict[str, int]], ...]
+Squares = tuple[tuple[str, tuple[set[str], ...]], ...]
 
 
 def goal_squares(goal: Atom) -> Squares:
-    """Per goal side, a bitmask index of the partner-set squares.
-
-    The square at a position of a side is the partner set of the goal
-    variable there: every variable it is paired with, at any position.
-    The index maps each variable v to the bitmask whose bit i is set when
-    v lies in the square at position i.
-    """
-    left_partners: dict[str, set[str]] = {}
-    right_partners: dict[str, set[str]] = {}
+    """Per goal side, the partner-set square at each position: every
+    variable the goal variable there is paired with, at any position."""
+    left: dict[str, set[str]] = {}
+    right: dict[str, set[str]] = {}
     for a, b in zip(goal.left, goal.right):
-        left_partners.setdefault(a, set()).add(b)
-        right_partners.setdefault(b, set()).add(a)
-    left, right = {}, {}
-    for i, (a, b) in enumerate(zip(goal.left, goal.right)):
-        for v in left_partners[a]:
-            left[v] = left.get(v, 0) | 1 << i
-        for v in right_partners[b]:
-            right[v] = right.get(v, 0) | 1 << i
-    return ("left", left), ("right", right)
+        left.setdefault(a, set()).add(b)
+        right.setdefault(b, set()).add(a)
+    return (
+        ("left", tuple(map(left.get, goal.left))),
+        ("right", tuple(map(right.get, goal.right))),
+    )
 
 
 def a6_cover(
@@ -67,29 +58,25 @@ def a6_cover(
     a and b both partner the goal variable at that position.  Diagonal
     pairs ride along in the shared suffix and need no cover.
 
-    squares is goal_squares(goal): the squares holding both a and b are the
-    set bits of the AND of their masks.  Returns (side, anchor) for the
-    first cover found, trying the left side then the right, and gives up a
-    side at its first uncovered pair; anchor maps each non-diagonal pair of
-    src, in first-occurrence order, to its smallest covering goal position
-    (0-based), the lowest set bit.
+    squares is goal_squares(goal).  Returns (side, anchor) for the first
+    cover found, trying the left side then the right; anchor maps each
+    non-diagonal pair of src, in first-occurrence order, to its first
+    covering position (0-based).
     """
-    for side, masks in squares:
+    for side, partners in squares:
         anchor: dict[Pair, int] = {}
         for pair in zip(src.left, src.right):
             a, b = pair
             if a == b or pair in anchor:
                 continue
-            shared = masks.get(a, 0) & masks.get(b, 0)
-            if not shared:
+            i = next((i for i, s in enumerate(partners) if a in s and b in s), None)
+            if i is None:
                 break
-            anchor[pair] = (shared & -shared).bit_length() - 1
+            anchor[pair] = i
         else:
-            if not anchor:
-                # fully diagonal src is contradictory; the switch rule needs
-                # a non-diagonal pair, so no single application exists
-                return None
-            return side, tuple(anchor.items())
+            # a fully diagonal src is contradictory, and the switch rule
+            # needs a non-diagonal pair: no single application exists
+            return (side, tuple(anchor.items())) if anchor else None
     return None
 
 

@@ -379,18 +379,13 @@ class CheckResult:
     ok: bool
     failing_step: int | None = None
     reason: str | None = None
-    exact_fragment: bool = False
 
     def __bool__(self) -> bool:
         return self.ok
 
 
 def check_derivation(derivation: Derivation) -> CheckResult:
-    """Check every step; report the first failure.
-
-    exact_fragment is set when the derivation stays in the degree-0
-    fragment, where the rules specialize to the exact-exclusion system.
-    """
+    """Check every step; report the first failure."""
     if not derivation.steps:
         return CheckResult(False, None, "derivation has no steps")
     prior: list[Atom] = []
@@ -401,8 +396,7 @@ def check_derivation(derivation: Derivation) -> CheckResult:
         if reason is not None:
             return CheckResult(False, pos, reason)
         prior.append(step.conclusion)
-    exact = not any(s.conclusion.degree.numerator for s in derivation.steps)
-    return CheckResult(True, None, None, exact)
+    return CheckResult(True)
 
 
 # ==========================================================================

@@ -1,8 +1,8 @@
 """Counterexample teams for refuted implications.
 
 When the decision procedure rejects an implication, a concrete team is
-built that satisfies every assumption and falsifies the goal.  Two shapes
-cover all cases:
+planned to satisfy every assumption and falsify the goal.  The planner
+builds two shapes:
 
 * unary-canonical: the goal's sides are the same tuple (a contradictory
   goal), so a single row of pairwise-distinct fresh values refutes it while
@@ -21,11 +21,13 @@ take equal values, closed under union-find.  A premise of degree at most p
 that conflicts on that pair (`model.conflicts`) dominates the goal, and
 the goal then follows; a premise that does not conflict on it loses no row
 in the team.  A premise of degree above p may lose both rows of a block,
-more than its budget; the verified wrapper re-checks semantically and
-raises rather than emit a wrong certificate.  A plan keeps the generic
-pair its rows are built from; its `transitive` flag, computed when it is
-read, tells whether the merge relation was already transitive before its
-closure.
+more than its budget.  The two shapes do not separate every right NO:
+the strict xfails in tests/test_counterexample.py and README's triangle
+are right NOs whose planned team fails its check.  verified_counterexample
+re-checks the team and refuses such a NO with UndecidedError (exit 6);
+ROADMAP item 1 is the fix.  A plan keeps the generic pair its rows are
+built from; its `transitive` flag, computed when it is read, tells whether
+the merge relation was already transitive before its closure.
 """
 
 from __future__ import annotations

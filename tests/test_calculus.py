@@ -318,27 +318,7 @@ class TestCheckDerivation:
                 Step(2, Rule.A2, (1,), atom("y", "x")),
             ),
         )
-        result = check_derivation(d)
-        assert result.ok
-        assert result.exact_fragment
-
-    def test_exact_fragment_flag_clears_on_raised_degree(self):
-        d = Derivation(
-            (X_Y,),
-            (
-                Step(1, Rule.HYP, (), X_Y),
-                Step(
-                    2,
-                    Rule.A7,
-                    (1,),
-                    atom("x", "y", "1/4"),
-                    RaiseWitness(Fraction(1, 4)),
-                ),
-            ),
-        )
-        result = check_derivation(d)
-        assert result.ok
-        assert not result.exact_fragment
+        assert check_derivation(d).ok
 
     def test_misnumbered_step_reported(self):
         d = Derivation((X_Y,), (Step(2, Rule.HYP, (), X_Y),))

@@ -19,7 +19,7 @@ from exclusion import (
 )
 from exclusion.calculus import a6_cover, goal_squares
 from exclusion.certificate import Rule
-from exclusion import counterexample as cx, model
+from exclusion import calculus, counterexample as cx, model
 from exclusion.counterexample import min_gap_degree
 from exclusion.model import conflicts, generic_pair, schema_order
 from exclusion.decision import ContradictionWitness, DominationWitness, VacuousDegreeWitness
@@ -89,20 +89,20 @@ class TestPairSet:
 
 
 class TestCorrespondenceSets:
-    """Partner sets, as the bitmask index of goal_squares holds them."""
+    """Partner sets, as goal_squares holds them per goal position."""
 
     def test_worked_example_sets(self):
         (_, left), (_, right) = goal_squares(WORKED)
         # left squares: partners of x2 {y1, y3} at 0 and 2, of y3 {y3} at
         # 1, of x4 {y4} at 3
-        assert left == {"y1": 0b0101, "y3": 0b0111, "y4": 0b1000}
+        assert left == ({"y1", "y3"}, {"y3"}, {"y1", "y3"}, {"y4"})
         # right squares: partners of y1 {x2} at 0, of y3 {y3, x2} at 1
         # and 2, of y4 {x4} at 3
-        assert right == {"x2": 0b0111, "y3": 0b0110, "x4": 0b1000}
+        assert right == ({"x2"}, {"y3", "x2"}, {"y3", "x2"}, {"x4"})
 
     def test_repeated_variable_unions_partners(self):
         (_, left), _ = goal_squares(atom("x x", "u v"))
-        assert left == {"u": 0b11, "v": 0b11}
+        assert left == ({"u", "v"}, {"u", "v"})
 
 
 class TestShortCircuits:
@@ -335,26 +335,59 @@ class TestA6Cover:
         assert switch.witness.fresh == ("c",)
         assert derivation.steps[-1].rule == Rule.A2
 
+    def test_squares_built_once_per_synthesize(self, monkeypatch):
+        # the witness d | b and the premises after it have no A1-A8 route,
+        # so each is cover-tested against one set of squares before DOM
+        sigma = [atom("a", "e"), atom("d", "b"), atom("b", "d"), atom("d b", "b d")]
+        goal = atom("b c c", "c d c")
+        witness = decide(sigma, goal).witness
+        assert witness.index == 1
+        built, tested = [], []
+        goal_squares_, a6_cover_ = calculus.goal_squares, calculus.a6_cover
+        monkeypatch.setattr(
+            calculus, "goal_squares", lambda g: built.append(g) or goal_squares_(g)
+        )
+        monkeypatch.setattr(
+            calculus, "a6_cover", lambda src, sq: tested.append(src) or a6_cover_(src, sq)
+        )
+        for _ in range(2):
+            derivation = synthesize(sigma, goal, witness)
+            assert [s.rule for s in derivation.steps] == [Rule.HYP, Rule.DOM]
+        assert built == [goal, goal]
+        assert tested == sigma[1:] * 2
+
+
+def reference_goal_squares(goal):
+    """Per goal side, each variable's bitmask of the goal positions whose
+    partner set holds it: the index that the per-position scan replaced."""
+    left_partners, right_partners = {}, {}
+    for a, b in zip(goal.left, goal.right):
+        left_partners.setdefault(a, set()).add(b)
+        right_partners.setdefault(b, set()).add(a)
+    left, right = {}, {}
+    for i, (a, b) in enumerate(zip(goal.left, goal.right)):
+        for v in left_partners[a]:
+            left[v] = left.get(v, 0) | 1 << i
+        for v in right_partners[b]:
+            right[v] = right.get(v, 0) | 1 << i
+    return ("left", left), ("right", right)
+
 
 def reference_a6_cover(src, goal):
-    """The partner-set position scan that the bitmask index replaced."""
-    pairs = list(zip(goal.left, goal.right))
-    squares = (
-        ("left", tuple({b for a, b in pairs if a == v} for v in goal.left)),
-        ("right", tuple({a for a, b in pairs if b == v} for v in goal.right)),
-    )
-    plain = [p for p in dict.fromkeys(zip(src.left, src.right)) if p[0] != p[1]]
-    if not plain:
-        return None
-    for side, partners in squares:
-        anchor = []
-        for a, b in plain:
-            pos = next((i for i, s in enumerate(partners) if a in s and b in s), None)
-            if pos is None:
+    """The bitmask cover: the positions covering (a, b) are the set bits of
+    the AND of their masks, and the anchor is the lowest one."""
+    for side, masks in reference_goal_squares(goal):
+        anchor = {}
+        for pair in zip(src.left, src.right):
+            a, b = pair
+            if a == b or pair in anchor:
+                continue
+            shared = masks.get(a, 0) & masks.get(b, 0)
+            if not shared:
                 break
-            anchor.append(((a, b), pos))
+            anchor[pair] = (shared & -shared).bit_length() - 1
         else:
-            return side, tuple(anchor)
+            return (side, tuple(anchor.items())) if anchor else None
     return None
 
 
