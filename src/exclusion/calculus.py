@@ -5,13 +5,17 @@ before returning.  The rules, their checker and the certificate codec are
 in `certificate`.
 
 A domination witness is planned along the first A1-A8 route found, and
-otherwise by one DOM step.  DOM is needed only when a side repeats a
-variable.  This is measured, not proved: seeded one-premise queries whose
-sides repeat no variable never need it (about 26,000 domination YES answers
-in the test suite), and the smallest case that does is excl(d ; b) implying
-excl(b c c ; c d c).  No YES of the exhaustive keystone space needs it, and
-45, 52 and 53 of about 16,100 YES answers do on the benchmark's
-certify-small queries (seeds 101 to 103, arity up to 4).
+otherwise by one DOM step.  A structural chain is one A3 that appends the
+target, plus one CONTRACT that drops the source's own positions when the
+target does not simply extend it; a derivation has at most eight steps,
+and its certificate grows linearly in the arity.  DOM is needed only when
+a side repeats a variable.  This is measured, not proved: seeded
+one-premise queries whose sides repeat no variable never need it (about
+26,000 domination YES answers in the test suite), and the smallest case
+that does is excl(d ; b) implying excl(b c c ; c d c).  No YES of the
+exhaustive keystone space needs it, and 45, 52 and 53 of about 16,100 YES
+answers do on the benchmark's certify-small queries (seeds 101 to 103,
+arity up to 4).
 
 The planner builds its atoms unchecked (Atom._unchecked): they rearrange
 the sides of checked atoms, and the self-check verifies every step anyway.
@@ -23,8 +27,8 @@ from fractions import Fraction
 from typing import Sequence
 
 # a traced run wraps this module's check_derivation, which synthesize calls
-from .certificate import AppendWitness, ContractWitness, Derivation, PermWitness
-from .certificate import RaiseWitness, Rule, Step, SwitchWitness, Witness
+from .certificate import AppendWitness, ContractWitness, Derivation, RaiseWitness
+from .certificate import Rule, Step, SwitchWitness, Witness
 from .certificate import check_derivation
 from .errors import InternalVerificationError
 from .model import Atom, VarTuple, ZERO
@@ -131,29 +135,17 @@ class _Builder:
 
         Requires every pair of src to occur among the target pairs.  When
         the target simply extends src, one append suffices; otherwise
-        append the whole target, then contract away the original positions.
+        append the whole target, then contract away src's own positions.
         """
         if (src.left, src.right) == (left, right):
             return ref
         n = src.arity
+        target = Atom._unchecked(left, right, src.degree)
         if left[:n] == src.left and right[:n] == src.right:
-            extended = Atom._unchecked(left, right, src.degree)
-            return self.add(
-                Rule.A3, (ref,), extended, AppendWitness(left[n:], right[n:])
-            )
+            return self.add(Rule.A3, (ref,), target, AppendWitness(left[n:], right[n:]))
         appended = Atom._unchecked(src.left + left, src.right + right, src.degree)
         ref = self.add(Rule.A3, (ref,), appended, AppendWitness(left, right))
-        pairs = list(zip(appended.left, appended.right))
-        current = appended
-        for k in range(n):
-            # the pair at the front is pairs[k]; its next occurrence
-            dup = pairs.index(pairs[k], k + 1) - k
-            reduced = Atom._unchecked(current.left[1:], current.right[1:], current.degree)
-            ref = self.add(
-                Rule.CONTRACT, (ref,), reduced, ContractWitness(0, dup)
-            )
-            current = reduced
-        return ref
+        return self.add(Rule.CONTRACT, (ref,), target, ContractWitness(tuple(range(n))))
 
     def build(self) -> Derivation:
         return Derivation(self.assumptions, tuple(self.steps))
@@ -190,40 +182,16 @@ def _switch(
     side and anchor are a6_cover's: each plain pair of src maps to a goal
     position of that side, whose variable becomes the pair's fresh one.
     """
-    ref = b.hyp(src)
-    # contract duplicate pairs, keeping first occurrences: kept maps each
-    # first-seen pair to its position, and since every earlier repeat is
-    # already gone, a repeat sits at position len(kept)
-    current = src
-    kept: dict[Pair, int] = {}
-    for pair in zip(src.left, src.right):
-        if pair not in kept:
-            kept[pair] = len(kept)
-            continue
-        i = len(kept)
-        current = Atom._unchecked(
-            current.left[:i] + current.left[i + 1 :],
-            current.right[:i] + current.right[i + 1 :],
-            current.degree,
-        )
-        ref = b.add(Rule.CONTRACT, (ref,), current, ContractWitness(i, kept[pair]))
-    # reorder into end-constant form: plain pairs first, diagonals last
-    ec = end_constant_form(current)
-    if (ec.left, ec.right) != (current.left, current.right):
-        cpairs = list(zip(current.left, current.right))
-        order = tuple(cpairs.index(p) for p in zip(ec.left, ec.right))
-        ref = b.add(Rule.PERM, (ref,), ec, PermWitness(order))
-        current = ec
+    ec = end_constant_form(src)
+    ref = b.transform(b.hyp(src), src, ec.left, ec.right)
     # one arity switch moves both sides of every plain pair right
     anchored = dict(anchor)
     side_tuple = goal.left if side == "left" else goal.right
-    plain = [p for p in zip(current.left, current.right) if p[0] != p[1]]
+    plain = [p for p in zip(ec.left, ec.right) if p[0] != p[1]]
     h = len(plain)
     fresh = tuple(side_tuple[anchored[p]] for p in plain)
-    switched = Atom._unchecked(
-        fresh + fresh, current.left[:h] + current.right[:h], current.degree
-    )
-    ref = b.add(Rule.A6, (ref,), switched, SwitchWitness(current.arity - h, fresh))
+    switched = Atom._unchecked(fresh + fresh, ec.left[:h] + ec.right[:h], ec.degree)
+    ref = b.add(Rule.A6, (ref,), switched, SwitchWitness(ec.arity - h, fresh))
     _toward(b, ref, switched, goal, side == "right")
 
 

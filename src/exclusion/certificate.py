@@ -11,11 +11,12 @@ Primitive rules:
   A7  x |_p y  derives  x |_q y           (q >= p: degree can only rise)
   A8  derives  x |_1 y                    (vacuous at degree 1)
 
-plus HYP (use an assumption) and two macro rules validated on component
-pairs directly: PERM (any simultaneous reordering of positions) and
-CONTRACT (drop one position whose pair occurs elsewhere).  Both are
-admissible: each expands into a chain of A5 block swaps, plus one A4 for
-CONTRACT, as the test suite shows by expanding and re-checking them.
+plus HYP (use an assumption) and one macro rule validated on component
+pairs directly: CONTRACT (drop positions whose pairs occur at kept
+positions; the others keep their order).  The pair set does not change, so
+the step is sound at every degree, and it is admissible: each dropped
+position expands into a chain of A5 block swaps and one A4, as the test
+suite shows by expanding and re-checking it.
 
 One rule is this package's, not the paper's:
 
@@ -50,7 +51,7 @@ from typing import Callable, ClassVar, Sequence
 from .errors import ParseError
 from .model import Atom, VarTuple, as_degree, conflicts, generic_pair
 
-CERTIFICATE_FORMAT = 1
+CERTIFICATE_FORMAT = 2
 
 
 class Rule(str, Enum):
@@ -63,7 +64,6 @@ class Rule(str, Enum):
     A6 = "A6"
     A7 = "A7"
     A8 = "A8"
-    PERM = "PERM"
     CONTRACT = "CONTRACT"
     DOM = "DOM"
 
@@ -73,22 +73,12 @@ class Rule(str, Enum):
 # ==========================================================================
 
 @dataclass(frozen=True)
-class PermWitness:
-    """order[i] is the premise position shown at conclusion position i."""
-
-    kind: ClassVar[str] = "perm"
-
-    order: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class ContractWitness:
-    """Premise position dropped, and an equal-pair position justifying it."""
+    """Premise positions dropped, in increasing order."""
 
     kind: ClassVar[str] = "contract"
 
-    removed: int
-    duplicate: int
+    removed: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -135,8 +125,7 @@ class RaiseWitness:
 
 
 Witness = (
-    PermWitness
-    | ContractWitness
+    ContractWitness
     | AppendWitness
     | BlockSwapWitness
     | SwitchWitness
@@ -281,36 +270,33 @@ def _check_a8(concl: Atom, prem, w, assumptions) -> str | None:
     return None
 
 
-def _check_perm(concl: Atom, prem: Atom, w: PermWitness, assumptions) -> str | None:
-    left, right = prem.left, prem.right
-    if sorted(w.order) != list(range(len(left))):
-        return "PERM witness must be a permutation of the positions"
-    if (
-        concl.left != tuple(map(left.__getitem__, w.order))
-        or concl.right != tuple(map(right.__getitem__, w.order))
-        or _differ(concl.degree, prem.degree)
-    ):
-        return "PERM conclusion must reorder the premise pairs"
-    return None
-
-
-def _check_contract(
-    concl: Atom, prem: Atom, w: ContractWitness, assumptions
-) -> str | None:
-    left, right = prem.left, prem.right
-    n, i, j = len(left), w.removed, w.duplicate
-    if not (0 <= i < n and 0 <= j < n):
+def _check_contract(concl: Atom, prem: Atom, w: ContractWitness, assumptions) -> str | None:
+    left, right, removed = prem.left, prem.right, w.removed
+    k = len(removed)
+    if not k:
+        return "CONTRACT must remove a position"
+    if k > 1 and list(removed) != sorted(set(removed)):
+        return "CONTRACT positions must increase"
+    if removed[0] < 0 or removed[-1] >= len(left):
         return "CONTRACT positions out of range"
-    if i == j:
-        return "CONTRACT positions must differ"
-    if left[i] != left[j] or right[i] != right[j]:
-        return "CONTRACT requires equal pairs at both positions"
+    if removed[-1] == k - 1:
+        # k increasing positions ending at k - 1 are the first k, as the
+        # planner writes them
+        kept_left, kept_right = left[k:], right[k:]
+    else:
+        gone = set(removed)
+        kept = [i for i in range(len(left)) if i not in gone]
+        kept_left = tuple(map(left.__getitem__, kept))
+        kept_right = tuple(map(right.__getitem__, kept))
+    # every removed pair occurs at a kept position: the pair set is kept
+    if set(zip(kept_left, kept_right)) != set(zip(left, right)):
+        return "CONTRACT requires every removed pair at a kept position"
     if (
-        concl.left != left[:i] + left[i + 1 :]
-        or concl.right != right[:i] + right[i + 1 :]
+        concl.left != kept_left
+        or concl.right != kept_right
         or _differ(concl.degree, prem.degree)
     ):
-        return "CONTRACT conclusion must drop the removed position"
+        return "CONTRACT conclusion must keep the other positions in order"
     return None
 
 
@@ -335,7 +321,6 @@ RULES: dict[Rule, tuple[int, type | None, Callable[..., str | None]]] = {
     Rule.A6: (1, SwitchWitness, _check_a6),
     Rule.A7: (1, RaiseWitness, _check_a7),
     Rule.A8: (0, None, _check_a8),
-    Rule.PERM: (1, PermWitness, _check_perm),
     Rule.CONTRACT: (1, ContractWitness, _check_contract),
     Rule.DOM: (1, None, _check_dom),
 }

@@ -37,9 +37,11 @@ from fractions import Fraction
 from itertools import combinations, count
 from typing import Sequence
 
-from .errors import UndecidedError
+from .errors import CapacityError, UndecidedError
 from .model import Atom, GenericPair, Team, generic_pair, schema_order
 from .semantics import satisfies, satisfies_all
+
+MAX_TEAM_ROWS = 2**20  # largest counterexample team the planner lists
 
 
 def min_gap_degree(sigma: Sequence[Atom], p: Fraction) -> Fraction | None:
@@ -61,17 +63,20 @@ def ratio_parameters(p: Fraction, r: Fraction | None) -> tuple[int, int]:
 
     Requires p < 1/2 so that k >= 2l is reachable.  Without r the two-row
     team (l, k) = (1, 2) always works.  Both tests compare cross-multiplied
-    integers.
+    integers.  A team of more than MAX_TEAM_ROWS rows is refused with
+    CapacityError instead of being searched for.
     """
     p_num, p_den = p.numerator, p.denominator
     if 2 * p_num >= p_den:
         raise ValueError(f"ratio search needs a degree below 1/2, got {p}")
-    k = 2
-    while True:
+    for k in range(2, MAX_TEAM_ROWS + 1):
         l = (p_num * k) // p_den + 1
         if k >= 2 * l and (r is None or l * r.denominator <= r.numerator * k):
             return l, k
-        k += 1
+    raise CapacityError(
+        f"a counterexample team for degrees {p} < {r} needs more than"
+        f" {MAX_TEAM_ROWS} rows"
+    )
 
 
 def domain_size_bound(plan: "CounterexamplePlan") -> int:

@@ -39,8 +39,8 @@ what its callers ask for again.
 A satisfaction mask is built once per atom class.  Whether a team
 satisfies x |_p y depends only on p and on the set of pairs
 (x_i, y_i): a tuple conflict is the AND of its positions' conflicts, so
-reordering or repeating positions (PERM, CONTRACT) leaves the word
-unchanged, and swapping the sides (A2) moves bit i*4 + j to bit j*4 + i
+reordering or repeating positions leaves the word unchanged, and
+swapping the sides (A2) moves bit i*4 + j to bit j*4 + i
 (`transpose_table`), which keeps the removal count, since a removed row
 takes both of its bits with it.  The bank therefore keys a mask by the
 degree and by the sorted distinct (left, right) column pairs or their

@@ -363,6 +363,20 @@ class TestDerive:
         assert code == EXIT_WRONG_DIRECTION
         assert not out_json.exists()
 
+    def test_large_arity_certificate_stays_small(self, sigma_file, tmp_path, capsys):
+        # the goal shuffles the premise's 2,000 pairs and swaps its sides
+        rng = random.Random(5)
+        names = [f"v{i}" for i in range(200)]
+        pairs = [(rng.choice(names), rng.choice(names)) for _ in range(2000)]
+        premise = f"excl({' '.join(a for a, _ in pairs)} ; {' '.join(b for _, b in pairs)})"
+        rng.shuffle(pairs)
+        goal = f"excl[1/4]({' '.join(b for _, b in pairs)} ; {' '.join(a for a, _ in pairs)})"
+        out_json = tmp_path / "derivation.json"
+        assert main(["derive", sigma_file(premise), goal, str(out_json)]) == EXIT_OK
+        assert out_json.stat().st_size < 1_000_000
+        derivation = derivation_from_json(json.loads(out_json.read_text()))
+        assert [s.rule.value for s in derivation.steps] == ["HYP", "A3", "CONTRACT", "A7", "A2"]
+
 
 class TestOracleCheck:
     def test_agreement_on_holding_instance(self, sigma_file, capsys):
@@ -463,6 +477,19 @@ class TestOracleCheck:
     def test_budget_defaults_to_the_oracle_budget(self):
         args = build_parser().parse_args(["oracle-check", "sigma.txt", "excl(x ; y)"])
         assert args.budget == DEFAULT_BUDGET
+
+
+class TestDegreeGap:
+    def test_team_past_the_row_cap_exits_5(self, tmp_path):
+        # a premise degree 1/400,000,000 above the goal's would need a team
+        # of about 10**8 rows
+        (tmp_path / "sigma.txt").write_text("excl[100000001/400000000](c ; d)\n")
+        out = subprocess.run(
+            [sys.executable, "-m", "exclusion.cli", "check", "sigma.txt", "excl[1/4](c ; e)"],
+            env=SRC_ENV, cwd=tmp_path, capture_output=True, text=True, timeout=30,
+        )
+        assert out.returncode == EXIT_CAPACITY
+        assert "more than 1048576 rows" in out.stderr
 
 
 class TestArgumentErrors:

@@ -19,6 +19,7 @@ from exclusion import (
 )
 from exclusion import counterexample
 from exclusion.counterexample import (
+    MAX_TEAM_ROWS,
     build_team,
     domain_size_bound,
     plan as counterexample_plan,
@@ -27,6 +28,7 @@ from exclusion.counterexample import (
     verify as verify_counterexample,
 )
 from exclusion.decision import decide
+from exclusion.errors import CapacityError
 from exclusion.model import Team
 from exclusion.semantics import satisfies_all
 from exclusion.sweep import keystone_atoms
@@ -66,6 +68,16 @@ class TestRatioParameters:
             ratio_parameters(Fraction(1, 2), None)
         with pytest.raises(ValueError):
             ratio_parameters(Fraction(3, 4), None)
+
+    def test_narrow_degree_gap_lists_a_million_rows(self):
+        gap = Fraction(1, 4) + Fraction(1, 4_000_000)
+        assert ratio_parameters(Fraction(1, 4), gap) == (250_001, 1_000_003)
+        assert 1_000_003 <= MAX_TEAM_ROWS
+
+    def test_team_past_the_row_cap_refused(self):
+        # the walk stops at the cap instead of running for about 10**8 rows
+        with pytest.raises(CapacityError, match="more than 1048576 rows"):
+            ratio_parameters(Fraction(1, 4), Fraction(100_000_001, 400_000_000))
 
     def test_integer_tests_match_the_fraction_definition(self):
         def reference(p, r):
