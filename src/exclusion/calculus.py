@@ -5,17 +5,17 @@ before returning.  The rules, their checker and the certificate codec are
 in `certificate`.
 
 A domination witness is planned along the first A1-A8 route found, and
-otherwise by one DOM step.  A structural chain is one A3 that appends the
-target, plus one CONTRACT that drops the source's own positions when the
-target does not simply extend it; a derivation has at most eight steps,
-and its certificate grows linearly in the arity.  DOM is needed only when
-a side repeats a variable.  This is measured, not proved: seeded
-one-premise queries whose sides repeat no variable never need it (about
-26,000 domination YES answers in the test suite), and the smallest case
-that does is excl(d ; b) implying excl(b c c ; c d c).  No YES of the
-exhaustive keystone space needs it, and 45, 52 and 53 of about 16,100 YES
-answers do on the benchmark's certify-small queries (seeds 101 to 103,
-arity up to 4).
+otherwise by one DOM step.  A structural chain is one A3 when the target
+extends the source, one PAIRS when it has the source's pair set, and
+otherwise one A3 that appends the target pairs the source lacks plus one
+PAIRS; a derivation has at most seven steps, and its certificate grows
+linearly in the arity.  DOM is needed only when a side repeats a variable.
+This is measured, not proved: seeded one-premise queries whose sides
+repeat no variable never need it (about 26,000 domination YES answers in
+the test suite), and the smallest case that does is excl(d ; b) implying
+excl(b c c ; c d c).  No YES of the exhaustive keystone space needs it,
+and 45, 52 and 53 of about 16,100 YES answers do on the benchmark's
+certify-small queries (seeds 101 to 103, arity up to 4).
 
 The planner builds its atoms unchecked (Atom._unchecked): they rearrange
 the sides of checked atoms, and the self-check verifies every step anyway.
@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Sequence
 
 # a traced run wraps this module's check_derivation, which synthesize calls
-from .certificate import AppendWitness, ContractWitness, Derivation, RaiseWitness
+from .certificate import AppendWitness, Derivation, RaiseWitness
 from .certificate import Rule, Step, SwitchWitness, Witness
 from .certificate import check_derivation
 from .errors import InternalVerificationError
@@ -135,7 +135,8 @@ class _Builder:
 
         Requires every pair of src to occur among the target pairs.  When
         the target simply extends src, one append suffices; otherwise
-        append the whole target, then contract away src's own positions.
+        append the target pairs src lacks, in first-occurrence order, and
+        reach the target with one PAIRS step.
         """
         if (src.left, src.right) == (left, right):
             return ref
@@ -143,9 +144,13 @@ class _Builder:
         target = Atom._unchecked(left, right, src.degree)
         if left[:n] == src.left and right[:n] == src.right:
             return self.add(Rule.A3, (ref,), target, AppendWitness(left[n:], right[n:]))
-        appended = Atom._unchecked(src.left + left, src.right + right, src.degree)
-        ref = self.add(Rule.A3, (ref,), appended, AppendWitness(left, right))
-        return self.add(Rule.CONTRACT, (ref,), target, ContractWitness(tuple(range(n))))
+        have = set(zip(src.left, src.right))
+        missing = dict.fromkeys(p for p in zip(left, right) if p not in have)
+        if missing:
+            u, v = zip(*missing)
+            appended = Atom._unchecked(src.left + u, src.right + v, src.degree)
+            ref = self.add(Rule.A3, (ref,), appended, AppendWitness(u, v))
+        return self.add(Rule.PAIRS, (ref,), target)
 
     def build(self) -> Derivation:
         return Derivation(self.assumptions, tuple(self.steps))

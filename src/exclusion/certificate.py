@@ -11,12 +11,16 @@ Primitive rules:
   A7  x |_p y  derives  x |_q y           (q >= p: degree can only rise)
   A8  derives  x |_1 y                    (vacuous at degree 1)
 
-plus HYP (use an assumption) and one macro rule validated on component
-pairs directly: CONTRACT (drop positions whose pairs occur at kept
-positions; the others keep their order).  The pair set does not change, so
-the step is sound at every degree, and it is admissible: each dropped
-position expands into a chain of A5 block swaps and one A4, as the test
-suite shows by expanding and re-checking it.
+plus HYP (use an assumption) and one structural macro checked on pair sets
+directly:
+
+  PAIRS  x |_p y  derives  u |_p v        (u | v has the pair set of x | y)
+
+An atom's meaning depends only on its degree and on its set of position
+pairs (x_i, y_i), so the step is sound; it takes no witness.  It is
+admissible: one A3 appends u | v, then A5 block swaps and one A4 per
+premise position drop the premise's own positions, as the test suite
+shows by expanding and re-checking it.
 
 One rule is this package's, not the paper's:
 
@@ -51,7 +55,7 @@ from typing import Callable, ClassVar, Sequence
 from .errors import ParseError
 from .model import Atom, VarTuple, as_degree, conflicts, generic_pair
 
-CERTIFICATE_FORMAT = 2
+CERTIFICATE_FORMAT = 3
 
 
 class Rule(str, Enum):
@@ -64,22 +68,13 @@ class Rule(str, Enum):
     A6 = "A6"
     A7 = "A7"
     A8 = "A8"
-    CONTRACT = "CONTRACT"
+    PAIRS = "PAIRS"
     DOM = "DOM"
 
 
 # ==========================================================================
 # witnesses
 # ==========================================================================
-
-@dataclass(frozen=True)
-class ContractWitness:
-    """Premise positions dropped, in increasing order."""
-
-    kind: ClassVar[str] = "contract"
-
-    removed: tuple[int, ...]
-
 
 @dataclass(frozen=True)
 class AppendWitness:
@@ -124,14 +119,7 @@ class RaiseWitness:
     degree: Fraction
 
 
-Witness = (
-    ContractWitness
-    | AppendWitness
-    | BlockSwapWitness
-    | SwitchWitness
-    | RaiseWitness
-    | None
-)
+Witness = AppendWitness | BlockSwapWitness | SwitchWitness | RaiseWitness | None
 
 @dataclass(frozen=True)
 class Step:
@@ -270,33 +258,11 @@ def _check_a8(concl: Atom, prem, w, assumptions) -> str | None:
     return None
 
 
-def _check_contract(concl: Atom, prem: Atom, w: ContractWitness, assumptions) -> str | None:
-    left, right, removed = prem.left, prem.right, w.removed
-    k = len(removed)
-    if not k:
-        return "CONTRACT must remove a position"
-    if k > 1 and list(removed) != sorted(set(removed)):
-        return "CONTRACT positions must increase"
-    if removed[0] < 0 or removed[-1] >= len(left):
-        return "CONTRACT positions out of range"
-    if removed[-1] == k - 1:
-        # k increasing positions ending at k - 1 are the first k, as the
-        # planner writes them
-        kept_left, kept_right = left[k:], right[k:]
-    else:
-        gone = set(removed)
-        kept = [i for i in range(len(left)) if i not in gone]
-        kept_left = tuple(map(left.__getitem__, kept))
-        kept_right = tuple(map(right.__getitem__, kept))
-    # every removed pair occurs at a kept position: the pair set is kept
-    if set(zip(kept_left, kept_right)) != set(zip(left, right)):
-        return "CONTRACT requires every removed pair at a kept position"
-    if (
-        concl.left != kept_left
-        or concl.right != kept_right
-        or _differ(concl.degree, prem.degree)
-    ):
-        return "CONTRACT conclusion must keep the other positions in order"
+def _check_pairs(concl: Atom, prem: Atom, w, assumptions) -> str | None:
+    if _differ(concl.degree, prem.degree):
+        return "PAIRS preserves the degree"
+    if set(zip(concl.left, concl.right)) != set(zip(prem.left, prem.right)):
+        return "PAIRS conclusion must have the premise's pair set"
     return None
 
 
@@ -321,7 +287,7 @@ RULES: dict[Rule, tuple[int, type | None, Callable[..., str | None]]] = {
     Rule.A6: (1, SwitchWitness, _check_a6),
     Rule.A7: (1, RaiseWitness, _check_a7),
     Rule.A8: (0, None, _check_a8),
-    Rule.CONTRACT: (1, ContractWitness, _check_contract),
+    Rule.PAIRS: (1, None, _check_pairs),
     Rule.DOM: (1, None, _check_dom),
 }
 WITNESS_KINDS = {cls.kind: cls for _, cls, _ in RULES.values() if cls is not None}

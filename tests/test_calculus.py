@@ -5,7 +5,7 @@ import json
 import random
 import re
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -26,7 +26,6 @@ from exclusion.calculus import end_constant_form
 from exclusion.certificate import (
     AppendWitness,
     BlockSwapWitness,
-    ContractWitness,
     Derivation,
     RaiseWitness,
     Rule,
@@ -40,6 +39,8 @@ from exclusion.certificate import (
     derivation_to_json_str,
 )
 from exclusion.model import conflicts, generic_pair
+from exclusion.oracle import enumerate_row_sets
+from exclusion.semantics import columns_of, min_removal_indexed
 
 X_Y = atom("x", "y")
 GOLDEN = Path(__file__).resolve().parent / "golden" / "derivation_all_witness_kinds.json"
@@ -270,96 +271,109 @@ class TestA8:
 
 
 class TestPermContract:
-    """CONTRACT drops positions; PERM, its reordering twin, is no rule."""
+    """PAIRS: one witness-free step that reorders, contracts or duplicates
+    the premise's pairs; PERM and CONTRACT, the witnessed steps it
+    replaces, are no rules."""
 
-    def test_perm(self):
-        assert "PERM" not in Rule.__members__
+    def refused_rule(self, name):
+        assert name not in Rule.__members__
         payload = derivation_to_json(Derivation((X_Y,), (Step(1, Rule.HYP, (), X_Y),)))
-        payload["steps"][0]["rule"] = "PERM"
-        with pytest.raises(ParseError, match="'PERM' is not a valid Rule"):
+        payload["steps"][0]["rule"] = name
+        with pytest.raises(ParseError, match=f"'{name}' is not a valid Rule"):
             derivation_from_json(payload)
 
+    def test_perm(self):
+        self.refused_rule("PERM")
+        ok(Step(2, Rule.PAIRS, (1,), atom("z x y", "w u v")), prior=(atom("x y z", "u v w"),))
+
     def test_contract(self):
-        prem = atom("x y x", "u v u")
-        ok(
-            Step(2, Rule.CONTRACT, (1,), atom("y x", "v u"), ContractWitness((0,))),
-            prior=(prem,),
-        )
+        self.refused_rule("CONTRACT")
+        ok(Step(2, Rule.PAIRS, (1,), atom("y x", "v u")), prior=(atom("x y x", "u v u"),))
 
     def test_contract_several_positions(self):
         prem = atom("x y x z y x", "u v u w v u")
-        ok(
-            Step(2, Rule.CONTRACT, (1,), atom("x y z", "u v w"), ContractWitness((2, 4, 5))),
-            prior=(prem,),
-        )
-        # every pair may go at once, as long as one copy of each stays
-        ok(
-            Step(2, Rule.CONTRACT, (1,), atom("z y x", "w v u"), ContractWitness((0, 1, 2))),
-            prior=(prem,),
-        )
+        ok(Step(2, Rule.PAIRS, (1,), atom("x y z", "u v w")), prior=(prem,))
+        ok(Step(2, Rule.PAIRS, (1,), atom("z y x", "w v u")), prior=(prem,))
+
+    def test_duplicates_added(self):
+        prem = atom("x y", "u v")
+        ok(Step(2, Rule.PAIRS, (1,), atom("y x y y", "v u v v")), prior=(prem,))
+        ok(Step(2, Rule.PAIRS, (1,), prem), prior=(prem,))
 
     def test_contract_requires_equal_pairs(self):
-        prem = atom("x y", "u v")
-        bad(
-            Step(2, Rule.CONTRACT, (1,), atom("y", "v"), ContractWitness((0,))),
-            prior=(prem,),
-        )
-        # both copies of (x, u) removed: no kept position holds it
-        bad(
-            Step(2, Rule.CONTRACT, (1,), atom("y", "v"), ContractWitness((0, 2))),
-            prior=(atom("x y x", "u v u"),),
-        )
+        reason = "PAIRS conclusion must have the premise's pair set"
+        # a lost pair
+        step = Step(2, Rule.PAIRS, (1,), atom("y", "v"))
+        assert check_step(step, (), (atom("x y x", "u v u"),)) == reason
+        # an extra pair
+        step = Step(2, Rule.PAIRS, (1,), atom("x y w", "u v w"))
+        assert check_step(step, (), (atom("x y", "u v"),)) == reason
+        # the sides' variables kept, their pairing changed
+        step = Step(2, Rule.PAIRS, (1,), atom("x y", "v u"))
+        assert check_step(step, (), (atom("x y", "u v"),)) == reason
 
-    def test_contract_does_not_reorder(self):
-        prem = atom("x y x y", "u v u v")
-        step = Step(2, Rule.CONTRACT, (1,), atom("y x", "v u"), ContractWitness((0, 1)))
-        assert check_step(step, (), (prem,)) == (
-            "CONTRACT conclusion must keep the other positions in order"
-        )
-        ok(Step(2, Rule.CONTRACT, (1,), atom("x y", "u v"), ContractWitness((0, 1))), prior=(prem,))
+    def test_degree_preserved(self):
+        step = Step(2, Rule.PAIRS, (1,), atom("y x", "v u", "1/3"))
+        assert check_step(step, (), (atom("x y", "u v", "1/4"),)) == "PAIRS preserves the degree"
+
+    def test_witness_rejected(self):
+        prem = atom("x y x", "u v u")
+        for w in (NO_WITNESS, AppendWitness((), ()), BlockSwapWitness(0, 1, 2)):
+            step = Step(2, Rule.PAIRS, (1,), atom("x y", "u v"), w)
+            assert check_step(step, (), (prem,)) == "PAIRS takes no witness"
 
 
-class TestContractExhaustive:
-    """Every CONTRACT step on the 819 side pairs over a, b, c of arity <= 3,
-    with every nonempty set of removed positions."""
+class TestPairsExhaustive:
+    """Every PAIRS step between the 819 side pairs over a, b, c of arity
+    <= 3, at one degree: 670,761 steps."""
 
     def test_accepts_exactly_the_steps_that_keep_the_pair_set(self):
-        accepted = rejected = 0
+        degree = Fraction(1, 4)
+        atoms = [
+            Atom(left, right, degree)
+            for n in (1, 2, 3)
+            for left in product("abc", repeat=n)
+            for right in product("abc", repeat=n)
+        ]
+        pair_sets = [frozenset(zip(a.left, a.right)) for a in atoms]
+        steps = [Step(2, Rule.PAIRS, (1,), a) for a in atoms]
+        accepted = 0
+        for prem, prem_pairs in zip(atoms, pair_sets):
+            prior = (prem,)
+            for step, pairs in zip(steps, pair_sets):
+                same = pairs == prem_pairs
+                assert (check_step(step, (), prior) is None) == same, (prem, step.conclusion)
+                if same:
+                    accepted += 1
+                    raised = Atom(step.conclusion.left, step.conclusion.right, Fraction(1, 3))
+                    assert check_step(Step(2, Rule.PAIRS, (1,), raised), (), prior)
+        # per pair set, the atoms of arity <= 3 holding it: 3 for one pair,
+        # 8 for two, 6 for three; 9 * 3**2 + 36 * 8**2 + 84 * 6**2 = 5,409
+        assert (len(atoms), accepted) == (819, 5409)
+
+
+class TestPairsLemma:
+    """The fact PAIRS rests on, checked on the removal search alone: an
+    atom's minimum removal equals that of its sorted distinct-pair form."""
+
+    def test_min_removal_depends_only_on_the_pair_set(self):
+        teams = [rows for rows in enumerate_row_sets(2, 4, 4) if rows]
+        columns = [columns_of(rows, 2) for rows in teams]
+        # column 0 is a, column 1 is b
+        checked = 0
         for n in (1, 2, 3):
-            for left in product("abc", repeat=n):
-                for right in product("abc", repeat=n):
-                    prem = Atom(left, right, Fraction(1, 4))
-                    pairs = list(zip(left, right))
-                    for size in range(1, n + 1):
-                        for removed in combinations(range(n), size):
-                            keep = [i for i in range(n) if i not in removed]
-                            kept_pairs = {pairs[i] for i in keep}
-                            sound = all(pairs[i] in kept_pairs for i in removed)
-
-                            def outcome(order, degree=prem.degree, positions=removed):
-                                concl = Atom._unchecked(
-                                    tuple(left[i] for i in order),
-                                    tuple(right[i] for i in order),
-                                    degree,
-                                )
-                                step = Step(2, Rule.CONTRACT, (1,), concl, ContractWitness(positions))
-                                return check_step(step, (), (prem,)) is None
-
-                            assert outcome(keep) == sound, (prem, removed)
-                            if not sound:
-                                rejected += 1
-                                continue
-                            accepted += 1
-                            assert kept_pairs == set(pairs)
-                            assert not outcome(keep, Fraction(1, 3))
-                            if size > 1:
-                                # the same positions in another order
-                                assert not outcome(keep, positions=removed[::-1])
-                            for order in permutations(keep):
-                                same = [pairs[i] for i in order] == [pairs[i] for i in keep]
-                                assert outcome(list(order)) == same, (prem, removed, order)
-        # 9 + 81 * 3 + 729 * 7 = 5,355 removed sets in all
-        assert (accepted, rejected) == (504, 4851)
+            for left in product((0, 1), repeat=n):
+                for right in product((0, 1), repeat=n):
+                    normal = sorted(set(zip(left, right)))
+                    if list(zip(left, right)) == normal:
+                        continue
+                    normal_left, normal_right = zip(*normal)
+                    for team in columns:
+                        assert min_removal_indexed(team, left, right) == min_removal_indexed(
+                            team, normal_left, normal_right
+                        ), (left, right, team)
+                    checked += 1
+        assert (checked, len(teams)) == (70, 488)
 
 
 class TestStepPlumbing:
@@ -407,7 +421,7 @@ class TestCheckDerivation:
 
 
 # ==========================================================================
-# macro expansion: CONTRACT is admissible
+# macro expansion: PAIRS is admissible
 # ==========================================================================
 
 def _rotation_steps(
@@ -435,15 +449,15 @@ def _rotation_steps(
 
 
 def expand_macros(derivation: Derivation) -> Derivation:
-    """Rewrite CONTRACT steps into primitive A4/A5 chains.
+    """Rewrite PAIRS steps into primitive A3/A4/A5 chains.
 
-    A CONTRACT drops its removed positions one at a time, highest first:
-    rotate a kept position holding the same pair, then the removed one, to
-    the end, drop the repeated trailing pair with A4, and rotate the rest
-    back into order.  The input must check; the output checks and proves
-    the same goal using primitive rules only.  This is the proof that the
-    macro rule is admissible, which is why the package can check it on pair
-    sets.
+    A PAIRS step appends its conclusion with A3, then drops the premise's
+    own positions one at a time, last first: rotate an appended position
+    holding the same pair, then the dropped one, to the end, drop the
+    repeated trailing pair with A4, and rotate the rest back into order.
+    The input must check; the output checks and proves the same goal using
+    primitive rules only.  This is the proof that the macro rule is
+    admissible, which is why the package can check it on pair sets.
     """
     result = check_derivation(derivation)
     if not result.ok:
@@ -482,20 +496,17 @@ def expand_macros(derivation: Derivation) -> Derivation:
 
     for step in derivation.steps:
         refs = tuple(mapped[r] for r in step.premises)
-        if step.rule == Rule.CONTRACT:
-            current = derivation.steps[step.premises[0] - 1].conclusion
-            pairs = list(zip(current.left, current.right))
-            removed = step.witness.removed
-            kept = [i for i in range(len(pairs)) if i not in removed]
-            # positions[c] is the premise position now at position c
-            positions = list(range(len(pairs)))
-            last = refs[0]
-            for j in reversed(removed):
-                k = next(i for i in kept if pairs[i] == pairs[j])
-                last, current = emit_contraction(
-                    last, current, positions.index(j), positions.index(k)
-                )
-                positions.remove(j)
+        if step.rule == Rule.PAIRS:
+            prem, concl = derivation.steps[step.premises[0] - 1].conclusion, step.conclusion
+            n = prem.arity
+            current = Atom(prem.left + concl.left, prem.right + concl.right, prem.degree)
+            last = emit(Rule.A3, refs, current, AppendWitness(concl.left, concl.right))
+            # every premise pair sits at an appended position: drop the
+            # premise positions, last first, so each lies at its own index
+            appended = list(zip(concl.left, concl.right))
+            for j in reversed(range(n)):
+                k = j + 1 + appended.index((prem.left[j], prem.right[j]))
+                last, current = emit_contraction(last, current, j, k)
             mapped[step.index] = last
         else:
             mapped[step.index] = emit(step.rule, refs, step.conclusion, step.witness)
@@ -509,41 +520,47 @@ class TestExpandMacros:
         expanded = expand_macros(derivation)
         assert check_derivation(expanded).ok
         assert expanded.goal == derivation.goal
-        assert all(s.rule != Rule.CONTRACT for s in expanded.steps)
+        assert all(s.rule != Rule.PAIRS for s in expanded.steps)
         return expanded
 
-    def test_contract_expands_to_rotations_and_a4(self):
-        prem = atom("x y x", "u v u")
-        d = Derivation(
-            (prem,),
-            (
-                Step(1, Rule.HYP, (), prem),
-                Step(2, Rule.CONTRACT, (1,), atom("y x", "v u"), ContractWitness((0,))),
-            ),
+    def pairs_step(self, prem, concl):
+        return Derivation(
+            (prem,), (Step(1, Rule.HYP, (), prem), Step(2, Rule.PAIRS, (1,), concl))
         )
+
+    def test_contract_expands_to_rotations_and_a4(self):
+        d = self.pairs_step(atom("x y x", "u v u"), atom("y x", "v u"))
         expanded = self.assert_expansion(d)
+        assert expanded.steps[1].rule == Rule.A3
         assert any(s.rule == Rule.A4 for s in expanded.steps)
 
     def test_three_positions_expand_to_three_contractions(self):
-        prem = atom("x y x z y x", "u v u w v u")
-        d = Derivation(
-            (prem,),
-            (
-                Step(1, Rule.HYP, (), prem),
-                Step(2, Rule.CONTRACT, (1,), atom("x y z", "u v w"), ContractWitness((2, 4, 5))),
-            ),
-        )
+        d = self.pairs_step(atom("x y x", "u v u"), atom("x y", "u v"))
         expanded = self.assert_expansion(d)
+        # the appended arity-5 atom loses the three premise positions
         dropped = [s.conclusion.arity for s in expanded.steps if s.rule == Rule.A4]
-        assert dropped == [5, 4, 3]
+        assert dropped == [4, 3, 2]
+
+    def test_reorder_only_expands(self):
+        d = self.pairs_step(atom("x y z", "u v w"), atom("z x y", "w u v"))
+        expanded = self.assert_expansion(d)
+        assert [s.rule for s in expanded.steps].count(Rule.A4) == 3
+
+    def test_duplication_expands(self):
+        self.assert_expansion(self.pairs_step(atom("x y", "u v"), atom("y x y", "v u v")))
 
     def test_synthesized_contract_expands(self):
-        # the planner's shape: append the target, contract the source away
+        # the planner's shape: one PAIRS step onto the target's pair set
         sigma = [atom("x y x", "u v u", "1/4")]
         goal = atom("y x", "v u", "1/3")
         d = synthesize(sigma, goal, decide(sigma, goal).witness)
-        assert [s.rule for s in d.steps] == [Rule.HYP, Rule.A3, Rule.CONTRACT, Rule.A7]
-        assert d.steps[2].witness == ContractWitness((0, 1, 2))
+        assert [s.rule for s in d.steps] == [Rule.HYP, Rule.PAIRS, Rule.A7]
+        self.assert_expansion(d)
+        # and behind an append of the missing pairs
+        sigma = [atom("x y x", "u v u", "1/4")]
+        goal = atom("w y x", "w v u", "1/4")
+        d = synthesize(sigma, goal, decide(sigma, goal).witness)
+        assert [s.rule for s in d.steps] == [Rule.HYP, Rule.A3, Rule.PAIRS]
         self.assert_expansion(d)
 
     def test_macro_free_derivation_unchanged(self):
@@ -582,13 +599,7 @@ class TestSerialization:
             (dup,),
             (
                 Step(1, Rule.HYP, (), dup),
-                Step(
-                    2,
-                    Rule.CONTRACT,
-                    (1,),
-                    atom("x1 w1", "y1 w1", "1/4"),
-                    ContractWitness((2,)),
-                ),
+                Step(2, Rule.PAIRS, (1,), atom("x1 w1", "y1 w1", "1/4")),
                 Step(
                     3,
                     Rule.A5,
@@ -621,11 +632,21 @@ class TestSerialization:
         payload = derivation_to_json(
             Derivation((X_Y,), (Step(1, Rule.HYP, (), X_Y),))
         )
-        assert payload["format"] == 2
+        assert payload["format"] == 3
         payload["format"] = 1
         with pytest.raises(ParseError) as info:
             derivation_from_json(payload)
         assert str(info.value) == "unsupported certificate format: 1"
+
+    def test_format_2_refused(self):
+        # format 2 had CONTRACT steps with a witness of removed positions
+        payload = derivation_to_json(
+            Derivation((X_Y,), (Step(1, Rule.HYP, (), X_Y),))
+        )
+        payload["format"] = 2
+        with pytest.raises(ParseError) as info:
+            derivation_from_json(payload)
+        assert str(info.value) == "unsupported certificate format: 2"
 
     def test_unknown_rule_rejected(self):
         payload = derivation_to_json(
@@ -644,14 +665,14 @@ class TestSerialization:
             derivation_from_json(payload)
 
     def test_text_of_every_witness_kind_is_pinned(self):
-        # one derivation using all five witness kinds; a change of key order,
+        # one derivation using all four witness kinds; a change of key order,
         # kind name or field encoding changes this text
         dup = atom("x1 w1 x1 w1", "y1 w1 y1 w1", "1/4")
         d = Derivation(
             (dup,),
             (
                 Step(1, Rule.HYP, (), dup),
-                Step(2, Rule.CONTRACT, (1,), atom("x1 w1", "y1 w1", "1/4"), ContractWitness((2, 3))),
+                Step(2, Rule.PAIRS, (1,), atom("x1 w1", "y1 w1", "1/4")),
                 Step(3, Rule.A5, (2,), atom("w1 x1", "w1 y1", "1/4"), BlockSwapWitness(0, 1, 1)),
                 Step(4, Rule.A7, (2,), atom("x1 w1", "y1 w1", "1/3"), RaiseWitness(Fraction(1, 3))),
                 Step(5, Rule.A6, (4,), atom("z1 z1", "x1 y1", "1/3"), SwitchWitness(1, ("z1",))),
@@ -674,9 +695,9 @@ class TestSerialization:
             (("format",), True),
             (("steps", 0, "index"), True),
             (("steps", 1, "premises"), [True]),
-            (("steps", 1, "witness", "removed"), True),
-            (("steps", 1, "witness", "removed"), [True, 0]),
-            (("steps", 1, "witness", "removed"), 1.0),
+            (("steps", 2, "witness", "prefix"), True),
+            (("steps", 2, "premises"), [True, 0]),
+            (("steps", 2, "witness", "first"), 1.0),
             (("steps", 0, "rule"), 1),
             (("assumptions", 0, "degree"), 0),
         ],
@@ -688,7 +709,7 @@ class TestSerialization:
                 (prem,),
                 (
                     Step(1, Rule.HYP, (), prem),
-                    Step(2, Rule.CONTRACT, (1,), atom("x w", "y w"), ContractWitness((2,))),
+                    Step(2, Rule.PAIRS, (1,), atom("x w", "y w")),
                     Step(3, Rule.A5, (2,), atom("w x", "w y"), BlockSwapWitness(0, 1, 1)),
                 ),
             )
@@ -747,7 +768,7 @@ class TestSynthesize:
     def test_subset_general_transform(self):
         rules = self.check([atom("x y", "u v")], atom("y x", "v u"))
         assert rules[0] == Rule.HYP
-        assert rules == [Rule.HYP, Rule.A3, Rule.CONTRACT]
+        assert rules == [Rule.HYP, Rule.PAIRS]
 
     def test_subset_swapped(self):
         rules = self.check([atom("y", "x")], swapped(atom("x w", "y w")))
@@ -768,18 +789,16 @@ class TestSynthesize:
         rules = self.check(
             [atom("x1 x1 w1", "y1 y1 w1")], atom("z1 z1", "x1 y1")
         )
-        assert Rule.CONTRACT in rules
-        assert Rule.A6 in rules
-        # three repeats and a diagonal pair in the middle: one append of
-        # the end-constant form, one contraction of all six source positions
+        assert rules == [Rule.HYP, Rule.PAIRS, Rule.A6]
+        # three repeats and a diagonal pair in the middle: one PAIRS step
+        # onto the end-constant form
         sigma = [atom("x1 w1 x2 x1 x2 w1", "y1 w1 y2 y1 y2 w1")]
         goal = atom("z1 z2 z1 z2", "x1 x2 y1 y2")
         self.check(sigma, goal)
         steps = synthesize(sigma, goal, decide(sigma, goal).witness).steps
         assert [(s.rule, s.witness) for s in steps] == [
             (Rule.HYP, None),
-            (Rule.A3, AppendWitness(("x1", "x2", "w1"), ("y1", "y2", "w1"))),
-            (Rule.CONTRACT, ContractWitness((0, 1, 2, 3, 4, 5))),
+            (Rule.PAIRS, None),
             (Rule.A6, SwitchWitness(1, ("z1", "z2"))),
         ]
 
@@ -802,7 +821,7 @@ class TestCertificateGrowth:
             rng.shuffle(pairs)
             goal = Atom(tuple(b for _, b in pairs), tuple(a for a, _ in pairs), Fraction(1, 4))
             derivation = synthesize([premise], goal, decide([premise], goal).witness)
-            assert len(derivation.steps) <= 6
+            assert len(derivation.steps) <= 4
             bytes_per_position.append(len(derivation_to_json_str(derivation)) / n)
         for smaller, larger in zip(bytes_per_position, bytes_per_position[1:]):
             assert larger <= 1.1 * smaller, bytes_per_position
@@ -929,7 +948,7 @@ _REFERENCE_SIGNATURES = {
     Rule.A6: (1, SwitchWitness),
     Rule.A7: (1, RaiseWitness),
     Rule.A8: (0, None),
-    Rule.CONTRACT: (1, ContractWitness),
+    Rule.PAIRS: (1, None),
     Rule.DOM: (1, None),
 }
 
@@ -1016,24 +1035,12 @@ def reference_check_step(step, assumptions, prior):
     elif step.rule == Rule.A8:
         if concl.degree != 1:
             return fail("A8 conclusion degree must be 1")
-    elif step.rule == Rule.CONTRACT:
-        n = prem.arity
-        removed = list(w.removed)
-        if not removed:
-            return fail("CONTRACT must remove a position")
-        if removed != sorted(set(removed)):
-            return fail("CONTRACT positions must increase")
-        if not all(0 <= i < n for i in removed):
-            return fail("CONTRACT positions out of range")
-        keep = [i for i in range(n) if i not in removed]
-        kept_pairs = {(prem.left[i], prem.right[i]) for i in keep}
-        if any((prem.left[i], prem.right[i]) not in kept_pairs for i in removed):
-            return fail("CONTRACT requires every removed pair at a kept position")
-        dropped = Atom(
-            tuple(prem.left[i] for i in keep), tuple(prem.right[i] for i in keep), prem.degree
-        )
-        if concl != dropped:
-            return fail("CONTRACT conclusion must keep the other positions in order")
+    elif step.rule == Rule.PAIRS:
+        if concl.degree != prem.degree:
+            return fail("PAIRS preserves the degree")
+        concl_pairs = sorted(set(zip(concl.left, concl.right)))
+        if concl_pairs != sorted(set(zip(prem.left, prem.right))):
+            return fail("PAIRS conclusion must have the premise's pair set")
     elif step.rule == Rule.DOM:
         if prem.degree > concl.degree:
             return fail("DOM cannot lower the degree")
@@ -1129,28 +1136,21 @@ RULE_CASES = [
     (Rule.A8, (), (), atom("x", "y", 1), None, None),
     (Rule.A8, (), (), atom("x", "y", "1/4"), None, "A8 conclusion degree must be 1"),
     (Rule.A8, (), (), atom("x", "y", 1), NO_WITNESS, "A8 takes no witness"),
-    (Rule.CONTRACT, (atom("x y x", "u v u", "1/4"),), (), atom("y x", "v u", "1/4"),
-     ContractWitness((0,)), None),
-    (Rule.CONTRACT, (atom("x y x y", "u v u v", "1/4"),), (), P2, ContractWitness((2, 3)), None),
-    (Rule.CONTRACT, (atom("x y x", "u v u", "1/4"),), (), atom("y", "v", "1/4"),
-     ContractWitness((0, 2)), "CONTRACT requires every removed pair at a kept position"),
-    (Rule.CONTRACT, (atom("x y x y", "u v u v", "1/4"),), (), atom("y x", "v u", "1/4"),
-     ContractWitness((0, 1)), "CONTRACT conclusion must keep the other positions in order"),
-    (Rule.CONTRACT, (atom("x y x", "u v u", "1/4"),), (), P2, ContractWitness(()),
-     "CONTRACT must remove a position"),
-    (Rule.CONTRACT, (atom("x y x", "u v u", "1/4"),), (), P2, ContractWitness((2,)), None),
-    (Rule.CONTRACT, (atom("x y x", "u v u", "1/4"),), (), atom("x y", "u w", "1/4"),
-     ContractWitness((2,)), "CONTRACT conclusion must keep the other positions in order"),
-    (Rule.CONTRACT, (atom("x y x", "u v u", "1/4"),), (), atom("x y", "u v", "1/3"),
-     ContractWitness((2,)), "CONTRACT conclusion must keep the other positions in order"),
-    (Rule.CONTRACT, (atom("x y x", "u v u", "1/4"),), (), P2, ContractWitness((0,)),
-     "CONTRACT conclusion must keep the other positions in order"),
-    (Rule.CONTRACT, (atom("x y x", "u v u", "1/4"),), (), P2, ContractWitness((1,)),
-     "CONTRACT requires every removed pair at a kept position"),
-    (Rule.CONTRACT, (atom("x y x", "u v u", "1/4"),), (), P2, ContractWitness((2, 2)),
-     "CONTRACT positions must increase"),
-    (Rule.CONTRACT, (atom("x y x", "u v u", "1/4"),), (), P2, ContractWitness((3,)),
-     "CONTRACT positions out of range"),
+    (Rule.PAIRS, (atom("x y x", "u v u", "1/4"),), (), atom("y x", "v u", "1/4"), None, None),
+    (Rule.PAIRS, (atom("x y x y", "u v u v", "1/4"),), (), P2, None, None),
+    (Rule.PAIRS, (P2,), (), atom("y x y", "v u v", "1/4"), None, None),
+    (Rule.PAIRS, (P2,), (), P2, None, None),
+    (Rule.PAIRS, (atom("x y x", "u v u", "1/4"),), (), atom("y", "v", "1/4"), None,
+     "PAIRS conclusion must have the premise's pair set"),
+    (Rule.PAIRS, (P2,), (), P3, None, "PAIRS conclusion must have the premise's pair set"),
+    (Rule.PAIRS, (atom("x y x", "u v u", "1/4"),), (), atom("x y", "u w", "1/4"), None,
+     "PAIRS conclusion must have the premise's pair set"),
+    (Rule.PAIRS, (atom("x y x", "u v u", "1/4"),), (), atom("x y", "v u", "1/4"), None,
+     "PAIRS conclusion must have the premise's pair set"),
+    (Rule.PAIRS, (atom("x y x", "u v u", "1/4"),), (), atom("x y", "u v", "1/3"), None, "PAIRS preserves the degree"),
+    (Rule.PAIRS, (atom("x y x", "u v u", "1/4"),), (), atom("x y", "u w", "1/3"), None, "PAIRS preserves the degree"),
+    (Rule.PAIRS, (atom("x y x", "u v u", "1/4"),), (), P2, NO_WITNESS, "PAIRS takes no witness"),
+    (Rule.PAIRS, (atom("x y x", "u v u", "1/4"),), (), P2, AppendWitness((), ()), "PAIRS takes no witness"),
     (Rule.DOM, (atom("x", "y", "1/4"),), (), atom("x z", "y w", "1/3"), None, None),
     (Rule.DOM, (atom("x", "y", "1/4"),), (), atom("x z", "v w", "1/3"), None,
      "DOM premise must conflict on the conclusion's generic pair"),
@@ -1175,8 +1175,8 @@ class TestRuleTable:
     def test_every_reason_is_covered(self):
         covered = {case[-1] for case in RULE_CASES}
         source = inspect.getsource(certificate)
-        stated = set(re.findall(r'return "((?:HYP|A\d|CONTRACT|DOM) [^"]+)"', source))
-        assert len(stated) == 28
+        stated = set(re.findall(r'return "((?:HYP|A\d|PAIRS|DOM) [^"]+)"', source))
+        assert len(stated) == 25
         assert stated <= covered
 
     def test_check_step_builds_no_atom(self, monkeypatch):
@@ -1272,7 +1272,7 @@ class TestDecoderErrorPlaces:
     """Each decoder error starts with the step (or assumption) and field
     it is about."""
 
-    PREM = atom("x w w", "y w w")
+    PREM = atom("x", "y")
 
     def payload(self):
         return derivation_to_json(
@@ -1280,7 +1280,7 @@ class TestDecoderErrorPlaces:
                 (self.PREM,),
                 (
                     Step(1, Rule.HYP, (), self.PREM),
-                    Step(2, Rule.CONTRACT, (1,), atom("x w", "y w"), ContractWitness((2,))),
+                    Step(2, Rule.A3, (1,), atom("x w", "y w"), AppendWitness(("w",), ("w",))),
                 ),
             )
         )
@@ -1289,8 +1289,8 @@ class TestDecoderErrorPlaces:
         "path, value, message",
         [
             (("steps", 1, "premises"), [True], "step 2, premises: integer expected, got True"),
-            (("steps", 1, "witness", "removed"), True,
-             "step 2, witness, removed: list expected, got True"),
+            (("steps", 1, "witness", "left"), True,
+             "step 2, witness, left: list expected, got True"),
             (("steps", 0, "rule"), "A9", "step 1, rule: 'A9' is not a valid Rule"),
             (("steps", 1, "conclusion", "left"), ["x"],
              "step 2, conclusion: malformed Atom object: side arities differ: 1 vs 2"),
@@ -1337,7 +1337,7 @@ def atoms(draw):
 @st.composite
 def premises(draw):
     """Atoms some rule can fire on: random, ending in a repeated block (A4),
-    with a repeated pair (CONTRACT) or ending in a shared block (A6)."""
+    with a repeated pair (PAIRS) or ending in a shared block (A6)."""
     base = draw(atoms())
     shape = draw(st.sampled_from(["random", "repeat", "duplicate", "shared"]))
     if shape == "repeat" and base.arity < 4:
@@ -1361,11 +1361,6 @@ WITNESSES = {
     BlockSwapWitness: st.builds(BlockSwapWitness, SMALL, SMALL, SMALL),
     SwitchWitness: st.builds(SwitchWitness, SMALL, var_tuples()),
     RaiseWitness: st.builds(RaiseWitness, DEGREES),
-    ContractWitness: st.one_of(
-        st.tuples(SMALL),
-        st.sets(st.integers(0, 3), max_size=4).map(sorted),
-        st.lists(SMALL, max_size=4),
-    ).map(tuple).map(ContractWitness),
 }
 
 
@@ -1400,10 +1395,12 @@ def expected_conclusion(rule, prem, w, assumptions, draw):
             return Atom(w.fresh + w.fresh, left[:h] + right[:h], d)
     if rule == Rule.A7 and isinstance(w, RaiseWitness):
         return Atom(left, right, w.degree)
-    if rule == Rule.CONTRACT and isinstance(w, ContractWitness):
-        keep = [i for i in range(n) if i not in w.removed]
-        if keep and list(w.removed) == sorted(set(w.removed)) and set(w.removed) <= set(range(n)):
-            return Atom(tuple(left[i] for i in keep), tuple(right[i] for i in keep), d)
+    if rule == Rule.PAIRS and draw(st.booleans()):
+        # the premise's pairs reordered, duplicated or with repeats dropped
+        pairs = list(dict.fromkeys(zip(left, right)))
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=4 - len(pairs)))
+        pairs = draw(st.permutations(pairs))
+        return Atom(tuple(a for a, _ in pairs), tuple(b for _, b in pairs), d)
     if rule == Rule.DOM:
         extra = draw(var_tuples())
         return Atom(left + extra, right + extra[::-1], draw(DEGREES))
@@ -1429,7 +1426,6 @@ def fitting_witness(draw, rule, prem):
     """A witness under which some conclusion of prem is valid, if one
     exists for the rule."""
     n = prem.arity
-    pairs = list(zip(prem.left, prem.right))
     if rule == Rule.A5:
         a = draw(st.integers(0, n))
         b1 = draw(st.integers(0, n - a))
@@ -1438,11 +1434,6 @@ def fitting_witness(draw, rule, prem):
         shared = [h for h in range(1, n + 1) if prem.left[h:] == prem.right[h:]]
         h = draw(st.sampled_from(shared))
         return SwitchWitness(n - h, draw(sides(h)))
-    if rule == Rule.CONTRACT:
-        # positions whose pair occurs earlier: any nonempty set of them goes
-        repeats = [i for i in range(n) if pairs[i] in pairs[:i]]
-        if repeats:
-            return ContractWitness(tuple(sorted(draw(st.sets(st.sampled_from(repeats), min_size=1)))))
     return None
 
 

@@ -375,7 +375,7 @@ class TestDerive:
         assert main(["derive", sigma_file(premise), goal, str(out_json)]) == EXIT_OK
         assert out_json.stat().st_size < 1_000_000
         derivation = derivation_from_json(json.loads(out_json.read_text()))
-        assert [s.rule.value for s in derivation.steps] == ["HYP", "A3", "CONTRACT", "A7", "A2"]
+        assert [s.rule.value for s in derivation.steps] == ["HYP", "PAIRS", "A7", "A2"]
 
 
 class TestOracleCheck:

@@ -50,16 +50,12 @@ class TestPairSet:
 
     def test_worked_example_set(self):
         # the four pairs (x2, y1), (y3, y3), (x2, y3), (x4, y4), reordered
-        assert route([WORKED], atom("x4 x2 y3 x2", "y4 y3 y3 y1")) == [
-            Rule.HYP, Rule.A3, Rule.CONTRACT
-        ]
+        assert route([WORKED], atom("x4 x2 y3 x2", "y4 y3 y3 y1")) == [Rule.HYP, Rule.PAIRS]
         # without (x4, y4) the goal no longer contains the premise's pairs
         assert not decide([WORKED], atom("x2 y3 x2", "y1 y3 y3")).holds
 
     def test_repeated_pairs_collapse(self):
-        assert route([atom("x x", "y y")], atom("x", "y")) == [
-            Rule.HYP, Rule.A3, Rule.CONTRACT
-        ]
+        assert route([atom("x x", "y y")], atom("x", "y")) == [Rule.HYP, Rule.PAIRS]
 
     def test_containment_is_reflexive(self):
         assert route([WORKED], WORKED) == [Rule.HYP]
