@@ -25,17 +25,17 @@ more than its budget.  The two shapes do not separate every right NO:
 the strict xfails in tests/test_counterexample.py and README's triangle
 are right NOs whose planned team fails its check.  verified_counterexample
 re-checks the team and refuses such a NO with UndecidedError (exit 6);
-ROADMAP item 1 is the fix.  A plan keeps the generic pair its rows are
-built from; its `transitive` flag, computed when it is read, tells whether
-the merge relation was already transitive before its closure.
+ROADMAP item 1 is the fix.  A plan is an immutable named tuple.  It keeps
+the generic pair its rows are built from; its `transitive` flag, computed
+when it is read, tells whether the merge relation was already transitive
+before its closure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import CapacityError, UndecidedError
 from .model import Atom, GenericPair, Team, generic_pair, schema_order
@@ -47,46 +47,65 @@ MAX_TEAM_ROWS = 2**20  # largest counterexample team the planner lists
 def min_gap_degree(sigma: Sequence[Atom], p: Fraction) -> Fraction | None:
     """Smallest assumption degree strictly above p, if any, compared as
     cross-multiplied integers."""
-    p_num, p_den = p.numerator, p.denominator
-    gap = None
+    p_num, p_den = p.as_integer_ratio()
+    gap = gap_num = gap_den = None
     for a in sigma:
         d = a.degree
-        if d.numerator * p_den > p_num * d.denominator and (
-            gap is None or d.numerator * gap.denominator < gap.numerator * d.denominator
-        ):
-            gap = d
+        num, den = d.as_integer_ratio()
+        if num * p_den > p_num * den and (gap is None or num * gap_den < gap_num * den):
+            gap, gap_num, gap_den = d, num, den
     return gap
 
 
 def ratio_parameters(p: Fraction, r: Fraction | None) -> tuple[int, int]:
     """Smallest team size k with l = floor(p*k) + 1 removals fitting p < l/k <= r.
 
-    Requires p < 1/2 so that k >= 2l is reachable.  Without r the two-row
-    team (l, k) = (1, 2) always works.  Both tests compare cross-multiplied
-    integers.  A team of more than MAX_TEAM_ROWS rows is refused with
-    CapacityError instead of being searched for.
+    Requires p < 1/2 so that k >= 2l is reachable.  The conditions say that
+    some fraction with denominator k lies in (p, m] for m = min(r, 1/2), so
+    k is the smallest such denominator.  When m = 1/2 (no r, or r >= 1/2)
+    that is (l, k) = (1, 2).  Otherwise a Stern-Brocot descent from 0/1 and
+    1/1 finds the simplest fraction in (p, r], in integers only and in
+    steps of whole runs of the same turn.  A team of more than
+    MAX_TEAM_ROWS rows is refused with CapacityError.
     """
-    p_num, p_den = p.numerator, p.denominator
+    p_num, p_den = p.as_integer_ratio()
     if 2 * p_num >= p_den:
         raise ValueError(f"ratio search needs a degree below 1/2, got {p}")
-    for k in range(2, MAX_TEAM_ROWS + 1):
-        l = (p_num * k) // p_den + 1
-        if k >= 2 * l and (r is None or l * r.denominator <= r.numerator * k):
-            return l, k
-    raise CapacityError(
-        f"a counterexample team for degrees {p} < {r} needs more than"
-        f" {MAX_TEAM_ROWS} rows"
-    )
+    if r is None:
+        return 1, 2
+    r_num, r_den = r.as_integer_ratio()
+    if 2 * r_num >= r_den:
+        return 1, 2
+    # invariant: lo_num/lo_den <= p < r < hi_num/hi_den
+    lo_num, lo_den, hi_num, hi_den = 0, 1, 1, 1
+    while True:
+        # raise lo by the longest run of mediants at or below p
+        j = (p_num * lo_den - lo_num * p_den) // (hi_num * p_den - p_num * hi_den)
+        lo_num, lo_den = lo_num + j * hi_num, lo_den + j * hi_den
+        k = lo_den + hi_den  # the next mediant lies above p
+        if (lo_num + hi_num) * r_den <= r_num * k:
+            break
+        # lower hi by the longest run of mediants above r
+        i = (hi_num * r_den - r_num * hi_den - 1) // (r_num * lo_den - lo_num * r_den)
+        hi_num, hi_den = hi_num + i * lo_num, hi_den + i * lo_den
+        k = lo_den + hi_den  # the next mediant lies at or below r
+        if (lo_num + hi_num) * p_den > p_num * k:
+            break
+    if k > MAX_TEAM_ROWS:
+        raise CapacityError(
+            f"a counterexample team for degrees {p} < {r} needs more than"
+            f" {MAX_TEAM_ROWS} rows"
+        )
+    return (p_num * k) // p_den + 1, k
 
 
 def domain_size_bound(plan: "CounterexamplePlan") -> int:
     """Values sufficient for the construction: 3ln + 2lm + (k-2l)(2n+m)."""
-    n, m, l, k = plan.n, plan.m, plan.l, plan.k
+    n, m, l, k = len(plan.goal.left), len(plan.extra_vars), plan.l, plan.k
     return 3 * l * n + 2 * l * m + (k - 2 * l) * (2 * n + m)
 
 
-@dataclass(frozen=True)
-class CounterexamplePlan:
+class CounterexamplePlan(NamedTuple):
     """Everything needed to build and audit a counterexample team."""
 
     kind: str  # "unary-canonical" or "shared-block"

@@ -209,7 +209,7 @@ def generic_pair(goal: Atom) -> GenericPair:
     t: dict[str, int] = {}
     for i, (x, y) in enumerate(zip(goal.left, goal.right)):
         a, b = s.get(x, i), t.get(y, i)
-        lo, hi = min(a, b), max(a, b)
+        lo, hi = (a, b) if a < b else (b, a)
         if lo != hi != i:
             # position i joins two classes: the later one takes the
             # earlier one's name
@@ -233,17 +233,14 @@ def conflicts(atom: Atom, pair: GenericPair) -> bool:
     s, t = pair
     left, right = atom.left, atom.right
     x, y = left[0], right[0]
-    for u, w in ((s, t), (t, s)):
-        if u.get(x, x) == w.get(y) and (
-            tuple(map(u.get, left, left)) == tuple(map(w.get, right))
-        ):
-            return True
-    for u in (s, t):
-        if u.get(x, x) == u.get(y, y) and (
-            tuple(map(u.get, left, left)) == tuple(map(u.get, right, right))
-        ):
-            return True
-    return False
+    sx, tx = s.get(x, x), t.get(x, x)
+    if sx == t.get(y) and tuple(map(s.get, left, left)) == tuple(map(t.get, right)):
+        return True
+    if tx == s.get(y) and tuple(map(t.get, left, left)) == tuple(map(s.get, right)):
+        return True
+    if sx == s.get(y, y) and tuple(map(s.get, left, left)) == tuple(map(s.get, right, right)):
+        return True
+    return tx == t.get(y, y) and tuple(map(t.get, left, left)) == tuple(map(t.get, right, right))
 
 
 # Premise lists this long are counted before the scan.  Below it the count

@@ -1,7 +1,6 @@
 """Counterexample planning, team construction, and verification."""
 
 import random
-from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
 
@@ -75,11 +74,15 @@ class TestRatioParameters:
         assert 1_000_003 <= MAX_TEAM_ROWS
 
     def test_team_past_the_row_cap_refused(self):
-        # the walk stops at the cap instead of running for about 10**8 rows
+        # the smallest team has 100,000,003 rows, past the cap
         with pytest.raises(CapacityError, match="more than 1048576 rows"):
             ratio_parameters(Fraction(1, 4), Fraction(100_000_001, 400_000_000))
 
     def test_integer_tests_match_the_fraction_definition(self):
+        """The Stern-Brocot descent gives what the definition's walk over
+        k = 2, 3, ... gives, on every degree pair with denominators up to
+        40: 90,405 pairs, r = None among them."""
+
         def reference(p, r):
             k = 2
             while True:
@@ -88,7 +91,7 @@ class TestRatioParameters:
                     return l, k
                 k += 1
 
-        degrees = sorted({Fraction(a, b) for b in range(1, 13) for a in range(b + 1)})
+        degrees = sorted({Fraction(a, b) for b in range(1, 41) for a in range(b + 1)})
         for p in degrees:
             if p >= Fraction(1, 2):
                 with pytest.raises(ValueError):
@@ -180,8 +183,8 @@ class TestDecidePlansOnItsPair:
         assert search_bounds(sigma, goal, verdict.plan) == bounds, (sigma, goal)
         if verdict.holds:
             return
-        for f in fields(fresh):
-            assert getattr(verdict.plan, f.name) == getattr(fresh, f.name), (sigma, goal, f.name)
+        for name in fresh._fields:
+            assert getattr(verdict.plan, name) == getattr(fresh, name), (sigma, goal, name)
         assert verdict.plan.transitive == fresh.transitive == eager_transitive(fresh)
 
     def test_one_premise_keystone_instances(self):

@@ -501,6 +501,17 @@ class TestFalseVerdicts:
                 assert verdict.plan.pair == generic_pair(goal)
 
 
+class TestRecordsAreImmutable:
+    def test_verdict_and_plan_refuse_assignment(self):
+        no = decide([], atom("x", "y"))
+        yes = decide([atom("x", "y")], atom("x", "y"))
+        for record in (no, no.plan, yes):
+            for name in (record._fields[0], "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(record, name, None)
+        assert yes and not no and no.plan
+
+
 class TestMinGapDegree:
     def test_smallest_degree_above_goal(self):
         sigma = [atom("a", "b", "1/3"), atom("c", "d", "1/4"), atom("e", "f", "2/5")]
