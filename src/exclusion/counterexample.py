@@ -61,12 +61,12 @@ def ratio_parameters(p: Fraction, r: Fraction | None) -> tuple[int, int]:
     """Smallest team size k with l = floor(p*k) + 1 removals fitting p < l/k <= r.
 
     Requires p < 1/2 so that k >= 2l is reachable.  The conditions say that
-    some fraction with denominator k lies in (p, m] for m = min(r, 1/2), so
-    k is the smallest such denominator.  When m = 1/2 (no r, or r >= 1/2)
-    that is (l, k) = (1, 2).  Otherwise a Stern-Brocot descent from 0/1 and
-    1/1 finds the simplest fraction in (p, r], in integers only and in
-    steps of whole runs of the same turn.  A team of more than
-    MAX_TEAM_ROWS rows is refused with CapacityError.
+    some fraction with denominator k lies in (p, min(r, 1/2)], so k is the
+    smallest such denominator; without r it is 2.  A Stern-Brocot descent
+    between 0/1 and 1/1, whose first mediant is 1/2, finds the simplest
+    fraction in that interval, in integers only and one whole run of the
+    same turn per step.  A team of more than MAX_TEAM_ROWS rows is refused
+    with CapacityError.
     """
     p_num, p_den = p.as_integer_ratio()
     if 2 * p_num >= p_den:
@@ -74,9 +74,7 @@ def ratio_parameters(p: Fraction, r: Fraction | None) -> tuple[int, int]:
     if r is None:
         return 1, 2
     r_num, r_den = r.as_integer_ratio()
-    if 2 * r_num >= r_den:
-        return 1, 2
-    # invariant: lo_num/lo_den <= p < r < hi_num/hi_den
+    # invariant: lo_num/lo_den <= p < hi_num/hi_den
     lo_num, lo_den, hi_num, hi_den = 0, 1, 1, 1
     while True:
         # raise lo by the longest run of mediants at or below p
