@@ -33,7 +33,9 @@ and ``verify`` on the NO answers' planned teams.
 On 6000 seeded ``certify-small`` queries, drawn by ``perfbench/gen.py``
 as that workload draws them (5 variables, arity at most 4, at most 3
 premises, a derived goal every other query) and parsed from their text,
-it times ``synthesize`` and ``check_derivation`` on the YES answers, and
+it times ``parse_sigma`` on each premise text plus ``parse_atom`` on its
+goal text, as the workload reads a query, ``synthesize`` and
+``check_derivation`` on the YES answers, and
 ``verified_counterexample`` and ``verify`` of the built team on the NO
 answers whose team verifies (the known refused plans raise and are only
 counted).  ``synthesize.a6`` times ``synthesize`` on the YES answers of the
@@ -105,18 +107,15 @@ def _goals(ex, rng, sigma, arity):
             return yes, no
 
 
-def _certify_small(ex):
-    """The certify-small queries as parsed (sigma, goal) pairs."""
+def _certify_small_texts():
+    """The certify-small queries as (premise text, goal text) pairs."""
     rng = random.Random(SEED)
     names = tuple("abcde")
     queries = []
     while len(queries) < CERTIFY_SMALL_QUERIES:
         for derived in (True, False):
             sigma, goal = gen.instance(rng, names, rng.randint(0, 3), (1, 2, 3, 4), derived)
-            queries.append((
-                ex.parsing.parse_sigma("\n".join(gen.atom_text(*a) for a in sigma)),
-                ex.parsing.parse_atom(gen.atom_text(*goal)),
-            ))
+            queries.append(("\n".join(gen.atom_text(*a) for a in sigma), gen.atom_text(*goal)))
     return queries
 
 
@@ -124,6 +123,7 @@ def cases(ex) -> tuple[str, dict, dict]:
     """The digest of one tree's answers, its timed cases and (no) facts,
     as ``harness.compare_in_process`` takes them."""
     parse_sigma, decide, plan = ex.parsing.parse_sigma, ex.decision.decide, ex.counterexample.plan
+    parse_atom = ex.parsing.parse_atom
     domain_size_bound = ex.counterexample.domain_size_bound
     build_team, verify = ex.counterexample.build_team, ex.counterexample.verify
     synthesize, to_text = ex.calculus.synthesize, ex.certificate.derivation_to_json_str
@@ -192,8 +192,15 @@ def cases(ex) -> tuple[str, dict, dict]:
     ]
     timed["verify.keystone"] = [lambda i=i: verify(*i) for i in keystone_refuted]
 
+    def parse_query(sigma_text, goal_text):
+        return parse_sigma(sigma_text), parse_atom(goal_text)
+
+    texts = _certify_small_texts()
+    queries = [parse_query(*query) for query in texts]
+    digest.update(repr(queries).encode())
+    timed["parse_sigma.certify_small"] = [lambda q=q: parse_query(*q) for q in texts]
     yes, derivations, no, refuted = [], [], [], []
-    for sigma, goal in _certify_small(ex):
+    for sigma, goal in queries:
         verdict = decide(sigma, goal)
         if verdict.holds:
             yes.append((sigma, goal, verdict.witness))

@@ -59,9 +59,13 @@ def _check_var_tuple(vars: VarTuple, label: str) -> None:
             raise ValueError(f"{label} side holds a non-variable entry: {v!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
-    """Approximate exclusion atom ``left |_degree right``."""
+    """Approximate exclusion atom ``left |_degree right``.
+
+    Its fields live in slots, with no instance `__dict__`; equality,
+    hashing, repr, `fields()`, `replace` and pickling are the frozen
+    dataclass's."""
 
     left: VarTuple
     right: VarTuple
@@ -82,11 +86,13 @@ class Atom:
         everything it checks, and degree is an exact Fraction.  The callers
         are the parser, which checks the text it reads, and the derivation
         planner (`calculus._Builder`, `end_constant_form`), whose sides
-        rearrange, slice or join the sides of checked atoms."""
+        rearrange, slice or join the sides of checked atoms.  Each field is
+        set by its slot's member descriptor (`_SET_LEFT`, ...) in one call,
+        where `object.__setattr__` would first look the slot up by name."""
         self = object.__new__(cls)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "degree", degree)
+        _SET_LEFT(self, left)
+        _SET_RIGHT(self, right)
+        _SET_DEGREE(self, degree)
         return self
 
     @property
@@ -96,6 +102,12 @@ class Atom:
     def __str__(self) -> str:
         bar = "|" if self.degree == ZERO else f"|[{self.degree}]|"
         return f"{' '.join(self.left)} {bar} {' '.join(self.right)}"
+
+
+# the setters of the slots' member descriptors, for `Atom._unchecked`
+_SET_LEFT = Atom.__dict__["left"].__set__
+_SET_RIGHT = Atom.__dict__["right"].__set__
+_SET_DEGREE = Atom.__dict__["degree"].__set__
 
 
 def _side(value: str | Iterable[str]) -> VarTuple:

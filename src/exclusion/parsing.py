@@ -17,7 +17,10 @@ Atoms have two readers.  The plain reader, `_plain_sigma`, reads a text
 whose lines are all spelled plainly (no blanks around `excl` or its
 brackets, names separated by spaces) in one pass of one pattern over the
 whole text; `parse_sigma` reads a file with it, and `parse_atom` a
-one-line text without a comment.  Any other text goes to the diagnosing
+one-line text without a comment.  The pattern matches a side as one flat
+run of identifier characters and spaces, so it also takes a digit-led
+name after the first; one search for a blank followed by a digit in the
+side groups hands such a text on.  Any other text goes to the diagnosing
 reader, `_diagnose`, which reads an atom part by part, line by line in a
 file: it parses every well-formed atom and names the first fault of any
 other, so it alone defines the accepted language and the messages.
@@ -56,18 +59,27 @@ _ATOM = re.compile(
 
 # the plain spelling of an atom: ASCII identifier lists separated by spaces,
 # a degree of digits, '/', '.' and spaces, no blanks around `excl` or the
-# brackets.  The quantifiers are possessive, so a failed match never
-# backtracks into a name list; a backtracking pattern would match the same
-# texts, since a list is followed only by ` *;` or ` *\)`, and any tail a
-# list could give back is, after its spaces, an identifier character,
-# which neither can match.  `re` accepts possessive quantifiers from
-# Python 3.11 on, hence requires-python.
-_NAMES = r"[A-Za-z_][A-Za-z0-9_]*+(?:[ ]++[A-Za-z_][A-Za-z0-9_]*+)*+"
+# brackets.  A name list is one flat class, a letter or '_' and then
+# identifier characters and spaces, which the matcher runs in one loop
+# instead of re-entering a group for every name.  A run of it is an
+# identifier list exactly when no space in it is followed by a digit, so
+# `_plain_sigma` hands a text whose side groups hold one (`_DIGIT_LED`,
+# as in `a 1b`) to the line-by-line reader, and the accepted language
+# and every message stay those of `_diagnose`.  The quantifiers are
+# possessive, so a failed match never backtracks into a name list; a
+# backtracking pattern would match the same texts, since a list is
+# followed only by ` *;` or ` *\)`, and a tail a list could give back is,
+# after its spaces, an identifier character, which neither can match, or
+# the character the possessive match already failed on.  `re` accepts
+# possessive quantifiers from Python 3.11 on, hence requires-python.
+_NAMES = r"[A-Za-z_][A-Za-z0-9_ ]*+"
 _PLAIN = rf"excl(?:\[([0-9/. ]++)\])?\([ ]*+({_NAMES})[ ]*+;[ ]*+({_NAMES})[ ]*+\)"
 # one line of an assumption file spelled plainly: blank, a comment, or a
 # plain atom with blanks or tabs around it and an optional comment after;
 # no class in it holds a newline, so each line gives at most one match
 _PLAIN_LINE = re.compile(rf"^[ \t]*+(?:{_PLAIN}[ \t]*+)?(?:#[^\n]*+)?$", re.MULTILINE)
+# the start of a digit-led name after another in a side group
+_DIGIT_LED = re.compile(r" [0-9]")
 
 _RATIONAL = re.compile(
     r"\s*(?: (?P<num>\d+) \s* / \s* (?P<den>\d+) | (?P<dec>\d+\.\d+) | (?P<int>\d+) )\s*\Z",
@@ -178,9 +190,15 @@ def _plain_sigma(text: str) -> list[Atom] | None:
     means every line is plain.  A line without an atom leaves its groups
     empty; a present degree or side is never empty, since each group needs
     a character, so an empty group is an absent part, never an empty one.
+    A blank followed by a digit in a side group starts a digit-led name,
+    which only the line-by-line reader reports; a present side group starts
+    with a letter or '_', so joining the groups makes no such pair.
     """
     found = _PLAIN_LINE.findall(text)
     if len(found) != text.count("\n") + 1:
+        return None
+    _, lefts, rights = zip(*found)
+    if _DIGIT_LED.search("".join(lefts + rights)):
         return None
     atoms = []
     append, unchecked = atoms.append, Atom._unchecked

@@ -1,5 +1,8 @@
 """Atoms, teams, and degree handling."""
 
+import copy
+import dataclasses
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -92,6 +95,43 @@ class TestAtom:
     def test_str_forms(self):
         assert str(atom("x", "y")) == "x | y"
         assert str(atom("x1 x2", "y1 y2", "1/4")) == "x1 x2 |[1/4]| y1 y2"
+
+
+class TestAtomRecord:
+    """The frozen dataclass contract, which the slotted `Atom` and its
+    descriptor-filled `_unchecked` keep."""
+
+    CASES = [(("x",), ("y",), Fraction(0)), (("u", "v"), ("v", "w"), Fraction(1, 4))]
+
+    @pytest.mark.parametrize("left, right, degree", CASES)
+    def test_unchecked_atom_is_the_checked_one(self, left, right, degree):
+        fast, checked = Atom._unchecked(left, right, degree), Atom(left, right, degree)
+        assert fast == checked and hash(fast) == hash(checked)
+        assert repr(fast) == repr(checked) and str(fast) == str(checked)
+        assert (fast.left, fast.right, fast.degree) == (left, right, degree)
+
+    def test_fields_refuse_assignment(self):
+        for a in (Atom(("x",), ("y",)), Atom._unchecked(("x",), ("y",), Fraction(1, 3))):
+            for name in ("left", "right", "degree"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(a, name, ("z",))
+            # slots leave no instance dict; on Python 3.11 the frozen
+            # dataclass's __setattr__ reports a new name as a TypeError
+            assert not hasattr(a, "__dict__")
+            with pytest.raises((AttributeError, TypeError)):
+                a.extra = 1
+
+    def test_copies_round_trip(self):
+        a = Atom._unchecked(("u", "v"), ("v", "w"), Fraction(1, 4))
+        for copied in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a), copy.copy(a)):
+            assert copied == a and type(copied) is Atom
+        raised = dataclasses.replace(a, degree=Fraction(1, 2))
+        assert raised == Atom(a.left, a.right, Fraction(1, 2))
+        with pytest.raises(ValueError, match="side arities differ"):
+            dataclasses.replace(a, right=("w",))
+
+    def test_fields_keep_their_order(self):
+        assert [f.name for f in dataclasses.fields(Atom)] == ["left", "right", "degree"]
 
 
 class TestAtomConvenience:

@@ -290,13 +290,16 @@ class TestRoundTrip:
 
 
 def reference_parse_sigma(text):
-    """`parse_sigma` as `parse_atom` on each line, comments and blanks cut."""
+    """`parse_sigma` as `reference_parse_atom` on each line, comments and
+    blanks cut.  The reference atom parser shares no code with the
+    package's, so a fault in the one-pass reader, which `parse_atom` also
+    reads through, does not show on both sides."""
     atoms = []
     for lineno, raw in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             try:
-                atoms.append(parse_atom(line))
+                atoms.append(reference_parse_atom(line))
             except ParseError as exc:
                 raise ParseError(f"<sigma>:{lineno}: {exc}") from exc
     return atoms
@@ -306,15 +309,29 @@ COMMENTS = st.sampled_from(["#", "# note", " # excl(a ; b)", "\t#(x ; 1)", "# \x
 BLANKS = st.sampled_from(["", " ", "\t", "\x0c", "\u00a0"])
 
 
+DIGIT_LED_NAMES = st.from_regex(r"[0-9][A-Za-z0-9_]{0,2}", fullmatch=True)
+
+
+@st.composite
+def plain_side_texts(draw, arity):
+    """`arity` valid names joined by single spaces, one of them now and then
+    a digit-led name, which the one-pass pattern's name class also takes."""
+    names = [draw(VALID_NAMES) for _ in range(arity)]
+    if names and draw(st.integers(0, 7)) == 0:
+        names[draw(st.integers(0, len(names) - 1))] = draw(DIGIT_LED_NAMES)
+    return " ".join(names)
+
+
 @st.composite
 def plain_atom_texts(draw):
     """Atom texts spelled with single spaces and no padding, as files are
     written, with degree spellings and arities drawn as in `atom_texts`:
-    an empty side or degree, unequal arities or a bad degree now and then."""
+    an empty side or degree, unequal arities, a bad degree or a digit-led
+    name now and then."""
     left_arity = draw(ARITIES)
     right_arity = left_arity if draw(st.integers(0, 4)) else draw(ARITIES)
-    left = " ".join(draw(VALID_NAMES) for _ in range(left_arity))
-    right = " ".join(draw(VALID_NAMES) for _ in range(right_arity))
+    left = draw(plain_side_texts(left_arity))
+    right = draw(plain_side_texts(right_arity))
     degree = draw(DEGREE_TEXTS)
     mark = "" if degree is None else f"[{degree}]"
     return f"excl{mark}({left} ; {right})"
@@ -400,6 +417,11 @@ excl[1/3](u v ; x y)  # inline note
             ("excl(a ; 1b)", "<sigma>:1: bad identifier '1b' on right side"),
             ("excl(a b ; c)\n", "<sigma>:1: side arities differ: 2 vs 1"),
             ("# x\nexcl[3/2](a ; b)", "<sigma>:2: degree out of range [0, 1]: 3/2"),
+            # a digit-led name after another, which the one-pass pattern's
+            # flat name class takes and its digit check hands on
+            ("excl(a 1b ; c d)", "<sigma>:1: bad identifier '1b' on left side"),
+            ("excl(a ; b  2c)", "<sigma>:1: bad identifier '2c' on right side"),
+            ("excl(a ; b)\nexcl(x y ; z 9)", "<sigma>:2: bad identifier '9' on right side"),
         ],
     )
     def test_faulty_plain_lines_report_their_line(self, text, message):
@@ -408,10 +430,13 @@ excl[1/3](u v ; x y)  # inline note
         assert str(info.value) == message
 
     # tabs and Unicode whitespace between names, blanks in a degree or
-    # around an atom, and a comment holding atom syntax
+    # around an atom, a comment holding atom syntax, and digits that start
+    # no name: inside names, in a degree, in a comment
     @pytest.mark.parametrize(
         "text, expected",
         [
+            ("excl(_1 a1 ; a1 _1)\nexcl[1 / 4](a ; b)  # a 1",
+             [atom("_1 a1", "a1 _1"), atom("a", "b", "1/4")]),
             ("excl(a\tb ; c d)", [atom("a b", "c d")]),
             ("excl(a\u2028b ; c d)", [atom("a b", "c d")]),
             ("excl[ 1 / 4 ](a ; b)", [atom("a", "b", "1/4")]),
