@@ -435,13 +435,13 @@ excl[1/3](u v ; x y)  # inline note
     @pytest.mark.parametrize(
         "text, expected",
         [
-            ("excl(_1 a1 ; a1 _1)\nexcl[1 / 4](a ; b)  # a 1",
-             [atom("_1 a1", "a1 _1"), atom("a", "b", "1/4")]),
             ("excl(a\tb ; c d)", [atom("a b", "c d")]),
             ("excl(a\u2028b ; c d)", [atom("a b", "c d")]),
             ("excl[ 1 / 4 ](a ; b)", [atom("a", "b", "1/4")]),
             (" excl(a ; b) # (x ; 1)", [atom("a", "b")]),
             ("excl(a ; b)\n\x0cexcl (c ; d)\n", [atom("a", "b"), atom("c", "d")]),
+            ("excl(_1 a1 ; a1 _1)\nexcl[1 / 4](a ; b)  # a 1",
+             [atom("_1 a1", "a1 _1"), atom("a", "b", "1/4")]),
         ],
     )
     def test_other_spellings_parse(self, text, expected):
