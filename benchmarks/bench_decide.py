@@ -20,7 +20,9 @@ Times per call are the fastest of repeated passes over each case's calls
 * ``check_derivation`` on that goal's derivation;
 * ``counterexample.plan`` alone, on the NO goal;
 * ``counterexample.verify`` on the NO goal's planned team, built before
-  timing.
+  timing;
+* ``model.generic_pair`` on both goals, and ``model.schema_order`` of the
+  file's premises and the NO goal, the counted path.
 
 Three files per arity.  On 2000 seeded keystone instances, drawn as
 ``keystone-slice`` draws them (a goal and 0, 1 or 2 premises from
@@ -28,13 +30,16 @@ Three files per arity.  On 2000 seeded keystone instances, drawn as
 is most of its time, it times ``decide``, ``plan``, and ``decide`` plus
 ``plan`` (for a YES) plus ``domain_size_bound``, the package's part of a
 ``keystone-slice`` operation, ``check_derivation`` on the YES derivations
-and ``verify`` on the NO answers' planned teams.
+and ``verify`` on the NO answers' planned teams, and the two layers every
+``decide`` and ``plan`` pays for: ``generic_pair`` on the goal and
+``schema_order`` on the instance (0, 1 or 2 premises, the short path).
 
 On 6000 seeded ``certify-small`` queries, drawn by ``perfbench/gen.py``
 as that workload draws them (5 variables, arity at most 4, at most 3
 premises, a derived goal every other query) and parsed from their text,
 it times ``parse_sigma`` on each premise text plus ``parse_atom`` on its
-goal text, as the workload reads a query, ``synthesize`` and
+goal text, as the workload reads a query, ``generic_pair`` on each goal,
+``schema_order`` on each query, ``synthesize`` and
 ``check_derivation`` on the YES answers, and
 ``verified_counterexample`` and ``verify`` of the built team on the NO
 answers whose team verifies (the known refused plans raise and are only
@@ -48,8 +53,9 @@ interpreter and timed case by case, alternating which tree goes first,
 so the two timings of a case lie seconds apart.  A digest of what each
 tree returned (the parsed atoms, the derivation text of each YES, every
 plan's parameters and built team CSV, every keystone verdict, each
-certify-small derivation text and team CSV, and every timed ``verify``
-result) records whether both trees answered alike.  The digest reads
+certify-small derivation text and team CSV, every timed ``verify``
+result, and each generic pair and schema order timed) records whether
+both trees answered alike.  The digest reads
 only what every tree has, so trees whose plans store different fields
 compare.  The output,
 ``benchmarks/BENCH_decide.json`` by default, holds per-case medians,
@@ -119,6 +125,16 @@ def _certify_small_texts():
     return queries
 
 
+def _pair_and_order_cases(timed, digest, name, goals, instances, ex):
+    """``generic_pair`` on each goal and ``schema_order`` on each (premises,
+    goal) instance, their answers added to the digest."""
+    generic_pair, schema_order = ex.model.generic_pair, ex.model.schema_order
+    digest.update(repr([generic_pair(g) for g in goals]).encode())
+    digest.update(repr([schema_order(s, g) for s, g in instances]).encode())
+    timed[f"generic_pair.{name}"] = [lambda g=g: generic_pair(g) for g in goals]
+    timed[f"schema_order.{name}"] = [lambda s=s, g=g: schema_order(s, g) for s, g in instances]
+
+
 def cases(ex) -> tuple[str, dict, dict]:
     """The digest of one tree's answers, its timed cases and (no) facts,
     as ``harness.compare_in_process`` takes them."""
@@ -163,6 +179,10 @@ def cases(ex) -> tuple[str, dict, dict]:
         timed[f"decide_no.1000x{arity}"] = [lambda s=s, g=g[1]: decide(s, g) for s, g in pairs]
         timed[f"plan.1000x{arity}"] = [lambda s=s, g=g[1]: plan(s, g) for s, g in pairs]
         timed[f"verify.1000x{arity}"] = [lambda i=i: verify(*i) for i in refuted]
+        _pair_and_order_cases(
+            timed, digest, f"1000x{arity}", [goal for pair in goals for goal in pair],
+            [(s, g[1]) for s, g in pairs], ex,
+        )
 
     keystone = ex.sweep.keystone_atoms()
     instances = [
@@ -191,6 +211,9 @@ def cases(ex) -> tuple[str, dict, dict]:
         lambda d=d: check_derivation(d) for d in keystone_derivations
     ]
     timed["verify.keystone"] = [lambda i=i: verify(*i) for i in keystone_refuted]
+    _pair_and_order_cases(
+        timed, digest, "keystone", [g for _, g in instances], instances, ex
+    )
 
     def parse_query(sigma_text, goal_text):
         return parse_sigma(sigma_text), parse_atom(goal_text)
@@ -199,6 +222,9 @@ def cases(ex) -> tuple[str, dict, dict]:
     queries = [parse_query(*query) for query in texts]
     digest.update(repr(queries).encode())
     timed["parse_sigma.certify_small"] = [lambda q=q: parse_query(*q) for q in texts]
+    _pair_and_order_cases(
+        timed, digest, "certify_small", [g for _, g in queries], queries, ex
+    )
     yes, derivations, no, refuted = [], [], [], []
     for sigma, goal in queries:
         verdict = decide(sigma, goal)

@@ -25,10 +25,12 @@ more than its budget.  The two shapes do not separate every right NO:
 the strict xfails in tests/test_counterexample.py and README's triangle
 are right NOs whose planned team fails its check.  verified_counterexample
 re-checks the team and refuses such a NO with UndecidedError (exit 6);
-ROADMAP item 1 is the fix.  A plan is an immutable named tuple.  It keeps
-the generic pair its rows are built from; its `transitive` flag, computed
-when it is read, tells whether the merge relation was already transitive
-before its closure.
+ROADMAP item 1 is the fix.  A plan is an immutable named tuple, which
+`plan` fills from all nine values with `tuple.__new__`, as the named
+tuple's `_make` does, without a call through the generated `__new__`.  It
+keeps the generic pair its rows are built from; its `transitive` flag,
+computed when it is read, tells whether the merge relation was already
+transitive before its closure.
 """
 
 from __future__ import annotations
@@ -136,6 +138,9 @@ class CounterexamplePlan(NamedTuple):
         return len(self.extra_vars)
 
 
+_new = tuple.__new__  # fills a CounterexamplePlan from all its values
+
+
 def plan(
     sigma: Sequence[Atom], goal: Atom, pair: GenericPair | None = None
 ) -> CounterexamplePlan:
@@ -154,12 +159,15 @@ def plan(
     if goal.left == goal.right:
         if p.numerator == p.denominator:
             raise ValueError("a degree-1 goal is never refutable")
-        return CounterexamplePlan(
-            "unary-canonical", sigma, goal, 1, 1, None, schema, extra, pair
+        return _new(
+            CounterexamplePlan,
+            ("unary-canonical", sigma, goal, 1, 1, None, schema, extra, pair),
         )
     r = min_gap_degree(sigma, p)
     l, k = ratio_parameters(p, r)
-    return CounterexamplePlan("shared-block", sigma, goal, l, k, r, schema, extra, pair)
+    return _new(
+        CounterexamplePlan, ("shared-block", sigma, goal, l, k, r, schema, extra, pair)
+    )
 
 
 def search_bounds(

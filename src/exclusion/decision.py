@@ -33,7 +33,9 @@ plans a derivation; a negative one carries a counterexample plan.
 Witnesses and plans both name themselves through `kind`.  A `Verdict`
 is an immutable named tuple, true exactly when the implication holds;
 a named tuple is built in a fraction of a frozen dataclass's time, which
-is a large share of a call on a few small premises.
+is a large share of a call on a few small premises.  `decide` fills it
+from all three values with `tuple.__new__`, as the named tuple's `_make`
+does, so no call goes through the generated `__new__` and its frame.
 """
 
 from __future__ import annotations
@@ -97,13 +99,16 @@ class Verdict(NamedTuple):
         return self.holds
 
 
+_new = tuple.__new__  # fills a Verdict from all its values
+
+
 def decide(sigma: Sequence[Atom], goal: Atom) -> Verdict:
     """Decide whether sigma implies the goal, with witness or plan."""
     sigma = tuple(sigma)
     p_num, p_den = goal.degree.as_integer_ratio()
 
     if p_num == p_den:
-        return Verdict(True, VacuousDegreeWitness())
+        return _new(Verdict, (True, VacuousDegreeWitness(), None))
     if 2 * p_num >= p_den:
         raise UnsupportedDegreeError(
             f"goal degrees in [1/2, 1) are not supported, got {goal.degree}"
@@ -111,15 +116,15 @@ def decide(sigma: Sequence[Atom], goal: Atom) -> Verdict:
 
     for index, a in enumerate(sigma):
         if a.left == a.right and a.degree.numerator < a.degree.denominator:
-            return Verdict(True, ContradictionWitness(a, index))
+            return _new(Verdict, (True, ContradictionWitness(a, index), None))
 
     pair = generic_pair(goal)
     for index, a in enumerate(sigma):
         num, den = a.degree.as_integer_ratio()
         if num * p_den <= p_num * den and conflicts(a, pair):
-            return Verdict(True, DominationWitness(a, index))
+            return _new(Verdict, (True, DominationWitness(a, index), None))
 
-    return Verdict(False, None, cx.plan(sigma, goal, pair))
+    return _new(Verdict, (False, None, cx.plan(sigma, goal, pair)))
 
 
 def implies(sigma: Sequence[Atom], goal: Atom) -> bool:

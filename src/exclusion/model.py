@@ -17,7 +17,7 @@ importing the counterexample planner.  This module imports only `errors`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -108,6 +108,23 @@ class Atom:
 _SET_LEFT = Atom.__dict__["left"].__set__
 _SET_RIGHT = Atom.__dict__["right"].__set__
 _SET_DEGREE = Atom.__dict__["degree"].__set__
+
+
+def _refuse_setattr(self: Atom, name: str, value: object) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delattr(self: Atom, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# The frozen dataclass's own `__setattr__` and `__delattr__` close over the
+# class that `slots=True` replaces, so on Python 3.11 their `super(cls,
+# self)` call raises TypeError for a name that is not a field.  These refuse
+# every name with FrozenInstanceError; `__post_init__`, `_unchecked`,
+# pickling and `copy` set the slots without them.
+Atom.__setattr__ = _refuse_setattr
+Atom.__delattr__ = _refuse_delattr
 
 
 def _side(value: str | Iterable[str]) -> VarTuple:
@@ -216,20 +233,30 @@ def generic_pair(goal: Atom) -> GenericPair:
     variable to the class of a position where it occurs.  The pair maps
     into every pair of rows that violates the goal, a row paired with
     itself included.
+
+    One pass over the positions: x_i and y_i look up their classes, a
+    variable not seen yet standing for the new class i.  Equal classes
+    need no merge; otherwise the younger name gives way to the older, and
+    the maps are relabelled only when both classes are older than i.
     """
     s: dict[str, int] = {}
     t: dict[str, int] = {}
-    for i, (x, y) in enumerate(zip(goal.left, goal.right)):
-        a, b = s.get(x, i), t.get(y, i)
-        lo, hi = (a, b) if a < b else (b, a)
-        if lo != hi != i:
-            # position i joins two classes: the later one takes the
-            # earlier one's name
-            for row in (s, t):
-                for v, c in row.items():
-                    if c == hi:
-                        row[v] = lo
-        s[x] = t[y] = lo
+    i = 0
+    for x, y in zip(goal.left, goal.right):
+        a = s.get(x, i)
+        b = t.get(y, i)
+        if a != b:
+            if b < a:
+                a, b = b, a
+            if b != i:
+                # position i joins two older classes: the later one takes
+                # the earlier one's name
+                for row in (s, t):
+                    for v, c in row.items():
+                        if c == b:
+                            row[v] = a
+        s[x] = t[y] = a
+        i += 1
     return s, t
 
 
@@ -255,12 +282,17 @@ def conflicts(atom: Atom, pair: GenericPair) -> bool:
     return tx == t.get(y, y) and tuple(map(t.get, left, left)) == tuple(map(t.get, right, right))
 
 
-# Premise lists this long are counted before the scan.  Below it the count
-# costs more than the scan it can cut short.  On a 2-core Xeon (Python
-# 3.11), 0-2 premises over 3 variables took 1.2-3.3 us a call with the count
-# and 0.6-2.4 us without; over 3 or 5 variables the count's early stop won
-# from 5 to 8 premises on, and over 60 variables from about 20.
-SCHEMA_COUNT_PREMISES = 6
+# Premise lists this long are counted before the scan.  Below it, joining
+# every side into one tuple costs less than the count, whose early stop it
+# gives up; above it, the joined tuple's copies grow with the square of
+# the list.  On a 2-core Xeon (Python 3.11.7), with random premises over 3
+# variables (arity 1-2), 5 (arity 1-4) and 60 (arity 5): no premise took
+# 0.8-1.6 us a call joined and 1.4-2.4 us counted, 12 premises 3.9, 5.0
+# and 10.2 us joined against 5.0, 5.7 and 22.7 us counted; the count
+# first won at 16 premises over 5 variables (6.5 against 6.8 us), from
+# 20-24 over 3 and 48-64 over 60, and 1000 premises took 4.0, 5.5 and
+# 10.7 ms joined against 0.23, 0.21 and 0.31 ms counted.
+SCHEMA_COUNT_PREMISES = 16
 
 
 def schema_order(
@@ -271,13 +303,19 @@ def schema_order(
     Returns the whole schema and its assumption-only tail.  A list of
     SCHEMA_COUNT_PREMISES premises or more has its variables counted
     first, so the scan stops at the premise completing the schema; a
-    shorter list is scanned premise by premise without a count.
+    shorter list has the goal's sides and every premise's sides joined
+    into one tuple, whose first occurrences `dict.fromkeys` keeps.
     """
-    schema = dict.fromkeys(goal.left + goal.right)
+    names = goal.left + goal.right
+    if len(sigma) < SCHEMA_COUNT_PREMISES:
+        goal_width = len(set(names))
+        for atom in sigma:
+            names += atom.left + atom.right
+        order = tuple(dict.fromkeys(names))
+        return order, order[goal_width:]
+    schema = dict.fromkeys(names)
     goal_width = len(schema)
-    total = None
-    if len(sigma) >= SCHEMA_COUNT_PREMISES:
-        total = len(set(schema).union(*[a.left for a in sigma], *[a.right for a in sigma]))
+    total = len(set(schema).union(*[a.left for a in sigma], *[a.right for a in sigma]))
     for atom in sigma:
         if len(schema) == total:
             break

@@ -120,6 +120,10 @@ class KeystoneReport:
     elapsed: float
     setup_s: float  # bank build plus its 81 class masks, inside elapsed
     scan_s: float  # inside any_counterexample, inside elapsed
+    decide_s: float  # in decide and search_bounds, sample included, inside elapsed
+    # in synthesize and verified_counterexample, with their tallies and the
+    # team's value count, inside elapsed
+    certificate_s: float
 
 
 def run_keystone() -> KeystoneReport:
@@ -164,7 +168,8 @@ def run_keystone() -> KeystoneReport:
     sample_mismatches = Tally()
     classes = true_classes = false_classes = 0
     sample_size = 0
-    scan_s = 0.0
+    scan_s = decide_s = certificate_s = 0.0
+    clock = time.perf_counter
 
     def describe(s: int, g: int) -> tuple:
         return tuple(map(str, sigmas[s])), str(atoms[g])
@@ -178,21 +183,24 @@ def run_keystone() -> KeystoneReport:
 
         for s in reps:
             sigma = sigmas[s]
+            decide_start = clock()
             verdict = decide(sigma, goal)
+            rows, values = search_bounds(sigma, goal, verdict.plan)
+            decide_s += clock() - decide_start
             classes += 1
             verdict_map[own[s]] = 1 if verdict.holds else 2
 
-            rows, values = search_bounds(sigma, goal, verdict.plan)
             rc_mask = bank.row_mask(rows)
             nv_mask = bank.value_mask(values)
-            scan_start = time.perf_counter()
+            scan_start = clock()
             found = any_counterexample(
                 masks[first[s]], masks[second[s]], masks[g], rc_mask, nv_mask
             )
-            scan_s += time.perf_counter() - scan_start
+            scan_s += clock() - scan_start
             if verdict.holds == found:
                 disagreements.add((*describe(s, g), verdict.holds, found))
 
+            certificate_start = clock()
             if verdict.holds:
                 true_classes += 1
                 try:
@@ -209,13 +217,16 @@ def run_keystone() -> KeystoneReport:
                 else:
                     if team.value_count() > values:
                         bound_violations.add((*describe(s, g), team.value_count()))
+            certificate_s += clock() - certificate_start
 
         # modular sample: re-run the decision on unreduced instances and
         # compare with the verdict recorded for their class
         start_offset = (-g * n_sets) % SAMPLE_STRIDE
         for s in range(start_offset, n_sets, SAMPLE_STRIDE):
             sample_size += 1
+            decide_start = clock()
             verdict = decide(sigmas[s], goal)
+            decide_s += clock() - decide_start
             stored = verdict_map[min_keys[s]]
             if stored == 0 or (stored == 1) != verdict.holds:
                 sample_mismatches.add((*describe(s, g), int(stored), verdict.holds))
@@ -234,6 +245,8 @@ def run_keystone() -> KeystoneReport:
         elapsed=time.perf_counter() - start,
         setup_s=setup_s,
         scan_s=scan_s,
+        decide_s=decide_s,
+        certificate_s=certificate_s,
     )
 
 

@@ -80,7 +80,9 @@ class TestCriterion1Equivalence:
             f"{keystone.sample_mismatches.count} mismatches, "
             f"{compared} literal-oracle replays with "
             f"{mismatches.count} mismatches, sweep {keystone.elapsed:.1f}s "
-            f"(set-up {keystone.setup_s:.1f}s, scan {keystone.scan_s:.1f}s)"
+            f"(set-up {keystone.setup_s:.1f}s, decide {keystone.decide_s:.1f}s, "
+            f"scan {keystone.scan_s:.1f}s, "
+            f"certificates {keystone.certificate_s:.1f}s)"
         )
         ok = (
             keystone.instances == KEYSTONE_INSTANCES

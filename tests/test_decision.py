@@ -1,5 +1,6 @@
 """The polynomial-time implication decision and its witness reporting."""
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -22,9 +23,15 @@ from exclusion.certificate import Rule
 from exclusion import calculus, counterexample as cx, model
 from exclusion.counterexample import min_gap_degree
 from exclusion.model import conflicts, generic_pair, schema_order
-from exclusion.decision import ContradictionWitness, DominationWitness, VacuousDegreeWitness
+from exclusion.decision import (
+    ContradictionWitness,
+    DominationWitness,
+    VacuousDegreeWitness,
+    Verdict,
+)
 from exclusion.model import team_from_rows
 from exclusion.semantics import min_removal
+from exclusion.sweep import keystone_atoms
 
 # worked example: x2 y3 x2 x4 | y1 y3 y3 y4
 WORKED = atom("x2 y3 x2 x4", "y1 y3 y3 y4")
@@ -417,6 +424,42 @@ def generic_team(goal, premise):
     return team_from_rows(schema, rows)
 
 
+def reference_generic_pair(goal):
+    """The generic pair as the enumerated loop built it, ordering the two
+    classes at every position and relabelling whenever they differ and
+    neither is new."""
+    s, t = {}, {}
+    for i, (x, y) in enumerate(zip(goal.left, goal.right)):
+        a, b = s.get(x, i), t.get(y, i)
+        lo, hi = (a, b) if a < b else (b, a)
+        if lo != hi != i:
+            for row in (s, t):
+                for v, c in row.items():
+                    if c == hi:
+                        row[v] = lo
+        s[x] = t[y] = lo
+    return s, t
+
+
+@st.composite
+def goals_over_five_names(draw):
+    arity = draw(st.integers(1, 6))
+    side = st.lists(st.sampled_from("abcde"), min_size=arity, max_size=arity).map(tuple)
+    return Atom(draw(side), draw(side))
+
+
+class TestGenericPairReference:
+    def test_keystone_goals(self):
+        for goal in keystone_atoms():
+            assert generic_pair(goal) == reference_generic_pair(goal), goal
+
+    @given(goals_over_five_names())
+    @settings(max_examples=500, deadline=None)
+    def test_goals_up_to_arity_six(self, goal):
+        # dict equality: the same variables in each row, the same class names
+        assert generic_pair(goal) == reference_generic_pair(goal)
+
+
 class TestDomination:
     def test_generic_pair_closes_the_merges(self):
         # positions 0-1 share g1, 1-2 share h2: one class named 0
@@ -512,6 +555,57 @@ class TestRecordsAreImmutable:
         assert yes and not no and no.plan
 
 
+class TestRecordsMatchTheirConstructors:
+    """`decide` and `plan` fill their named tuples without the generated
+    `__new__`; each record is the one its constructor builds."""
+
+    CASES = [
+        ([], atom("x", "y", 1)),  # vacuous degree
+        ([atom("u", "u")], atom("x", "y")),  # contradiction
+        ([atom("y", "x")], atom("x", "y")),  # domination
+        ([], atom("x y", "y z")),  # shared block, no gap
+        ([atom("x", "y", "1/3"), atom("p", "q")], atom("x", "y", "1/4")),  # a gap
+        ([atom("x", "y")], atom("x", "x", "1/4")),  # unary canonical
+        ([], atom("a a b", "b c c")),  # a merge closed only transitively
+    ]
+
+    @staticmethod
+    def assert_same_record(fast, slow):
+        assert type(fast) is type(slow) and fast == slow
+        assert fast._fields == slow._fields == type(slow)._fields
+        assert fast._asdict() == slow._asdict()
+        assert fast._replace() == slow and type(fast._replace()) is type(slow)
+        copied = pickle.loads(pickle.dumps(fast))
+        assert copied == slow and type(copied) is type(slow)
+        assert bool(fast) is bool(slow)
+
+    @pytest.mark.parametrize("sigma, goal", CASES)
+    def test_decide_and_plan(self, sigma, goal):
+        verdict = decide(sigma, goal)
+        if verdict.holds:
+            # the default plan, None, filled in by position
+            built = Verdict(True, verdict.witness)
+        else:
+            built = Verdict(holds=False, witness=None, plan=verdict.plan)
+        self.assert_same_record(verdict, built)
+        assert bool(verdict) is verdict.holds
+        if verdict.holds:
+            return
+        for fast in (verdict.plan, cx.plan(sigma, goal)):
+            slow = cx.CounterexamplePlan(**fast._asdict())
+            self.assert_same_record(fast, slow)
+            assert (fast.transitive, fast.n, fast.m) == (slow.transitive, slow.n, slow.m)
+            assert fast.n == goal.arity and fast.m == len(fast.extra_vars)
+
+    def test_cases_reach_every_record_shape(self):
+        verdicts = [decide(sigma, goal) for sigma, goal in self.CASES]
+        kinds = {v.witness.kind if v else v.plan.kind for v in verdicts}
+        assert kinds == {"vacuous-degree", "contradiction", "domination",
+                         "shared-block", "unary-canonical"}
+        assert {v.plan.transitive for v in verdicts if not v} == {True, False}
+        assert any(v.plan.r is not None for v in verdicts if not v)
+
+
 class TestMinGapDegree:
     def test_smallest_degree_above_goal(self):
         sigma = [atom("a", "b", "1/3"), atom("c", "d", "1/4"), atom("e", "f", "2/5")]
@@ -552,11 +646,11 @@ class TestSchemaOrder:
         assert schema_order([], goal) == (("x", "y", "u"), ())
 
     @pytest.mark.parametrize("fresh_at", ["last", "middle"])
-    @pytest.mark.parametrize("n", [*range(13), 1000])
+    @pytest.mark.parametrize("n", [*range(18), 1000])
     def test_both_sides_of_the_count_cut_off(self, n, fresh_at):
-        # short lists are scanned without a count, long ones counted and
-        # cut short; 0-12 premises cross the cut-off
-        assert 0 < model.SCHEMA_COUNT_PREMISES <= 12
+        # short lists are joined without a count, long ones counted and
+        # cut short; 0-17 premises cross the cut-off
+        assert 0 < model.SCHEMA_COUNT_PREMISES <= 17
         rng = random.Random(n)
         names = [f"v{i}" for i in range(8)]
 
